@@ -12,6 +12,7 @@ from .channels import (
     apply_global_depolarizing,
     apply_local_depolarizing,
     apply_local_dephasing,
+    apply_pauli_diagonal,
     apply_twirled_dephasing,
     channel_matrix_equality,
     generate_twirl_set,
@@ -85,4 +86,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

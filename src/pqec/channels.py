@@ -2,32 +2,33 @@
 
 Implements the global depolarizing mixture, the per-qubit depolarizing
 product channel, per-qubit dephasing, and Clifford-frame twirling of the
-dephasing channel (full or seeded-subset). All channels are linear maps
-and may therefore be compared entrywise on the Pauli operator basis.
+dephasing channel (full or seeded-subset). All four are diagonal in the
+Pauli basis, so each is one transfer-eigenvalue tensor applied by one kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PAULI_LABELS, ValidationError, kron_all, num_qubits, pauli_matrix
+from .states import PAULI_LABELS, ValidationError, from_pauli_basis, num_qubits, \
+    pauli_matrix, to_pauli_basis
 
 # Fixed default seed for subset twirling; documented in the README. Chosen so
 # the seeded single-gate subset at M=1 rotates the dephasing axis to one that
 # still damps the |+> target (see tests).
 DEFAULT_SEED = 7
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-# Single-qubit frame gates used for twirling: each one maps the dephasing
-# axis onto Z, X, or Y respectively when averaged as U^dag E(U rho U^dag) U.
-FRAME_GATES = {"I": np.eye(2, dtype=complex), "H": _H, "HS": _H @ _S}
+# Averaged as U^dag E_z(U rho U^dag) U, frame I keeps the dephasing axis on Z,
+# H rotates it onto X and HS onto Y. Per frame, 1 marks the IXYZ labels that
+# its dephasing damps: all but I and that axis.
 FRAME_LABELS = ("I", "H", "HS")
+_DAMPED = {"I": np.array([0, 1, 1, 0]), "H": np.array([0, 0, 1, 1]),
+           "HS": np.array([0, 1, 0, 1])}
 
 CHANNEL_KINDS = ("global-depol", "local-depol", "dephasing", "twirled-dephasing")
 
@@ -56,10 +57,36 @@ class NoiseModel:
                 f"twirl fraction {self.twirl_fraction} outside (0, 1]")
         return self
 
+    def transfer_eigenvalues(self, qubits: int) -> np.ndarray:
+        """Tensor lam, shape (4,)*qubits: the channel maps Tr(rho P) to lam[P] Tr(rho P)."""
+        self.validate()
+        p = self.p
+        if self.kind == "global-depol":
+            lam = np.full((4,) * qubits, 1.0 - p)
+            lam[(0,) * qubits] = 1.0
+            return lam
+        if self.kind == "twirled-dephasing":
+            shares = _seeded_damping_shares(qubits, self.twirl_fraction, self.twirl_seed)
+            return _twirl_eigenvalues(shares, p)
+        eta = 1.0 - 4.0 * p / 3.0 if self.kind == "local-depol" else 1.0 - 2.0 * p
+        factors = np.array([1.0, eta, eta, eta if self.kind == "local-depol" else 1.0])
+        return functools.reduce(np.multiply.outer, [factors] * qubits)
 
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"error probability {p} outside [0, 1]")
+
+def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Multiply the coefficient of every Pauli string P in rho by lam[P].
+
+    O(M 4**M) and, unlike the Pauli expansion, not limited in M.
+    """
+    coeffs = to_pauli_basis(rho)
+    if coeffs.shape != lam.shape:
+        raise ValidationError(f"channel acts on {lam.ndim} qubits, input on {coeffs.ndim}")
+    return from_pauli_basis(coeffs * lam)
+
+
+def _apply_model(rho: np.ndarray, model: NoiseModel) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    return apply_pauli_diagonal(rho, model.transfer_eigenvalues(num_qubits(rho.shape[0])))
 
 
 # ----------------------------------------------------------------------
@@ -72,23 +99,7 @@ def apply_global_depolarizing(rho: np.ndarray, p: float) -> np.ndarray:
     The trace factor makes this a proper linear map; on density matrices it
     reduces to the usual mixture with the maximally mixed state.
     """
-    _check_probability(p)
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    return (1.0 - p) * rho + p * np.trace(rho) * np.eye(d) / d
-
-
-def _qubit_masks(qubits: int):
-    """Per-qubit bit-flip permutations and Z sign masks (qubit 0 leftmost)."""
-    d = 2 ** qubits
-    idx = np.arange(d)
-    perms, masks = [], []
-    for q in range(qubits):
-        bit = 1 << (qubits - 1 - q)
-        perms.append(idx ^ bit)
-        sign = np.where(idx & bit, -1.0, 1.0)
-        masks.append(np.outer(sign, sign))
-    return perms, masks
+    return _apply_model(rho, NoiseModel("global-depol", p))
 
 
 def apply_local_depolarizing(rho: np.ndarray, p: float) -> np.ndarray:
@@ -98,37 +109,12 @@ def apply_local_depolarizing(rho: np.ndarray, p: float) -> np.ndarray:
     equivalently every Pauli coefficient of weight w is contracted by
     (1 - 4p/3)**w.
     """
-    _check_probability(p)
-    rho = np.asarray(rho, dtype=complex)
-    m = num_qubits(rho.shape[0])
-    perms, masks = _qubit_masks(m)
-    out = rho
-    for perm, mask in zip(perms, masks):
-        z = mask * out
-        x = out[np.ix_(perm, perm)]
-        y = z[np.ix_(perm, perm)]   # Y rho Y = X (Z rho Z) X
-        out = (1.0 - p) * out + (p / 3.0) * (x + y + z)
-    return out
+    return _apply_model(rho, NoiseModel("local-depol", p))
 
 
 def apply_local_dephasing(rho: np.ndarray, p: float) -> np.ndarray:
     """Independent phase-flip channel (1-p) rho + p Z rho Z on every qubit."""
-    _check_probability(p)
-    rho = np.asarray(rho, dtype=complex)
-    m = num_qubits(rho.shape[0])
-    _, masks = _qubit_masks(m)
-    out = rho
-    for mask in masks:
-        out = (1.0 - p) * out + p * (mask * out)
-    return out
-
-
-def _dephase_stack(stack: np.ndarray, p: float, masks) -> np.ndarray:
-    """Dephasing applied to a batch of matrices, broadcast over axis 0."""
-    out = stack
-    for mask in masks:
-        out = (1.0 - p) * out + p * (mask * out)
-    return out
+    return _apply_model(rho, NoiseModel("dephasing", p))
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +124,7 @@ def _dephase_stack(stack: np.ndarray, p: float, masks) -> np.ndarray:
 class TwirlSet:
     """A fixed collection of per-qubit frame-gate sequences.
 
-    Each entry is a length-M tuple over {"I", "H", "HS"}; the full-register
-    unitaries are built lazily and cached for batched application.
+    Each entry is a length-M tuple over {"I", "H", "HS"}.
     """
 
     def __init__(self, gates, qubits: int):
@@ -147,18 +132,9 @@ class TwirlSet:
         self.qubits = qubits
         if len(set(self.gates)) != len(self.gates):
             raise ValidationError("twirl set contains duplicate sequences")
-        self._unitaries = None
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    @property
-    def unitaries(self) -> np.ndarray:
-        """Stacked (T, D, D) array of the register frame unitaries."""
-        if self._unitaries is None:
-            self._unitaries = np.stack(
-                [kron_all([FRAME_GATES[g] for g in seq]) for seq in self.gates])
-        return self._unitaries
 
 
 def generate_twirl_set(qubits: int, fraction: float, seed: int = DEFAULT_SEED) -> TwirlSet:
@@ -188,27 +164,41 @@ def generate_twirl_set(qubits: int, fraction: float, seed: int = DEFAULT_SEED) -
     return TwirlSet([decode(int(n)) for n in indices], qubits)
 
 
+def _damping_shares(twirl: TwirlSet) -> np.ndarray:
+    """shares[P + (k,)]: fraction of the sequences that damp P on exactly k qubits.
+
+    A sequence's eigenvalue on P is (1-2p)**k, so this is the p-independent
+    part of the twirl.
+    """
+    m = twirl.qubits
+    one_hot = np.eye(m + 1)
+    shares = np.zeros((4,) * m + (m + 1,))
+    for seq in twirl.gates:
+        shares += one_hot[functools.reduce(np.add.outer, [_DAMPED[g] for g in seq])]
+    return shares / len(twirl)
+
+
+@functools.lru_cache(maxsize=16)
+def _seeded_damping_shares(qubits: int, fraction: float, seed: int) -> np.ndarray:
+    shares = _damping_shares(generate_twirl_set(qubits, fraction, seed))
+    shares.flags.writeable = False
+    return shares
+
+
+def _twirl_eigenvalues(shares: np.ndarray, p: float) -> np.ndarray:
+    return shares @ (1.0 - 2.0 * p) ** np.arange(shares.shape[-1])
+
+
 def apply_twirled_dephasing(rho: np.ndarray, p: float, twirl: TwirlSet) -> np.ndarray:
     """Average of U^dag E_z(U rho U^dag) U over the twirl set.
 
     With the full set this equals ``apply_local_depolarizing`` with the same
     p; restricted sets interpolate between dephasing and depolarizing.
     """
-    _check_probability(p)
+    NoiseModel("twirled-dephasing", p).validate()
     if len(twirl) == 0:
         raise ValidationError("empty twirl set")
-    rho = np.asarray(rho, dtype=complex)
-    m = num_qubits(rho.shape[0])
-    if m != twirl.qubits:
-        raise ValidationError(
-            f"twirl set is for {twirl.qubits} qubits, state has {m}")
-    u = twirl.unitaries
-    u_dag = u.conj().transpose(0, 2, 1)
-    _, masks = _qubit_masks(m)
-    rotated = np.matmul(np.matmul(u, rho), u_dag)
-    dephased = _dephase_stack(rotated, p, masks)
-    back = np.matmul(np.matmul(u_dag, dephased), u)
-    return back.mean(axis=0)
+    return apply_pauli_diagonal(rho, _twirl_eigenvalues(_damping_shares(twirl), p))
 
 
 # ----------------------------------------------------------------------
@@ -218,18 +208,12 @@ def apply_twirled_dephasing(rho: np.ndarray, p: float, twirl: TwirlSet) -> np.nd
 def make_channel(model: NoiseModel, qubits: int):
     """Closure applying the described channel to a density matrix.
 
-    The twirl subset for ``twirled-dephasing`` is generated once here, so a
-    run or sweep cell uses one fixed, seeded subset throughout.
+    The transfer eigenvalues are built once here. A twirled model's seeded
+    subset and damping table are cached per (qubits, fraction, seed), so a
+    sweep draws one subset and each cell costs O(M 4**M).
     """
-    model.validate()
-    if model.kind == "global-depol":
-        return lambda rho: apply_global_depolarizing(rho, model.p)
-    if model.kind == "local-depol":
-        return lambda rho: apply_local_depolarizing(rho, model.p)
-    if model.kind == "dephasing":
-        return lambda rho: apply_local_dephasing(rho, model.p)
-    twirl = generate_twirl_set(qubits, model.twirl_fraction, model.twirl_seed)
-    return lambda rho: apply_twirled_dephasing(rho, model.p, twirl)
+    lam = model.transfer_eigenvalues(qubits)
+    return lambda rho: apply_pauli_diagonal(rho, lam)
 
 
 def channel_matrix_equality(chan_a, chan_b, qubits: int) -> float:

@@ -10,21 +10,23 @@ version, command, seed, canonical config and its hash), so identical
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
+import operator
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, channel_matrix_equality, \
-    apply_local_depolarizing, apply_twirled_dephasing, generate_twirl_set, make_channel
+from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, make_channel
 from .montecarlo import ratio_estimate, simulate_shots
 from .purify import extract_observable_exact, purified_state
-from .states import ValidationError, bloch_state, density_from_pure, fidelity, \
-    pauli_matrix, plus_state, zero_state
+from .states import MAX_PAULI_QUBITS, ValidationError, bloch_state, density_from_pure, \
+    fidelity, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
 from .threshold import find_threshold, run_cycles, sweep
 
@@ -75,15 +77,36 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
+_ANGLE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _angle_value(node) -> float:
+    """Evaluate a parsed angle made of numbers, ``pi``, + - * / and parentheses."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ANGLE_OPS:
+        return _ANGLE_OPS[type(node.op)](_angle_value(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_OPS:
+        return _ANGLE_OPS[type(node.op)](_angle_value(node.left), _angle_value(node.right))
+    raise ValueError("only numbers, pi, + - * / and parentheses are allowed")
+
+
 def _parse_angle(text: str) -> float:
     """Float literal, optionally using ``pi`` (e.g. ``pi/3``, ``0.5pi``)."""
-    cleaned = text.strip().replace("pi", f"({math.pi})")
-    if not set(cleaned) <= set("0123456789.+-*/() e"):
-        raise ValidationError(f"bad angle literal {text!r}")
+    # a number directly before pi multiplies it: 0.5pi -> 0.5*pi
+    cleaned = re.sub(r"(?<=[0-9.])\s*pi", "*pi", text.strip())
     try:
-        return float(eval(cleaned, {"__builtins__": {}}, {}))
-    except Exception as exc:
+        value = _angle_value(ast.parse(cleaned, mode="eval").body)
+    # the parser reports deeply nested input as RecursionError or MemoryError
+    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError,
+            RecursionError, MemoryError) as exc:
         raise ValidationError(f"bad angle literal {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"bad angle literal {text!r}: not finite")
+    return value
 
 
 def parse_state(spec: str) -> np.ndarray:
@@ -160,11 +183,14 @@ class ResultTable:
             raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _out_path(args, default_name: str) -> str:
-    if args.out:
-        return args.out
-    base = os.environ.get(OUTPUT_DIR_ENV, ".")
-    return os.path.join(base, default_name)
+def _write_table(args, columns, rows, comments=()) -> str:
+    """Write the command's CSV with its provenance header; return the path.
+
+    ``--out`` wins; otherwise ``<command>.csv`` in $PQEC_OUTPUT_DIR or here.
+    """
+    path = args.out or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), f"{args.command}.csv")
+    ResultTable(columns, rows, _config_dict(args), args.seed, args.command, comments).write(path)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -228,19 +254,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-_COMMAND_KEYS = {
-    "purify": {"config", "seed", "out", "svg", "m", "channel", "p", "twirl",
-               "state", "ell"},
-    "cycle": {"config", "seed", "out", "svg", "m", "channel", "p", "twirl",
-              "state", "ell", "cycles"},
-    "sweep": {"config", "seed", "out", "svg", "m", "channel", "p", "twirl",
-              "state", "ell", "cycles", "jobs", "traces"},
-    "threshold": {"config", "seed", "out", "svg", "m", "channel", "p", "twirl",
-                  "state", "ell", "cycles", "jobs"},
-    "sample": {"config", "seed", "out", "svg", "m", "channel", "p", "twirl",
-               "state", "ell", "shots", "batches", "observable"},
-    "twirl-check": {"config", "seed", "out", "svg", "m", "p"},
-}
+def _command_keys(args: argparse.Namespace) -> set:
+    """Option names of the parsed subcommand: argparse fills in every one."""
+    return set(vars(args)) - {"command"}
 
 
 def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespace:
@@ -254,7 +270,7 @@ def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespac
         parser.error(f"cannot read config {args.config}: {exc}")
     if not isinstance(file_values, dict):
         parser.error("config file must hold a JSON object")
-    allowed = _COMMAND_KEYS[args.command]
+    allowed = _command_keys(args)
     for key, value in file_values.items():
         dest = key.replace("-", "_")
         if dest == "M":
@@ -338,9 +354,9 @@ def _ell_list(args, parser, default=None) -> tuple[int, ...]:
 _NON_PROVENANCE = {"config", "out", "svg", "traces", "jobs"}
 
 
-def _config_dict(args, keys) -> dict:
+def _config_dict(args) -> dict:
     out = {}
-    for key in sorted(keys - _NON_PROVENANCE):
+    for key in sorted(_command_keys(args) - _NON_PROVENANCE):
         value = getattr(args, key, None)
         if isinstance(value, np.ndarray):
             value = value.tolist()
@@ -360,11 +376,7 @@ def _cmd_purify(args, parser) -> int:
     channel = make_channel(model, args.m)
     noisy = channel(density_from_pure(psi))
     rows = [(ell, fidelity(purified_state(noisy, ell), psi)) for ell in ells]
-    table = ResultTable(["ell", "fidelity"], rows,
-                        _config_dict(args, _COMMAND_KEYS["purify"]),
-                        args.seed, "purify")
-    path = _out_path(args, "purify.csv")
-    table.write(path)
+    path = _write_table(args, ["ell", "fidelity"], rows)
     print(f"wrote {path}")
     if args.svg:
         line_chart([("F", [r[0] for r in rows], [r[1] for r in rows])],
@@ -385,11 +397,7 @@ def _cmd_cycle(args, parser) -> int:
     model = _resolve_model(args, parser, p)
     trace = run_cycles(psi, model, ells[0], args.cycles)
     rows = list(enumerate(trace.fidelities))
-    table = ResultTable(["t", "fidelity"], rows,
-                        _config_dict(args, _COMMAND_KEYS["cycle"]),
-                        args.seed, "cycle")
-    path = _out_path(args, "cycle.csv")
-    table.write(path)
+    path = _write_table(args, ["t", "fidelity"], rows)
     print(f"wrote {path} (final F = {trace.fidelities[-1]:.10f})")
     if args.svg:
         line_chart([(f"ell={ells[0]}", [r[0] for r in rows], [r[1] for r in rows])],
@@ -428,11 +436,7 @@ def _sweep_svg(result, path):
 def _cmd_sweep(args, parser) -> int:
     result, model = _run_sweep(args, parser)
     rows = _sweep_rows(result, model)
-    table = ResultTable(["channel", "M", "p", "ell", "t_max", "gamma_L", "F_steady"],
-                        rows, _config_dict(args, _COMMAND_KEYS["sweep"]),
-                        args.seed, "sweep")
-    path = _out_path(args, "sweep.csv")
-    table.write(path)
+    path = _write_table(args, ["channel", "M", "p", "ell", "t_max", "gamma_L", "F_steady"], rows)
     print(f"wrote {path}")
     if args.traces:
         trace_rows = []
@@ -440,8 +444,7 @@ def _cmd_sweep(args, parser) -> int:
             for j, ell in enumerate(result.rounds):
                 for t, f in enumerate(result.traces[i, j]):
                     trace_rows.append((float(p), ell, t, float(f)))
-        ResultTable(["p", "ell", "t", "fidelity"], trace_rows,
-                    _config_dict(args, _COMMAND_KEYS["sweep"]),
+        ResultTable(["p", "ell", "t", "fidelity"], trace_rows, _config_dict(args),
                     args.seed, "sweep-traces").write(args.traces)
         print(f"wrote {args.traces}")
     if args.svg:
@@ -455,16 +458,14 @@ def _cmd_threshold(args, parser) -> int:
     estimate = find_threshold(result)
     rows = [(pair.rounds_low, pair.rounds_high,
              float("nan") if pair.p_cross is None else pair.p_cross,
-             pair.direction)
+             pair.direction,
+             float("nan") if pair.bracket is None else pair.bracket)
             for pair in estimate.crossing_pairs]
     comments = [f"grid-step: {estimate.grid_step:.17g}", f"status: {estimate.status}"]
     if estimate.p_threshold is not None:
         comments.insert(0, f"p-threshold: {estimate.p_threshold:.17g}")
-    table = ResultTable(["ell_low", "ell_high", "p_cross", "direction"], rows,
-                        _config_dict(args, _COMMAND_KEYS["threshold"]),
-                        args.seed, "threshold", extra_comments=comments)
-    path = _out_path(args, "threshold.csv")
-    table.write(path)
+    path = _write_table(args, ["ell_low", "ell_high", "p_cross", "direction", "bracket"],
+                        rows, comments)
     if args.svg:
         _sweep_svg(result, args.svg)
         print(f"wrote {args.svg}")
@@ -510,12 +511,8 @@ def _cmd_sample(args, parser) -> int:
         any_unstable |= res.unstable_denominator
         rows.append((b, res.n_samples, res.numerator_mean, res.denominator_mean,
                      res.estimate, res.standard_error))
-    table = ResultTable(["batch", "n", "A_hat", "B_hat", "estimate", "se"], rows,
-                        _config_dict(args, _COMMAND_KEYS["sample"]),
-                        args.seed, "sample",
-                        extra_comments=[f"exact: {exact:.17g}"])
-    path = _out_path(args, "sample.csv")
-    table.write(path)
+    path = _write_table(args, ["batch", "n", "A_hat", "B_hat", "estimate", "se"], rows,
+                        [f"exact: {exact:.17g}"])
     print(f"wrote {path} (exact value {exact:.10f})")
     if any_unstable:
         print("warning: denominator mean close to zero; estimates unstable",
@@ -526,21 +523,19 @@ def _cmd_sample(args, parser) -> int:
 def _cmd_twirl_check(args, parser) -> int:
     if args.m is None:
         parser.error("--M is required")
-    if args.m > 3:
-        parser.error("--M must be <= 3 for the exhaustive channel comparison")
+    if not 1 <= args.m <= MAX_PAULI_QUBITS:
+        parser.error(f"--M must be in 1..{MAX_PAULI_QUBITS} for the exhaustive channel comparison")
     p_values = _p_grid(args, parser)
     rows = []
     for p in p_values:
-        twirl = generate_twirl_set(args.m, 1.0, args.seed)
-        dev = channel_matrix_equality(
-            lambda x: apply_twirled_dephasing(x, float(p), twirl),
-            lambda x: apply_local_depolarizing(x, float(p)), args.m)
-        rows.append((args.m, float(p), dev))
-    table = ResultTable(["M", "p", "max_deviation"], rows,
-                        _config_dict(args, _COMMAND_KEYS["twirl-check"]),
-                        args.seed, "twirl-check")
-    path = _out_path(args, "twirl-check.csv")
-    table.write(path)
+        # Both channels are Pauli diagonal, so they agree on every input
+        # exactly when their transfer-eigenvalue tensors agree.
+        twirled = NoiseModel("twirled-dephasing", float(p), twirl_seed=args.seed)
+        depol = NoiseModel("local-depol", float(p))
+        dev = np.max(np.abs(twirled.transfer_eigenvalues(args.m)
+                            - depol.transfer_eigenvalues(args.m)))
+        rows.append((args.m, float(p), float(dev)))
+    path = _write_table(args, ["M", "p", "max_deviation"], rows)
     worst = max(r[2] for r in rows)
     print(f"wrote {path} (max deviation {worst:.3e})")
     return EXIT_OK

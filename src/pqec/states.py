@@ -9,6 +9,7 @@ implicit on every operation, so parameter sweeps stay cheap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -247,6 +248,11 @@ class SpectralPower:
         return (self.eigenvectors * weights) @ self.eigenvectors.conj().T
 
 
+# Any eigenvalue ratio below one powered by 2**64 or more is already 0.0 in
+# float64, so capping exponents there changes no value and keeps them floats.
+_POWER_CAP = 2 ** 64
+
+
 def spectral_power(rho: np.ndarray, power: int) -> SpectralPower:
     """Matrix power rho**power through the eigendecomposition.
 
@@ -256,16 +262,49 @@ def spectral_power(rho: np.ndarray, power: int) -> SpectralPower:
         raise ValidationError("power must be >= 1")
     vals, vecs = spectral_decomposition(rho)
     lam_max = vals[-1]
-    scaled = (vals / lam_max) ** power
+    scaled = (vals / lam_max) ** float(min(power, _POWER_CAP))
+    try:
+        log_scale = power * math.log(lam_max)
+    except OverflowError:  # power beyond the float range: n log(lam) is 0 or -inf
+        log_scale = -math.inf if lam_max < 1.0 else 0.0
     return SpectralPower(eigenvalues=scaled, eigenvectors=vecs,
-                         log_scale=power * math.log(lam_max), power=power)
+                         log_scale=log_scale, power=power)
 
 
 # ----------------------------------------------------------------------
 # Pauli expansion
 # ----------------------------------------------------------------------
 
-_PAULI_STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+# Pair one qubit's row and column indices as k = 2i + j. Then T[a, k] =
+# P_a[j, i] maps the pair to the coefficients Tr(rho P_a), and Tr(P_a P_b) =
+# 2 delta_ab makes T^dagger / 2 its exact inverse. Stored transposed, for
+# right-multiplication.
+_PAIR_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1).reshape(4, 4)
+_TO_PAULI, _FROM_PAULI = _PAIR_T.T.copy(), _PAIR_T.conj() / 2
+
+
+def _each_qubit(t: np.ndarray, mat: np.ndarray, qubits: int) -> np.ndarray:
+    # each pass contracts the leading axis and appends the result last, so
+    # after ``qubits`` passes the axes are back in qubit order
+    for _ in range(qubits):
+        t = t.reshape(4, -1).T @ mat
+    return t
+
+
+def to_pauli_basis(rho: np.ndarray) -> np.ndarray:
+    """Complex tensor Tr(rho P), shape (4,)*M, IXYZ axes; O(M 4**M), no qubit guard."""
+    rho = np.asarray(rho, dtype=complex)
+    m = num_qubits(rho.shape[0])
+    t = rho.reshape((2,) * (2 * m)).transpose([a for q in range(m) for a in (q, m + q)])
+    return _each_qubit(t, _TO_PAULI, m).reshape((4,) * m)
+
+
+def from_pauli_basis(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``to_pauli_basis``: 2**-M sum_P coeffs[P] P, with no qubit guard."""
+    m = coeffs.ndim
+    t = _each_qubit(coeffs, _FROM_PAULI, m).reshape((2,) * (2 * m))
+    rows_then_cols = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
+    return t.transpose(rows_then_cols).reshape(2 ** m, 2 ** m)
 
 
 def _check_pauli_budget(qubits: int) -> None:
@@ -276,36 +315,16 @@ def _check_pauli_budget(qubits: int) -> None:
 
 
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
-    """Coefficient tensor r_P = Tr(rho P) of shape (4,)*M, axes in IXYZ order.
-
-    Contracts one qubit at a time, so the cost is O(M 4**M) rather than
-    building 4**M dense strings.
-    """
+    """Real coefficient tensor r_P = Tr(rho P) of shape (4,)*M, axes in IXYZ order."""
     rho = np.asarray(rho, dtype=complex)
-    m = num_qubits(rho.shape[0])
-    _check_pauli_budget(m)
-    # S[a, j, i] = Pauli_a[j, i]; Tr(rho P) = sum_ij rho[i, j] P[j, i]
-    sandwich = _PAULI_STACK  # indexed [a, j, i] via axes (1, 2) below
-    t = rho.reshape((2,) * (2 * m))
-    for q in range(m):
-        # axes: q Pauli indices, then m-q row indices, then m-q column indices;
-        # the next row axis is q and the next column axis is always m.
-        t = np.tensordot(sandwich, t, axes=[[1, 2], [m, q]])
-    # Pauli axes accumulated in reverse qubit order.
-    t = t.transpose(tuple(reversed(range(m))))
-    return np.real(t)
+    _check_pauli_budget(num_qubits(rho.shape[0]))
+    return np.real(to_pauli_basis(rho))
 
 
 def pauli_reconstruct(coeffs: np.ndarray, qubits: int) -> np.ndarray:
     """Inverse of ``pauli_coefficients``: rho = 2**-M sum_P r_P P."""
     _check_pauli_budget(qubits)
-    t = np.asarray(coeffs, dtype=complex).reshape((4,) * qubits)
-    for _ in range(qubits):
-        t = np.tensordot(t, _PAULI_STACK, axes=[[0], [0]])
-    # axes are now (i_0, j_0, i_1, j_1, ...); gather rows then columns
-    perm = tuple(range(0, 2 * qubits, 2)) + tuple(range(1, 2 * qubits, 2))
-    d = 2 ** qubits
-    return t.transpose(perm).reshape(d, d) / d
+    return from_pauli_basis(np.asarray(coeffs, dtype=complex).reshape((4,) * qubits))
 
 
 def pauli_expand(rho: np.ndarray) -> dict[str, float]:
@@ -320,12 +339,7 @@ def pauli_expand(rho: np.ndarray) -> dict[str, float]:
 
 def _weight_tensor(qubits: int) -> np.ndarray:
     """Tensor of Pauli weights, shape (4,)*qubits: count of non-identity axes."""
-    w = np.zeros((4,) * qubits, dtype=int)
-    for q in range(qubits):
-        shape = [1] * qubits
-        shape[q] = 4
-        w = w + (np.arange(4) != 0).astype(int).reshape(shape)
-    return w
+    return functools.reduce(np.add.outer, [np.array([0, 1, 1, 1])] * qubits)
 
 
 def pauli_weight_distribution(psi: np.ndarray):

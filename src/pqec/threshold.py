@@ -68,13 +68,14 @@ class CrossingPair:
     rounds_high: int
     p_cross: float | None
     direction: str             # "crossed", "always-below", "always-above"
+    bracket: float | None = None  # width of the grid interval holding p_cross
 
 
 @dataclass(frozen=True)
 class ThresholdEstimate:
     p_threshold: float | None
     crossing_pairs: tuple[CrossingPair, ...]
-    grid_step: float
+    grid_step: float           # widest crossing bracket (widest interval if none)
     status: str                # "ok" or "no-crossing"
 
 
@@ -203,20 +204,20 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
 # Threshold extraction
 # ----------------------------------------------------------------------
 
-def _pair_crossing(p_values: np.ndarray, diff: np.ndarray):
+def _pair_crossing(p_values: np.ndarray, widths: np.ndarray, diff: np.ndarray):
     """Smallest p where the higher-rounds curve stops being strictly better.
 
     Scans for a sign change of (gamma_high - gamma_low) from negative to
     nonnegative and refines it by linear interpolation between the
-    bracketing grid points.
+    bracketing grid points. Returns p and the bracket width, or two Nones.
     """
     for i in range(1, diff.size):
         if diff[i - 1] < -ZERO_TOL and diff[i] >= -ZERO_TOL:
             d0, d1 = diff[i - 1], diff[i]
             frac = -d0 / (d1 - d0)
             p = p_values[i - 1] + frac * (p_values[i] - p_values[i - 1])
-            return float(min(max(p, p_values[i - 1]), p_values[i]))
-    return None
+            return float(min(max(p, p_values[i - 1]), p_values[i])), float(widths[i - 1])
+    return None, None
 
 
 def find_threshold(result: SweepResult) -> ThresholdEstimate:
@@ -224,29 +225,30 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
 
     For each consecutive pair of rounds values the crossing of the
     logical-error curves is located on the grid; the reported threshold is
-    the median of the pairwise crossings, with one grid step as the
-    resolution after interpolation.
+    the median of the pairwise crossings. Each crossing carries the width
+    of the grid interval that brackets it, and the widest of those is the
+    resolution reported with the threshold.
     """
     rounds_sorted = sorted(result.rounds)
     if len(rounds_sorted) < 2:
         raise ValidationError("threshold extraction needs >= 2 rounds values")
     order = {r: i for i, r in enumerate(result.rounds)}
+    # an evenly spaced grid is even only up to rounding: report its step exactly
+    widths = np.diff(result.p_values)
+    widths = np.where(np.isclose(widths, widths[:1], rtol=1e-9, atol=0.0), widths[:1], widths)
     pairs = []
-    crossings = []
     for low, high in zip(rounds_sorted, rounds_sorted[1:]):
         diff = result.gamma[:, order[high]] - result.gamma[:, order[low]]
-        p_cross = _pair_crossing(result.p_values, diff)
+        p_cross, bracket = _pair_crossing(result.p_values, widths, diff)
         if p_cross is not None:
             direction = "crossed"
-            crossings.append(p_cross)
         else:
             direction = "always-below" if np.all(diff <= ZERO_TOL) else "always-above"
-        pairs.append(CrossingPair(rounds_low=low, rounds_high=high,
-                                  p_cross=p_cross, direction=direction))
-    step = float(result.p_values[1] - result.p_values[0]) if result.p_values.size > 1 else 0.0
-    if crossings:
-        return ThresholdEstimate(p_threshold=float(np.median(crossings)),
-                                 crossing_pairs=tuple(pairs), grid_step=step,
-                                 status="ok")
-    return ThresholdEstimate(p_threshold=None, crossing_pairs=tuple(pairs),
-                             grid_step=step, status="no-crossing")
+        pairs.append(CrossingPair(rounds_low=low, rounds_high=high, p_cross=p_cross,
+                                  direction=direction, bracket=bracket))
+    crossings = [pair.p_cross for pair in pairs if pair.p_cross is not None]
+    brackets = [pair.bracket for pair in pairs if pair.bracket is not None]
+    return ThresholdEstimate(p_threshold=float(np.median(crossings)) if crossings else None,
+                             crossing_pairs=tuple(pairs),
+                             grid_step=max(brackets, default=float(widths.max(initial=0.0))),
+                             status="ok" if crossings else "no-crossing")

@@ -16,7 +16,6 @@ from pqec import (
     apply_local_depolarizing,
     apply_local_dephasing,
     channel_matrix_equality,
-    apply_twirled_dephasing,
     bloch_state,
     conditional_state,
     conditional_state_two_rounds,
@@ -45,6 +44,8 @@ from pqec import (
     werner_mixing,
     werner_state,
 )
+
+from test_channels import twirl_by_conjugation
 
 JOBS = 2
 Z = pauli_matrix("Z")
@@ -171,7 +172,7 @@ def test_criterion_06_twirl_equivalence():
         twirl = generate_twirl_set(qubits, 1.0)
         for p in (0.1, 0.3, 0.6):
             dev = channel_matrix_equality(
-                lambda x: apply_twirled_dephasing(x, p, twirl),
+                lambda x: twirl_by_conjugation(x, p, twirl.gates),
                 lambda x: apply_local_depolarizing(x, p), qubits)
             worst_channel = max(worst_channel, dev)
 

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from pqec import (
+    DEFAULT_SEED,
     NoiseModel,
     ValidationError,
     apply_global_depolarizing,
@@ -24,7 +27,57 @@ from pqec import (
     werner_state,
     zero_state,
 )
-from pqec.channels import TwirlSet, _qubit_masks
+from pqec.channels import TwirlSet
+from pqec.states import MAX_PAULI_QUBITS
+
+
+# ----------------------------------------------------------------------
+# Independent oracles: the channels from their operator definitions, on
+# dense matrices, sharing no code with the Pauli-diagonal kernel
+# ----------------------------------------------------------------------
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_S = np.diag([1, 1j])
+_FRAMES = {"I": np.eye(2, dtype=complex), "H": _H, "HS": _H @ _S}
+
+
+def _on_qubit(op, q, m):
+    """``op`` on qubit q (qubit 0 leftmost) of an m-qubit register."""
+    return functools.reduce(np.kron, [op if k == q else np.eye(2) for k in range(m)])
+
+
+def _qubit_count(rho):
+    return int(np.log2(rho.shape[0]))
+
+
+def dephase_by_kraus(rho, p):
+    """(1-p) rho + p Z rho Z on every qubit."""
+    m = _qubit_count(rho)
+    for q in range(m):
+        z = _on_qubit(_Z, q, m)
+        rho = (1 - p) * rho + p * z @ rho @ z
+    return rho
+
+
+def depolarize_by_kraus(rho, p, order=None):
+    """(1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z) on every qubit, in ``order``."""
+    m = _qubit_count(rho)
+    for q in (range(m) if order is None else order):
+        paulis = [_on_qubit(op, q, m) for op in (_X, _Y, _Z)]
+        rho = (1 - p) * rho + (p / 3) * sum(s @ rho @ s for s in paulis)
+    return rho
+
+
+def twirl_by_conjugation(rho, p, gates):
+    """Mean of U^dag E_z(U rho U^dag) U over the frame-gate sequences ``gates``."""
+    out = 0
+    for seq in gates:
+        u = functools.reduce(np.kron, [_FRAMES[g] for g in seq])
+        out = out + u.conj().T @ dephase_by_kraus(u @ rho @ u.conj().T, p) @ u
+    return out / len(gates)
 
 
 # ----------------------------------------------------------------------
@@ -95,14 +148,20 @@ def test_local_depolarizing_qubit_order_irrelevant():
     rng = np.random.default_rng(4)
     rho = random_density_matrix(3, rng)
     p = 0.4
-    perms, masks = _qubit_masks(3)
-    out = rho
-    for perm, mask in zip(reversed(perms), reversed(masks)):
-        z = mask * out
-        x = out[np.ix_(perm, perm)]
-        y = z[np.ix_(perm, perm)]
-        out = (1 - p) * out + (p / 3) * (x + y + z)
+    out = depolarize_by_kraus(rho, p, order=reversed(range(3)))
     assert np.max(np.abs(out - apply_local_depolarizing(rho, p))) < 1e-13
+
+
+def test_dense_local_depolarizing_beyond_pauli_guard():
+    # the kernel has no Pauli-count guard: dense registers past it still work
+    m = 7
+    assert m > MAX_PAULI_QUBITS
+    rng = np.random.default_rng(8)
+    rho = random_density_matrix(m, rng)
+    expected = depolarize_by_kraus(rho, 0.37)
+    assert np.max(np.abs(apply_local_depolarizing(rho, 0.37) - expected)) < 1e-12
+    chan = make_channel(NoiseModel("local-depol", 0.37), m)
+    assert np.max(np.abs(chan(rho) - expected)) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +174,15 @@ def test_dephasing_bloch_contraction():
 
     out = apply_local_dephasing(bloch_compose([0.6, 0, 0.8]), 0.5)
     assert np.allclose(bloch_decompose(out), [0, 0, 0.8], atol=1e-14)
+
+
+def test_dephasing_matches_kraus_oracle():
+    rng = np.random.default_rng(9)
+    for m in (1, 2, 3):
+        rho = random_density_matrix(m, rng)
+        for p in (0.0, 0.37, 1.0):
+            dev = np.max(np.abs(apply_local_dephasing(rho, p) - dephase_by_kraus(rho, p)))
+            assert dev < 1e-13
 
 
 def test_dephasing_fixes_z_eigenstates():
@@ -167,6 +235,20 @@ def test_full_twirl_equals_local_depolarizing():
             lambda x: apply_twirled_dephasing(x, 0.37, tset),
             lambda x: apply_local_depolarizing(x, 0.37), m)
         assert dev < 1e-10
+
+
+@pytest.mark.parametrize("qubits,fraction", [(1, 1.0), (2, 1.0), (3, 1.0),
+                                              (1, 0.2), (2, 0.2), (3, 0.2), (4, 0.2)])
+def test_twirl_kernel_matches_conjugation_oracle(qubits, fraction):
+    tset = generate_twirl_set(qubits, fraction, seed=DEFAULT_SEED)
+    for p in (0.0, 0.37, 1.0):
+        oracle = lambda x: twirl_by_conjugation(x, p, tset.gates)
+        dev = channel_matrix_equality(
+            oracle, lambda x: apply_twirled_dephasing(x, p, tset), qubits)
+        assert dev < 1e-12
+        model = NoiseModel("twirled-dephasing", p, twirl_fraction=fraction,
+                           twirl_seed=DEFAULT_SEED)
+        assert channel_matrix_equality(oracle, make_channel(model, qubits), qubits) < 1e-12
 
 
 def test_full_twirl_bloch_example():
@@ -230,6 +312,8 @@ def test_make_channel_dispatch():
         assert np.allclose(make_channel(model, 2)(rho), expected)
     twirled = make_channel(NoiseModel("twirled-dephasing", 0.3), 2)
     assert np.max(np.abs(twirled(rho) - apply_local_depolarizing(rho, 0.3))) < 1e-12
+    with pytest.raises(ValidationError):
+        twirled(maximally_mixed(1))
 
 
 def test_noise_model_validation():

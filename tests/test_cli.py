@@ -47,6 +47,18 @@ def test_parse_state_specs():
         parse_state("cat^2")
     with pytest.raises(ValidationError):
         parse_state("bloch:1.0")
+    assert np.allclose(parse_state("bloch:0.5pi,-(1+1)*pi/4"),
+                       bloch_state(math.pi / 2, -math.pi / 2))
+
+
+def test_angle_accepts_only_arithmetic(tmp_path):
+    for bad in ("9**9**9", "__import__('os')", "pi.real", "[1]", "1/0", "1e999"):
+        with pytest.raises(ValidationError):
+            parse_state(f"bloch:{bad},0")
+    with pytest.raises(SystemExit) as info:
+        main(["purify", "--state", "bloch:9**9**9,0", "--channel", "dephasing",
+              "--p", "0.1", "--ell", "1", "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == EXIT_ERROR
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +116,33 @@ def test_threshold_command_and_exit_codes(tmp_path):
     assert code == EXIT_NO_CROSSING
 
 
+def _header(path):
+    return dict(l[2:].split(": ", 1) for l in path.read_text().splitlines()
+                if l.startswith("# "))
+
+
+def test_threshold_grid_step_is_the_crossing_bracket(tmp_path):
+    # the crossing at 0.75 lies in (0.74, 0.76), not in the first interval
+    out = tmp_path / "th.csv"
+    code = main(["threshold", "--channel", "local-depol", "--M", "1",
+                 "--p", "0,0.5,0.74,0.76,1", "--ell", "0,1,2", "--cycles", "1",
+                 "--jobs", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    header = _header(out)
+    assert float(header["p-threshold"]) == pytest.approx(0.75, abs=0.01)
+    assert float(header["grid-step"]) == pytest.approx(0.02, abs=1e-12)
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert rows[0][-1] == "bracket"
+    assert all(float(r[-1]) == pytest.approx(0.02, abs=1e-12) for r in rows[1:])
+
+    # an evenly spaced grid reports its step exactly, as before
+    out = tmp_path / "even.csv"
+    assert main(["threshold", "--channel", "local-depol", "--M", "1",
+                 "--p", "0:1:41", "--ell", "0,1", "--cycles", "1",
+                 "--jobs", "1", "--out", str(out)]) == EXIT_OK
+    assert _header(out)["grid-step"] == f"{1 / 40:.17g}"
+
+
 def test_sample_command(tmp_path):
     out = tmp_path / "sample.csv"
     code = main(["sample", "--channel", "local-depol", "--M", "1", "--p", "0.2",
@@ -125,6 +164,27 @@ def test_twirl_check_command(tmp_path):
     assert code == EXIT_OK
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert float(rows[1].split(",")[2]) < 1e-10
+
+    code = main(["twirl-check", "--M", "4", "--p", "0,0.37,1", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 3
+    assert all(float(r.split(",")[2]) < 1e-12 for r in rows)
+    with pytest.raises(SystemExit) as info:
+        main(["twirl-check", "--M", "7", "--p", "0.1", "--out", str(out)])
+    assert info.value.code == EXIT_ERROR
+
+
+def test_purify_converges_at_huge_rounds(tmp_path):
+    # 2**1100 is beyond the float range; the powered spectrum has converged
+    out = tmp_path / "purify.csv"
+    code = main(["purify", "--state", "plus^1", "--channel", "local-depol",
+                 "--p", "0.3", "--ell", "64,1100", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert [r[0] for r in rows] == ["64", "1100"]
+    assert rows[0][1] == rows[1][1]
+    assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_purify_command_with_svg(tmp_path):
