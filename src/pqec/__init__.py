@@ -77,7 +77,6 @@ from .threshold import (
     SweepResult,
     ThresholdEstimate,
     UndefinedSteadyStateError,
-    default_p_grid,
     find_threshold,
     logical_error_rate,
     run_cycles,
@@ -86,4 +85,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -23,12 +23,13 @@ import numpy as np
 
 from . import __version__
 from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, make_channel
-from .montecarlo import ratio_estimate, simulate_shots
+from .montecarlo import check_sampling_budget, ratio_estimate, simulate_shots
 from .purify import extract_observable_exact, purified_state
-from .states import MAX_PAULI_QUBITS, ValidationError, bloch_state, density_from_pure, \
-    fidelity, pauli_matrix, plus_state, zero_state
+from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
+    bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
-from .threshold import find_threshold, run_cycles, sweep
+from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, find_threshold, \
+    run_cycles, sweep
 
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
@@ -38,12 +39,33 @@ EXIT_NO_CROSSING = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with code 1, not 2."""
+    """argparse variant whose usage errors print one line and exit with code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
+
+    def config_flags(self, path: str) -> list[str]:
+        """The entries of a JSON config file as ``--key=value`` tokens.
+
+        Keys are this parser's long flag names. String values pass through
+        and other JSON values as their JSON text, so argparse converts and
+        checks them exactly like flags on the command line.
+        """
+        try:
+            with open(path, encoding="utf-8") as fh:
+                entries = json.load(fh)
+        except (OSError, ValueError) as exc:
+            self.error(f"cannot read config {path}: {exc}")
+        if not isinstance(entries, dict):
+            self.error("config file must hold a JSON object")
+        tokens = []
+        for key, value in entries.items():
+            action = self._option_string_actions.get(f"--{key}")
+            if action is None or action.dest in ("config", "help"):
+                self.error(f"unknown config key {key!r}")
+            tokens.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
+        return tokens
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +140,9 @@ def parse_state(spec: str) -> np.ndarray:
         reps = int(reps_text)
         if reps < 1:
             raise ValidationError("state repetition count must be >= 1")
+        if reps > MAX_DENSE_QUBITS:
+            raise ResourceLimitError(
+                f"{reps} qubits exceed the dense register limit of {MAX_DENSE_QUBITS}")
     if spec == "plus":
         return plus_state(reps)
     if spec == "zero":
@@ -136,9 +161,7 @@ def parse_state(spec: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _fmt_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, float) and math.isnan(v):
         return "nan"
@@ -183,23 +206,34 @@ class ResultTable:
             raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_table(args, columns, rows, comments=()) -> str:
-    """Write the command's CSV with its provenance header; return the path.
+def _write_table(args, columns, rows, comments=(), note="", chart=None) -> None:
+    """Write the command's CSV and, given ``--svg``, its chart; say where.
 
     ``--out`` wins; otherwise ``<command>.csv`` in $PQEC_OUTPUT_DIR or here.
+    ``chart`` holds the ``line_chart`` arguments after ``path``.
     """
     path = args.out or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), f"{args.command}.csv")
     ResultTable(columns, rows, _config_dict(args), args.seed, args.command, comments).write(path)
-    return path
+    print(f"wrote {path}{note}")
+    if args.svg and chart:
+        line_chart(path=args.svg, **chart)
+        print(f"wrote {args.svg}")
 
 
 # ----------------------------------------------------------------------
 # Argument handling
 # ----------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, *, channel=False, state=False, shots=False):
-    sub.add_argument("--config", help="JSON file whose keys mirror the flag names")
-    sub.add_argument("--seed", type=int, help=f"RNG/twirl seed (default {DEFAULT_SEED})")
+    sub.add_argument("--config", help="JSON file of flag values; explicit flags win")
+    sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                     help=f"RNG/twirl seed (default {DEFAULT_SEED})")
     sub.add_argument("--out", help="output CSV path")
     sub.add_argument("--svg", help="also write an SVG line chart here")
     sub.add_argument("--M", type=int, dest="m", help="number of register qubits")
@@ -211,37 +245,46 @@ def _add_common(sub, *, channel=False, state=False, shots=False):
     if state:
         sub.add_argument("--state", help="target state: plus^M, zero^M, bloch:theta,phi[^M]")
     if shots:
-        sub.add_argument("--shots", type=int, help="shots per batch (default 100000)")
-        sub.add_argument("--batches", type=int, help="number of batches (default 1)")
+        sub.add_argument("--shots", type=int, default=100000,
+                         help="shots per batch (default 100000)")
+        sub.add_argument("--batches", type=int, default=1, help="number of batches (default 1)")
         sub.add_argument("--observable", help="Pauli string observable (default Z on qubit 0)")
+
+
+def _add_sweep(sub):
+    sub.set_defaults(p=f"0:1:{DEFAULT_P_COUNT}")
+    ells = ",".join(str(e) for e in DEFAULT_ROUNDS)
+    sub.add_argument("--ell", default=ells, help=f"rounds values: list or a..b (default {ells})")
+    sub.add_argument("--cycles", type=int, default=DEFAULT_CYCLES,
+                     help=f"cycles per cell (default {DEFAULT_CYCLES})")
+    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                     help="parallel workers (default: cpu count)")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pqec", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
-    p = subs.add_parser("purify", parents=[], help="noise once, then purification rounds")
+    p = subs.add_parser("purify", help="noise once, then purification rounds")
     _add_common(p, channel=True, state=True)
     p.add_argument("--ell", help="purification rounds: value, list, or a..b")
 
     p = subs.add_parser("cycle", help="iterate channel-then-purify cycles")
     _add_common(p, channel=True, state=True)
     p.add_argument("--ell", help="purification rounds per cycle (single value)")
-    p.add_argument("--cycles", type=int, help="number of cycles (default 30)")
+    p.add_argument("--cycles", type=int, default=DEFAULT_CYCLES,
+                   help=f"number of cycles (default {DEFAULT_CYCLES})")
 
     p = subs.add_parser("sweep", help="grid of (p, rounds) cycle experiments")
     _add_common(p, channel=True, state=True)
-    p.add_argument("--ell", help="rounds values: list or a..b")
-    p.add_argument("--cycles", type=int, help="cycles per cell (default 30)")
-    p.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
+    _add_sweep(p)
     p.add_argument("--traces", help="also write per-trace CSV (p, ell, t, F) here")
 
     p = subs.add_parser("threshold", help="sweep plus crossing-point extraction")
     _add_common(p, channel=True, state=True)
-    p.add_argument("--ell", help="rounds values (default 0,1,2,3,5)")
-    p.add_argument("--cycles", type=int, help="cycles per cell (default 30)")
-    p.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
+    _add_sweep(p)
 
     p = subs.add_parser("sample", help="shot-level ratio estimation of an observable")
     _add_common(p, channel=True, state=True, shots=True)
@@ -254,44 +297,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _command_keys(args: argparse.Namespace) -> set:
-    """Option names of the parsed subcommand: argparse fills in every one."""
-    return set(vars(args)) - {"command"}
-
-
-def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespace:
-    """Overlay config-file values under explicit flags; reject unknown keys."""
-    if not getattr(args, "config", None):
-        return args
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {args.config}: {exc}")
-    if not isinstance(file_values, dict):
-        parser.error("config file must hold a JSON object")
-    allowed = _command_keys(args)
-    for key, value in file_values.items():
-        dest = key.replace("-", "_")
-        if dest == "M":
-            dest = "m"
-        if dest not in allowed or dest == "config":
-            parser.error(f"unknown config key {key!r} for command {args.command}")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-    return args
-
-
 def _resolve_state(args, parser) -> np.ndarray:
-    spec = args.state
-    if spec is None:
-        if args.m is None:
-            parser.error("need --state or --M")
-        spec = f"plus^{args.m}"
+    if args.state is None and args.m is None:
+        parser.error("need --state or --M")
+    flag, spec = ("--M", f"plus^{args.m}") if args.state is None else ("--state", args.state)
     try:
-        psi = parse_state(str(spec))
-    except (ValidationError, ValueError) as exc:
-        parser.error(f"--state: {exc}")
+        psi = parse_state(spec)
+    except ValueError as exc:
+        parser.error(f"{flag}: {exc}")
     m = psi.size.bit_length() - 1
     if args.m is not None and args.m != m:
         parser.error(f"--M {args.m} conflicts with state on {m} qubits")
@@ -319,49 +332,41 @@ def _resolve_model(args, parser, p_value: float) -> NoiseModel:
     return model
 
 
-def _p_grid(args, parser, default: str | None = None) -> np.ndarray:
+def _p_grid(args, parser) -> np.ndarray:
     if args.p is None:
-        if default is None:
-            parser.error("--p is required")
-        args.p = default
+        parser.error("--p is required")
     try:
-        grid = parse_real_grid(str(args.p))
-    except (ValidationError, ValueError) as exc:
+        grid = parse_real_grid(args.p)
+    except ValueError as exc:
         parser.error(f"--p: {exc}")
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
         parser.error(f"--p: values must lie in [0, 1], got {args.p}")
     return grid
 
 
-def _ell_list(args, parser, default=None) -> tuple[int, ...]:
+def _ell_list(args, parser, single=False) -> tuple[int, ...]:
     if args.ell is None:
-        if default is not None:
-            args.ell = ",".join(str(e) for e in default)
-            return default
         parser.error("--ell is required")
     try:
-        ells = parse_int_list(str(args.ell))
+        ells = parse_int_list(args.ell)
     except ValueError as exc:
         parser.error(f"--ell: {exc}")
     if any(e < 0 for e in ells):
         parser.error("--ell: rounds must be >= 0")
+    if single and len(ells) != 1:
+        parser.error(f"--ell must be a single value for {args.command}")
     return ells
 
 
 # Keys that do not influence the computed values: output locations and the
 # worker count stay out of the provenance config, so reruns are byte-identical
-# wherever they are written.
-_NON_PROVENANCE = {"config", "out", "svg", "traces", "jobs"}
+# wherever they are written. The command has a header line of its own.
+_NON_PROVENANCE = {"command", "config", "out", "svg", "traces", "jobs"}
 
 
 def _config_dict(args) -> dict:
-    out = {}
-    for key in sorted(_command_keys(args) - _NON_PROVENANCE):
-        value = getattr(args, key, None)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        out[key] = value
-    return out
+    """Every option of the parsed subcommand that shapes the results."""
+    return {k: v for k, v in sorted(vars(args).items()) if k not in _NON_PROVENANCE}
 
 
 # ----------------------------------------------------------------------
@@ -376,85 +381,60 @@ def _cmd_purify(args, parser) -> int:
     channel = make_channel(model, args.m)
     noisy = channel(density_from_pure(psi))
     rows = [(ell, fidelity(purified_state(noisy, ell), psi)) for ell in ells]
-    path = _write_table(args, ["ell", "fidelity"], rows)
-    print(f"wrote {path}")
-    if args.svg:
-        line_chart([("F", [r[0] for r in rows], [r[1] for r in rows])],
-                   args.svg, title="fidelity vs purification rounds",
-                   xlabel="rounds", ylabel="fidelity")
-        print(f"wrote {args.svg}")
+    _write_table(args, ["ell", "fidelity"], rows,
+                 chart=dict(series=[("F", ells, [r[1] for r in rows])],
+                            title="fidelity vs purification rounds",
+                            xlabel="rounds", ylabel="fidelity"))
     return EXIT_OK
 
 
 def _cmd_cycle(args, parser) -> int:
     psi = _resolve_state(args, parser)
     p = float(_p_grid(args, parser)[0])
-    ells = _ell_list(args, parser)
-    if len(ells) != 1:
-        parser.error("--ell must be a single value for cycle")
-    if args.cycles is None:
-        args.cycles = 30
+    ells = _ell_list(args, parser, single=True)
     model = _resolve_model(args, parser, p)
     trace = run_cycles(psi, model, ells[0], args.cycles)
-    rows = list(enumerate(trace.fidelities))
-    path = _write_table(args, ["t", "fidelity"], rows)
-    print(f"wrote {path} (final F = {trace.fidelities[-1]:.10f})")
-    if args.svg:
-        line_chart([(f"ell={ells[0]}", [r[0] for r in rows], [r[1] for r in rows])],
-                   args.svg, title="fidelity vs cycles", xlabel="t", ylabel="fidelity")
-        print(f"wrote {args.svg}")
+    _write_table(args, ["t", "fidelity"], list(enumerate(trace.fidelities)),
+                 note=f" (final F = {trace.fidelities[-1]:.10f})",
+                 chart=dict(series=[(f"ell={ells[0]}", range(args.cycles + 1), trace.fidelities)],
+                            title="fidelity vs cycles", xlabel="t", ylabel="fidelity"))
     return EXIT_OK
 
 
 def _run_sweep(args, parser):
+    """The sweep of a ``sweep`` or ``threshold`` run and its gamma chart."""
     psi = _resolve_state(args, parser)
-    p_values = _p_grid(args, parser, default="0:1:41")
-    ells = _ell_list(args, parser, default=(0, 1, 2, 3, 5))
-    if args.cycles is None:
-        args.cycles = 30
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    p_values = _p_grid(args, parser)
+    ells = _ell_list(args, parser)
     model = _resolve_model(args, parser, float(p_values[0]))
-    return sweep(psi, model, p_values, ells, cycles=args.cycles, jobs=jobs), model
-
-
-def _sweep_rows(result, model):
-    rows = []
-    for i, p in enumerate(result.p_values):
-        for j, ell in enumerate(result.rounds):
-            rows.append((model.kind, result.qubits, float(p), ell, result.cycles,
-                         float(result.gamma[i, j]), float(result.steady_fidelity[i, j])))
-    return rows
-
-
-def _sweep_svg(result, path):
-    series = [(f"ell={ell}", result.p_values, result.gamma[:, j])
-              for j, ell in enumerate(result.rounds)]
-    line_chart(series, path, title="logical error rate vs physical error rate",
-               xlabel="p", ylabel="gamma_L")
+    result = sweep(psi, model, p_values, ells, cycles=args.cycles, jobs=args.jobs)
+    chart = dict(series=[(f"ell={ell}", result.p_values, result.gamma[:, j])
+                         for j, ell in enumerate(result.rounds)],
+                 title="logical error rate vs physical error rate",
+                 xlabel="p", ylabel="gamma_L")
+    return result, chart
 
 
 def _cmd_sweep(args, parser) -> int:
-    result, model = _run_sweep(args, parser)
-    rows = _sweep_rows(result, model)
-    path = _write_table(args, ["channel", "M", "p", "ell", "t_max", "gamma_L", "F_steady"], rows)
-    print(f"wrote {path}")
+    result, chart = _run_sweep(args, parser)
+    rows = [(result.channel.kind, result.qubits, float(p), ell, result.cycles,
+             float(result.gamma[i, j]), float(result.steady_fidelity[i, j]))
+            for i, p in enumerate(result.p_values) for j, ell in enumerate(result.rounds)]
+    _write_table(args, ["channel", "M", "p", "ell", "t_max", "gamma_L", "F_steady"], rows,
+                 chart=chart)
     if args.traces:
-        trace_rows = []
-        for i, p in enumerate(result.p_values):
-            for j, ell in enumerate(result.rounds):
-                for t, f in enumerate(result.traces[i, j]):
-                    trace_rows.append((float(p), ell, t, float(f)))
+        trace_rows = [(float(p), ell, t, float(f))
+                      for i, p in enumerate(result.p_values)
+                      for j, ell in enumerate(result.rounds)
+                      for t, f in enumerate(result.traces[i, j])]
         ResultTable(["p", "ell", "t", "fidelity"], trace_rows, _config_dict(args),
                     args.seed, "sweep-traces").write(args.traces)
         print(f"wrote {args.traces}")
-    if args.svg:
-        _sweep_svg(result, args.svg)
-        print(f"wrote {args.svg}")
     return EXIT_OK
 
 
 def _cmd_threshold(args, parser) -> int:
-    result, model = _run_sweep(args, parser)
+    result, chart = _run_sweep(args, parser)
     estimate = find_threshold(result)
     rows = [(pair.rounds_low, pair.rounds_high,
              float("nan") if pair.p_cross is None else pair.p_cross,
@@ -462,41 +442,30 @@ def _cmd_threshold(args, parser) -> int:
              float("nan") if pair.bracket is None else pair.bracket)
             for pair in estimate.crossing_pairs]
     comments = [f"grid-step: {estimate.grid_step:.17g}", f"status: {estimate.status}"]
-    if estimate.p_threshold is not None:
+    if estimate.p_threshold is None:
+        note = " (no crossing found)"
+    else:
         comments.insert(0, f"p-threshold: {estimate.p_threshold:.17g}")
-    path = _write_table(args, ["ell_low", "ell_high", "p_cross", "direction", "bracket"],
-                        rows, comments)
-    if args.svg:
-        _sweep_svg(result, args.svg)
-        print(f"wrote {args.svg}")
-    if estimate.status == "no-crossing":
-        print(f"wrote {path} (no crossing found)")
-        return EXIT_NO_CROSSING
-    print(f"wrote {path} (p_threshold = {estimate.p_threshold:.6f} "
-          f"+- {estimate.grid_step:.6f})")
-    return EXIT_OK
+        note = f" (p_threshold = {estimate.p_threshold:.6f} +- {estimate.grid_step:.6f})"
+    _write_table(args, ["ell_low", "ell_high", "p_cross", "direction", "bracket"],
+                 rows, comments, note, chart)
+    return EXIT_NO_CROSSING if estimate.p_threshold is None else EXIT_OK
 
 
 def _cmd_sample(args, parser) -> int:
+    ells = _ell_list(args, parser, single=True)
+    if args.shots < 2 or args.batches < 1:
+        parser.error("--shots must be >= 2 and --batches >= 1")
+    check_sampling_budget(ells[0], args.shots, args.batches)
     psi = _resolve_state(args, parser)
     p = float(_p_grid(args, parser)[0])
-    ells = _ell_list(args, parser)
-    if len(ells) != 1:
-        parser.error("--ell must be a single value for sample")
-    if args.shots is None:
-        args.shots = 100000
-    if args.batches is None:
-        args.batches = 1
-    shots, batches = args.shots, args.batches
-    if shots < 2 or batches < 1:
-        parser.error("--shots must be >= 2 and --batches >= 1")
     if args.observable is None:
+        # the default depends on the register size, known only from the state
         args.observable = "Z" + "I" * (args.m - 1)
-    obs_text = args.observable
-    if len(obs_text) != args.m:
-        parser.error(f"--observable length {len(obs_text)} != M={args.m}")
+    if len(args.observable) != args.m:
+        parser.error(f"--observable length {len(args.observable)} != M={args.m}")
     try:
-        obs = pauli_matrix(obs_text.upper())
+        obs = pauli_matrix(args.observable.upper())
     except ValidationError as exc:
         parser.error(f"--observable: {exc}")
     model = _resolve_model(args, parser, p)
@@ -506,14 +475,13 @@ def _cmd_sample(args, parser) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     any_unstable = False
-    for b in range(batches):
-        res = ratio_estimate(simulate_shots(noisy, obs, ells[0], shots, rng))
+    for b in range(args.batches):
+        res = ratio_estimate(simulate_shots(noisy, obs, ells[0], args.shots, rng))
         any_unstable |= res.unstable_denominator
         rows.append((b, res.n_samples, res.numerator_mean, res.denominator_mean,
                      res.estimate, res.standard_error))
-    path = _write_table(args, ["batch", "n", "A_hat", "B_hat", "estimate", "se"], rows,
-                        [f"exact: {exact:.17g}"])
-    print(f"wrote {path} (exact value {exact:.10f})")
+    _write_table(args, ["batch", "n", "A_hat", "B_hat", "estimate", "se"], rows,
+                 [f"exact: {exact:.17g}"], f" (exact value {exact:.10f})")
     if any_unstable:
         print("warning: denominator mean close to zero; estimates unstable",
               file=sys.stderr)
@@ -521,9 +489,7 @@ def _cmd_sample(args, parser) -> int:
 
 
 def _cmd_twirl_check(args, parser) -> int:
-    if args.m is None:
-        parser.error("--M is required")
-    if not 1 <= args.m <= MAX_PAULI_QUBITS:
+    if args.m is None or not 1 <= args.m <= MAX_PAULI_QUBITS:
         parser.error(f"--M must be in 1..{MAX_PAULI_QUBITS} for the exhaustive channel comparison")
     p_values = _p_grid(args, parser)
     rows = []
@@ -535,9 +501,8 @@ def _cmd_twirl_check(args, parser) -> int:
         dev = np.max(np.abs(twirled.transfer_eigenvalues(args.m)
                             - depol.transfer_eigenvalues(args.m)))
         rows.append((args.m, float(p), float(dev)))
-    path = _write_table(args, ["M", "p", "max_deviation"], rows)
-    worst = max(r[2] for r in rows)
-    print(f"wrote {path} (max deviation {worst:.3e})")
+    _write_table(args, ["M", "p", "max_deviation"], rows,
+                 note=f" (max deviation {max(r[2] for r in rows):.3e})")
     return EXIT_OK
 
 
@@ -553,15 +518,16 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args = merge_config(args, parser)
-    if args.seed is None:
-        args.seed = DEFAULT_SEED
+    if args.config:
+        # config entries go right after the subcommand, so explicit flags win
+        at = argv.index(args.command) + 1
+        config = parser.commands[args.command].config_flags(args.config)
+        args = parser.parse_args(argv[:at] + config + argv[at:])
     try:
         return _DISPATCH[args.command](args, parser)
-    except SystemExit:
-        raise
-    except ValidationError as exc:
+    except (ValidationError, ResourceLimitError) as exc:
         print(f"pqec: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -29,7 +29,7 @@ from .states import (
     fidelity,
     project_to_density,
     purity,
-    spectral_decomposition,
+    spectral_decomposition,  # noqa: F401 -- perfbench/spans.py hooks this name
     spectral_power,
 )
 
@@ -241,10 +241,10 @@ def extract_observable_exact(obs: np.ndarray, rho: np.ndarray, rounds: int) -> f
         raise ValidationError("observable and state dimensions differ")
     if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
         raise ValidationError("observable must be Hermitian")
-    vals, vecs = spectral_decomposition(rho)
-    weights = (vals / vals[-1]) ** (2 ** rounds)
+    power = spectral_power(rho, 2 ** rounds)
+    vecs = power.eigenvectors
     diag = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, obs, vecs))
-    return float(np.sum(weights * diag) / np.sum(weights))
+    return float(np.sum(power.eigenvalues * diag) / np.sum(power.eigenvalues))
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,8 @@ PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # Guard on the 4**M cost of Pauli-basis operations.
 MAX_PAULI_QUBITS = 6
+# Largest register the command line builds as a dense 2**M x 2**M matrix.
+MAX_DENSE_QUBITS = 8
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-10

@@ -11,6 +11,7 @@ purification rounds cross.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -31,10 +32,6 @@ ZERO_TOL = 1e-12
 
 class UndefinedSteadyStateError(ValueError):
     """The analytic steady-state expression has no real solution here."""
-
-
-def default_p_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, DEFAULT_P_COUNT)
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,11 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     """One trace per (p, rounds) cell; cells are independent and deterministic.
 
     ``model`` acts as a template whose ``p`` is replaced per cell. ``jobs``
-    > 1 distributes cells over a process pool in chunks.
+    > 1 distributes cells in chunks over a process pool of at most ``jobs``
+    workers, and no more than there are CPUs or cells.
     """
+    if jobs < 1 or cycles < 1:
+        raise ValidationError(f"jobs ({jobs}) and cycles ({cycles}) must be >= 1")
     psi0 = check_pure_state(psi0)
     p_values = np.asarray(p_values, dtype=float)
     rounds_list = tuple(int(r) for r in rounds_list)
@@ -186,9 +186,10 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     qubits = num_qubits(psi0.size)
     cells = [(psi0, replace(model, p=float(p)), r, cycles)
              for p in p_values for r in rounds_list]
-    if jobs > 1:
-        chunk = max(1, len(cells) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        chunk = max(1, len(cells) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells, chunksize=chunk))
     else:
         results = [_sweep_cell(c) for c in cells]

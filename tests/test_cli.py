@@ -224,11 +224,74 @@ def test_config_file_merge_and_rejection(tmp_path):
     assert info.value.code == EXIT_ERROR
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, entries, flags", [
+    (["cycle", "--channel", "global-depol", "--p", "0.1", "--ell", "1", "--M", "1"],
+     {"cycles": "10"}, ["--cycles", "10"]),
+    (["cycle", "--channel", "global-depol", "--p", "0.1", "--ell", "1"],
+     {"M": "1"}, ["--M", "1"]),
+    (["purify", "--channel", "local-depol", "--M", "2"],
+     {"p": 0.2, "ell": 2}, ["--p", "0.2", "--ell", "2"]),
+    (["sample", "--channel", "local-depol", "--M", "1", "--p", "0.2", "--ell", "1"],
+     {"shots": 500, "batches": "2", "seed": 3}, ["--shots", "500", "--batches", "2",
+                                                 "--seed", "3"]),
+])
+def test_config_entries_are_parsed_as_flags(tmp_path, command, entries, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(command + ["--config", str(cfg), "--out", str(by_file)]) == EXIT_OK
+    assert main(command + flags + ["--out", str(by_flags)]) == EXIT_OK
+    assert by_file.read_bytes() == by_flags.read_bytes()
+
+
+@pytest.mark.parametrize("entries", [
+    {"cycles": "ten"}, {"shots": "x"}, {"channel": "bogus"}, {"walrus": 3},
+    {"config": "other.json"}, {"seed": -1}, {"batches": [1, 2]}, {"observable": None}, [1, 2],
+])
+def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    code = _exit_code(["sample", "--channel", "local-depol", "--M", "1", "--p", "0.2",
+                       "--ell", "1", "--shots", "10", "--config", str(cfg),
+                       "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--ell", "30"],
+    ["sample", "--ell", "1100"],
+    ["sample", "--ell", "1", "--shots", "2000000"],
+    ["sample", "--ell", "1", "--M", "40"],
+    ["sample", "--ell", "1", "--state", "bloch:1,0^40", "--shots", "10"],
+    ["purify", "--ell", "1", "--M", "40"],
+    ["sweep", "--jobs", "0"],
+    ["threshold", "--jobs", "-3"],
+])
+def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
+    argv = argv[:1] + ["--channel", "local-depol", "--p", "0.2", "--out",
+                       str(tmp_path / "x.csv")] + argv[1:]
+    if "--M" not in argv and "--state" not in argv:
+        argv += ["--M", "1"]
+    assert _exit_code(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error" in err
+
+
 def test_usage_errors_exit_one(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", "--channel", "local-depol", "--M", "1", "--p", "1.5",
-              "--ell", "0,1", "--out", str(tmp_path / "x.csv")])
-    assert info.value.code == EXIT_ERROR
+    for grid in ("1.5", "0,nan"):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--channel", "local-depol", "--M", "1", "--p", grid,
+                  "--ell", "0,1", "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == EXIT_ERROR
     with pytest.raises(SystemExit) as info:
         main(["cycle", "--channel", "global-depol", "--p", "0.1", "--ell", "1",
               "--M", "2", "--state", "plus^3", "--out", str(tmp_path / "y.csv")])

@@ -16,7 +16,8 @@ from pqec import (
     simulate_shots,
     zero_state,
 )
-from pqec.states import ValidationError
+from pqec.montecarlo import MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, check_sampling_budget
+from pqec.states import ResourceLimitError, ValidationError
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
 Z = pauli_matrix("Z")
@@ -177,3 +178,15 @@ def test_sequential_path_beyond_enumeration_limit():
     res = ratio_estimate(seq)
     exact = extract_observable_exact(Z, DIAG, 5)
     assert abs(res.estimate - exact) < 4 * res.standard_error
+
+
+def test_sampling_budget():
+    # rounds, shots, batches of the benchmark's and the CLI's default runs
+    for rounds, shots, batches in ((6, 100, 3), (4, 100_000, 1), (1, 100_000, 8),
+                                   (4, MAX_SHOTS_PER_BATCH, 50), (5, MAX_SHOT_MERGES // 31, 1)):
+        check_sampling_budget(rounds, shots, batches)
+    for rounds, shots, batches in ((30, 100_000, 1), (1100, 2, 1), (10**9, 2, 1),
+                                   (5, MAX_SHOT_MERGES // 31 + 1, 1), (6, 100, 200),
+                                   (1, MAX_SHOTS_PER_BATCH + 1, 1)):
+        with pytest.raises(ResourceLimitError):
+            check_sampling_budget(rounds, shots, batches)

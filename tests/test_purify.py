@@ -295,6 +295,12 @@ def test_extract_observable_matches_outcome_sum():
             num / den, abs=1e-9)
 
 
+def test_extract_observable_converges_at_huge_rounds():
+    # 2**1100 is beyond the float range; the powered spectrum has converged
+    z = pauli_matrix("Z")
+    assert extract_observable_exact(z, DIAG, 1100) == extract_observable_exact(z, DIAG, 64)
+
+
 def test_extract_observable_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         extract_observable_exact(np.array([[0, 1], [0, 0]]), DIAG, 1)

@@ -12,6 +12,7 @@ from pqec import (
     sweep,
     werner_cycle_fidelities,
 )
+from pqec import threshold
 from pqec.states import ValidationError
 from pqec.threshold import SweepCellError
 
@@ -105,6 +106,42 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(plus_state(1), NoiseModel("dephasing", 0.0), p_values,
                      (0, 1), cycles=5, jobs=2)
     assert np.array_equal(serial.traces, parallel.traces)
+
+
+class _RecordingPool:
+    """Serial stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
+    monkeypatch.setattr(threshold, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    model = NoiseModel("dephasing", 0.0)
+    monkeypatch.setattr(threshold.os, "cpu_count", lambda: 2)
+    sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=64)
+    monkeypatch.setattr(threshold.os, "cpu_count", lambda: 16)
+    sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0,), cycles=1, jobs=64)
+    sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=4)
+    # one worker, or one cell, runs serially without a pool
+    sweep(plus_state(1), model, [0.1], (0,), cycles=1, jobs=64)
+    sweep(plus_state(1), model, [0.1, 0.2], (0,), cycles=1, jobs=1)
+    assert _RecordingPool.sizes == [2, 3, 4]
+    for jobs in (0, -3):
+        with pytest.raises(ValidationError):
+            sweep(plus_state(1), model, [0.1], (0,), cycles=1, jobs=jobs)
 
 
 def test_sweep_rejects_empty_grid():
