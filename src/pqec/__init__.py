@@ -85,4 +85,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"

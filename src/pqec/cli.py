@@ -33,6 +33,10 @@ from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, find_thr
 
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
+# Most values a ``min:max:count`` grid or an ``a..b`` range may expand to,
+# checked before anything is built.
+MAX_GRID_POINTS = 10_000
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CROSSING = 2
@@ -72,6 +76,14 @@ class _Parser(argparse.ArgumentParser):
 # Value parsers
 # ----------------------------------------------------------------------
 
+def _check_grid_size(count: int) -> None:
+    if count < 1:
+        raise ValidationError("a grid or range needs at least one value")
+    if count > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"{count} values exceed the limit of {MAX_GRID_POINTS} per grid or range")
+
+
 def parse_real_grid(text: str) -> np.ndarray:
     """``v`` single value, ``a,b,c`` list, or ``min:max:count`` inclusive grid."""
     text = text.strip()
@@ -80,8 +92,7 @@ def parse_real_grid(text: str) -> np.ndarray:
         if len(parts) != 3:
             raise ValidationError(f"grid spec {text!r} is not min:max:count")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValidationError("grid count must be >= 1")
+        _check_grid_size(count)
         return np.linspace(lo, hi, count)
     if "," in text:
         return np.array([float(v) for v in text.split(",")])
@@ -92,8 +103,9 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     """``v`` single value, ``a,b,c`` list, or ``a..b`` inclusive range."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(v) for v in text.split(".."))
+        _check_grid_size(hi - lo + 1)
+        return tuple(range(lo, hi + 1))
     if "," in text:
         return tuple(int(v) for v in text.split(","))
     return (int(text),)
@@ -215,7 +227,7 @@ def _write_table(args, columns, rows, comments=(), note="", chart=None) -> None:
     path = args.out or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), f"{args.command}.csv")
     ResultTable(columns, rows, _config_dict(args), args.seed, args.command, comments).write(path)
     print(f"wrote {path}{note}")
-    if args.svg and chart:
+    if chart and args.svg:
         line_chart(path=args.svg, **chart)
         print(f"wrote {args.svg}")
 
@@ -235,7 +247,6 @@ def _add_common(sub, *, channel=False, state=False, shots=False):
     sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                      help=f"RNG/twirl seed (default {DEFAULT_SEED})")
     sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--svg", help="also write an SVG line chart here")
     sub.add_argument("--M", type=int, dest="m", help="number of register qubits")
     if channel:
         sub.add_argument("--channel", choices=CHANNEL_KINDS, help="noise channel kind")
@@ -294,6 +305,9 @@ def build_parser() -> _Parser:
     _add_common(p, channel=False)
     p.add_argument("--p", help="error probability: value or list")
 
+    # only the commands that draw a chart take --svg
+    for command in ("purify", "cycle", "sweep", "threshold"):
+        subs.choices[command].add_argument("--svg", help="also write an SVG line chart here")
     return parser
 
 

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .purify import MAX_BRUTE_FORCE_ROUNDS, ConditionalOutcome, enumerate_outcomes, \
-    swap_gadget
+from .purify import MAX_BRUTE_FORCE_ROUNDS, ConditionalOutcome, check_observable, \
+    enumerate_outcomes, walk_tree
+from .purify import swap_gadget  # noqa: F401 -- perfbench/spans.py hooks this name
 from .states import ResourceLimitError, ValidationError
 
 # Budget of one sampling run. Beyond the enumeration limit every shot walks
@@ -106,14 +107,6 @@ def check_sampling_budget(rounds: int, shots: int, batches: int) -> None:
             f" {MAX_SHOT_MERGES:.0e} gadget merges")
 
 
-def _observable_eig(obs: np.ndarray):
-    obs = np.asarray(obs, dtype=complex)
-    if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
-        raise ValidationError("observable must be Hermitian")
-    vals, vecs = np.linalg.eigh(obs)
-    return vals, vecs
-
-
 def _outcome_probs(state: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     q = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, state, vecs))
     q = np.clip(q, 0.0, None)
@@ -127,7 +120,7 @@ def sample_observable(state: np.ndarray, obs: np.ndarray,
     The eigenvalue is selected by index from the eigendecomposition, drawn
     with probability Tr(Pi_j rho).
     """
-    vals, vecs = _observable_eig(obs)
+    vals, vecs = np.linalg.eigh(check_observable(obs))
     q = _outcome_probs(np.asarray(state, dtype=complex), vecs)
     return float(vals[rng.choice(vals.size, p=q)])
 
@@ -140,26 +133,20 @@ def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator):
     the outcome string (left subtree, right subtree, root order) and the
     resulting ``ConditionalOutcome``.
     """
-    rho = np.asarray(rho, dtype=complex)
-
-    def walk(k: int):
-        if k == 0:
-            return rho, 1.0, ()
-        left, prob_l, out_l = walk(k - 1)
-        right, prob_r, out_r = walk(k - 1)
+    def draw(left, right):
         overlap = float(np.real(np.trace(left @ right)))
-        p_plus = 0.5 * (1.0 + overlap)
-        sign = 1 if rng.random() < p_plus else -1
-        state, p_node = swap_gadget(left, right, sign)
-        return state, prob_l * prob_r * p_node, out_l + out_r + (sign,)
+        return 1 if rng.random() < 0.5 * (1.0 + overlap) else -1
 
-    state, prob, outs = walk(rounds)
-    parity = 1
-    for s in outs:
-        parity *= s
-    branch = ConditionalOutcome(state=state, probability=prob, parity=parity,
-                                outcomes=outs)
-    return np.array(outs, dtype=int), branch
+    branch = walk_tree(rho, rounds, draw)
+    return np.array(branch.outcomes, dtype=int), branch
+
+
+def _measure(records: np.ndarray, sel, branch: ConditionalOutcome, vals: np.ndarray,
+             vecs: np.ndarray, rng: np.random.Generator) -> None:
+    """Record the parity of ``branch`` and one observable draw on it per shot in ``sel``."""
+    records[sel, 0] = branch.parity
+    q = _outcome_probs(branch.state, vecs)
+    records[sel, 1] = vals[rng.choice(vals.size, size=len(sel), p=q)]
 
 
 def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
@@ -168,32 +155,28 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
 
     Up to the enumeration limit the outcome tree is walked exactly once
     and shots are drawn vectorized from the joint branch/eigenvalue
-    distribution, which is identical to the node-by-node draw; beyond it
-    the sequential sampler is used per shot.
+    distribution, which is identical to the node-by-node draw: first the
+    branch of every shot, then each drawn branch, in index order, measures
+    its shots in shot order. Beyond the limit the sequential sampler is used
+    per shot.
     """
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
-    vals, vecs = _observable_eig(obs)
+    vals, vecs = np.linalg.eigh(check_observable(obs))
     records = np.empty((n_shots, 2), dtype=float)
     if rounds <= MAX_BRUTE_FORCE_ROUNDS:
         branches = enumerate_outcomes(rho, rounds)
         probs = np.array([b.probability for b in branches])
-        probs = probs / probs.sum()
-        which = rng.choice(len(branches), size=n_shots, p=probs)
-        for k, branch in enumerate(branches):
-            sel = np.flatnonzero(which == k)
-            if sel.size == 0:
-                continue
-            q = _outcome_probs(branch.state, vecs)
-            draws = rng.choice(vals.size, size=sel.size, p=q)
-            records[sel, 0] = branch.parity
-            records[sel, 1] = vals[draws]
+        which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
+        # shots grouped by branch, each group in shot order
+        order = np.argsort(which, kind="stable")
+        counts = np.bincount(which)
+        ends = np.cumsum(counts)
+        for k in np.flatnonzero(counts):
+            _measure(records, order[ends[k] - counts[k]:ends[k]], branches[k], vals, vecs, rng)
         return records
     for k in range(n_shots):
-        _, branch = sample_outcome_tree(rho, rounds, rng)
-        q = _outcome_probs(branch.state, vecs)
-        records[k, 0] = branch.parity
-        records[k, 1] = vals[rng.choice(vals.size, p=q)]
+        _measure(records, [k], sample_outcome_tree(rho, rounds, rng)[1], vals, vecs, rng)
     return records
 
 

@@ -67,17 +67,12 @@ class ConditionalOutcome:
 # The elementary gadget
 # ----------------------------------------------------------------------
 
-def gadget_probability(rho_a: np.ndarray, rho_b: np.ndarray, sign: int) -> float:
-    """Probability (1 + sign Tr(rho_a rho_b)) / 2 of the given SWAP outcome."""
-    overlap = float(np.real(np.trace(rho_a @ rho_b)))
-    return 0.5 * (1.0 + sign * overlap)
-
-
 def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign: int):
     """Post-measurement state and probability of one SWAP merge.
 
-    Returns ``(state, probability)`` for the chosen sign; the state is
-    re-symmetrized and clamped back onto the PSD manifold. Raises
+    Returns ``(state, probability)`` for the chosen sign, the probability
+    being (1 + sign Tr(rho_a rho_b)) / 2; the state is re-symmetrized and
+    clamped back onto the PSD manifold. Raises
     ``DegenerateOutcomeError`` when the branch has (numerically) zero
     probability, e.g. the antisymmetric outcome of identical pure inputs.
     """
@@ -87,11 +82,11 @@ def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign: int):
         raise ValidationError("gadget inputs must have equal dimensions")
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    prob = gadget_probability(rho_a, rho_b, sign)
+    cross = rho_a @ rho_b
+    prob = 0.5 * (1.0 + sign * float(np.real(np.trace(cross))))
     if prob < PROB_FLOOR:
         raise DegenerateOutcomeError(
             f"outcome sign {sign:+d} has probability {prob} (unreachable branch)")
-    cross = rho_a @ rho_b
     raw = (rho_a + rho_b + sign * (cross + cross.conj().T)) / (4.0 * prob)
     return project_to_density(raw), prob
 
@@ -100,42 +95,49 @@ def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign: int):
 # Outcome tree
 # ----------------------------------------------------------------------
 
+def walk_tree(rho: np.ndarray, rounds: int, choose_sign) -> ConditionalOutcome:
+    """Merge 2**rounds copies of ``rho`` through a ``rounds``-level tree.
+
+    The walk is post-order: left subtree, right subtree, then the node, so
+    signs are chosen, and recorded, in outcome-string order.
+    ``choose_sign(left, right)`` picks each node's sign from its two child
+    states; the probability is the product of the per-node probabilities.
+    """
+    rho = np.asarray(rho, dtype=complex)
+
+    def walk(level: int):
+        if level == 0:
+            return rho, 1.0, ()
+        left, prob_l, out_l = walk(level - 1)
+        right, prob_r, out_r = walk(level - 1)
+        sign = choose_sign(left, right)
+        state, prob = swap_gadget(left, right, sign)
+        return state, prob_l * prob_r * prob, out_l + out_r + (sign,)
+
+    state, prob, outs = walk(rounds)
+    return ConditionalOutcome(state=state, probability=prob, parity=math.prod(outs),
+                              outcomes=outs)
+
+
 def conditional_state(rho: np.ndarray, outcomes) -> ConditionalOutcome:
     """Conditional state after a full outcome string.
 
     ``outcomes`` holds 2**rounds - 1 signs ordered left subtree, right
-    subtree, root; all leaves carry the same input state. The probability is
-    the product of the per-node conditional probabilities.
+    subtree, root; all leaves carry the same input state.
     """
     sig = tuple(int(s) for s in outcomes)
     if any(s not in (1, -1) for s in sig):
         raise ValidationError("outcomes must be +1 or -1")
-    _tree_rounds(len(sig))
-    rho = np.asarray(rho, dtype=complex)
-
-    def walk(seg):
-        if len(seg) == 1:
-            return swap_gadget(rho, rho, seg[0])
-        half = (len(seg) - 1) // 2
-        left, prob_l = walk(seg[:half])
-        right, prob_r = walk(seg[half:-1])
-        state, prob = swap_gadget(left, right, seg[-1])
-        return state, prob_l * prob_r * prob
-
-    state, prob = walk(sig)
-    parity = 1
-    for s in sig:
-        parity *= s
-    return ConditionalOutcome(state=state, probability=prob, parity=parity,
-                              outcomes=sig)
+    signs = iter(sig)
+    return walk_tree(rho, _tree_rounds(len(sig)), lambda left, right: next(signs))
 
 
 def enumerate_outcomes(rho: np.ndarray, rounds: int) -> list[ConditionalOutcome]:
     """All reachable outcome branches of a ``rounds``-level tree.
 
-    Zero-probability branches are skipped; the surviving probabilities still
-    sum to one. Left and right subtrees share the same branch set, so each
-    level is built once and combined pairwise.
+    Branches that ``swap_gadget`` rejects as unreachable are skipped; the
+    surviving probabilities still sum to one. Left and right subtrees share
+    the same branch set, so each level is built once and combined pairwise.
     """
     if rounds > MAX_BRUTE_FORCE_ROUNDS:
         raise ResourceLimitError(
@@ -146,12 +148,11 @@ def enumerate_outcomes(rho: np.ndarray, rounds: int) -> list[ConditionalOutcome]
         merged = []
         for a in level:
             for b in level:
-                overlap = float(np.real(np.trace(a.state @ b.state)))
                 for sign in (1, -1):
-                    prob = 0.5 * (1.0 + sign * overlap)
-                    if prob < PROB_FLOOR:
+                    try:
+                        state, prob = swap_gadget(a.state, b.state, sign)
+                    except DegenerateOutcomeError:
                         continue
-                    state, _ = swap_gadget(a.state, b.state, sign)
                     merged.append(ConditionalOutcome(
                         state=state,
                         probability=a.probability * b.probability * prob,
@@ -220,6 +221,11 @@ def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> ConditionalOutcom
 # Exact purification (spectral shortcut)
 # ----------------------------------------------------------------------
 
+# Powering by more than 2**64 changes no normalized spectrum (``spectral_power``
+# caps there), so rounds are capped before the integer 2**rounds is built.
+MAX_SPECTRAL_ROUNDS = 64
+
+
 def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
     """rho**N / Tr(rho**N) with N = 2**rounds; rounds = 0 returns the input.
 
@@ -230,18 +236,24 @@ def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
         raise ValidationError("rounds must be >= 0")
     if rounds == 0:
         return np.asarray(rho, dtype=complex)
-    return spectral_power(rho, 2 ** rounds).normalized()
+    return spectral_power(rho, 2 ** min(rounds, MAX_SPECTRAL_ROUNDS)).normalized()
+
+
+def check_observable(obs: np.ndarray) -> np.ndarray:
+    """``obs`` as a complex array; raises ``ValidationError`` unless Hermitian."""
+    obs = np.asarray(obs, dtype=complex)
+    if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
+        raise ValidationError("observable must be Hermitian")
+    return obs
 
 
 def extract_observable_exact(obs: np.ndarray, rho: np.ndarray, rounds: int) -> float:
     """Tr(O rho**N) / Tr(rho**N) for N = 2**rounds, evaluated spectrally."""
-    obs = np.asarray(obs, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if obs.shape != rho.shape:
+    if np.shape(obs) != rho.shape:
         raise ValidationError("observable and state dimensions differ")
-    if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
-        raise ValidationError("observable must be Hermitian")
-    power = spectral_power(rho, 2 ** rounds)
+    obs = check_observable(obs)
+    power = spectral_power(rho, 2 ** min(rounds, MAX_SPECTRAL_ROUNDS))
     vecs = power.eigenvectors
     diag = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, obs, vecs))
     return float(np.sum(power.eigenvalues * diag) / np.sum(power.eigenvalues))

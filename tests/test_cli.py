@@ -1,19 +1,23 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqec
 from pqec.cli import (
     EXIT_ERROR,
     EXIT_NO_CROSSING,
     EXIT_OK,
+    MAX_GRID_POINTS,
     main,
     parse_int_list,
     parse_real_grid,
     parse_state,
 )
-from pqec.states import ValidationError, bloch_state, plus_state, zero_state
+from pqec.states import ResourceLimitError, ValidationError, bloch_state, plus_state, \
+    zero_state
 
 
 # ----------------------------------------------------------------------
@@ -28,12 +32,20 @@ def test_parse_real_grid():
     assert grid[0] == 0.0 and grid[-1] == 1.0
     with pytest.raises(ValidationError):
         parse_real_grid("0:1:41:2")
+    assert parse_real_grid(f"0:1:{MAX_GRID_POINTS}").size == MAX_GRID_POINTS
+    with pytest.raises(ResourceLimitError):
+        parse_real_grid(f"0:1:{MAX_GRID_POINTS + 1}")
 
 
 def test_parse_int_list():
     assert parse_int_list("3") == (3,)
     assert parse_int_list("0,1,2") == (0, 1, 2)
     assert parse_int_list("0..8") == tuple(range(9))
+    assert len(parse_int_list(f"1..{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    with pytest.raises(ResourceLimitError):
+        parse_int_list(f"0..{MAX_GRID_POINTS}")
+    with pytest.raises(ValidationError):
+        parse_int_list("2..1")
 
 
 def test_parse_state_specs():
@@ -179,11 +191,11 @@ def test_purify_converges_at_huge_rounds(tmp_path):
     # 2**1100 is beyond the float range; the powered spectrum has converged
     out = tmp_path / "purify.csv"
     code = main(["purify", "--state", "plus^1", "--channel", "local-depol",
-                 "--p", "0.3", "--ell", "64,1100", "--out", str(out)])
+                 "--p", "0.3", "--ell", "64,1100,1000000000", "--out", str(out)])
     assert code == EXIT_OK
     rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-    assert [r[0] for r in rows] == ["64", "1100"]
-    assert rows[0][1] == rows[1][1]
+    assert [r[0] for r in rows] == ["64", "1100", "1000000000"]
+    assert rows[0][1] == rows[1][1] == rows[2][1]
     assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -275,10 +287,16 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["purify", "--ell", "1", "--M", "40"],
     ["sweep", "--jobs", "0"],
     ["threshold", "--jobs", "-3"],
+    ["sweep", "--p", "0:1:1000000000"],
+    ["threshold", "--ell", "0..1000000000"],
+    ["sample", "--ell", "1", "--shots", "10", "--svg", "s.svg"],
+    ["twirl-check", "--svg", "s.svg"],
+    ["purify", "--ell", "2..1", "--svg", "s.svg"],
 ])
 def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
-    argv = argv[:1] + ["--channel", "local-depol", "--p", "0.2", "--out",
-                       str(tmp_path / "x.csv")] + argv[1:]
+    # twirl-check has no --channel: the flag would be an error of its own
+    channel = [] if argv[0] == "twirl-check" else ["--channel", "local-depol"]
+    argv = argv[:1] + channel + ["--p", "0.2", "--out", str(tmp_path / "x.csv")] + argv[1:]
     if "--M" not in argv and "--state" not in argv:
         argv += ["--M", "1"]
     assert _exit_code(argv) == EXIT_ERROR
@@ -296,6 +314,15 @@ def test_usage_errors_exit_one(tmp_path):
         main(["cycle", "--channel", "global-depol", "--p", "0.1", "--ell", "1",
               "--M", "2", "--state", "plus^3", "--out", str(tmp_path / "y.csv")])
     assert info.value.code == EXIT_ERROR
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_version_declared_once():
+    # pyproject.toml reads the version from the package; this needs no network
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parents[1]
+    project = config.read_configuration(root / "pyproject.toml")["project"]
+    assert project["version"] == pqec.__version__
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

@@ -3,12 +3,14 @@ import pytest
 
 from pqec import (
     ShotRecord,
+    conditional_state,
     density_from_pure,
     enumerate_outcomes,
     estimate_observable,
     extract_observable_exact,
     maximally_mixed,
     pauli_matrix,
+    random_density_matrix,
     ratio_estimate,
     required_samples,
     sample_observable,
@@ -112,6 +114,21 @@ def test_sample_outcome_tree_chi_square():
     assert chi2 < 26.1  # 99.9% quantile at 7 degrees of freedom
 
 
+def test_sample_outcome_tree_matches_conditional_state():
+    # a drawn string and the same string evaluated as given land on one branch
+    rng = np.random.default_rng(12)
+    for qubits in (1, 2):
+        for rounds in (1, 2, 3):
+            rho = random_density_matrix(qubits, rng)
+            for _ in range(4):
+                outs, branch = sample_outcome_tree(rho, rounds, rng)
+                fixed = conditional_state(rho, outs)
+                assert branch.outcomes == fixed.outcomes == tuple(outs)
+                assert np.max(np.abs(branch.state - fixed.state)) < 1e-12
+                assert branch.probability == pytest.approx(fixed.probability, rel=1e-12)
+                assert branch.parity == fixed.parity == np.prod(outs)
+
+
 def test_sample_observable_examples():
     rng = np.random.default_rng(5)
     assert sample_observable(density_from_pure(zero_state(1)), Z, rng) == 1.0
@@ -144,6 +161,37 @@ def test_simulate_shots_deterministic():
     a = simulate_shots(DIAG, Z, 2, 500, np.random.default_rng(42))
     b = simulate_shots(DIAG, Z, 2, 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
+
+
+def _per_branch_scan(rho, obs, rounds, n_shots, rng):
+    """Enumeration-path oracle: one scan of all shots for every branch."""
+    vals, vecs = np.linalg.eigh(obs)
+    records = np.empty((n_shots, 2))
+    branches = enumerate_outcomes(rho, rounds)
+    probs = np.array([b.probability for b in branches])
+    which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
+    for k, branch in enumerate(branches):
+        sel = np.flatnonzero(which == k)
+        if sel.size == 0:
+            continue
+        q = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, branch.state, vecs)),
+                    0.0, None)
+        draws = rng.choice(vals.size, size=sel.size, p=q / q.sum())
+        records[sel, 0] = branch.parity
+        records[sel, 1] = vals[draws]
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97])
+def test_enumeration_path_matches_per_branch_scan(seed):
+    # grouping shots by branch must keep the RNG stream record for record
+    cases = [(random_density_matrix(2, np.random.default_rng(seed)), pauli_matrix("ZX")),
+             (density_from_pure(zero_state(1)), Z), (DIAG, Z)]
+    for rho, obs in cases:
+        for rounds in (0, 1, 2, 3):
+            fast = simulate_shots(rho, obs, rounds, 3000, np.random.default_rng(seed))
+            slow = _per_branch_scan(rho, obs, rounds, 3000, np.random.default_rng(seed))
+            assert np.array_equal(fast, slow)
 
 
 def test_simulate_shots_unbiased_components():
