@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from pqec import apply_local_depolarizing, density_from_pure, fidelity, \
+from pqec import NoiseModel, density_from_pure, fidelity, make_channel, \
     plus_state, purified_state
 from pqec.svgplot import line_chart
 
@@ -22,7 +22,7 @@ series = []
 for p in (0.1, 0.3, 0.7, 0.8):
     for qubits in (1, 3, 5):
         psi = plus_state(qubits)
-        noisy = apply_local_depolarizing(density_from_pure(psi), p)
+        noisy = make_channel(NoiseModel("local-depol", p), qubits)(density_from_pure(psi))
         fids = [fidelity(purified_state(noisy, r), psi) for r in rounds]
         if p in (0.3, 0.8):
             series.append((f"p={p} M={qubits}", rounds, fids))

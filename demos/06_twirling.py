@@ -14,15 +14,12 @@ import numpy as np
 from pqec import (
     DEFAULT_SEED,
     NoiseModel,
-    apply_local_depolarizing,
-    apply_local_dephasing,
-    apply_twirled_dephasing,
     bloch_state,
     channel_matrix_equality,
     density_from_pure,
     fidelity,
     find_threshold,
-    generate_twirl_set,
+    make_channel,
     plus_state,
     purified_state,
     sweep,
@@ -32,7 +29,7 @@ from pqec import (
 # saturation of an untwirled tilted state
 # ----------------------------------------------------------------------
 psi = bloch_state(math.pi / 3, math.pi / 4)
-noisy = apply_local_dephasing(density_from_pure(psi), 0.3)
+noisy = make_channel(NoiseModel("dephasing", 0.3), 1)(density_from_pure(psi))
 fids = [fidelity(purified_state(noisy, r), psi) for r in range(9)]
 print("untwirled dephasing, tilted target:")
 print("  fidelity by rounds:", " ".join(f"{f:.4f}" for f in fids))
@@ -42,10 +39,9 @@ print("  saturates below 1 because the Bloch direction is tilted\n")
 # the full frame average IS the depolarizing channel
 # ----------------------------------------------------------------------
 for qubits in (1, 2, 3):
-    twirl = generate_twirl_set(qubits, 1.0)
     dev = channel_matrix_equality(
-        lambda x: apply_twirled_dephasing(x, 0.3, twirl),
-        lambda x: apply_local_depolarizing(x, 0.3), qubits)
+        make_channel(NoiseModel("twirled-dephasing", 0.3), qubits),
+        make_channel(NoiseModel("local-depol", 0.3), qubits), qubits)
     print(f"full twirl vs local depolarizing, M={qubits}: max deviation {dev:.2e}")
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,7 @@ exact and sampled observable extraction, and error-threshold sweeps.
 from .channels import (
     DEFAULT_SEED,
     NoiseModel,
-    TwirlSet,
-    apply_global_depolarizing,
-    apply_local_depolarizing,
-    apply_local_dephasing,
     apply_pauli_diagonal,
-    apply_twirled_dephasing,
     channel_matrix_equality,
     generate_twirl_set,
     make_channel,
@@ -59,7 +54,6 @@ from .states import (
     maximally_mixed,
     pauli_expand,
     pauli_matrix,
-    pauli_reconstruct,
     pauli_weight,
     pauli_weight_distribution,
     plus_state,
@@ -85,4 +79,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PAULI_LABELS, ValidationError, from_pauli_basis, num_qubits, \
-    pauli_matrix, to_pauli_basis
+from .states import PAULI_LABELS, ValidationError, from_pauli_basis, pauli_matrix, \
+    to_pauli_basis
 
 # Fixed default seed for subset twirling; documented in the README. Chosen so
 # the seeded single-gate subset at M=1 rotates the dephasing axis to one that
@@ -37,9 +37,12 @@ CHANNEL_KINDS = ("global-depol", "local-depol", "dephasing", "twirled-dephasing"
 class NoiseModel:
     """Tagged channel description, constructible from CLI flags.
 
-    ``kind`` is one of ``global-depol``, ``local-depol``, ``dephasing``,
-    ``twirled-dephasing``; ``p`` is the error probability. The twirl fields
-    only matter for ``twirled-dephasing``.
+    ``kind`` is one of ``global-depol`` ((1-p) rho + p Tr(rho) I/D),
+    ``local-depol`` (Kraus sqrt(1-p) I, sqrt(p/3) X, Y, Z on every qubit),
+    ``dephasing`` ((1-p) rho + p Z rho Z on every qubit) or
+    ``twirled-dephasing`` (the mean of U^dag E_z(U rho U^dag) U over the
+    seeded frame subset); ``p`` is the error probability. The twirl fields
+    only matter for ``twirled-dephasing``. ``make_channel`` applies it.
     """
 
     kind: str
@@ -67,7 +70,7 @@ class NoiseModel:
             return lam
         if self.kind == "twirled-dephasing":
             shares = _seeded_damping_shares(qubits, self.twirl_fraction, self.twirl_seed)
-            return _twirl_eigenvalues(shares, p)
+            return shares @ (1.0 - 2.0 * p) ** np.arange(qubits + 1)
         eta = 1.0 - 4.0 * p / 3.0 if self.kind == "local-depol" else 1.0 - 2.0 * p
         factors = np.array([1.0, eta, eta, eta if self.kind == "local-depol" else 1.0])
         return functools.reduce(np.multiply.outer, [factors] * qubits)
@@ -84,61 +87,13 @@ def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return from_pauli_basis(coeffs * lam)
 
 
-def _apply_model(rho: np.ndarray, model: NoiseModel) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return apply_pauli_diagonal(rho, model.transfer_eigenvalues(num_qubits(rho.shape[0])))
-
-
-# ----------------------------------------------------------------------
-# Basic channels
-# ----------------------------------------------------------------------
-
-def apply_global_depolarizing(rho: np.ndarray, p: float) -> np.ndarray:
-    """(1-p) rho + p Tr(rho) I/D.
-
-    The trace factor makes this a proper linear map; on density matrices it
-    reduces to the usual mixture with the maximally mixed state.
-    """
-    return _apply_model(rho, NoiseModel("global-depol", p))
-
-
-def apply_local_depolarizing(rho: np.ndarray, p: float) -> np.ndarray:
-    """Independent single-qubit depolarizing channel on every qubit.
-
-    Per qubit the Kraus map is sqrt(1-p) I and sqrt(p/3) X, Y, Z;
-    equivalently every Pauli coefficient of weight w is contracted by
-    (1 - 4p/3)**w.
-    """
-    return _apply_model(rho, NoiseModel("local-depol", p))
-
-
-def apply_local_dephasing(rho: np.ndarray, p: float) -> np.ndarray:
-    """Independent phase-flip channel (1-p) rho + p Z rho Z on every qubit."""
-    return _apply_model(rho, NoiseModel("dephasing", p))
-
-
 # ----------------------------------------------------------------------
 # Twirling
 # ----------------------------------------------------------------------
 
-class TwirlSet:
-    """A fixed collection of per-qubit frame-gate sequences.
-
-    Each entry is a length-M tuple over {"I", "H", "HS"}.
-    """
-
-    def __init__(self, gates, qubits: int):
-        self.gates = tuple(tuple(g) for g in gates)
-        self.qubits = qubits
-        if len(set(self.gates)) != len(self.gates):
-            raise ValidationError("twirl set contains duplicate sequences")
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-
-def generate_twirl_set(qubits: int, fraction: float, seed: int = DEFAULT_SEED) -> TwirlSet:
-    """Seeded subset of the 3**M frame-gate sequences.
+def generate_twirl_set(qubits: int, fraction: float,
+                       seed: int = DEFAULT_SEED) -> tuple[tuple[str, ...], ...]:
+    """Seeded subset of the 3**M frame-gate sequences, each a length-M label tuple.
 
     ``fraction`` = 1 yields the full set in lexicographic order; otherwise
     ceil(fraction * 3**M) distinct sequences are drawn without replacement
@@ -161,44 +116,24 @@ def generate_twirl_set(qubits: int, fraction: float, seed: int = DEFAULT_SEED) -
         count = math.ceil(fraction * total)
         rng = np.random.default_rng(seed)
         indices = rng.permutation(total)[:count]
-    return TwirlSet([decode(int(n)) for n in indices], qubits)
+    return tuple(decode(int(n)) for n in indices)
 
 
-def _damping_shares(twirl: TwirlSet) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _seeded_damping_shares(qubits: int, fraction: float, seed: int) -> np.ndarray:
     """shares[P + (k,)]: fraction of the sequences that damp P on exactly k qubits.
 
     A sequence's eigenvalue on P is (1-2p)**k, so this is the p-independent
     part of the twirl.
     """
-    m = twirl.qubits
-    one_hot = np.eye(m + 1)
-    shares = np.zeros((4,) * m + (m + 1,))
-    for seq in twirl.gates:
+    gates = generate_twirl_set(qubits, fraction, seed)
+    one_hot = np.eye(qubits + 1)
+    shares = np.zeros((4,) * qubits + (qubits + 1,))
+    for seq in gates:
         shares += one_hot[functools.reduce(np.add.outer, [_DAMPED[g] for g in seq])]
-    return shares / len(twirl)
-
-
-@functools.lru_cache(maxsize=16)
-def _seeded_damping_shares(qubits: int, fraction: float, seed: int) -> np.ndarray:
-    shares = _damping_shares(generate_twirl_set(qubits, fraction, seed))
+    shares = shares / len(gates)
     shares.flags.writeable = False
     return shares
-
-
-def _twirl_eigenvalues(shares: np.ndarray, p: float) -> np.ndarray:
-    return shares @ (1.0 - 2.0 * p) ** np.arange(shares.shape[-1])
-
-
-def apply_twirled_dephasing(rho: np.ndarray, p: float, twirl: TwirlSet) -> np.ndarray:
-    """Average of U^dag E_z(U rho U^dag) U over the twirl set.
-
-    With the full set this equals ``apply_local_depolarizing`` with the same
-    p; restricted sets interpolate between dephasing and depolarizing.
-    """
-    NoiseModel("twirled-dephasing", p).validate()
-    if len(twirl) == 0:
-        raise ValidationError("empty twirl set")
-    return apply_pauli_diagonal(rho, _twirl_eigenvalues(_damping_shares(twirl), p))
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, find_thr
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
 # Most values a ``min:max:count`` grid or an ``a..b`` range may expand to,
-# checked before anything is built.
+# and most ``--cycles``, checked before anything is built.
 MAX_GRID_POINTS = 10_000
 
 EXIT_OK = 0
@@ -242,6 +242,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _cycles(text: str) -> int:
+    if not text.strip().isdecimal() or not 1 <= int(text) <= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"cycles must be an integer in 1..{MAX_GRID_POINTS}, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, *, channel=False, state=False, shots=False):
     sub.add_argument("--config", help="JSON file of flag values; explicit flags win")
     sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
@@ -266,7 +273,7 @@ def _add_sweep(sub):
     sub.set_defaults(p=f"0:1:{DEFAULT_P_COUNT}")
     ells = ",".join(str(e) for e in DEFAULT_ROUNDS)
     sub.add_argument("--ell", default=ells, help=f"rounds values: list or a..b (default {ells})")
-    sub.add_argument("--cycles", type=int, default=DEFAULT_CYCLES,
+    sub.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
                      help=f"cycles per cell (default {DEFAULT_CYCLES})")
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                      help="parallel workers (default: cpu count)")
@@ -285,7 +292,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("cycle", help="iterate channel-then-purify cycles")
     _add_common(p, channel=True, state=True)
     p.add_argument("--ell", help="purification rounds per cycle (single value)")
-    p.add_argument("--cycles", type=int, default=DEFAULT_CYCLES,
+    p.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
                    help=f"number of cycles (default {DEFAULT_CYCLES})")
 
     p = subs.add_parser("sweep", help="grid of (p, rounds) cycle experiments")

@@ -84,36 +84,33 @@ def pauli_weight(code: str) -> int:
 # Construction and validation
 # ----------------------------------------------------------------------
 
-def check_pure_state(psi: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
+def check_pure_state(psi: np.ndarray) -> np.ndarray:
     """Validate and return a pure state as a complex 1-D array."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValidationError("pure state must be a 1-D amplitude vector")
     num_qubits(psi.size)
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"state norm {norm} deviates from 1 by more than {tol}")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValidationError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
     return psi
 
 
-def check_density_matrix(rho: np.ndarray,
-                         herm_tol: float = HERM_TOL,
-                         trace_tol: float = TRACE_TOL,
-                         eig_tol: float = EIG_TOL) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError("density matrix must be square")
     num_qubits(rho.shape[0])
     herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > herm_tol:
-        raise ValidationError(f"Hermiticity violation {herm_dev} > {herm_tol}")
+    if herm_dev > HERM_TOL:
+        raise ValidationError(f"Hermiticity violation {herm_dev} > {HERM_TOL}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"trace {tr} deviates from 1 by more than {trace_tol}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if min_eig < -eig_tol:
-        raise ValidationError(f"negative eigenvalue {min_eig} below -{eig_tol}")
+    if min_eig < -EIG_TOL:
+        raise ValidationError(f"negative eigenvalue {min_eig} below -{EIG_TOL}")
     return rho
 
 
@@ -157,12 +154,10 @@ def random_pure_state(qubits: int, rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def random_density_matrix(qubits: int, rng: np.random.Generator,
-                          rank: int | None = None) -> np.ndarray:
-    """Random full-rank (or given-rank) density matrix, Wishart-normalized."""
+def random_density_matrix(qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix, Wishart-normalized."""
     d = 2 ** qubits
-    k = d if rank is None else rank
-    g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -217,7 +212,7 @@ def project_to_density(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralPower:
-    """rho**n in scaled form: ``matrix * exp(log_scale)`` equals rho**n.
+    """rho**n in scaled form: V diag(eigenvalues) V^dagger * exp(log_scale) equals rho**n.
 
     Eigenvalues are divided by the largest one before powering, so the
     object stays finite for n as large as 2**30 even when the true trace
@@ -227,17 +222,12 @@ class SpectralPower:
     eigenvalues: np.ndarray   # (lambda_i / lambda_max) ** n, ascending
     eigenvectors: np.ndarray
     log_scale: float
-    power: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Scaled matrix, equal to rho**n * exp(-log_scale)."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
     @property
     def value(self) -> np.ndarray:
         """rho**n itself; underflows to zero for extreme n, by design."""
-        return math.exp(self.log_scale) * self.matrix
+        scaled = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        return math.exp(self.log_scale) * scaled
 
     @property
     def trace(self) -> float:
@@ -269,8 +259,7 @@ def spectral_power(rho: np.ndarray, power: int) -> SpectralPower:
         log_scale = power * math.log(lam_max)
     except OverflowError:  # power beyond the float range: n log(lam) is 0 or -inf
         log_scale = -math.inf if lam_max < 1.0 else 0.0
-    return SpectralPower(eigenvalues=scaled, eigenvectors=vecs,
-                         log_scale=log_scale, power=power)
+    return SpectralPower(eigenvalues=scaled, eigenvectors=vecs, log_scale=log_scale)
 
 
 # ----------------------------------------------------------------------
@@ -316,23 +305,12 @@ def _check_pauli_budget(qubits: int) -> None:
             f"(4**{qubits} coefficients requested)")
 
 
-def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
-    """Real coefficient tensor r_P = Tr(rho P) of shape (4,)*M, axes in IXYZ order."""
-    rho = np.asarray(rho, dtype=complex)
-    _check_pauli_budget(num_qubits(rho.shape[0]))
-    return np.real(to_pauli_basis(rho))
-
-
-def pauli_reconstruct(coeffs: np.ndarray, qubits: int) -> np.ndarray:
-    """Inverse of ``pauli_coefficients``: rho = 2**-M sum_P r_P P."""
-    _check_pauli_budget(qubits)
-    return from_pauli_basis(np.asarray(coeffs, dtype=complex).reshape((4,) * qubits))
-
-
 def pauli_expand(rho: np.ndarray) -> dict[str, float]:
     """Map from Pauli string (e.g. ``"XZ"``) to its real coefficient Tr(rho P)."""
-    coeffs = pauli_coefficients(rho)
-    m = coeffs.ndim
+    rho = np.asarray(rho, dtype=complex)
+    m = num_qubits(rho.shape[0])
+    _check_pauli_budget(m)
+    coeffs = to_pauli_basis(rho).real
     out = {}
     for idx in itertools.product(range(4), repeat=m):
         out["".join(PAULI_LABELS[i] for i in idx)] = float(coeffs[idx])
@@ -353,7 +331,7 @@ def pauli_weight_distribution(psi: np.ndarray):
     psi = check_pure_state(psi)
     m = num_qubits(psi.size)
     _check_pauli_budget(m)
-    coeffs = pauli_coefficients(density_from_pure(psi))
+    coeffs = to_pauli_basis(density_from_pure(psi)).real
     weights = _weight_tensor(m)
     sq = coeffs ** 2 / 2 ** m
     a = np.array([sq[weights == k].sum() for k in range(m + 1)])

@@ -13,8 +13,6 @@ from pqec import (
     DEFAULT_SEED,
     NoiseModel,
     anisotropic_qubit_purify_fidelity,
-    apply_local_depolarizing,
-    apply_local_dephasing,
     channel_matrix_equality,
     bloch_state,
     conditional_state,
@@ -24,6 +22,7 @@ from pqec import (
     fidelity,
     find_threshold,
     generate_twirl_set,
+    make_channel,
     parity_weighted_sum,
     pauli_matrix,
     pauli_weight_distribution,
@@ -172,8 +171,8 @@ def test_criterion_06_twirl_equivalence():
         twirl = generate_twirl_set(qubits, 1.0)
         for p in (0.1, 0.3, 0.6):
             dev = channel_matrix_equality(
-                lambda x: twirl_by_conjugation(x, p, twirl.gates),
-                lambda x: apply_local_depolarizing(x, p), qubits)
+                lambda x: twirl_by_conjugation(x, p, twirl),
+                make_channel(NoiseModel("local-depol", p), qubits), qubits)
             worst_channel = max(worst_channel, dev)
 
     grid = np.linspace(0.0, 1.0, 41)
@@ -218,11 +217,11 @@ def test_criterion_08_small_p_expansion():
         rho0 = density_from_pure(psi)
         _, mean_weight = pauli_weight_distribution(psi)
         p0 = 1e-3
-        slope = (1.0 - fidelity(apply_local_depolarizing(rho0, p0), psi)) / p0
+        depol = lambda p: make_channel(NoiseModel("local-depol", p), 2)(rho0)
+        slope = (1.0 - fidelity(depol(p0), psi)) / p0
         worst_slope = max(worst_slope,
                           abs(slope / (4.0 * mean_weight / 3.0) - 1.0))
-        infid = [1.0 - fidelity(purified_state(apply_local_depolarizing(rho0, p), 1),
-                                psi) for p in p_grid]
+        infid = [1.0 - fidelity(purified_state(depol(p), 1), psi) for p in p_grid]
         fit = np.polyfit(np.log(p_grid), np.log(infid), 1)[0]
         worst_loglog = max(worst_loglog, abs(fit - 2.0))
     ok = worst_slope <= 0.005 and worst_loglog <= 0.05
@@ -279,7 +278,7 @@ def test_criterion_10_anisotropic_saturation():
         for p in (0.0, 0.1, 0.3, 0.5):
             f_in_ref, f_out_ref = anisotropic_qubit_purify_fidelity(theta, p)
             psi = bloch_state(theta, 0.0)
-            noisy = apply_local_dephasing(density_from_pure(psi), p)
+            noisy = make_channel(NoiseModel("dephasing", p), 1)(density_from_pure(psi))
             worst = max(worst, abs(fidelity(noisy, psi) - f_in_ref),
                         abs(fidelity(purified_state(noisy, 1), psi) - f_out_ref))
     _, example = anisotropic_qubit_purify_fidelity(math.pi / 2, 0.3)
@@ -290,7 +289,7 @@ def test_criterion_10_anisotropic_saturation():
     details = []
     for qubits in (1, 3):
         psi = bloch_state(math.pi / 3, math.pi / 4, qubits)
-        noisy = apply_local_dephasing(density_from_pure(psi), 0.3)
+        noisy = make_channel(NoiseModel("dephasing", 0.3), qubits)(density_from_pure(psi))
         fids = [fidelity(purified_state(noisy, rounds), psi) for rounds in range(13)]
         saturated = abs(fids[12] - fids[10]) < 1e-6
         saturation_ok &= saturated and fids[12] < 1 - 1e-3 and fids[12] > fids[0]

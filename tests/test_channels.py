@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,6 @@ from pqec import (
     DEFAULT_SEED,
     NoiseModel,
     ValidationError,
-    apply_global_depolarizing,
-    apply_local_dephasing,
-    apply_local_depolarizing,
-    apply_twirled_dephasing,
     bloch_compose,
     bloch_decompose,
     channel_matrix_equality,
@@ -27,7 +24,7 @@ from pqec import (
     werner_state,
     zero_state,
 )
-from pqec.channels import TwirlSet
+from pqec.channels import CHANNEL_KINDS, FRAME_LABELS
 from pqec.states import MAX_PAULI_QUBITS
 
 
@@ -80,6 +77,11 @@ def twirl_by_conjugation(rho, p, gates):
     return out / len(gates)
 
 
+def apply(kind, rho, p, *twirl):
+    """The ``kind`` channel at error probability p, built for rho's register."""
+    return make_channel(NoiseModel(kind, p, *twirl), _qubit_count(rho))(rho)
+
+
 # ----------------------------------------------------------------------
 # global depolarizing
 # ----------------------------------------------------------------------
@@ -87,12 +89,12 @@ def twirl_by_conjugation(rho, p, gates):
 def test_global_depolarizing_endpoints():
     rng = np.random.default_rng(0)
     rho = random_density_matrix(2, rng)
-    assert np.allclose(apply_global_depolarizing(rho, 0.0), rho)
-    assert np.allclose(apply_global_depolarizing(rho, 1.0), maximally_mixed(2))
+    assert np.allclose(apply("global-depol", rho, 0.0), rho)
+    assert np.allclose(apply("global-depol", rho, 1.0), maximally_mixed(2))
 
 
 def test_global_depolarizing_mixture():
-    out = apply_global_depolarizing(density_from_pure(zero_state(1)), 0.4)
+    out = apply("global-depol", density_from_pure(zero_state(1)), 0.4)
     assert np.allclose(out, np.diag([0.8, 0.2]))
 
 
@@ -100,14 +102,14 @@ def test_global_depolarizing_preserves_werner():
     rng = np.random.default_rng(1)
     psi = random_pure_state(2, rng)
     for mix, p in [(0.3, 0.2), (0.7, 0.5), (0.0, 0.9)]:
-        out = apply_global_depolarizing(werner_state(mix, psi), p)
+        out = apply("global-depol", werner_state(mix, psi), p)
         expected = werner_state((1 - p) * mix + p, psi)
         assert np.max(np.abs(out - expected)) < 1e-14
 
 
 def test_global_depolarizing_range_check():
     with pytest.raises(ValidationError):
-        apply_global_depolarizing(maximally_mixed(1), 1.2)
+        make_channel(NoiseModel("global-depol", 1.2), 1)
 
 
 # ----------------------------------------------------------------------
@@ -116,18 +118,18 @@ def test_global_depolarizing_range_check():
 
 def test_local_depolarizing_examples():
     plus = plus_state(1)
-    out = apply_local_depolarizing(density_from_pure(plus), 0.3)
+    out = apply("local-depol", density_from_pure(plus), 0.3)
     expected = 0.6 * density_from_pure(plus) + 0.4 * maximally_mixed(1)
     assert np.max(np.abs(out - expected)) < 1e-12
     assert fidelity(out, plus) == pytest.approx(0.8, abs=1e-12)
 
     for m in (1, 2, 3):
-        out = apply_local_depolarizing(density_from_pure(plus_state(m)), 0.75)
+        out = apply("local-depol", density_from_pure(plus_state(m)), 0.75)
         assert np.max(np.abs(out - maximally_mixed(m))) < 1e-14
 
     rng = np.random.default_rng(2)
     rho = random_density_matrix(2, rng)
-    assert np.allclose(apply_local_depolarizing(rho, 0.0), rho)
+    assert np.allclose(apply("local-depol", rho, 0.0), rho)
 
 
 def test_local_depolarizing_is_weight_contraction():
@@ -137,7 +139,7 @@ def test_local_depolarizing_is_weight_contraction():
         p = 0.23
         eta = 1 - 4 * p / 3
         before = pauli_expand(rho)
-        after = pauli_expand(apply_local_depolarizing(rho, p))
+        after = pauli_expand(apply("local-depol", rho, p))
         for label, value in before.items():
             assert after[label] == pytest.approx(
                 value * eta ** pauli_weight(label), abs=1e-10), label
@@ -149,7 +151,7 @@ def test_local_depolarizing_qubit_order_irrelevant():
     rho = random_density_matrix(3, rng)
     p = 0.4
     out = depolarize_by_kraus(rho, p, order=reversed(range(3)))
-    assert np.max(np.abs(out - apply_local_depolarizing(rho, p))) < 1e-13
+    assert np.max(np.abs(out - apply("local-depol", rho, p))) < 1e-13
 
 
 def test_dense_local_depolarizing_beyond_pauli_guard():
@@ -159,7 +161,6 @@ def test_dense_local_depolarizing_beyond_pauli_guard():
     rng = np.random.default_rng(8)
     rho = random_density_matrix(m, rng)
     expected = depolarize_by_kraus(rho, 0.37)
-    assert np.max(np.abs(apply_local_depolarizing(rho, 0.37) - expected)) < 1e-12
     chan = make_channel(NoiseModel("local-depol", 0.37), m)
     assert np.max(np.abs(chan(rho) - expected)) < 1e-12
 
@@ -169,10 +170,10 @@ def test_dense_local_depolarizing_beyond_pauli_guard():
 # ----------------------------------------------------------------------
 
 def test_dephasing_bloch_contraction():
-    out = apply_local_dephasing(bloch_compose([1, 0, 0]), 0.3)
+    out = apply("dephasing", bloch_compose([1, 0, 0]), 0.3)
     assert np.allclose(bloch_decompose(out), [0.4, 0, 0], atol=1e-14)
 
-    out = apply_local_dephasing(bloch_compose([0.6, 0, 0.8]), 0.5)
+    out = apply("dephasing", bloch_compose([0.6, 0, 0.8]), 0.5)
     assert np.allclose(bloch_decompose(out), [0, 0, 0.8], atol=1e-14)
 
 
@@ -181,26 +182,26 @@ def test_dephasing_matches_kraus_oracle():
     for m in (1, 2, 3):
         rho = random_density_matrix(m, rng)
         for p in (0.0, 0.37, 1.0):
-            dev = np.max(np.abs(apply_local_dephasing(rho, p) - dephase_by_kraus(rho, p)))
+            dev = np.max(np.abs(apply("dephasing", rho, p) - dephase_by_kraus(rho, p)))
             assert dev < 1e-13
 
 
 def test_dephasing_fixes_z_eigenstates():
     rho = density_from_pure(zero_state(1))
     for p in (0.1, 0.5, 1.0):
-        assert np.allclose(apply_local_dephasing(rho, p), rho)
+        assert np.allclose(apply("dephasing", rho, p), rho)
 
 
 def test_channels_preserve_trace_and_hermiticity():
     rng = np.random.default_rng(5)
+    models = [NoiseModel(kind, 0.37) for kind in CHANNEL_KINDS]
+    models.append(NoiseModel("twirled-dephasing", 0.37, 0.2, DEFAULT_SEED))
     for m in (1, 2, 3):
         rho = random_density_matrix(m, rng)
-        for chan in (lambda x: apply_global_depolarizing(x, 0.37),
-                     lambda x: apply_local_depolarizing(x, 0.37),
-                     lambda x: apply_local_dephasing(x, 0.37)):
-            out = chan(rho)
-            assert abs(np.trace(out) - 1.0) < 1e-12
-            assert np.max(np.abs(out - out.conj().T)) < 1e-10
+        for model in models:
+            out = make_channel(model, m)(rho)
+            assert abs(np.trace(out) - 1.0) < 1e-12, model
+            assert np.max(np.abs(out - out.conj().T)) < 1e-10, model
 
 
 # ----------------------------------------------------------------------
@@ -208,67 +209,67 @@ def test_channels_preserve_trace_and_hermiticity():
 # ----------------------------------------------------------------------
 
 def test_generate_twirl_set_full():
-    tset = generate_twirl_set(1, 1.0)
-    assert tset.gates == (("I",), ("H",), ("HS",))
+    assert generate_twirl_set(1, 1.0) == (("I",), ("H",), ("HS",))
     assert len(generate_twirl_set(2, 1.0)) == 9
 
 
 def test_generate_twirl_set_fraction():
     tset = generate_twirl_set(5, 0.2, seed=7)
     assert len(tset) == 49
-    assert len(set(tset.gates)) == 49
-    again = generate_twirl_set(5, 0.2, seed=7)
-    assert tset.gates == again.gates
-    other = generate_twirl_set(5, 0.2, seed=8)
-    assert other.gates != tset.gates
+    assert len(set(tset)) == 49
+    assert generate_twirl_set(5, 0.2, seed=7) == tset
+    assert generate_twirl_set(5, 0.2, seed=8) != tset
 
 
 def test_twirl_set_rejects_duplicates():
-    with pytest.raises(ValidationError):
-        TwirlSet([("I",), ("I",)], 1)
+    # every drawn subset holds ceil(fraction 3**M) distinct valid sequences
+    for m in (1, 2, 3, 4, 5):
+        for fraction in (0.05, 0.2, 0.5, 0.9, 1.0):
+            for seed in (0, DEFAULT_SEED, 97):
+                tset = generate_twirl_set(m, fraction, seed)
+                assert len(set(tset)) == len(tset) == math.ceil(fraction * 3 ** m)
+                assert all(len(seq) == m and set(seq) <= set(FRAME_LABELS) for seq in tset)
 
 
 def test_full_twirl_equals_local_depolarizing():
     for m in (1, 2, 3):
-        tset = generate_twirl_set(m, 1.0)
         dev = channel_matrix_equality(
-            lambda x: apply_twirled_dephasing(x, 0.37, tset),
-            lambda x: apply_local_depolarizing(x, 0.37), m)
+            make_channel(NoiseModel("twirled-dephasing", 0.37), m),
+            make_channel(NoiseModel("local-depol", 0.37), m), m)
         assert dev < 1e-10
 
 
 @pytest.mark.parametrize("qubits,fraction", [(1, 1.0), (2, 1.0), (3, 1.0),
                                               (1, 0.2), (2, 0.2), (3, 0.2), (4, 0.2)])
 def test_twirl_kernel_matches_conjugation_oracle(qubits, fraction):
-    tset = generate_twirl_set(qubits, fraction, seed=DEFAULT_SEED)
+    tset = generate_twirl_set(qubits, fraction, DEFAULT_SEED)
     for p in (0.0, 0.37, 1.0):
-        oracle = lambda x: twirl_by_conjugation(x, p, tset.gates)
-        dev = channel_matrix_equality(
-            oracle, lambda x: apply_twirled_dephasing(x, p, tset), qubits)
-        assert dev < 1e-12
-        model = NoiseModel("twirled-dephasing", p, twirl_fraction=fraction,
-                           twirl_seed=DEFAULT_SEED)
-        assert channel_matrix_equality(oracle, make_channel(model, qubits), qubits) < 1e-12
+        oracle = lambda x: twirl_by_conjugation(x, p, tset)
+        chan = make_channel(NoiseModel("twirled-dephasing", p, fraction, DEFAULT_SEED), qubits)
+        assert channel_matrix_equality(oracle, chan, qubits) < 1e-12
 
 
 def test_full_twirl_bloch_example():
-    tset = generate_twirl_set(1, 1.0)
-    out = apply_twirled_dephasing(bloch_compose([1, 0, 0]), 0.3, tset)
+    out = apply("twirled-dephasing", bloch_compose([1, 0, 0]), 0.3)
     assert np.allclose(bloch_decompose(out), [0.6, 0, 0], atol=1e-12)
 
 
 def test_twirl_identity_at_p_zero():
     rng = np.random.default_rng(6)
     rho = random_density_matrix(2, rng)
-    tset = generate_twirl_set(2, 0.5, seed=1)
-    assert np.max(np.abs(apply_twirled_dephasing(rho, 0.0, tset) - rho)) < 1e-12
+    out = apply("twirled-dephasing", rho, 0.0, 0.5, 1)
+    assert np.max(np.abs(out - rho)) < 1e-12
 
 
 def test_twirl_rejects_empty_set_and_mismatch():
+    # a zero fraction would draw the empty set
     with pytest.raises(ValidationError):
-        apply_twirled_dephasing(maximally_mixed(1), 0.1, TwirlSet([], 1))
+        generate_twirl_set(1, 0.0)
     with pytest.raises(ValidationError):
-        apply_twirled_dephasing(maximally_mixed(2), 0.1, generate_twirl_set(1, 1.0))
+        make_channel(NoiseModel("twirled-dephasing", 0.1, 0.0), 1)
+    twirled = make_channel(NoiseModel("twirled-dephasing", 0.1), 1)
+    with pytest.raises(ValidationError):
+        twirled(maximally_mixed(2))
 
 
 def test_single_gate_twirl_stays_anisotropic():
@@ -276,11 +277,10 @@ def test_single_gate_twirl_stays_anisotropic():
     # deviate from the depolarizing channel by at least p/2
     p = 0.3
     for seed in (7, 8, 9):
-        tset = generate_twirl_set(1, 0.2, seed=seed)
-        assert len(tset) == 1
+        assert len(generate_twirl_set(1, 0.2, seed)) == 1
         dev = channel_matrix_equality(
-            lambda x: apply_twirled_dephasing(x, p, tset),
-            lambda x: apply_local_depolarizing(x, p), 1)
+            make_channel(NoiseModel("twirled-dephasing", p, 0.2, seed), 1),
+            make_channel(NoiseModel("local-depol", p), 1), 1)
         assert dev >= p / 2
 
 
@@ -289,29 +289,30 @@ def test_single_gate_twirl_stays_anisotropic():
 # ----------------------------------------------------------------------
 
 def test_channel_matrix_equality_self():
-    chan = lambda x: apply_local_dephasing(x, 0.3)
+    chan = make_channel(NoiseModel("dephasing", 0.3), 2)
     assert channel_matrix_equality(chan, chan, 2) == 0.0
 
 
 def test_dephasing_differs_from_depolarizing():
     dev = channel_matrix_equality(
-        lambda x: apply_local_dephasing(x, 0.3),
-        lambda x: apply_local_depolarizing(x, 0.3), 1)
+        make_channel(NoiseModel("dephasing", 0.3), 1),
+        make_channel(NoiseModel("local-depol", 0.3), 1), 1)
     assert dev >= 0.1  # the Z input is preserved vs contracted by 0.6
 
 
 def test_make_channel_dispatch():
+    # each kind against its operator definition
     rng = np.random.default_rng(7)
     rho = random_density_matrix(2, rng)
     pairs = [
-        (NoiseModel("global-depol", 0.3), apply_global_depolarizing(rho, 0.3)),
-        (NoiseModel("local-depol", 0.3), apply_local_depolarizing(rho, 0.3)),
-        (NoiseModel("dephasing", 0.3), apply_local_dephasing(rho, 0.3)),
+        ("global-depol", 0.7 * rho + 0.3 * maximally_mixed(2)),
+        ("local-depol", depolarize_by_kraus(rho, 0.3)),
+        ("dephasing", dephase_by_kraus(rho, 0.3)),
+        ("twirled-dephasing", twirl_by_conjugation(rho, 0.3, generate_twirl_set(2, 1.0))),
     ]
-    for model, expected in pairs:
-        assert np.allclose(make_channel(model, 2)(rho), expected)
+    for kind, expected in pairs:
+        assert np.max(np.abs(make_channel(NoiseModel(kind, 0.3), 2)(rho) - expected)) < 1e-12
     twirled = make_channel(NoiseModel("twirled-dephasing", 0.3), 2)
-    assert np.max(np.abs(twirled(rho) - apply_local_depolarizing(rho, 0.3))) < 1e-12
     with pytest.raises(ValidationError):
         twirled(maximally_mixed(1))
 

@@ -289,6 +289,9 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["threshold", "--jobs", "-3"],
     ["sweep", "--p", "0:1:1000000000"],
     ["threshold", "--ell", "0..1000000000"],
+    ["cycle", "--ell", "1", "--cycles", "1000000000000"],
+    ["cycle", "--ell", "1", "--cycles", "1000000000"],
+    ["sweep", "--cycles", "1000000000"],
     ["sample", "--ell", "1", "--shots", "10", "--svg", "s.svg"],
     ["twirl-check", "--svg", "s.svg"],
     ["purify", "--ell", "2..1", "--svg", "s.svg"],

@@ -39,7 +39,7 @@ BAD = {
     "p": ["1.5", "-0.1", "0:1", "0:1:0", "nan", "0,nan", "inf", "x", "", ","],
     "twirl": ["0", "1.5", "nan", "x"],
     "ell": ["-1", "2..1", "1..", "x", ""],
-    "cycles": ["0", "-1", "x"],
+    "cycles": ["0", "-1", "x", "10001"],
     "shots": ["1", "0", "x"],
     "batches": ["0", "x"],
     "observable": ["Q", "", "ZZZ"],

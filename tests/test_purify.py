@@ -5,9 +5,8 @@ import pytest
 
 from pqec import (
     DegenerateOutcomeError,
+    NoiseModel,
     anisotropic_qubit_purify_fidelity,
-    apply_local_depolarizing,
-    apply_local_dephasing,
     bloch_compose,
     bloch_purify,
     conditional_state,
@@ -17,6 +16,7 @@ from pqec import (
     extract_observable_exact,
     fidelity,
     fidelity_bounds,
+    make_channel,
     maximally_mixed,
     parity_weighted_sum,
     pauli_matrix,
@@ -419,7 +419,7 @@ def test_anisotropic_matches_generic_pipeline():
         for p in (0.05, 0.2, 0.45):
             target = np.array([math.sin(theta), 0.0, math.cos(theta)])
             psi = np.array([math.cos(theta / 2), math.sin(theta / 2)], dtype=complex)
-            noisy = apply_local_dephasing(bloch_compose(target), p)
+            noisy = make_channel(NoiseModel("dephasing", p), 1)(bloch_compose(target))
             f_in, f_out = anisotropic_qubit_purify_fidelity(theta, p)
             assert fidelity(noisy, psi) == pytest.approx(f_in, abs=1e-12)
             assert fidelity(purified_state(noisy, 1), psi) == pytest.approx(
@@ -432,6 +432,6 @@ def test_small_error_cancellation_single_state():
     psi = random_pure_state(2, rng)
     rho0 = density_from_pure(psi)
     p = 1e-3
-    noisy = apply_local_depolarizing(rho0, p)
+    noisy = make_channel(NoiseModel("local-depol", p), 2)(rho0)
     assert 1 - fidelity(noisy, psi) > p  # first order present
     assert 1 - fidelity(purified_state(noisy, 1), psi) < 20 * p * p  # removed

@@ -12,7 +12,6 @@ from pqec import (
     maximally_mixed,
     pauli_expand,
     pauli_matrix,
-    pauli_reconstruct,
     pauli_weight,
     pauli_weight_distribution,
     plus_state,
@@ -24,7 +23,7 @@ from pqec import (
     werner_state,
     zero_state,
 )
-from pqec.states import pauli_coefficients
+from pqec.states import from_pauli_basis, to_pauli_basis
 
 
 def haar_unitary(dim, rng):
@@ -162,9 +161,12 @@ def test_pauli_roundtrip_and_norm_identity():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 4):
         rho = random_density_matrix(m, rng)
-        coeffs = pauli_coefficients(rho)
-        back = pauli_reconstruct(coeffs, m)
+        coeffs = to_pauli_basis(rho)
+        back = from_pauli_basis(coeffs)
         assert np.max(np.abs(back - rho)) < 1e-10
+        # Tr(rho P) of a Hermitian rho is real
+        assert np.max(np.abs(coeffs.imag)) < 1e-12
+        coeffs = coeffs.real
         # sum of squared coefficients ties to the purity
         assert np.sum(coeffs ** 2) == pytest.approx(2 ** m * purity(rho), abs=1e-10)
         assert purity(rho) == pytest.approx(np.sum(coeffs ** 2) / 2 ** m, abs=1e-10)
