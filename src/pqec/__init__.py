@@ -19,13 +19,12 @@ from .montecarlo import (
     estimate_observable,
     ratio_estimate,
     required_samples,
-    sample_observable,
     sample_outcome_tree,
     simulate_shots,
 )
 from .purify import (
-    ConditionalOutcome,
     DegenerateOutcomeError,
+    OutcomeBranches,
     anisotropic_qubit_purify_fidelity,
     bloch_purify,
     conditional_state,
@@ -79,4 +78,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

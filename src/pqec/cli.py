@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, make_channel
-from .montecarlo import check_sampling_budget, ratio_estimate, simulate_shots
+from .montecarlo import check_sampling_budget, ratio_estimate, sampling_tree, simulate_shots
 from .purify import extract_observable_exact, purified_state
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
     bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
@@ -477,8 +477,8 @@ def _cmd_sample(args, parser) -> int:
     ells = _ell_list(args, parser, single=True)
     if args.shots < 2 or args.batches < 1:
         parser.error("--shots must be >= 2 and --batches >= 1")
-    check_sampling_budget(ells[0], args.shots, args.batches)
     psi = _resolve_state(args, parser)
+    check_sampling_budget(ells[0], args.shots, args.batches, args.m)
     p = float(_p_grid(args, parser)[0])
     if args.observable is None:
         # the default depends on the register size, known only from the state
@@ -494,10 +494,11 @@ def _cmd_sample(args, parser) -> int:
     noisy = channel(density_from_pure(psi))
     exact = extract_observable_exact(obs, noisy, ells[0])
     rng = np.random.default_rng(args.seed)
+    tree = sampling_tree(noisy, ells[0])
     rows = []
     any_unstable = False
     for b in range(args.batches):
-        res = ratio_estimate(simulate_shots(noisy, obs, ells[0], args.shots, rng))
+        res = ratio_estimate(simulate_shots(noisy, obs, ells[0], args.shots, rng, tree))
         any_unstable |= res.unstable_denominator
         rows.append((b, res.n_samples, res.numerator_mean, res.denominator_mean,
                      res.estimate, res.standard_error))

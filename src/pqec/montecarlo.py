@@ -20,17 +20,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .purify import MAX_BRUTE_FORCE_ROUNDS, ConditionalOutcome, check_observable, \
-    enumerate_outcomes, walk_tree
+from .purify import MAX_BRUTE_FORCE_ROUNDS, OutcomeBranches, check_enumeration_budget, \
+    check_observable, chunk_rows, enumerate_outcomes, walk_tree
 from .purify import swap_gadget  # noqa: F401 -- perfbench/spans.py hooks this name
 from .states import ResourceLimitError, ValidationError
 
-# Budget of one sampling run. Beyond the enumeration limit every shot walks
-# its own tree of 2**rounds - 1 gadget merges, about 70 us each on one core of
-# a 2-vCPU Xeon VM for registers up to three qubits; the shot records of a
-# batch are held in memory at once.
-MAX_SHOT_MERGES = 10 ** 6
+# Budget of one sampling run, checked before anything is built:
+# - shots per batch, whose records are held in memory at once;
+# - shots in all, batches x shots, and batches, since each batch adds a CSV
+#   row and a fixed cost: many tiny batches stay bounded too;
+# - beyond the enumeration limit, where every shot walks its own tree, gadget
+#   merges batches x shots x (2**rounds - 1). Stacked over the shots of a
+#   batch, a merge takes about 3 us at M=1, 18 us at M=3 and 65 us at M=4 on
+#   one core of a 2-vCPU Xeon VM.
 MAX_SHOTS_PER_BATCH = 10 ** 6
+MAX_RUN_SHOTS = 5 * 10 ** 7
+MAX_BATCHES = 10 ** 4
+MAX_SHOT_MERGES = 10 ** 6
 
 
 class ShotRecord(NamedTuple):
@@ -90,93 +96,127 @@ def ratio_estimate(shots) -> EstimatorResult:
 # Drawing shots
 # ----------------------------------------------------------------------
 
-def check_sampling_budget(rounds: int, shots: int, batches: int) -> None:
+def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1) -> None:
     """Raise ``ResourceLimitError`` if a sampling run exceeds the budget.
 
-    Checks the shots per batch and, on the per-shot path, the total gadget
+    Checks the shots per batch, the batches and the shots in all, then, up
+    to the enumeration limit, the branch states the enumerated tree of a
+    ``qubits``-qubit register may hold, and beyond it the total gadget
     merges ``batches * shots * (2**rounds - 1)``, before anything is built.
     """
     if shots > MAX_SHOTS_PER_BATCH:
         raise ResourceLimitError(
             f"{shots} shots per batch exceed the limit of {MAX_SHOTS_PER_BATCH}")
+    if batches > MAX_BATCHES or batches * shots > MAX_RUN_SHOTS:
+        raise ResourceLimitError(
+            f"{batches} x {shots} shots exceed the limits of {MAX_BATCHES} batches and"
+            f" {MAX_RUN_SHOTS:.0e} shots in all")
+    if rounds <= MAX_BRUTE_FORCE_ROUNDS:
+        check_enumeration_budget(rounds, qubits)
+        return
     # the budget is far below 2**64, so a capped exponent gives the same verdict
     merges = batches * shots * (2 ** min(rounds, 64) - 1)
-    if rounds > MAX_BRUTE_FORCE_ROUNDS and merges > MAX_SHOT_MERGES:
+    if merges > MAX_SHOT_MERGES:
         raise ResourceLimitError(
             f"{batches} x {shots} shots at {rounds} rounds exceed the limit of"
             f" {MAX_SHOT_MERGES:.0e} gadget merges")
 
 
-def _outcome_probs(state: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    q = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, state, vecs))
-    q = np.clip(q, 0.0, None)
-    return q / q.sum()
+def _outcome_cdf(states: np.ndarray, index: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row k: the CDF of the eigenvectors ``vecs`` measured on ``states[index[k]]``.
 
-
-def sample_observable(state: np.ndarray, obs: np.ndarray,
-                      rng: np.random.Generator) -> float:
-    """One projective measurement outcome: an eigenvalue of ``obs``.
-
-    The eigenvalue is selected by index from the eigendecomposition, drawn
-    with probability Tr(Pi_j rho).
+    Each row is what ``Generator.choice(p=...)`` builds from the clamped,
+    normalized probabilities Tr(Pi_j rho): their cumulative sum, divided by
+    its last entry. States are gathered one chunk at a time.
     """
-    vals, vecs = np.linalg.eigh(check_observable(obs))
-    q = _outcome_probs(np.asarray(state, dtype=complex), vecs)
-    return float(vals[rng.choice(vals.size, p=q)])
+    q = np.empty((len(index), vecs.shape[1]))
+    step = chunk_rows(16 * vecs.size)
+    for lo in range(0, len(index), step):
+        q[lo:lo + step] = np.real(np.einsum("ij,bjk,ki->bi", vecs.conj().T,
+                                            states[index[lo:lo + step]], vecs))
+    q = np.clip(q, 0.0, None)
+    cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
+    return cdf / cdf[:, -1:]
 
 
-def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator):
-    """Draw one outcome string node by node through the merge tree.
+def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
+                        shots: int = 1) -> OutcomeBranches:
+    """Draw ``shots`` outcome strings node by node through the merge tree.
 
-    Every node's sign is drawn with its conditional probability given the
-    two child states; zero-probability branches are never drawn. Returns
-    the outcome string (left subtree, right subtree, root order) and the
-    resulting ``ConditionalOutcome``.
+    The shots walk the tree together, one stacked gadget call per node.
+    Every node's sign is drawn for all shots from one vector of uniforms,
+    each with its conditional probability given the shot's two child
+    states; zero-probability branches are never drawn. Returns the drawn
+    branches, one per shot, with their strings in outcome-string order.
     """
     def draw(left, right):
-        overlap = float(np.real(np.trace(left @ right)))
-        return 1 if rng.random() < 0.5 * (1.0 + overlap) else -1
+        overlap = (left @ right).trace(axis1=-2, axis2=-1).real
+        return np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
 
-    branch = walk_tree(rho, rounds, draw)
-    return np.array(branch.outcomes, dtype=int), branch
+    return walk_tree(rho, rounds, draw, shots)
 
 
-def _measure(records: np.ndarray, sel, branch: ConditionalOutcome, vals: np.ndarray,
-             vecs: np.ndarray, rng: np.random.Generator) -> None:
-    """Record the parity of ``branch`` and one observable draw on it per shot in ``sel``."""
-    records[sel, 0] = branch.parity
-    q = _outcome_probs(branch.state, vecs)
-    records[sel, 1] = vals[rng.choice(vals.size, size=len(sel), p=q)]
+def _measure(records: np.ndarray, shots: np.ndarray, rows: np.ndarray, parity: np.ndarray,
+             cdf: np.ndarray, vals: np.ndarray, rng: np.random.Generator) -> None:
+    """Record a parity and one observable draw for each shot in ``shots``.
+
+    Shot ``shots[k]`` sits on row ``rows[k]`` of ``parity`` and of the
+    eigenvalue CDFs ``cdf``. Its draw is the inverse CDF at the k-th of
+    ``len(shots)`` uniforms, which is how ``Generator.choice(p=...)`` draws,
+    so the stream matches one ``choice`` per row group in ``shots`` order.
+    """
+    u = rng.random(len(shots))
+    records[shots, 0] = parity[rows]
+    step = chunk_rows(8 * cdf.shape[1])
+    for lo in range(0, len(shots), step):
+        part = slice(lo, lo + step)
+        records[shots[part], 1] = vals[np.sum(cdf[rows[part]] <= u[part, None], axis=1)]
+
+
+def sampling_tree(rho: np.ndarray, rounds: int) -> OutcomeBranches | None:
+    """The enumerated outcome tree that ``simulate_shots`` draws branches from.
+
+    None beyond the enumeration limit, where every shot walks its own tree.
+    Enumeration draws no random numbers, so one tree serves any number of
+    batches.
+    """
+    return enumerate_outcomes(rho, rounds) if rounds <= MAX_BRUTE_FORCE_ROUNDS else None
 
 
 def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: np.random.Generator, tree: OutcomeBranches | None = None) -> np.ndarray:
     """(n_shots, 2) array of (parity, observable outcome) records.
 
-    Up to the enumeration limit the outcome tree is walked exactly once
-    and shots are drawn vectorized from the joint branch/eigenvalue
-    distribution, which is identical to the node-by-node draw: first the
-    branch of every shot, then each drawn branch, in index order, measures
-    its shots in shot order. Beyond the limit the sequential sampler is used
-    per shot.
+    Up to the enumeration limit, shots are drawn vectorized from the joint
+    branch/eigenvalue distribution of the enumerated tree, which is
+    identical to the node-by-node draw: first the branch of every shot,
+    then the observable of every shot, grouped by branch in index order
+    and in shot order within a branch. ``tree``, if given, is
+    ``sampling_tree(rho, rounds)`` from an earlier batch; it is enumerated
+    here otherwise. Beyond the limit the shots walk the tree together, in
+    chunks of ``CHUNK_BYTES``, and each chunk then draws its observables.
     """
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
     vals, vecs = np.linalg.eigh(check_observable(obs))
     records = np.empty((n_shots, 2), dtype=float)
     if rounds <= MAX_BRUTE_FORCE_ROUNDS:
-        branches = enumerate_outcomes(rho, rounds)
-        probs = np.array([b.probability for b in branches])
+        branches = enumerate_outcomes(rho, rounds) if tree is None else tree
+        probs = branches.probability
         which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
-        # shots grouped by branch, each group in shot order
         order = np.argsort(which, kind="stable")
-        counts = np.bincount(which)
-        ends = np.cumsum(counts)
-        for k in np.flatnonzero(counts):
-            _measure(records, order[ends[k] - counts[k]:ends[k]], branches[k], vals, vecs, rng)
+        # only the branches drawn need their observable distribution
+        drawn, rows = np.unique(which[order], return_inverse=True)
+        _measure(records, order, rows, branches.parity[drawn],
+                 _outcome_cdf(branches.state, drawn, vecs), vals, rng)
         return records
-    for k in range(n_shots):
-        _measure(records, [k], sample_outcome_tree(rho, rounds, rng)[1], vals, vecs, rng)
+    step = chunk_rows(16 * vals.size ** 2)
+    for lo in range(0, n_shots, step):
+        shots = np.arange(lo, min(lo + step, n_shots))
+        drawn = sample_outcome_tree(rho, rounds, rng, len(shots))
+        rows = np.arange(len(shots))
+        _measure(records, shots, rows, drawn.parity, _outcome_cdf(drawn.state, rows, vecs),
+                 vals, rng)
     return records
 
 

@@ -27,6 +27,7 @@ from .states import (
     ResourceLimitError,
     ValidationError,
     fidelity,
+    num_qubits,
     project_to_density,
     purity,
     spectral_decomposition,  # noqa: F401 -- perfbench/spans.py hooks this name
@@ -37,8 +38,16 @@ from .states import (
 # unreachable and its conditional state undefined.
 PROB_FLOOR = 1e-14
 
-# Exhaustive enumeration walks 2**(2**rounds - 1) outcome strings.
+# Exhaustive enumeration walks 2**(2**rounds - 1) outcome strings and holds a
+# d x d complex state for each reachable one: up to 2**15 * 4**M * 16 B at
+# four rounds, which the byte limit admits up to M = 5 (512 MiB).
 MAX_BRUTE_FORCE_ROUNDS = 4
+MAX_ENUMERATION_BYTES = 2 ** 29
+
+# Most bytes of matrices one stacked step builds at once. Longer stacks of
+# merges, and of shots, run in chunks of this size, so working memory does
+# not grow with the number of branches, shots or qubits.
+CHUNK_BYTES = 2 ** 22
 
 
 class DegenerateOutcomeError(RuntimeError):
@@ -53,113 +62,183 @@ def _tree_rounds(n_outcomes: int) -> int:
     return rounds
 
 
+def chunk_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes one chunk holds; at least one."""
+    return max(1, CHUNK_BYTES // row_bytes)
+
+
 @dataclass(frozen=True)
-class ConditionalOutcome:
-    """State and bookkeeping of one branch of the purification tree."""
+class OutcomeBranches:
+    """Branches of the purification tree, stacked along a leading axis.
+
+    ``state`` is (B, d, d), ``probability`` and ``parity`` are (B,), and
+    row b of ``outcomes`` (B, 2**rounds - 1) is the sign string of branch b.
+    One branch is the B = 1 case.
+    """
 
     state: np.ndarray
-    probability: float
-    parity: int
-    outcomes: tuple[int, ...]
+    probability: np.ndarray
+    parity: np.ndarray
+    outcomes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probability)
 
 
 # ----------------------------------------------------------------------
 # The elementary gadget
 # ----------------------------------------------------------------------
 
-def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign: int):
-    """Post-measurement state and probability of one SWAP merge.
+def _sign_probability(cross: np.ndarray, sign) -> np.ndarray:
+    """(1 + sign Tr(cross)) / 2 for each product cross = rho_a rho_b of a stack."""
+    return 0.5 * (1.0 + sign * cross.trace(axis1=-2, axis2=-1).real)
+
+
+def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
+    """Post-measurement state and probability of one SWAP merge, or of a stack.
 
     Returns ``(state, probability)`` for the chosen sign, the probability
     being (1 + sign Tr(rho_a rho_b)) / 2; the state is re-symmetrized and
-    clamped back onto the PSD manifold. Raises
-    ``DegenerateOutcomeError`` when the branch has (numerically) zero
-    probability, e.g. the antisymmetric outcome of identical pure inputs.
+    clamped back onto the PSD manifold. Stacks ``(..., d, d)`` of pairs,
+    with one sign or a sign per pair, merge pair by pair with the same
+    result as one call each, and the probability takes the stack's shape.
+    Raises ``DegenerateOutcomeError`` when any requested branch has
+    (numerically) zero probability, e.g. the antisymmetric outcome of
+    identical pure inputs.
     """
     rho_a = np.asarray(rho_a, dtype=complex)
     rho_b = np.asarray(rho_b, dtype=complex)
-    if rho_a.shape != rho_b.shape:
-        raise ValidationError("gadget inputs must have equal dimensions")
-    if sign not in (1, -1):
+    if rho_a.shape != rho_b.shape or rho_a.ndim < 2 or rho_a.shape[-1] != rho_a.shape[-2]:
+        raise ValidationError("gadget inputs must be square matrices of equal dimensions")
+    sign = np.asarray(sign)
+    if (np.abs(sign) != 1).any():
         raise ValidationError("sign must be +1 or -1")
     cross = rho_a @ rho_b
-    prob = 0.5 * (1.0 + sign * float(np.real(np.trace(cross))))
-    if prob < PROB_FLOOR:
+    prob = _sign_probability(cross, sign)
+    unreachable = prob < PROB_FLOOR
+    if unreachable.any():
+        first = np.argmax(unreachable)
         raise DegenerateOutcomeError(
-            f"outcome sign {sign:+d} has probability {prob} (unreachable branch)")
-    raw = (rho_a + rho_b + sign * (cross + cross.conj().T)) / (4.0 * prob)
-    return project_to_density(raw), prob
+            f"outcome sign {int(np.broadcast_to(sign, prob.shape).flat[first]):+d} has"
+            f" probability {prob.flat[first]} (unreachable branch)")
+    # (rho_a + rho_b + sign (cross + cross^dagger)) / (4 prob), built in place
+    raw = rho_a + rho_b
+    cross += cross.conj().swapaxes(-1, -2)
+    cross *= sign[..., None, None]
+    raw += cross
+    del cross
+    raw /= 4.0 * prob[..., None, None]
+    return project_to_density(raw), (prob if prob.ndim else float(prob))
 
 
 # ----------------------------------------------------------------------
 # Outcome tree
 # ----------------------------------------------------------------------
 
-def walk_tree(rho: np.ndarray, rounds: int, choose_sign) -> ConditionalOutcome:
-    """Merge 2**rounds copies of ``rho`` through a ``rounds``-level tree.
+def walk_tree(rho: np.ndarray, rounds: int, choose_sign, shots: int = 1) -> OutcomeBranches:
+    """Merge 2**rounds copies of ``rho`` through a ``rounds``-level tree, ``shots`` times.
 
     The walk is post-order: left subtree, right subtree, then the node, so
-    signs are chosen, and recorded, in outcome-string order.
-    ``choose_sign(left, right)`` picks each node's sign from its two child
-    states; the probability is the product of the per-node probabilities.
+    signs are chosen, and recorded, in outcome-string order. Every node is
+    one stacked ``swap_gadget`` call over all shots: ``choose_sign(left,
+    right)`` picks the node's sign for each shot from the (shots, d, d)
+    child states. A branch's probability is the product of its per-node
+    probabilities.
     """
     rho = np.asarray(rho, dtype=complex)
+    leaf = np.broadcast_to(rho, (shots,) + rho.shape)
 
     def walk(level: int):
         if level == 0:
-            return rho, 1.0, ()
+            return leaf, np.ones(shots), []
         left, prob_l, out_l = walk(level - 1)
         right, prob_r, out_r = walk(level - 1)
         sign = choose_sign(left, right)
         state, prob = swap_gadget(left, right, sign)
-        return state, prob_l * prob_r * prob, out_l + out_r + (sign,)
+        return state, prob_l * prob_r * prob, out_l + out_r + [sign]
 
-    state, prob, outs = walk(rounds)
-    return ConditionalOutcome(state=state, probability=prob, parity=math.prod(outs),
-                              outcomes=outs)
+    state, prob, signs = walk(rounds)
+    outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+    return OutcomeBranches(state=state, probability=prob, parity=np.prod(outcomes, axis=1),
+                           outcomes=outcomes)
 
 
-def conditional_state(rho: np.ndarray, outcomes) -> ConditionalOutcome:
-    """Conditional state after a full outcome string.
+def conditional_state(rho: np.ndarray, outcomes) -> OutcomeBranches:
+    """Conditional states after full outcome strings.
 
-    ``outcomes`` holds 2**rounds - 1 signs ordered left subtree, right
-    subtree, root; all leaves carry the same input state.
+    ``outcomes`` is one string of 2**rounds - 1 signs, ordered left
+    subtree, right subtree, root, or a (B, 2**rounds - 1) stack of them;
+    all leaves carry the same input state.
     """
-    sig = tuple(int(s) for s in outcomes)
-    if any(s not in (1, -1) for s in sig):
+    strings = np.atleast_2d(np.asarray(outcomes))
+    if strings.ndim != 2 or not np.all((strings == 1) | (strings == -1)):
         raise ValidationError("outcomes must be +1 or -1")
-    signs = iter(sig)
-    return walk_tree(rho, _tree_rounds(len(sig)), lambda left, right: next(signs))
+    columns = iter(strings.T.astype(int))
+    return walk_tree(rho, _tree_rounds(strings.shape[1]), lambda left, right: next(columns),
+                     len(strings))
 
 
-def enumerate_outcomes(rho: np.ndarray, rounds: int) -> list[ConditionalOutcome]:
-    """All reachable outcome branches of a ``rounds``-level tree.
+def check_enumeration_budget(rounds: int, qubits: int) -> None:
+    """Raise ``ResourceLimitError`` unless ``enumerate_outcomes`` may run.
 
-    Branches that ``swap_gadget`` rejects as unreachable are skipped; the
-    surviving probabilities still sum to one. Left and right subtrees share
-    the same branch set, so each level is built once and combined pairwise.
+    Checks the rounds, then the bytes of branch states the last level may
+    hold, before anything is built.
     """
     if rounds > MAX_BRUTE_FORCE_ROUNDS:
         raise ResourceLimitError(
             f"exhaustive enumeration limited to rounds <= {MAX_BRUTE_FORCE_ROUNDS}")
+    size = 2 ** (2 ** max(rounds, 0) - 1) * 16 * 4 ** qubits
+    if size > MAX_ENUMERATION_BYTES:
+        raise ResourceLimitError(
+            f"enumerating {rounds} rounds on {qubits} qubits may hold {size / 2 ** 20:.0f} MiB"
+            f" of branch states, over the limit of {MAX_ENUMERATION_BYTES / 2 ** 20:.0f} MiB")
+
+
+def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
+    """All reachable outcome branches of a ``rounds``-level tree.
+
+    Left and right subtrees share the same branch set, so each level is
+    built once and merges every (left, right, sign) triple of the level
+    below: left outermost, then right, then sign +1 before -1. Triples whose
+    node probability falls below ``PROB_FLOOR`` are unreachable and skipped
+    before the merge; the surviving probabilities still sum to one. The
+    rest merge in one stacked ``swap_gadget`` call per chunk.
+    """
     rho = np.asarray(rho, dtype=complex)
-    level = [ConditionalOutcome(state=rho, probability=1.0, parity=1, outcomes=())]
+    check_enumeration_budget(rounds, num_qubits(rho.shape[0]))
+    level = OutcomeBranches(state=rho[None], probability=np.ones(1), parity=np.ones(1, dtype=int),
+                            outcomes=np.ones((1, 0), dtype=np.int8))
     for _ in range(rounds):
-        merged = []
-        for a in level:
-            for b in level:
-                for sign in (1, -1):
-                    try:
-                        state, prob = swap_gadget(a.state, b.state, sign)
-                    except DegenerateOutcomeError:
-                        continue
-                    merged.append(ConditionalOutcome(
-                        state=state,
-                        probability=a.probability * b.probability * prob,
-                        parity=a.parity * b.parity * sign,
-                        outcomes=a.outcomes + b.outcomes + (sign,)))
-        level = merged
+        level = _merge_level(level)
     return level
+
+
+def _merge_level(level: OutcomeBranches) -> OutcomeBranches:
+    """Every reachable (left, right, sign) merge of ``level`` with itself."""
+    n, d = len(level), level.state.shape[-1]
+    states = level.state
+    # node probabilities of both signs for every pair, by the gadget's own expression
+    probs = np.empty((n, n, 2))
+    step = chunk_rows(16 * d * d * n)
+    for lo in range(0, n, step):
+        cross = states[lo:lo + step, None] @ states[None]
+        probs[lo:lo + step, :, 0] = _sign_probability(cross, 1)
+        probs[lo:lo + step, :, 1] = _sign_probability(cross, -1)
+    left, right, minus = np.nonzero(probs >= PROB_FLOOR)
+    sign = 1 - 2 * minus
+    merged = OutcomeBranches(
+        state=np.empty((len(sign), d, d), dtype=complex),
+        probability=level.probability[left] * level.probability[right],
+        parity=level.parity[left] * level.parity[right] * sign,
+        outcomes=np.concatenate([level.outcomes[left], level.outcomes[right], sign[:, None]],
+                                axis=1, dtype=np.int8))
+    step = chunk_rows(16 * d * d)
+    for lo in range(0, len(sign), step):
+        part = slice(lo, lo + step)
+        merged.state[part], prob = swap_gadget(states[left[part]], states[right[part]],
+                                               sign[part])
+        merged.probability[part] *= prob
+    return merged
 
 
 def parity_weighted_sum(rho: np.ndarray, rounds: int):
@@ -168,22 +247,20 @@ def parity_weighted_sum(rho: np.ndarray, rounds: int):
     Equals the unnormalized matrix power rho**(2**rounds); this is the
     module's core oracle against the spectral shortcut.
     """
-    total = np.zeros_like(np.asarray(rho, dtype=complex))
-    for branch in enumerate_outcomes(rho, rounds):
-        total += branch.probability * branch.parity * branch.state
+    branches = enumerate_outcomes(rho, rounds)
+    total = np.tensordot(branches.probability * branches.parity, branches.state, axes=1)
     return total, float(np.real(np.trace(total)))
 
 
 def plain_sum_check(rho: np.ndarray, rounds: int) -> float:
     """Max entrywise deviation of sum_sigma P_sigma rho_sigma from the input."""
     rho = np.asarray(rho, dtype=complex)
-    total = np.zeros_like(rho)
-    for branch in enumerate_outcomes(rho, rounds):
-        total += branch.probability * branch.state
+    branches = enumerate_outcomes(rho, rounds)
+    total = np.tensordot(branches.probability, branches.state, axes=1)
     return float(np.max(np.abs(total - rho)))
 
 
-def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> ConditionalOutcome:
+def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> OutcomeBranches:
     """Two-round conditional state from its closed form, no recursion.
 
     Expresses the (s1, s2, s3) branch directly through the matrix powers
@@ -213,8 +290,9 @@ def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> ConditionalOutcom
         + ((s1 * s3 + s2 * s3) / (p1 * p2 * p3)) * rho3
         + (s1 * s2 * s3 / (p1 * p2 * p3)) * rho4
     ) / 8.0
-    return ConditionalOutcome(state=state, probability=p1 * p2 * p3,
-                              parity=s1 * s2 * s3, outcomes=(s1, s2, s3))
+    return OutcomeBranches(state=state[None], probability=np.array([p1 * p2 * p3]),
+                           parity=np.array([s1 * s2 * s3]),
+                           outcomes=np.array([[s1, s2, s3]], dtype=np.int8))
 
 
 # ----------------------------------------------------------------------

@@ -186,28 +186,40 @@ def purity(rho: np.ndarray) -> float:
 # Spectral path
 # ----------------------------------------------------------------------
 
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return mat.conj().swapaxes(-1, -2)
+
+
 def spectral_decomposition(rho: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of the symmetrized matrix.
 
     The matrix is symmetrized to (rho + rho^dagger)/2 before the Hermitian
     eigensolver; small negative eigenvalues from numerical noise are clamped
     to zero and the spectrum renormalized to unit sum, which keeps iterated
-    maps on the PSD manifold.
+    maps on the PSD manifold. A stack ``(..., d, d)`` is decomposed matrix
+    by matrix, with the same result as one call per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    herm = (rho + rho.conj().T) / 2
+    herm = rho + _dagger(rho)
+    herm /= 2
     vals, vecs = np.linalg.eigh(herm)
     vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
-    if total <= 0.0:
+    total = vals.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValidationError("all-zero spectrum: input has no positive weight")
     return vals / total, vecs
 
 
 def project_to_density(mat: np.ndarray) -> np.ndarray:
-    """Nearest well-formed density matrix: symmetrize, clamp, renormalize."""
+    """Nearest well-formed density matrix: symmetrize, clamp, renormalize.
+
+    Accepts a stack ``(..., d, d)`` and projects each matrix on its own.
+    """
     vals, vecs = spectral_decomposition(mat)
-    return (vecs * vals) @ vecs.conj().T
+    scaled = vecs * vals[..., None, :]
+    # V diag(vals) V^dagger, conjugating V in place to spare a copy of the stack
+    return scaled @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

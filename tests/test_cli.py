@@ -295,6 +295,10 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["sample", "--ell", "1", "--shots", "10", "--svg", "s.svg"],
     ["twirl-check", "--svg", "s.svg"],
     ["purify", "--ell", "2..1", "--svg", "s.svg"],
+    ["sample", "--state", "zero^1", "--ell", "4", "--shots", "2", "--batches", "100000"],
+    ["sample", "--ell", "1", "--shots", "1000000", "--batches", "51"],
+    ["sample", "--ell", "4", "--M", "6", "--shots", "10"],
+    ["sample", "--ell", "4", "--state", "plus^8", "--shots", "10"],
 ])
 def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
     # twirl-check has no --channel: the flag would be an error of its own
@@ -305,6 +309,21 @@ def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
     assert _exit_code(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error" in err
+
+
+def test_sample_enumerates_the_tree_once_per_run(tmp_path, monkeypatch):
+    # 20 batches of 2 shots at l = 4 share one enumeration; each batch is one CSV row
+    import pqec.montecarlo
+    calls = []
+    enumerate_once = pqec.montecarlo.enumerate_outcomes
+    monkeypatch.setattr(pqec.montecarlo, "enumerate_outcomes",
+                        lambda *args: calls.append(args) or enumerate_once(*args))
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--state", "zero^1", "--channel", "local-depol", "--p", "0.01",
+                 "--ell", "4", "--shots", "2", "--batches", "20", "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 21
 
 
 def test_usage_errors_exit_one(tmp_path):

@@ -1,28 +1,44 @@
+import math
+
 import numpy as np
 import pytest
 
 from pqec import (
+    NoiseModel,
     ShotRecord,
     conditional_state,
     density_from_pure,
     enumerate_outcomes,
     estimate_observable,
     extract_observable_exact,
+    make_channel,
     maximally_mixed,
     pauli_matrix,
     random_density_matrix,
     ratio_estimate,
     required_samples,
-    sample_observable,
     sample_outcome_tree,
     simulate_shots,
     zero_state,
 )
-from pqec.montecarlo import MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, check_sampling_budget
+from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
+    check_sampling_budget
+from pqec.purify import check_observable
 from pqec.states import ResourceLimitError, ValidationError
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
 Z = pauli_matrix("Z")
+
+
+def sample_observable(state, obs, rng):
+    """One projective measurement outcome: an eigenvalue of ``obs``.
+
+    The eigenvalue is selected by index from the eigendecomposition, drawn
+    with probability Tr(Pi_j rho).
+    """
+    vals, vecs = np.linalg.eigh(check_observable(obs))
+    q = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, state, vecs)), 0.0, None)
+    return float(vals[rng.choice(vals.size, p=q / q.sum())])
 
 
 # ----------------------------------------------------------------------
@@ -80,22 +96,22 @@ def test_sample_outcome_tree_pure_state():
     rng = np.random.default_rng(1)
     rho = density_from_pure(zero_state(1))
     for _ in range(20):
-        outs, branch = sample_outcome_tree(rho, 2, rng)
-        assert np.all(outs == 1)
-        assert branch.parity == 1
+        branch = sample_outcome_tree(rho, 2, rng)
+        assert np.all(branch.outcomes == 1)
+        assert branch.parity[0] == 1
 
 
 def test_sample_outcome_tree_single_round_frequency():
     rng = np.random.default_rng(2)
     n = 20000
-    plus = sum(sample_outcome_tree(DIAG, 1, rng)[0][0] == 1 for _ in range(n))
+    plus = sum(sample_outcome_tree(DIAG, 1, rng).outcomes[0, 0] == 1 for _ in range(n))
     assert plus / n == pytest.approx(0.84, abs=0.01)
 
 
 def test_sample_outcome_tree_mixed_state_frequency():
     rng = np.random.default_rng(3)
     n = 20000
-    plus = sum(sample_outcome_tree(maximally_mixed(1), 1, rng)[0][0] == 1
+    plus = sum(sample_outcome_tree(maximally_mixed(1), 1, rng).outcomes[0, 0] == 1
                for _ in range(n))
     assert plus / n == pytest.approx(0.75, abs=0.011)
 
@@ -104,12 +120,11 @@ def test_sample_outcome_tree_chi_square():
     # node-by-node draws must reproduce the product distribution over strings
     rng = np.random.default_rng(4)
     branches = enumerate_outcomes(DIAG, 2)
-    probs = {b.outcomes: b.probability for b in branches}
+    probs = dict(zip(map(tuple, branches.outcomes.tolist()), branches.probability))
     n = 20000
     counts = {key: 0 for key in probs}
     for _ in range(n):
-        outs, _ = sample_outcome_tree(DIAG, 2, rng)
-        counts[tuple(outs)] += 1
+        counts[tuple(sample_outcome_tree(DIAG, 2, rng).outcomes[0].tolist())] += 1
     chi2 = sum((counts[k] - n * p) ** 2 / (n * p) for k, p in probs.items())
     assert chi2 < 26.1  # 99.9% quantile at 7 degrees of freedom
 
@@ -121,12 +136,61 @@ def test_sample_outcome_tree_matches_conditional_state():
         for rounds in (1, 2, 3):
             rho = random_density_matrix(qubits, rng)
             for _ in range(4):
-                outs, branch = sample_outcome_tree(rho, rounds, rng)
+                branch = sample_outcome_tree(rho, rounds, rng)
+                outs = branch.outcomes[0]
                 fixed = conditional_state(rho, outs)
-                assert branch.outcomes == fixed.outcomes == tuple(outs)
+                assert np.array_equal(branch.outcomes, fixed.outcomes)
                 assert np.max(np.abs(branch.state - fixed.state)) < 1e-12
                 assert branch.probability == pytest.approx(fixed.probability, rel=1e-12)
                 assert branch.parity == fixed.parity == np.prod(outs)
+
+
+def _string_codes(outcomes):
+    """Each sign string read as a binary number, -1 as a set bit."""
+    return (outcomes == -1) @ (2 ** np.arange(outcomes.shape[1])[::-1])
+
+
+def _chi_square_quantile(df):
+    """Wilson-Hilferty approximation of the 99.9% quantile of chi-square(df)."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + 3.0902 * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("rounds, n", [(2, 20000), (3, 60000)])
+def test_batched_tree_walk_chi_square(rounds, n):
+    # one call walks all shots together; the strings follow the enumerated distribution
+    rng = np.random.default_rng(40 + rounds)
+    rho = random_density_matrix(1, rng)
+    branches = enumerate_outcomes(rho, rounds)
+    drawn = sample_outcome_tree(rho, rounds, rng, n)
+    assert drawn.outcomes.shape == (n, 2 ** rounds - 1)
+    expected = n * branches.probability
+    found = {code: k for k, code in enumerate(_string_codes(branches.outcomes))}
+    counts = np.bincount([found[code] for code in _string_codes(drawn.outcomes)],
+                         minlength=len(branches))
+    # cells expecting fewer than five draws are pooled into one
+    small = expected < 5
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if not small.any():
+        obs, exp = obs[:-1], exp[:-1]
+    chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    assert chi2 < _chi_square_quantile(len(obs) - 1)
+
+
+def test_batched_tree_walk_matches_conditional_state():
+    # every string of a batched walk, evaluated as given, lands on the drawn branch
+    rng = np.random.default_rng(13)
+    for qubits in (1, 2):
+        for rounds in (1, 3, 5):
+            rho = random_density_matrix(qubits, rng)
+            drawn = sample_outcome_tree(rho, rounds, rng, 200)
+            fixed = conditional_state(rho, drawn.outcomes)
+            assert np.array_equal(drawn.outcomes, fixed.outcomes)
+            assert np.max(np.abs(drawn.state - fixed.state)) < 1e-12
+            assert np.max(np.abs(drawn.probability / fixed.probability - 1.0)) < 1e-12
+            assert np.array_equal(drawn.parity, fixed.parity)
+            assert np.array_equal(drawn.parity, np.prod(drawn.outcomes, axis=1))
 
 
 def test_sample_observable_examples():
@@ -168,16 +232,16 @@ def _per_branch_scan(rho, obs, rounds, n_shots, rng):
     vals, vecs = np.linalg.eigh(obs)
     records = np.empty((n_shots, 2))
     branches = enumerate_outcomes(rho, rounds)
-    probs = np.array([b.probability for b in branches])
+    probs = branches.probability
     which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
-    for k, branch in enumerate(branches):
+    for k in range(len(branches)):
         sel = np.flatnonzero(which == k)
         if sel.size == 0:
             continue
-        q = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, branch.state, vecs)),
+        q = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, branches.state[k], vecs)),
                     0.0, None)
         draws = rng.choice(vals.size, size=sel.size, p=q / q.sum())
-        records[sel, 0] = branch.parity
+        records[sel, 0] = branches.parity[k]
         records[sel, 1] = vals[draws]
     return records
 
@@ -192,6 +256,30 @@ def test_enumeration_path_matches_per_branch_scan(seed):
             fast = simulate_shots(rho, obs, rounds, 3000, np.random.default_rng(seed))
             slow = _per_branch_scan(rho, obs, rounds, 3000, np.random.default_rng(seed))
             assert np.array_equal(fast, slow)
+
+
+def test_enumeration_path_stream_is_pinned():
+    # the benchmark's l=4 state: these are the values every version since 0.2.0 draws
+    rho = make_channel(NoiseModel("local-depol", 0.01), 1)(density_from_pure(zero_state(1)))
+    res = ratio_estimate(simulate_shots(rho, Z, 4, 100_000, np.random.default_rng(1)))
+    assert res.numerator_mean == 0.89904
+    assert res.denominator_mean == 0.89916
+
+
+def test_chunk_size_changes_no_enumeration_draw(monkeypatch):
+    # chunks of a few matrices give the same tree and, up to l = 4, the same shots
+    rng = np.random.default_rng(8)
+    rho = random_density_matrix(2, rng)
+    obs = pauli_matrix("ZX")
+    whole = enumerate_outcomes(rho, 3)
+    shots = simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3))
+    monkeypatch.setattr("pqec.purify.CHUNK_BYTES", 3 * 16 * 4 * 4)
+    chunked = enumerate_outcomes(rho, 3)
+    for field in ("state", "probability", "parity", "outcomes"):
+        assert np.array_equal(getattr(whole, field), getattr(chunked, field))
+    assert np.array_equal(shots, simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3)))
+    walked = simulate_shots(rho, obs, 5, 50, np.random.default_rng(3))
+    assert set(np.unique(walked)) <= {-1.0, 1.0}
 
 
 def test_simulate_shots_unbiased_components():
@@ -238,3 +326,13 @@ def test_sampling_budget():
                                    (1, MAX_SHOTS_PER_BATCH + 1, 1)):
         with pytest.raises(ResourceLimitError):
             check_sampling_budget(rounds, shots, batches)
+    # batches and shots in all count on every path, and so does the enumerated
+    # tree's register size: four rounds fit M = 5 but not M = 6
+    check_sampling_budget(4, 100_000, 1, 5)
+    check_sampling_budget(4, 2, MAX_BATCHES)
+    for rounds, shots, batches, qubits in ((4, 2, MAX_BATCHES + 1, 1), (1, 2, 10**5, 1),
+                                           (4, MAX_SHOTS_PER_BATCH, 51, 1),
+                                           (2, MAX_RUN_SHOTS // 5000 + 1, 5000, 1),
+                                           (4, 2, 1, 6), (4, 2, 1, 8)):
+        with pytest.raises(ResourceLimitError):
+            check_sampling_budget(rounds, shots, batches, qubits)

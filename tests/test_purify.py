@@ -33,6 +33,7 @@ from pqec import (
     werner_state,
     zero_state,
 )
+from pqec.purify import check_enumeration_budget
 from pqec.states import ResourceLimitError, ValidationError
 
 
@@ -126,6 +127,31 @@ def test_gadget_degenerate_branch():
         swap_gadget(rho, rho, -1)
 
 
+def test_stacked_gadget_matches_per_pair_calls():
+    # one call over a stack of pairs, signs mixed, is bit for bit the per-pair calls
+    rng = np.random.default_rng(23)
+    for qubits in (1, 2, 3):
+        rho_a = np.stack([random_density_matrix(qubits, rng) for _ in range(9)])
+        rho_b = np.stack([random_density_matrix(qubits, rng) for _ in range(9)])
+        signs = rng.choice([1, -1], size=9)
+        states, probs = swap_gadget(rho_a, rho_b, signs)
+        assert states.shape == rho_a.shape and probs.shape == (9,)
+        for k in range(9):
+            state, prob = swap_gadget(rho_a[k], rho_b[k], int(signs[k]))
+            assert np.array_equal(states[k], state)
+            assert probs[k] == prob
+
+
+def test_stacked_gadget_rejects_any_unreachable_pair():
+    rng = np.random.default_rng(24)
+    pure = density_from_pure(plus_state(1))
+    rho_a = np.stack([random_density_matrix(1, rng), pure, random_density_matrix(1, rng)])
+    rho_b = np.stack([random_density_matrix(1, rng), pure, random_density_matrix(1, rng)])
+    swap_gadget(rho_a, rho_b, np.array([1, 1, -1]))
+    with pytest.raises(DegenerateOutcomeError):
+        swap_gadget(rho_a, rho_b, np.array([1, -1, 1]))
+
+
 def test_gadget_shape_and_sign_validation():
     with pytest.raises(ValidationError):
         swap_gadget(maximally_mixed(1), maximally_mixed(2), +1)
@@ -139,9 +165,10 @@ def test_gadget_shape_and_sign_validation():
 
 def test_conditional_state_single_round():
     branch = conditional_state(DIAG, (1,))
-    assert branch.probability == pytest.approx(0.84, abs=1e-12)
-    assert branch.parity == 1
-    assert np.allclose(np.diag(branch.state).real, [6 / 7, 1 / 7], atol=1e-12)
+    assert len(branch) == 1
+    assert branch.probability[0] == pytest.approx(0.84, abs=1e-12)
+    assert branch.parity[0] == 1
+    assert np.allclose(np.diag(branch.state[0]).real, [6 / 7, 1 / 7], atol=1e-12)
 
 
 def test_conditional_state_pure_input():
@@ -174,8 +201,54 @@ def test_enumerate_skips_unreachable_branches():
     rho = density_from_pure(zero_state(1))
     branches = enumerate_outcomes(rho, 2)
     assert len(branches) == 1
-    assert branches[0].outcomes == (1, 1, 1)
-    assert branches[0].probability == pytest.approx(1.0, abs=1e-12)
+    assert branches.outcomes.tolist() == [[1, 1, 1]]
+    assert branches.probability[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_pair_enumeration(rho, rounds):
+    """The outcome tree merged one (left, right, sign) triple per gadget call."""
+    level = [(rho, 1.0, 1, ())]
+    for _ in range(rounds):
+        merged = []
+        for state_a, prob_a, parity_a, out_a in level:
+            for state_b, prob_b, parity_b, out_b in level:
+                for sign in (1, -1):
+                    try:
+                        state, prob = swap_gadget(state_a, state_b, sign)
+                    except DegenerateOutcomeError:
+                        continue
+                    merged.append((state, prob_a * prob_b * prob, parity_a * parity_b * sign,
+                                   out_a + out_b + (sign,)))
+        level = merged
+    return level
+
+
+def test_enumeration_matches_per_pair_merges():
+    # stacking every level into chunked gadget calls changes no bit or order
+    rng = np.random.default_rng(25)
+    cases = [(random_density_matrix(m, rng), 3) for m in (1, 2, 3)]
+    cases.append((make_channel(NoiseModel("local-depol", 0.3), 2)(
+        density_from_pure(plus_state(2))), 2))
+    cases.append((density_from_pure(zero_state(1)), 3))
+    for rho, rounds in cases:
+        branches = enumerate_outcomes(rho, rounds)
+        reference = _per_pair_enumeration(rho, rounds)
+        assert len(branches) == len(reference)
+        assert np.array_equal(branches.state, np.array([r[0] for r in reference]))
+        assert np.array_equal(branches.probability, np.array([r[1] for r in reference]))
+        assert np.array_equal(branches.parity, np.array([r[2] for r in reference]))
+        assert np.array_equal(branches.outcomes, np.array([r[3] for r in reference]))
+
+
+def test_enumeration_budget_by_register_size():
+    # four rounds hold up to 2**15 states of 4**M * 16 B: M = 5 fits, M = 6 does not
+    check_enumeration_budget(4, 5)
+    check_enumeration_budget(3, 8)
+    for rounds, qubits in ((4, 6), (4, 8), (5, 1)):
+        with pytest.raises(ResourceLimitError):
+            check_enumeration_budget(rounds, qubits)
+    with pytest.raises(ResourceLimitError):
+        enumerate_outcomes(maximally_mixed(6), 4)
 
 
 def test_parity_weighted_sum_single_round():
@@ -285,12 +358,11 @@ def test_extract_observable_matches_outcome_sum():
     z = pauli_matrix("Z")
     rho = random_density_matrix(1, rng)
     for rounds in (1, 2, 3):
-        num = 0.0
-        den = 0.0
-        for branch in enumerate_outcomes(rho, rounds):
-            value = float(np.real(np.trace(z @ branch.state)))
-            num += branch.probability * branch.parity * value
-            den += branch.probability * branch.parity
+        branches = enumerate_outcomes(rho, rounds)
+        weights = branches.probability * branches.parity
+        values = np.real(np.trace(z @ branches.state, axis1=1, axis2=2))
+        num = float(np.sum(weights * values))
+        den = float(np.sum(weights))
         assert extract_observable_exact(z, rho, rounds) == pytest.approx(
             num / den, abs=1e-9)
 
