@@ -78,4 +78,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"

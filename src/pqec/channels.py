@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PAULI_LABELS, ValidationError, from_pauli_basis, pauli_matrix, \
+from .purify import chunk_rows
+from .states import PAULI_LABELS, ValidationError, from_pauli_basis, num_qubits, pauli_matrix, \
     to_pauli_basis
 
 # Fixed default seed for subset twirling; documented in the README. Chosen so
@@ -79,12 +80,14 @@ class NoiseModel:
 def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Multiply the coefficient of every Pauli string P in rho by lam[P].
 
-    O(M 4**M) and, unlike the Pauli expansion, not limited in M.
+    O(M 4**M) and, unlike the Pauli expansion, not limited in M. A stack
+    ``(..., d, d)`` is mapped matrix by matrix, with the same result as one
+    call each.
     """
-    coeffs = to_pauli_basis(rho)
-    if coeffs.shape != lam.shape:
-        raise ValidationError(f"channel acts on {lam.ndim} qubits, input on {coeffs.ndim}")
-    return from_pauli_basis(coeffs * lam)
+    qubits = num_qubits(np.shape(rho)[-1])
+    if qubits != lam.ndim:
+        raise ValidationError(f"channel acts on {lam.ndim} qubits, input on {qubits}")
+    return from_pauli_basis(to_pauli_basis(rho) * lam, qubits)
 
 
 # ----------------------------------------------------------------------
@@ -124,16 +127,46 @@ def _seeded_damping_shares(qubits: int, fraction: float, seed: int) -> np.ndarra
     """shares[P + (k,)]: fraction of the sequences that damp P on exactly k qubits.
 
     A sequence's eigenvalue on P is (1-2p)**k, so this is the p-independent
-    part of the twirl.
+    part of the twirl. The counts are exact integers, divided once at the
+    end.
     """
-    gates = generate_twirl_set(qubits, fraction, seed)
-    one_hot = np.eye(qubits + 1)
-    shares = np.zeros((4,) * qubits + (qubits + 1,))
-    for seq in gates:
-        shares += one_hot[functools.reduce(np.add.outer, [_DAMPED[g] for g in seq])]
-    shares = shares / len(gates)
+    if fraction == 1.0:
+        counts, total = _full_damping_counts(qubits), 3 ** qubits
+    else:
+        gates = generate_twirl_set(qubits, fraction, seed)
+        counts, total = _subset_damping_counts(qubits, gates), len(gates)
+    shares = counts / total
     shares.flags.writeable = False
     return shares
+
+
+def _full_damping_counts(qubits: int) -> np.ndarray:
+    """Damping counts of all 3**M sequences, in O(M 4**M).
+
+    The set is a product over qubits: no frame damps I, and two of the three
+    damp each of X, Y and Z. So a string of weight w is damped on k qubits
+    by comb(w, k) 2**k 3**(M - w) sequences, the x**k coefficient of the
+    per-qubit product 3**(M - w) (1 + 2x)**w.
+    """
+    weight = functools.reduce(np.add.outer, [np.array([0, 1, 1, 1])] * qubits)[..., None]
+    k = np.arange(qubits + 1)
+    comb = np.array([[math.comb(n, j) for j in k] for n in k])
+    return comb[weight, k] * 2 ** k * 3 ** (qubits - weight)
+
+
+def _subset_damping_counts(qubits: int, gates) -> np.ndarray:
+    """Damping counts of the listed sequences, by ``np.bincount`` over chunks of them."""
+    flat = np.arange(4 ** qubits) * (qubits + 1)
+    counts = np.zeros(4 ** qubits * (qubits + 1), dtype=np.int64)
+    step = chunk_rows(8 * 4 ** qubits)
+    for lo in range(0, len(gates), step):
+        damped = np.array([[_DAMPED[g] for g in seq] for seq in gates[lo:lo + step]])
+        # damped-qubit count of every string, qubit 0 outermost as in the (4,)*M tensor
+        k = damped[:, 0]
+        for q in range(1, qubits):
+            k = (k[:, :, None] + damped[:, q, None, :]).reshape(len(damped), -1)
+        counts += np.bincount((flat + k).ravel(), minlength=counts.size)
+    return counts.reshape((4,) * qubits + (qubits + 1,))
 
 
 # ----------------------------------------------------------------------

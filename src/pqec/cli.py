@@ -28,8 +28,8 @@ from .purify import extract_observable_exact, purified_state
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
     bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
-from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, find_threshold, \
-    run_cycles, sweep
+from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, available_cpus, \
+    find_threshold, run_cycles, sweep
 
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
@@ -275,8 +275,8 @@ def _add_sweep(sub):
     sub.add_argument("--ell", default=ells, help=f"rounds values: list or a..b (default {ells})")
     sub.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
                      help=f"cycles per cell (default {DEFAULT_CYCLES})")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallel workers (default: cpu count)")
+    sub.add_argument("--jobs", type=int, default=available_cpus(),
+                     help="parallel workers (default: the CPUs this process may use)")
 
 
 def build_parser() -> _Parser:

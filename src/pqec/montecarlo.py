@@ -30,7 +30,8 @@ from .states import ResourceLimitError, ValidationError
 # - shots in all, batches x shots, and batches, since each batch adds a CSV
 #   row and a fixed cost: many tiny batches stay bounded too;
 # - beyond the enumeration limit, where every shot walks its own tree, gadget
-#   merges batches x shots x (2**rounds - 1). Stacked over the shots of a
+#   merges batches x shots x (2**rounds - 1), each weighted by (d/2)**2 =
+#   4**(M-1), so the limit is the M=1 count. Stacked over the shots of a
 #   batch, a merge takes about 3 us at M=1, 18 us at M=3 and 65 us at M=4 on
 #   one core of a 2-vCPU Xeon VM.
 MAX_SHOTS_PER_BATCH = 10 ** 6
@@ -102,7 +103,8 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
     Checks the shots per batch, the batches and the shots in all, then, up
     to the enumeration limit, the branch states the enumerated tree of a
     ``qubits``-qubit register may hold, and beyond it the total gadget
-    merges ``batches * shots * (2**rounds - 1)``, before anything is built.
+    merges ``batches * shots * (2**rounds - 1)`` weighted by
+    ``4**(qubits - 1)``, before anything is built.
     """
     if shots > MAX_SHOTS_PER_BATCH:
         raise ResourceLimitError(
@@ -115,11 +117,11 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
         check_enumeration_budget(rounds, qubits)
         return
     # the budget is far below 2**64, so a capped exponent gives the same verdict
-    merges = batches * shots * (2 ** min(rounds, 64) - 1)
+    merges = batches * shots * (2 ** min(rounds, 64) - 1) * 4 ** (qubits - 1)
     if merges > MAX_SHOT_MERGES:
         raise ResourceLimitError(
-            f"{batches} x {shots} shots at {rounds} rounds exceed the limit of"
-            f" {MAX_SHOT_MERGES:.0e} gadget merges")
+            f"{batches} x {shots} shots at {rounds} rounds on {qubits} qubits exceed the"
+            f" limit of {MAX_SHOT_MERGES:.0e} single-qubit gadget merges")
 
 
 def _outcome_cdf(states: np.ndarray, index: np.ndarray, vecs: np.ndarray) -> np.ndarray:

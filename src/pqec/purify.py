@@ -29,8 +29,9 @@ from .states import (
     fidelity,
     num_qubits,
     project_to_density,
+    power_spectrum,
     purity,
-    spectral_decomposition,  # noqa: F401 -- perfbench/spans.py hooks this name
+    spectral_decomposition,
     spectral_power,
 )
 
@@ -304,17 +305,34 @@ def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> OutcomeBranches:
 MAX_SPECTRAL_ROUNDS = 64
 
 
-def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
+def purified_state(rho: np.ndarray, rounds) -> np.ndarray:
     """rho**N / Tr(rho**N) with N = 2**rounds; rounds = 0 returns the input.
 
     Computed spectrally, so the eigenbasis of the output is the input's own
-    and the cost is one eigendecomposition regardless of ``rounds``.
+    and the cost is one eigendecomposition regardless of ``rounds``. A
+    stack ``(..., d, d)`` is purified matrix by matrix, with the same result
+    as one call each. A sequence of ``rounds`` values shares that one
+    decomposition and returns ``(..., len(rounds), d, d)``.
     """
-    if rounds < 0:
-        raise ValidationError("rounds must be >= 0")
-    if rounds == 0:
-        return np.asarray(rho, dtype=complex)
-    return spectral_power(rho, 2 ** min(rounds, MAX_SPECTRAL_ROUNDS)).normalized()
+    many = np.ndim(rounds) > 0
+    ells = tuple(int(r) for r in np.atleast_1d(rounds))
+    if min(ells, default=0) < 0:
+        raise ValidationError(f"rounds must be >= 0, got {min(ells)}")
+    rho = np.asarray(rho, dtype=complex)
+    decomposition = spectral_decomposition(rho) if any(ells) else None
+
+    def purify(ell):
+        # each power has its own scalar exponent, exactly as one call per value
+        if ell == 0:
+            return rho
+        return power_spectrum(*decomposition, 2 ** min(ell, MAX_SPECTRAL_ROUNDS)).normalized()
+
+    if not many:
+        return purify(ells[0])
+    out = np.empty(rho.shape[:-2] + (len(ells),) + rho.shape[-2:], dtype=complex)
+    for j, ell in enumerate(ells):
+        out[..., j, :, :] = purify(ell)
+    return out
 
 
 def check_observable(obs: np.ndarray) -> np.ndarray:

@@ -166,14 +166,19 @@ def random_density_matrix(qubits: int, rng: np.random.Generator) -> np.ndarray:
 # Scalar functionals
 # ----------------------------------------------------------------------
 
-def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> with a pure target state."""
+def fidelity(rho: np.ndarray, psi: np.ndarray):
+    """Overlap <psi|rho|psi> with a pure target state.
+
+    A stack ``(..., d, d)`` gives an array of overlaps, one per matrix, with
+    the same bits as one call each.
+    """
     rho = np.asarray(rho)
     psi = np.asarray(psi)
-    if rho.shape[0] != psi.shape[0]:
+    if rho.shape[-1] != psi.shape[0]:
         raise ValidationError(
-            f"dimension mismatch: state {rho.shape[0]}, target {psi.shape[0]}")
-    return float(np.real(psi.conj() @ rho @ psi))
+            f"dimension mismatch: state {rho.shape[-1]}, target {psi.shape[0]}")
+    overlap = np.real((psi.conj()[None, :] @ rho) @ psi[:, None])[..., 0, 0]
+    return float(overlap) if rho.ndim == 2 else overlap
 
 
 def purity(rho: np.ndarray) -> float:
@@ -228,28 +233,31 @@ class SpectralPower:
 
     Eigenvalues are divided by the largest one before powering, so the
     object stays finite for n as large as 2**30 even when the true trace
-    underflows; ``log_scale`` carries n*log(lambda_max).
+    underflows; ``log_scale`` carries n*log(lambda_max). For a stack of
+    matrices every field gains the stack's leading axes.
     """
 
     eigenvalues: np.ndarray   # (lambda_i / lambda_max) ** n, ascending
     eigenvectors: np.ndarray
-    log_scale: float
+    log_scale: float | np.ndarray
 
     @property
     def value(self) -> np.ndarray:
         """rho**n itself; underflows to zero for extreme n, by design."""
-        scaled = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return math.exp(self.log_scale) * scaled
+        return np.exp(self.log_scale)[..., None, None] * self._reconstruct(self.eigenvalues)
 
     @property
-    def trace(self) -> float:
+    def trace(self):
         """Tr(rho**n); may underflow to 0.0 for extreme n."""
-        return math.exp(self.log_scale) * float(self.eigenvalues.sum())
+        return np.exp(self.log_scale) * self.eigenvalues.sum(axis=-1)
 
     def normalized(self) -> np.ndarray:
         """rho**n / Tr(rho**n), computed without leaving the scaled form."""
-        weights = self.eigenvalues / self.eigenvalues.sum()
-        return (self.eigenvectors * weights) @ self.eigenvectors.conj().T
+        return self._reconstruct(self.eigenvalues / self.eigenvalues.sum(axis=-1, keepdims=True))
+
+    def _reconstruct(self, weights: np.ndarray) -> np.ndarray:
+        # V diag(weights) V^dagger, matrix by matrix for a stack
+        return (self.eigenvectors * weights[..., None, :]) @ _dagger(self.eigenvectors)
 
 
 # Any eigenvalue ratio below one powered by 2**64 or more is already 0.0 in
@@ -260,17 +268,24 @@ _POWER_CAP = 2 ** 64
 def spectral_power(rho: np.ndarray, power: int) -> SpectralPower:
     """Matrix power rho**power through the eigendecomposition.
 
-    The eigenbasis is the input's own; only the spectrum is powered.
+    The eigenbasis is the input's own; only the spectrum is powered. A
+    stack ``(..., d, d)`` is powered matrix by matrix, with the same result
+    as one call each.
     """
+    return power_spectrum(*spectral_decomposition(rho), power)
+
+
+def power_spectrum(vals: np.ndarray, vecs: np.ndarray, power: int) -> SpectralPower:
+    """``spectral_power`` from a ``spectral_decomposition`` already made."""
     if power < 1:
         raise ValidationError("power must be >= 1")
-    vals, vecs = spectral_decomposition(rho)
-    lam_max = vals[-1]
-    scaled = (vals / lam_max) ** float(min(power, _POWER_CAP))
+    lam_max = vals[..., -1]
+    # one scalar exponent for the whole stack, as for a single matrix
+    scaled = (vals / lam_max[..., None]) ** float(min(power, _POWER_CAP))
     try:
-        log_scale = power * math.log(lam_max)
+        log_scale = power * np.log(lam_max)
     except OverflowError:  # power beyond the float range: n log(lam) is 0 or -inf
-        log_scale = -math.inf if lam_max < 1.0 else 0.0
+        log_scale = np.where(lam_max < 1.0, -np.inf, 0.0)
     return SpectralPower(eigenvalues=scaled, eigenvectors=vecs, log_scale=log_scale)
 
 
@@ -295,19 +310,31 @@ def _each_qubit(t: np.ndarray, mat: np.ndarray, qubits: int) -> np.ndarray:
 
 
 def to_pauli_basis(rho: np.ndarray) -> np.ndarray:
-    """Complex tensor Tr(rho P), shape (4,)*M, IXYZ axes; O(M 4**M), no qubit guard."""
+    """Complex tensor Tr(rho P), shape (4,)*M, IXYZ axes; O(M 4**M), no qubit guard.
+
+    A stack ``(..., d, d)`` gives ``(...,) + (4,)*M``, matrix by matrix.
+    """
     rho = np.asarray(rho, dtype=complex)
-    m = num_qubits(rho.shape[0])
-    t = rho.reshape((2,) * (2 * m)).transpose([a for q in range(m) for a in (q, m + q)])
-    return _each_qubit(t, _TO_PAULI, m).reshape((4,) * m)
+    m = num_qubits(rho.shape[-1])
+    t = rho.reshape((-1,) + (2,) * (2 * m))
+    # pair each qubit's row and column axes; the stack axis goes last, so
+    # that the passes of ``_each_qubit`` bring it out first
+    t = t.transpose([1 + a for q in range(m) for a in (q, m + q)] + [0])
+    return _each_qubit(t, _TO_PAULI, m).reshape(rho.shape[:-2] + (4,) * m)
 
 
-def from_pauli_basis(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of ``to_pauli_basis``: 2**-M sum_P coeffs[P] P, with no qubit guard."""
-    m = coeffs.ndim
-    t = _each_qubit(coeffs, _FROM_PAULI, m).reshape((2,) * (2 * m))
-    rows_then_cols = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    return t.transpose(rows_then_cols).reshape(2 ** m, 2 ** m)
+def from_pauli_basis(coeffs: np.ndarray, qubits: int | None = None) -> np.ndarray:
+    """Inverse of ``to_pauli_basis``: 2**-M sum_P coeffs[P] P, with no qubit guard.
+
+    The last ``qubits`` axes (all by default) are the Pauli axes; any axes
+    before them are a stack, mapped matrix by matrix.
+    """
+    m = coeffs.ndim if qubits is None else qubits
+    stack = coeffs.shape[:coeffs.ndim - m]
+    t = coeffs.reshape((-1,) + (4,) * m).transpose(list(range(1, m + 1)) + [0])
+    t = _each_qubit(t, _FROM_PAULI, m).reshape((-1,) + (2,) * (2 * m))
+    rows_then_cols = [0] + list(range(1, 2 * m, 2)) + list(range(2, 2 * m + 1, 2))
+    return t.transpose(rows_then_cols).reshape(stack + (2 ** m, 2 ** m))
 
 
 def _check_pauli_budget(qubits: int) -> None:

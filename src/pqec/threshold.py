@@ -6,6 +6,14 @@ recorded after every cycle. The logical error rate is the first-cycle
 fidelity drop F(0) - F(1), and the threshold of a channel family is the
 error probability where the logical-error curves for different numbers of
 purification rounds cross.
+
+The engine runs a whole (p, rounds) grid in lock-step as one (P, L, d, d)
+stack of states. Each cycle applies every p's channel to that p's L
+states, makes one stacked eigendecomposition per rounds value, and takes
+every fidelity in one call. The first cycle starts all rounds values of a
+p from the same noisy state, so it decomposes that state once. Every step
+acts matrix by matrix, so a trace has the same bits as a run of its cell
+alone, however the grid is split into blocks.
 """
 
 from __future__ import annotations
@@ -14,11 +22,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .channels import NoiseModel, make_channel
-from .purify import purified_state, werner_fidelity_update
+from .purify import CHUNK_BYTES, purified_state, werner_fidelity_update
 from .states import ValidationError, check_pure_state, density_from_pure, fidelity, num_qubits
 
 DEFAULT_P_COUNT = 41
@@ -29,6 +38,13 @@ DEFAULT_CYCLES = 30
 # crossing; covers floating-point noise at exact-threshold grid points.
 ZERO_TOL = 1e-12
 
+# Most bytes of states one lock-step block of a sweep holds. A cycle makes a
+# few working copies of its block, so every stacked step stays well inside
+# CHUNK_BYTES. Larger blocks save no time but raise peak memory: the
+# benchmark's five threshold sweeps peaked 13 MB higher with 3.4 MB blocks
+# and 1.5 MB higher with 512 KiB ones, while below 256 KiB they slow down.
+BLOCK_BYTES = CHUNK_BYTES // 16
+
 
 class UndefinedSteadyStateError(ValueError):
     """The analytic steady-state expression has no real solution here."""
@@ -36,11 +52,16 @@ class UndefinedSteadyStateError(ValueError):
 
 @dataclass(frozen=True)
 class CycleTrace:
-    """Fidelity record F(0..T) of one channel-then-purify experiment."""
+    """Fidelity record F(0..T) of channel-then-purify experiments.
+
+    ``fidelities`` is (cycles + 1,) for one model and one rounds value, and
+    gains a leading axis for a sequence of models and then one for a
+    sequence of rounds values, as given to ``run_cycles``.
+    """
 
     fidelities: np.ndarray
-    channel: NoiseModel
-    rounds: int
+    channel: NoiseModel | tuple[NoiseModel, ...]
+    rounds: int | tuple[int, ...]
     qubits: int
     cycles: int
 
@@ -80,28 +101,40 @@ class ThresholdEstimate:
 # Cycles
 # ----------------------------------------------------------------------
 
-def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds: int,
-               cycles: int) -> CycleTrace:
+def run_cycles(psi0: np.ndarray, model, rounds, cycles: int) -> CycleTrace:
     """Iterate channel-then-purify from a pure target, recording fidelity.
 
     ``rounds`` = 0 applies the channel only. The purification uses the exact
     spectral map, matching the deterministic curves the threshold analysis
-    is defined on.
+    is defined on. ``model`` and ``rounds`` broadcast like numpy arguments:
+    one ``NoiseModel`` and one rounds value give fidelities of shape
+    (cycles + 1,); a sequence of P models and a sequence of L rounds values
+    give (P, L, cycles + 1), every cell run in lock-step.
     """
     if cycles < 1:
         raise ValidationError("cycles must be >= 1")
     psi0 = check_pure_state(psi0)
     qubits = num_qubits(psi0.size)
-    channel = make_channel(model, qubits)
+    models = (model,) if isinstance(model, NoiseModel) else tuple(model)
+    ells = tuple(int(r) for r in np.atleast_1d(rounds))
+    channels = [make_channel(m, qubits) for m in models]
     rho = density_from_pure(psi0)
-    fids = np.empty(cycles + 1)
-    fids[0] = fidelity(rho, psi0)
-    for t in range(1, cycles + 1):
-        rho = channel(rho)
-        rho = purified_state(rho, rounds)
-        fids[t] = fidelity(rho, psi0)
-    return CycleTrace(fidelities=fids, channel=model, rounds=rounds,
-                      qubits=qubits, cycles=cycles)
+    fids = np.empty((len(models), len(ells), cycles + 1))
+    fids[..., 0] = fidelity(rho, psi0)
+    # every cell of a p starts from the same noisy state: one decomposition
+    # per p serves all rounds values in the first cycle
+    rho = purified_state(np.stack([channel(rho) for channel in channels]), ells)
+    fids[..., 1] = fidelity(rho, psi0)
+    for t in range(2, cycles + 1):
+        for i, channel in enumerate(channels):
+            rho[i] = channel(rho[i])
+        for j, ell in enumerate(ells):
+            rho[:, j] = purified_state(rho[:, j], ell)
+        fids[..., t] = fidelity(rho, psi0)
+    # a scalar argument drops its axis, as in numpy broadcasting
+    scalar = [isinstance(model, NoiseModel), np.ndim(rounds) == 0]
+    return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),
+                      channel=model, rounds=rounds, qubits=qubits, cycles=cycles)
 
 
 def logical_error_rate(trace: CycleTrace) -> float:
@@ -150,31 +183,24 @@ def werner_cycle_fidelities(dim: int, p: float, rounds: int, cycles: int) -> np.
 # Sweeps
 # ----------------------------------------------------------------------
 
-class SweepCellError(RuntimeError):
-    """A sweep cell failed; carries the (p, rounds) coordinates."""
-
-    def __init__(self, p: float, rounds: int, cause: Exception):
-        super().__init__(f"sweep cell p={p}, rounds={rounds}: {cause}")
-        self.p = p
-        self.rounds = rounds
-
-
-def _sweep_cell(args):
-    psi0, model, rounds, cycles = args
-    try:
-        trace = run_cycles(psi0, model, rounds, cycles)
-    except Exception as exc:
-        raise SweepCellError(model.p, rounds, exc) from exc
-    return trace.fidelities
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
           cycles: int = DEFAULT_CYCLES, jobs: int = 1) -> SweepResult:
     """One trace per (p, rounds) cell; cells are independent and deterministic.
 
-    ``model`` acts as a template whose ``p`` is replaced per cell. ``jobs``
-    > 1 distributes cells in chunks over a process pool of at most ``jobs``
-    workers, and no more than there are CPUs or cells.
+    ``model`` acts as a template whose ``p`` is replaced per grid point.
+    Blocks of consecutive p values run in lock-step, one ``run_cycles``
+    call each, and no block holds more than ``BLOCK_BYTES`` of states. At
+    ``jobs`` = 1 that is the whole grid where it fits; ``jobs`` > 1 splits
+    the grid into one block per worker, over a process pool of at most
+    ``jobs`` workers, and no more than there are CPUs or blocks. The traces
+    do not depend on the split.
     """
     if jobs < 1 or cycles < 1:
         raise ValidationError(f"jobs ({jobs}) and cycles ({cycles}) must be >= 1")
@@ -183,17 +209,22 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     rounds_list = tuple(int(r) for r in rounds_list)
     if p_values.size == 0 or len(rounds_list) == 0:
         raise ValidationError("sweep grid must be nonempty")
+    if min(rounds_list) < 0:
+        raise ValidationError(f"rounds must be >= 0, got {min(rounds_list)}")
     qubits = num_qubits(psi0.size)
-    cells = [(psi0, replace(model, p=float(p)), r, cycles)
-             for p in p_values for r in rounds_list]
-    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    models = [replace(model, p=float(p)) for p in p_values]
+    workers = min(jobs, available_cpus(), len(models))
+    step = min(max(1, BLOCK_BYTES // (16 * psi0.size ** 2 * len(rounds_list))),
+               math.ceil(len(models) / workers))
+    blocks = [models[lo:lo + step] for lo in range(0, len(models), step)]
+    workers = min(workers, len(blocks))
     if workers > 1:
-        chunk = max(1, len(cells) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells, chunksize=chunk))
+            results = list(pool.map(run_cycles, repeat(psi0), blocks, repeat(rounds_list),
+                                    repeat(cycles)))
     else:
-        results = [_sweep_cell(c) for c in cells]
-    traces = np.array(results).reshape(p_values.size, len(rounds_list), cycles + 1)
+        results = [run_cycles(psi0, block, rounds_list, cycles) for block in blocks]
+    traces = np.concatenate([result.fidelities for result in results])
     gamma = traces[:, :, 0] - traces[:, :, 1]
     steady = traces[:, :, -1]
     return SweepResult(p_values=p_values, rounds=rounds_list, gamma=gamma,

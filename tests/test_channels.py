@@ -24,7 +24,7 @@ from pqec import (
     werner_state,
     zero_state,
 )
-from pqec.channels import CHANNEL_KINDS, FRAME_LABELS
+from pqec.channels import _DAMPED, CHANNEL_KINDS, FRAME_LABELS, _seeded_damping_shares
 from pqec.states import MAX_PAULI_QUBITS
 
 
@@ -247,6 +247,36 @@ def test_twirl_kernel_matches_conjugation_oracle(qubits, fraction):
         oracle = lambda x: twirl_by_conjugation(x, p, tset)
         chan = make_channel(NoiseModel("twirled-dephasing", p, fraction, DEFAULT_SEED), qubits)
         assert channel_matrix_equality(oracle, chan, qubits) < 1e-12
+
+
+def damping_shares_one_hot(qubits, fraction, seed):
+    """The damping table by one one-hot (4,)*M x (M+1) tensor per sequence."""
+    gates = generate_twirl_set(qubits, fraction, seed)
+    one_hot = np.eye(qubits + 1)
+    shares = np.zeros((4,) * qubits + (qubits + 1,))
+    for seq in gates:
+        shares += one_hot[functools.reduce(np.add.outer, [_DAMPED[g] for g in seq])]
+    return shares / len(gates)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_damping_counts_match_one_hot_construction(qubits):
+    for fraction in (1.0, 0.2):
+        for seed in (DEFAULT_SEED, 10):
+            assert np.array_equal(_seeded_damping_shares(qubits, fraction, seed),
+                                  damping_shares_one_hot(qubits, fraction, seed))
+
+
+def test_channel_maps_a_stack_matrix_by_matrix():
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3, 5):
+        stack = np.stack([random_density_matrix(m, rng) for _ in range(6)]).reshape(2, 3, 2 ** m,
+                                                                                  2 ** m)
+        for model in (NoiseModel("local-depol", 0.3), NoiseModel("global-depol", 0.3),
+                      NoiseModel("twirled-dephasing", 0.3, 0.2)):
+            chan = make_channel(model, m)
+            one_by_one = np.array([[chan(rho) for rho in row] for row in stack])
+            assert np.array_equal(chan(stack), one_by_one)
 
 
 def test_full_twirl_bloch_example():

@@ -336,3 +336,9 @@ def test_sampling_budget():
                                            (4, 2, 1, 6), (4, 2, 1, 8)):
         with pytest.raises(ResourceLimitError):
             check_sampling_budget(rounds, shots, batches, qubits)
+    # beyond four rounds a merge on M qubits counts 4**(M - 1) single-qubit merges
+    check_sampling_budget(5, MAX_SHOT_MERGES // 31 // 64, 1, 4)
+    for rounds, shots, batches, qubits in ((5, MAX_SHOT_MERGES // 31 // 4 + 1, 1, 2),
+                                           (5, MAX_SHOT_MERGES // 31, 1, 4), (6, 100, 3, 8)):
+        with pytest.raises(ResourceLimitError):
+            check_sampling_budget(rounds, shots, batches, qubits)

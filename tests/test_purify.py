@@ -299,6 +299,22 @@ def test_purified_state_examples():
     assert np.allclose(purified_state(DIAG, 0), DIAG)
 
 
+
+def test_purified_state_stacks_and_round_lists():
+    # one decomposition serves a list of rounds; a stack purifies matrix by matrix
+    rng = np.random.default_rng(10)
+    stack = np.stack([random_density_matrix(2, rng) for _ in range(4)])
+    rounds = (0, 1, 3, 70)
+    many = purified_state(stack, rounds)
+    assert many.shape == (4, 4, 4, 4)
+    for b, rho in enumerate(stack):
+        for j, r in enumerate(rounds):
+            assert np.array_equal(many[b, j], purified_state(rho, r))
+            assert np.array_equal(purified_state(stack, r)[b], purified_state(rho, r))
+    assert np.array_equal(purified_state(stack, (0, 0)), np.stack([stack, stack], axis=1))
+    with pytest.raises(ValidationError, match="-2"):
+        purified_state(stack, (1, -2))
+
 def test_purity_monotone():
     rng = np.random.default_rng(3)
     for _ in range(20):

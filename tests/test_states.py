@@ -172,6 +172,28 @@ def test_pauli_roundtrip_and_norm_identity():
         assert purity(rho) == pytest.approx(np.sum(coeffs ** 2) / 2 ** m, abs=1e-10)
 
 
+def test_stacks_give_the_bits_of_one_call_each():
+    # Pauli basis changes, powers and overlaps map a stack matrix by matrix
+    rng = np.random.default_rng(9)
+    for m in (1, 2, 3, 5):
+        psi = random_pure_state(m, rng)
+        stack = np.stack([random_density_matrix(m, rng) for _ in range(6)]).reshape(3, 2, 2 ** m,
+                                                                                  2 ** m)
+        flat = stack.reshape(6, 2 ** m, 2 ** m)
+        coeffs = to_pauli_basis(stack)
+        assert coeffs.shape == (3, 2) + (4,) * m
+        assert np.array_equal(coeffs.reshape((6,) + (4,) * m),
+                              [to_pauli_basis(rho) for rho in flat])
+        assert np.array_equal(from_pauli_basis(coeffs, m).reshape(flat.shape),
+                              [from_pauli_basis(c) for c in coeffs.reshape((6,) + (4,) * m)])
+        for power in (2, 8, 2 ** 40):
+            assert np.array_equal(spectral_power(stack, power).normalized().reshape(flat.shape),
+                                  [spectral_power(rho, power).normalized() for rho in flat])
+        assert np.array_equal(spectral_power(stack, 4).trace.ravel(),
+                              [spectral_power(rho, 4).trace for rho in flat])
+        assert np.array_equal(fidelity(stack, psi).ravel(), [fidelity(rho, psi) for rho in flat])
+
+
 def test_pauli_expansion_guarded():
     with pytest.raises(ResourceLimitError):
         pauli_expand(maximally_mixed(7))

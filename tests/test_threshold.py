@@ -4,17 +4,32 @@ import pytest
 from pqec import (
     NoiseModel,
     UndefinedSteadyStateError,
+    bloch_state,
+    density_from_pure,
+    fidelity,
     find_threshold,
     logical_error_rate,
+    make_channel,
     plus_state,
+    purified_state,
     run_cycles,
     steady_state_fidelity_analytic,
     sweep,
     werner_cycle_fidelities,
 )
 from pqec import threshold
-from pqec.states import ValidationError
-from pqec.threshold import SweepCellError
+from pqec.states import ValidationError, num_qubits
+
+
+def cell_oracle(psi, model, rounds, cycles):
+    """One cell's trace by a plain loop over single matrices."""
+    channel = make_channel(model, num_qubits(psi.size))
+    rho = density_from_pure(psi)
+    fids = [fidelity(rho, psi)]
+    for _ in range(cycles):
+        rho = purified_state(channel(rho), rounds)
+        fids.append(fidelity(rho, psi))
+    return np.array(fids)
 
 
 # ----------------------------------------------------------------------
@@ -52,6 +67,19 @@ def test_logical_error_rate_examples():
 def test_run_cycles_validation():
     with pytest.raises(ValidationError):
         run_cycles(plus_state(1), NoiseModel("local-depol", 0.1), 1, 0)
+
+
+def test_run_cycles_broadcasts_models_and_rounds():
+    psi = plus_state(2)
+    models = [NoiseModel("local-depol", p) for p in (0.1, 0.3, 0.6)]
+    rounds = (0, 1, 3)
+    cells = np.array([[cell_oracle(psi, m, r, 4) for r in rounds] for m in models])
+    assert run_cycles(psi, models[1], 3, 4).fidelities.shape == (5,)
+    assert np.array_equal(run_cycles(psi, models, rounds, 4).fidelities, cells)
+    assert np.array_equal(run_cycles(psi, models, 1, 4).fidelities, cells[:, 1])
+    assert np.array_equal(run_cycles(psi, models[2], rounds, 4).fidelities, cells[2])
+    assert np.array_equal(run_cycles(psi, models[:1], rounds[1:], 1).fidelities,
+                          cells[:1, 1:, :2])
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +127,39 @@ def test_sweep_grid_and_monotonicity():
         assert np.all(result.gamma[1:, j] <= result.gamma[1:, j - 1] + 1e-10)
 
 
+ORACLE_MODELS = [NoiseModel("global-depol", 0.0), NoiseModel("local-depol", 0.0),
+                 NoiseModel("dephasing", 0.0), NoiseModel("twirled-dephasing", 0.0),
+                 NoiseModel("twirled-dephasing", 0.0, twirl_fraction=0.2, twirl_seed=7)]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{m.kind}-{m.twirl_fraction}")
+@pytest.mark.parametrize("psi", [plus_state(3), bloch_state(0.7, 0.3, 2)], ids=["plus3", "bloch2"])
+def test_sweep_traces_match_per_cell_oracle(psi, model):
+    p_values = np.linspace(0, 1, 6)
+    rounds = (0, 1, 2, 5)
+    result = sweep(psi, model, p_values, rounds, cycles=3)
+    for i, p in enumerate(p_values):
+        for j, r in enumerate(rounds):
+            oracle = cell_oracle(psi, NoiseModel(model.kind, float(p), model.twirl_fraction,
+                                                 model.twirl_seed), r, 3)
+            assert np.array_equal(result.traces[i, j], oracle), (p, r)
+
+
+def test_sweep_traces_do_not_depend_on_blocks(monkeypatch):
+    psi = bloch_state(0.7, 0.3, 3)
+    model = NoiseModel("local-depol", 0.0)
+    p_values = np.linspace(0, 1, 7)
+    whole = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=1)
+    halves = [run_cycles(psi, [NoiseModel("local-depol", float(p)) for p in part],
+                         (0, 1, 3), 4).fidelities for part in (p_values[:3], p_values[3:])]
+    assert np.array_equal(whole.traces, np.concatenate(halves))
+    # a byte budget of two p values per block splits the grid into four blocks
+    monkeypatch.setattr(threshold, "BLOCK_BYTES", 2 * 16 * 8 ** 2 * 3)
+    for jobs in (1, 2):
+        split = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=jobs)
+        assert np.array_equal(whole.traces, split.traces)
+
+
 def test_sweep_parallel_matches_serial():
     p_values = np.linspace(0, 1, 5)
     serial = sweep(plus_state(1), NoiseModel("dephasing", 0.0), p_values,
@@ -122,23 +183,32 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def _cpus(count):
+    return lambda pid: set(range(count))
 
 
 def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
+    # workers are capped at the CPUs this process may use and at the blocks
+    # of p values, whatever the number of rounds values
     monkeypatch.setattr(threshold, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(threshold.os, "cpu_count", lambda: 64)
     model = NoiseModel("dephasing", 0.0)
-    monkeypatch.setattr(threshold.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(2))
     sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=64)
-    monkeypatch.setattr(threshold.os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(16))
     sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0,), cycles=1, jobs=64)
     sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=4)
-    # one worker, or one cell, runs serially without a pool
-    sweep(plus_state(1), model, [0.1], (0,), cycles=1, jobs=64)
+    # five p values in blocks of two: three blocks for four workers
+    sweep(plus_state(1), model, np.linspace(0, 1, 5), (0, 1), cycles=1, jobs=4)
+    # one worker, or one p value, runs serially without a pool
+    sweep(plus_state(1), model, [0.1], (0, 1, 2), cycles=1, jobs=64)
     sweep(plus_state(1), model, [0.1, 0.2], (0,), cycles=1, jobs=1)
-    assert _RecordingPool.sizes == [2, 3, 4]
+    assert _RecordingPool.sizes == [2, 3, 3, 3]
     for jobs in (0, -3):
         with pytest.raises(ValidationError):
             sweep(plus_state(1), model, [0.1], (0,), cycles=1, jobs=jobs)
@@ -149,12 +219,16 @@ def test_sweep_rejects_empty_grid():
         sweep(plus_state(1), NoiseModel("dephasing", 0.0), [], (0, 1))
 
 
-def test_sweep_cell_errors_carry_coordinates():
-    with pytest.raises(SweepCellError) as info:
-        sweep(plus_state(1), NoiseModel("dephasing", 0.0), [0.1, 0.2], (0, -1),
-              cycles=3)
-    assert info.value.rounds == -1
-    assert "rounds=-1" in str(info.value)
+def test_sweep_rejects_negative_rounds_up_front(monkeypatch):
+    # checked before any cell runs or any worker starts
+    monkeypatch.setattr(threshold, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(threshold, "run_cycles", None)
+    for jobs in (1, 2):
+        with pytest.raises(ValidationError, match="-1"):
+            sweep(plus_state(1), NoiseModel("dephasing", 0.0), [0.1, 0.2], (0, -1),
+                  cycles=3, jobs=jobs)
+    assert _RecordingPool.sizes == []
 
 
 def test_sweep_strict_monotonicity_below_threshold():
