@@ -13,14 +13,17 @@ states, makes one stacked eigendecomposition per rounds value, and takes
 every fidelity in one call. The first cycle starts all rounds values of a
 p from the same noisy state, so it decomposes that state once. Every step
 acts matrix by matrix, so a trace has the same bits as a run of its cell
-alone, however the grid is split into blocks.
+alone, however the grid is split into blocks. Parallel blocks run on
+threads of the calling process: the stacked ``eigh`` and Pauli kernels
+release the interpreter lock, and no worker is forked or starts a BLAS
+thread pool of its own.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -198,9 +201,11 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     Blocks of consecutive p values run in lock-step, one ``run_cycles``
     call each, and no block holds more than ``BLOCK_BYTES`` of states. At
     ``jobs`` = 1 that is the whole grid where it fits; ``jobs`` > 1 splits
-    the grid into one block per worker, over a process pool of at most
-    ``jobs`` workers, and no more than there are CPUs or blocks. The traces
-    do not depend on the split.
+    the grid into one block per worker, over a pool of at most ``jobs``
+    threads in this process, and no more than there are CPUs or blocks.
+    The traces do not depend on the split, and ``p_values`` may come in any
+    order. Each ``eigh`` may itself use the BLAS library's threads, so more
+    workers pay only where BLAS runs single-threaded.
     """
     if jobs < 1 or cycles < 1:
         raise ValidationError(f"jobs ({jobs}) and cycles ({cycles}) must be >= 1")
@@ -219,7 +224,7 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     blocks = [models[lo:lo + step] for lo in range(0, len(models), step)]
     workers = min(workers, len(blocks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cycles, repeat(psi0), blocks, repeat(rounds_list),
                                     repeat(cycles)))
     else:
@@ -259,11 +264,14 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
     logical-error curves is located on the grid; the reported threshold is
     the median of the pairwise crossings. Each crossing carries the width
     of the grid interval that brackets it, and the widest of those is the
-    resolution reported with the threshold.
+    resolution reported with the threshold. The p grid must be strictly
+    increasing, since a crossing is read from left to right.
     """
     rounds_sorted = sorted(result.rounds)
     if len(rounds_sorted) < 2:
         raise ValidationError("threshold extraction needs >= 2 rounds values")
+    if np.any(np.diff(result.p_values) <= 0):
+        raise ValidationError("threshold extraction needs a strictly increasing p grid")
     order = {r: i for i, r in enumerate(result.rounds)}
     # an evenly spaced grid is even only up to rounding: report its step exactly
     widths = np.diff(result.p_values)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The heavy register-size-5
-sweeps use two worker processes and stay well inside their runtime budgets.
+sweeps use two worker threads and stay well inside their runtime budgets.
 """
 
 import math

@@ -287,6 +287,8 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["purify", "--ell", "1", "--M", "40"],
     ["sweep", "--jobs", "0"],
     ["threshold", "--jobs", "-3"],
+    ["threshold", "--p", "1:0:5", "--ell", "0,1"],
+    ["threshold", "--p", "0.2,0.1,0.9", "--ell", "0,1"],
     ["sweep", "--p", "0:1:1000000000"],
     ["threshold", "--ell", "0..1000000000"],
     ["cycle", "--ell", "1", "--cycles", "1000000000000"],

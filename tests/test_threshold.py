@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from pqec import (
     werner_cycle_fidelities,
 )
 from pqec import threshold
+from pqec.channels import _seeded_damping_shares
 from pqec.states import ValidationError, num_qubits
 
 
@@ -169,8 +172,33 @@ def test_sweep_parallel_matches_serial():
     assert np.array_equal(serial.traces, parallel.traces)
 
 
+def test_sweep_workers_are_threads_with_serial_bits(monkeypatch):
+    # blocks run on threads of this process: nothing forks, and two workers
+    # that build the same channel on a cold twirl cache give the serial bits
+    def no_fork():
+        raise AssertionError("sweep forked a worker process")
+
+    workers = set()
+
+    def recording_run_cycles(*args):
+        workers.add(threading.get_ident())
+        return run_cycles(*args)
+
+    monkeypatch.setattr(threshold.os, "fork", no_fork)
+    monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    monkeypatch.setattr(threshold, "run_cycles", recording_run_cycles)
+    psi = bloch_state(0.7, 0.3, 2)
+    p_values = np.linspace(0, 1, 5)
+    for model in ORACLE_MODELS:
+        _seeded_damping_shares.cache_clear()
+        parallel = sweep(psi, model, p_values, (0, 1, 3), cycles=3, jobs=2)
+        serial = sweep(psi, model, p_values, (0, 1, 3), cycles=3, jobs=1)
+        assert np.array_equal(parallel.traces, serial.traces), model
+    assert workers - {threading.get_ident()}
+
+
 class _RecordingPool:
-    """Serial stand-in for ProcessPoolExecutor that records its size."""
+    """Serial stand-in for ThreadPoolExecutor that records its size."""
 
     sizes = []
 
@@ -194,7 +222,7 @@ def _cpus(count):
 def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
     # workers are capped at the CPUs this process may use and at the blocks
     # of p values, whatever the number of rounds values
-    monkeypatch.setattr(threshold, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(threshold, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(threshold.os, "cpu_count", lambda: 64)
     model = NoiseModel("dephasing", 0.0)
@@ -221,7 +249,7 @@ def test_sweep_rejects_empty_grid():
 
 def test_sweep_rejects_negative_rounds_up_front(monkeypatch):
     # checked before any cell runs or any worker starts
-    monkeypatch.setattr(threshold, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(threshold, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(threshold, "run_cycles", None)
     for jobs in (1, 2):
@@ -287,6 +315,18 @@ def test_five_qubit_saturation_ladder():
         steadies.append(fids[30])
     assert steadies[0] == pytest.approx(1 / 32, abs=1e-3)
     assert steadies[0] < steadies[1] < steadies[2]
+
+
+@pytest.mark.parametrize("p_values", [[1.0, 0.75, 0.5, 0.25, 0.0], [0.2, 0.1, 0.9],
+                                      [0.1, 0.1, 0.2]])
+def test_threshold_needs_strictly_increasing_grid(p_values):
+    # sweep takes p in any order; a crossing is read from left to right
+    model = NoiseModel("local-depol", 0.0)
+    result = sweep(plus_state(1), model, p_values, (0, 1), cycles=2)
+    ordered = sweep(plus_state(1), model, np.sort(p_values), (0, 1), cycles=2)
+    assert np.array_equal(result.traces[np.argsort(p_values, kind="stable")], ordered.traces)
+    with pytest.raises(ValidationError, match="increasing"):
+        find_threshold(result)
 
 
 def test_threshold_no_crossing_status():
