@@ -22,8 +22,9 @@ rounds = (0, 1, 2, 3)
 
 for kind, qubits in (("global-depol", 1), ("local-depol", 1), ("dephasing", 1),
                      ("local-depol", 3)):
+    # the crossings read only gamma, the first cycle
     result = sweep(plus_state(qubits), NoiseModel(kind, 0.0), grid, rounds,
-                   cycles=15)
+                   cycles=1)
     estimate = find_threshold(result)
     pairs = ", ".join(f"({c.rounds_low},{c.rounds_high})->{c.p_cross:.3f}"
                       for c in estimate.crossing_pairs if c.p_cross is not None)

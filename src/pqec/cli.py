@@ -28,8 +28,8 @@ from .purify import extract_observable_exact, purified_state
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
     bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
-from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, find_threshold, \
-    run_cycles, sweep
+from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, check_threshold_grid, \
+    find_threshold, run_cycles, sweep
 
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
@@ -274,7 +274,8 @@ def _add_sweep(sub):
     ells = ",".join(str(e) for e in DEFAULT_ROUNDS)
     sub.add_argument("--ell", default=ells, help=f"rounds values: list or a..b (default {ells})")
     sub.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
-                     help=f"cycles per cell (default {DEFAULT_CYCLES})")
+                     help=f"cycles per cell (default {DEFAULT_CYCLES}); a threshold run "
+                          "records the value but reads only the first cycle")
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker threads, capped at the CPUs this process may use (default 1)")
 
@@ -422,13 +423,13 @@ def _cmd_cycle(args, parser) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args, parser):
+def _run_sweep(args, parser, cycles):
     """The sweep of a ``sweep`` or ``threshold`` run and its gamma chart."""
     psi = _resolve_state(args, parser)
     p_values = _p_grid(args, parser)
     ells = _ell_list(args, parser)
     model = _resolve_model(args, parser, float(p_values[0]))
-    result = sweep(psi, model, p_values, ells, cycles=args.cycles, jobs=args.jobs)
+    result = sweep(psi, model, p_values, ells, cycles=cycles, jobs=args.jobs)
     chart = dict(series=[(f"ell={ell}", result.p_values, result.gamma[:, j])
                          for j, ell in enumerate(result.rounds)],
                  title="logical error rate vs physical error rate",
@@ -437,7 +438,7 @@ def _run_sweep(args, parser):
 
 
 def _cmd_sweep(args, parser) -> int:
-    result, chart = _run_sweep(args, parser)
+    result, chart = _run_sweep(args, parser, args.cycles)
     rows = [(result.channel.kind, result.qubits, float(p), ell, result.cycles,
              float(result.gamma[i, j]), float(result.steady_fidelity[i, j]))
             for i, p in enumerate(result.p_values) for j, ell in enumerate(result.rounds)]
@@ -455,7 +456,10 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_threshold(args, parser) -> int:
-    result, chart = _run_sweep(args, parser)
+    check_threshold_grid(_p_grid(args, parser), _ell_list(args, parser))
+    # a crossing reads only gamma = F(0) - F(1), and the first cycle of a
+    # cell does not depend on how many follow it
+    result, chart = _run_sweep(args, parser, 1)
     estimate = find_threshold(result)
     rows = [(pair.rounds_low, pair.rounds_high,
              float("nan") if pair.p_cross is None else pair.p_cross,

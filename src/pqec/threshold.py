@@ -257,6 +257,19 @@ def _pair_crossing(p_values: np.ndarray, widths: np.ndarray, diff: np.ndarray):
     return None, None
 
 
+def check_threshold_grid(p_values, rounds) -> None:
+    """Reject a grid that ``find_threshold`` cannot read crossings from.
+
+    A crossing pairs two distinct rounds values, so none may repeat, and is
+    read from left to right, so p must strictly increase.
+    """
+    if len(rounds) < 2 or len(set(rounds)) != len(rounds):
+        raise ValidationError(
+            f"threshold extraction needs >= 2 distinct rounds values, got {rounds}")
+    if np.any(np.diff(p_values) <= 0):
+        raise ValidationError("threshold extraction needs a strictly increasing p grid")
+
+
 def find_threshold(result: SweepResult) -> ThresholdEstimate:
     """Crossing-point threshold from consecutive rounds pairs.
 
@@ -264,14 +277,12 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
     logical-error curves is located on the grid; the reported threshold is
     the median of the pairwise crossings. Each crossing carries the width
     of the grid interval that brackets it, and the widest of those is the
-    resolution reported with the threshold. The p grid must be strictly
-    increasing, since a crossing is read from left to right.
+    resolution reported with the threshold. Only ``gamma``, the first
+    cycle, is read, so a sweep of one cycle suffices. The grid must pass
+    ``check_threshold_grid``.
     """
+    check_threshold_grid(result.p_values, result.rounds)
     rounds_sorted = sorted(result.rounds)
-    if len(rounds_sorted) < 2:
-        raise ValidationError("threshold extraction needs >= 2 rounds values")
-    if np.any(np.diff(result.p_values) <= 0):
-        raise ValidationError("threshold extraction needs a strictly increasing p grid")
     order = {r: i for i, r in enumerate(result.rounds)}
     # an evenly spaced grid is even only up to rounding: report its step exactly
     widths = np.diff(result.p_values)

@@ -155,6 +155,68 @@ def test_threshold_grid_step_is_the_crossing_bracket(tmp_path):
     assert _header(out)["grid-step"] == f"{1 / 40:.17g}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--M", "6", "--ell", "3"],
+    ["--M", "1", "--ell", "1,1"],
+    ["--M", "1", "--ell", "0,1,1"],
+    ["--M", "6", "--p", "1,0.5,0"],
+])
+def test_threshold_checks_its_grid_before_sweeping(tmp_path, capsys, monkeypatch, argv):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("threshold swept a grid it cannot read a crossing from")
+
+    monkeypatch.setattr(pqec.cli, "sweep", no_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["threshold", "--channel", "local-depol", "--out", str(out)] + argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "threshold extraction needs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("channel", [["global-depol"], ["local-depol"], ["dephasing"],
+                                     ["dephasing", "--twirl", "0.2"]])
+def test_threshold_runs_one_cycle_whatever_cycles_says(tmp_path, monkeypatch, channel):
+    # the CSV is the same at any --cycles and --jobs, apart from the recorded
+    # config; every run_cycles call runs the one cycle gamma reads
+    cycles = []
+    run_cycles = pqec.threshold.run_cycles
+
+    def recording_run_cycles(psi0, model, rounds, count):
+        cycles.append(count)
+        return run_cycles(psi0, model, rounds, count)
+
+    monkeypatch.setattr(pqec.threshold, "run_cycles", recording_run_cycles)
+    monkeypatch.setattr(pqec.threshold, "available_cpus", lambda: 2)
+    base = ["threshold", "--channel"] + channel + ["--M", "3", "--p", "0:1:21",
+                                                   "--ell", "0,1,2,3"]
+    outputs = {}
+    for flags in (["--cycles", "1"], ["--cycles", "30"], ["--cycles", "30", "--jobs", "2"]):
+        out = tmp_path / f"{'-'.join(flags)}.csv"
+        code = main(base + flags + ["--out", str(out)])
+        outputs[" ".join(flags)] = code, out.read_text()
+    assert outputs["--cycles 30 --jobs 2"] == outputs["--cycles 30"]
+
+    def without_config(text):
+        return [line for line in text.splitlines() if not line.startswith("# config")]
+
+    (code1, text1), (code30, text30) = outputs["--cycles 1"], outputs["--cycles 30"]
+    assert code1 == code30 and without_config(text1) == without_config(text30)
+    assert '"cycles":30' in text30
+    assert len(cycles) > 3 and set(cycles) == {1}
+
+
+@pytest.mark.parametrize("channel, expected", [("local-depol", 0.75), ("dephasing", 0.50)])
+@pytest.mark.parametrize("qubits", [6, 7])
+def test_threshold_holds_at_any_register_size(tmp_path, channel, expected, qubits):
+    # the paper's thresholds do not depend on M, here on the default grid
+    out = tmp_path / "th.csv"
+    assert main(["threshold", "--channel", channel, "--M", str(qubits),
+                 "--out", str(out)]) == EXIT_OK
+    header = _header(out)
+    assert header["status"] == "ok"
+    assert abs(float(header["p-threshold"]) - expected) <= float(header["grid-step"])
+
+
 def test_sample_command(tmp_path):
     out = tmp_path / "sample.csv"
     code = main(["sample", "--channel", "local-depol", "--M", "1", "--p", "0.2",

@@ -329,6 +329,26 @@ def test_threshold_needs_strictly_increasing_grid(p_values):
         find_threshold(result)
 
 
+@pytest.mark.parametrize("rounds", [(1, 1), (0, 1, 1), (2, 0, 2, 1), (3,)])
+def test_threshold_needs_two_distinct_rounds_values(rounds):
+    # a repeated value would pair a curve with itself: a bogus always-below row
+    result = sweep(plus_state(1), NoiseModel("local-depol", 0.0), [0.0, 0.5, 1.0], rounds,
+                   cycles=1)
+    with pytest.raises(ValidationError, match="distinct rounds"):
+        find_threshold(result)
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{m.kind}-{m.twirl_fraction}")
+def test_gamma_does_not_depend_on_cycles(model):
+    # gamma is the first cycle, which a cell runs the same way however many follow
+    psi = bloch_state(0.7, 0.3, 3)
+    p_values = np.linspace(0, 1, 11)
+    one = sweep(psi, model, p_values, (0, 1, 2, 5), cycles=1)
+    many = sweep(psi, model, p_values, (0, 1, 2, 5), cycles=30)
+    assert np.array_equal(one.gamma, many.gamma)
+    assert np.array_equal(one.traces, many.traces[:, :, :2])
+
+
 def test_threshold_no_crossing_status():
     p_values = np.linspace(0, 0.3, 7)  # grid ends below the crossing
     result = sweep(plus_state(1), NoiseModel("local-depol", 0.0), p_values,
