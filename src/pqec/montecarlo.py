@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .purify import MAX_BRUTE_FORCE_ROUNDS, OutcomeBranches, check_enumeration_budget, \
-    check_observable, chunk_rows, enumerate_outcomes, walk_tree
-from .purify import swap_gadget  # noqa: F401 -- perfbench/spans.py hooks this name
-from .states import ResourceLimitError, ValidationError
+from .purify import MAX_BRUTE_FORCE_ROUNDS, LevelMerges, OutcomeBranches, \
+    check_enumeration_budget, check_observable, chunk_rows, enumerate_outcomes, level_merges, \
+    merge_states, swap_gadget, walk_tree
+from .states import ResourceLimitError, ValidationError, num_qubits
 
 # Budget of one sampling run, checked before anything is built:
 # - shots per batch, whose records are held in memory at once;
@@ -175,26 +175,36 @@ def _measure(records: np.ndarray, shots: np.ndarray, rows: np.ndarray, parity: n
         records[shots[part], 1] = vals[np.sum(cdf[rows[part]] <= u[part, None], axis=1)]
 
 
-def sampling_tree(rho: np.ndarray, rounds: int) -> OutcomeBranches | None:
-    """The enumerated outcome tree that ``simulate_shots`` draws branches from.
+def sampling_tree(rho: np.ndarray, rounds: int) -> LevelMerges | OutcomeBranches | None:
+    """The outcome tree that ``simulate_shots`` draws branches from.
 
-    None beyond the enumeration limit, where every shot walks its own tree.
-    Enumeration draws no random numbers, so one tree serves any number of
-    batches.
+    Up to the enumeration limit, the reachable merges of the last level
+    over the enumerated tree of ``rounds - 1`` levels: every branch's
+    probability, parity and string, but no state yet, since only the
+    branches that shots draw need one. Zero rounds give the one unmerged
+    branch, and None beyond the limit, where every shot walks its own tree.
+    The tree draws no random numbers, so one serves any number of batches.
     """
-    return enumerate_outcomes(rho, rounds) if rounds <= MAX_BRUTE_FORCE_ROUNDS else None
+    if rounds > MAX_BRUTE_FORCE_ROUNDS:
+        return None
+    check_enumeration_budget(rounds, num_qubits(np.shape(rho)[-1]))
+    if rounds == 0:
+        return enumerate_outcomes(rho, 0)
+    return level_merges(enumerate_outcomes(rho, rounds - 1))
 
 
 def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
-                   rng: np.random.Generator, tree: OutcomeBranches | None = None) -> np.ndarray:
+                   rng: np.random.Generator,
+                   tree: LevelMerges | OutcomeBranches | None = None) -> np.ndarray:
     """(n_shots, 2) array of (parity, observable outcome) records.
 
     Up to the enumeration limit, shots are drawn vectorized from the joint
     branch/eigenvalue distribution of the enumerated tree, which is
     identical to the node-by-node draw: first the branch of every shot,
     then the observable of every shot, grouped by branch in index order
-    and in shot order within a branch. ``tree``, if given, is
-    ``sampling_tree(rho, rounds)`` from an earlier batch; it is enumerated
+    and in shot order within a branch. Only the distinct branches drawn are
+    merged, bit for bit as in ``enumerate_outcomes``. ``tree``, if given,
+    is ``sampling_tree(rho, rounds)`` from an earlier batch; it is built
     here otherwise. Beyond the limit the shots walk the tree together, in
     chunks of ``CHUNK_BYTES``, and each chunk then draws its observables.
     """
@@ -203,14 +213,16 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     vals, vecs = np.linalg.eigh(check_observable(obs))
     records = np.empty((n_shots, 2), dtype=float)
     if rounds <= MAX_BRUTE_FORCE_ROUNDS:
-        branches = enumerate_outcomes(rho, rounds) if tree is None else tree
+        branches = sampling_tree(rho, rounds) if tree is None else tree
         probs = branches.probability
         which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
         order = np.argsort(which, kind="stable")
-        # only the branches drawn need their observable distribution
+        # only the branches drawn need a state and their observable distribution
         drawn, rows = np.unique(which[order], return_inverse=True)
+        states = (branches.state[drawn] if isinstance(branches, OutcomeBranches)
+                  else merge_states(branches, drawn, swap_gadget))
         _measure(records, order, rows, branches.parity[drawn],
-                 _outcome_cdf(branches.state, drawn, vecs), vals, rng)
+                 _outcome_cdf(states, np.arange(len(drawn)), vecs), vals, rng)
         return records
     step = chunk_rows(16 * vals.size ** 2)
     for lo in range(0, n_shots, step):

@@ -90,9 +90,9 @@ class OutcomeBranches:
 # The elementary gadget
 # ----------------------------------------------------------------------
 
-def _sign_probability(cross: np.ndarray, sign) -> np.ndarray:
-    """(1 + sign Tr(cross)) / 2 for each product cross = rho_a rho_b of a stack."""
-    return 0.5 * (1.0 + sign * cross.trace(axis1=-2, axis2=-1).real)
+def _sign_probability(overlap: np.ndarray, sign) -> np.ndarray:
+    """(1 + sign overlap) / 2, the probability of a merge with overlap Tr(rho_a rho_b)."""
+    return 0.5 * (1.0 + sign * overlap)
 
 
 def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
@@ -115,7 +115,7 @@ def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
     if (np.abs(sign) != 1).any():
         raise ValidationError("sign must be +1 or -1")
     cross = rho_a @ rho_b
-    prob = _sign_probability(cross, sign)
+    prob = _sign_probability(cross.trace(axis1=-2, axis2=-1).real, sign)
     unreachable = prob < PROB_FLOOR
     if unreachable.any():
         first = np.argmax(unreachable)
@@ -199,47 +199,87 @@ def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
     """All reachable outcome branches of a ``rounds``-level tree.
 
     Left and right subtrees share the same branch set, so each level is
-    built once and merges every (left, right, sign) triple of the level
-    below: left outermost, then right, then sign +1 before -1. Triples whose
-    node probability falls below ``PROB_FLOOR`` are unreachable and skipped
-    before the merge; the surviving probabilities still sum to one. The
-    rest merge in one stacked ``swap_gadget`` call per chunk.
+    built once from the reachable merges of the level below
+    (``level_merges``), all of which merge in one stacked ``swap_gadget``
+    call per chunk (``merge_states``).
     """
     rho = np.asarray(rho, dtype=complex)
     check_enumeration_budget(rounds, num_qubits(rho.shape[0]))
     level = OutcomeBranches(state=rho[None], probability=np.ones(1), parity=np.ones(1, dtype=int),
                             outcomes=np.ones((1, 0), dtype=np.int8))
     for _ in range(rounds):
-        level = _merge_level(level)
+        merges = level_merges(level)
+        level = OutcomeBranches(state=merge_states(merges, np.arange(len(merges)), swap_gadget),
+                                probability=merges.probability, parity=merges.parity,
+                                outcomes=merges.outcomes)
     return level
 
 
-def _merge_level(level: OutcomeBranches) -> OutcomeBranches:
-    """Every reachable (left, right, sign) merge of ``level`` with itself."""
+@dataclass(frozen=True)
+class LevelMerges:
+    """The reachable merges of a tree level with itself, before any state is built.
+
+    Merge b joins branches ``left[b]`` and ``right[b]`` of ``below`` with
+    sign ``sign[b]``. ``probability``, ``parity`` and ``outcomes`` are
+    those of the merged branches, as in ``OutcomeBranches``;
+    ``merge_states`` builds their states.
+    """
+
+    below: OutcomeBranches
+    left: np.ndarray
+    right: np.ndarray
+    sign: np.ndarray
+    probability: np.ndarray
+    parity: np.ndarray
+    outcomes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+
+def level_merges(level: OutcomeBranches) -> LevelMerges:
+    """Every reachable (left, right, sign) merge of ``level`` with itself.
+
+    Merges are ordered left outermost, then right, then sign +1 before -1.
+    The node probabilities of both signs come from one overlap per pair, by
+    the gadget's own expression; merges whose node probability falls below
+    ``PROB_FLOOR`` are unreachable and left out, and the rest still sum to
+    one.
+    """
     n, d = len(level), level.state.shape[-1]
     states = level.state
-    # node probabilities of both signs for every pair, by the gadget's own expression
     probs = np.empty((n, n, 2))
     step = chunk_rows(16 * d * d * n)
     for lo in range(0, n, step):
-        cross = states[lo:lo + step, None] @ states[None]
-        probs[lo:lo + step, :, 0] = _sign_probability(cross, 1)
-        probs[lo:lo + step, :, 1] = _sign_probability(cross, -1)
+        overlap = (states[lo:lo + step, None] @ states[None]).trace(axis1=-2, axis2=-1).real
+        probs[lo:lo + step, :, 0] = _sign_probability(overlap, 1)
+        probs[lo:lo + step, :, 1] = _sign_probability(overlap, -1)
     left, right, minus = np.nonzero(probs >= PROB_FLOOR)
     sign = 1 - 2 * minus
-    merged = OutcomeBranches(
-        state=np.empty((len(sign), d, d), dtype=complex),
-        probability=level.probability[left] * level.probability[right],
+    return LevelMerges(
+        below=level, left=left, right=right, sign=sign,
+        probability=level.probability[left] * level.probability[right] * probs[left, right, minus],
         parity=level.parity[left] * level.parity[right] * sign,
         outcomes=np.concatenate([level.outcomes[left], level.outcomes[right], sign[:, None]],
                                 axis=1, dtype=np.int8))
+
+
+def merge_states(merges: LevelMerges, index: np.ndarray, gadget) -> np.ndarray:
+    """(len(index), d, d) states of the merges ``index``, in ``CHUNK_BYTES`` chunks.
+
+    Each chunk is one stacked call of ``gadget``, which is ``swap_gadget``
+    as the caller's module binds it, so a merge has the same state whichever
+    others share its call.
+    """
+    below = merges.below.state
+    d = below.shape[-1]
+    out = np.empty((len(index), d, d), dtype=complex)
     step = chunk_rows(16 * d * d)
-    for lo in range(0, len(sign), step):
-        part = slice(lo, lo + step)
-        merged.state[part], prob = swap_gadget(states[left[part]], states[right[part]],
-                                               sign[part])
-        merged.probability[part] *= prob
-    return merged
+    for lo in range(0, len(index), step):
+        part = index[lo:lo + step]
+        out[lo:lo + step], _ = gadget(below[merges.left[part]], below[merges.right[part]],
+                                      merges.sign[part])
+    return out
 
 
 def parity_weighted_sum(rho: np.ndarray, rounds: int):

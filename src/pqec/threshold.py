@@ -261,11 +261,14 @@ def check_threshold_grid(p_values, rounds) -> None:
     """Reject a grid that ``find_threshold`` cannot read crossings from.
 
     A crossing pairs two distinct rounds values, so none may repeat, and is
-    read from left to right, so p must strictly increase.
+    read from left to right between two p values, so p must strictly
+    increase over at least two.
     """
     if len(rounds) < 2 or len(set(rounds)) != len(rounds):
         raise ValidationError(
             f"threshold extraction needs >= 2 distinct rounds values, got {rounds}")
+    if len(p_values) < 2:
+        raise ValidationError(f"threshold extraction needs >= 2 p values, got {len(p_values)}")
     if np.any(np.diff(p_values) <= 0):
         raise ValidationError("threshold extraction needs a strictly increasing p grid")
 

@@ -160,6 +160,7 @@ def test_threshold_grid_step_is_the_crossing_bracket(tmp_path):
     ["--M", "1", "--ell", "1,1"],
     ["--M", "1", "--ell", "0,1,1"],
     ["--M", "6", "--p", "1,0.5,0"],
+    ["--M", "1", "--p", "0.5"],
 ])
 def test_threshold_checks_its_grid_before_sweeping(tmp_path, capsys, monkeypatch, argv):
     def no_sweep(*args, **kwargs):
@@ -351,6 +352,7 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["threshold", "--jobs", "-3"],
     ["threshold", "--p", "1:0:5", "--ell", "0,1"],
     ["threshold", "--p", "0.2,0.1,0.9", "--ell", "0,1"],
+    ["threshold", "--M", "1", "--p", "0.5"],
     ["sweep", "--p", "0:1:1000000000"],
     ["threshold", "--ell", "0..1000000000"],
     ["cycle", "--ell", "1", "--cycles", "1000000000000"],

@@ -1,8 +1,9 @@
 """Seeded CLI runs reproduce the committed CSVs byte for byte.
 
-The files under ``tests/data/`` were written by pqec 0.4.0. Every line
-must match apart from ``# pqec-version``. A change that alters these bytes
-on purpose bumps the version, says so in CHANGES.md, and rewrites them with
+The ``sample-*`` files under ``tests/data/`` were written by pqec 0.4.3,
+the others by 0.4.0. Every line must match apart from ``# pqec-version``.
+A change that alters these bytes on purpose bumps the version, says so in
+CHANGES.md, and rewrites them with
 
     PYTHONPATH=src python tests/test_golden_csv.py
 """
@@ -40,13 +41,26 @@ GOLDEN = {
                               "--ell", "2", "--cycles", "10"], EXIT_OK, False),
     "cycle-dephasing-bloch": (["cycle", "--channel", "dephasing", "--state", "bloch:1,0.4^2",
                                "--p", "0.2", "--ell", "1", "--cycles", "6"], EXIT_OK, False),
+    # the enumerated tree (l <= 4) and the per-shot walk beyond it
+    "sample-zero-ell4": (["sample", "--state", "zero^1", "--observable", "Z",
+                          "--channel", "local-depol", "--p", "0.01", "--ell", "4",
+                          "--shots", "20000", "--batches", "2", "--seed", "1"], EXIT_OK, False),
+    "sample-dephasing-M2-ell3": (["sample", "--M", "2", "--channel", "dephasing", "--p", "0.2",
+                                  "--ell", "3", "--shots", "5000", "--batches", "3",
+                                  "--seed", "3", "--observable", "XZ"], EXIT_OK, False),
+    "sample-local-depol-ell5": (["sample", "--M", "1", "--channel", "local-depol", "--p", "0.2",
+                                 "--ell", "5", "--shots", "300", "--batches", "2",
+                                 "--seed", "4"], EXIT_OK, False),
 }
+
+# commands that take --jobs
+POOLED = ("sweep", "threshold")
 
 
 def run_golden(stem, directory, jobs="1"):
     """Run one golden command, writing ``<stem>.csv`` (and traces) into ``directory``."""
     argv, code, traces = GOLDEN[stem]
-    extra = ["--jobs", jobs] if argv[0] != "cycle" else []
+    extra = ["--jobs", jobs] if argv[0] in POOLED else []
     out = ["--out", str(directory / f"{stem}.csv")]
     if traces:
         out += ["--traces", str(directory / f"{stem}-traces.csv")]

@@ -15,15 +15,17 @@ from pqec import (
     maximally_mixed,
     pauli_matrix,
     random_density_matrix,
+    random_pure_state,
     ratio_estimate,
     required_samples,
     sample_outcome_tree,
     simulate_shots,
     zero_state,
 )
+import pqec.montecarlo
 from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
-    check_sampling_budget
-from pqec.purify import check_observable
+    check_sampling_budget, sampling_tree
+from pqec.purify import check_observable, merge_states, swap_gadget
 from pqec.states import ResourceLimitError, ValidationError
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
@@ -280,6 +282,45 @@ def test_chunk_size_changes_no_enumeration_draw(monkeypatch):
     assert np.array_equal(shots, simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3)))
     walked = simulate_shots(rho, obs, 5, 50, np.random.default_rng(3))
     assert set(np.unique(walked)) <= {-1.0, 1.0}
+
+
+# (M, l, p): M = 1, 2, 3 at l = 1..4 (3 at M = 3), one l = 4 case at M = 4;
+# p = 0 keeps the target pure, so antisymmetric merges of equal branches are unreachable
+LAZY_CASES = [(m, ell, p) for m, top in ((1, 4), (2, 4), (3, 3)) for ell in range(1, top + 1)
+              for p in (0.0, 0.3)] + [(4, 4, 0.1)]
+
+
+@pytest.mark.parametrize("qubits, rounds, p", LAZY_CASES)
+def test_sampling_tree_merges_lazily_as_enumerated(qubits, rounds, p):
+    # the last level's records come without states; the states drawn match the enumeration
+    rho = make_channel(NoiseModel("dephasing", p), qubits)(
+        density_from_pure(random_pure_state(qubits, np.random.default_rng(rounds))))
+    tree = sampling_tree(rho, rounds)
+    whole = enumerate_outcomes(rho, rounds)
+    assert (len(whole) < 2 ** (2 ** rounds - 1)) == (p == 0.0)
+    for field in ("probability", "parity", "outcomes"):
+        assert np.array_equal(getattr(tree, field), getattr(whole, field))
+    rng = np.random.default_rng(qubits)
+    drawn = np.unique(rng.choice(len(tree), size=300, p=tree.probability / tree.probability.sum()))
+    assert np.array_equal(merge_states(tree, drawn, swap_gadget), whole.state[drawn])
+    # the whole sampler draws the same records from either tree
+    obs = pauli_matrix("X" * qubits)
+    lazy = simulate_shots(rho, obs, rounds, 2000, np.random.default_rng(rounds), tree)
+    assert np.array_equal(lazy, simulate_shots(rho, obs, rounds, 2000,
+                                               np.random.default_rng(rounds), whole))
+
+
+def test_benchmark_draw_merges_only_the_drawn_branches(monkeypatch):
+    # the benchmark's l=4 draw lands on 207 of the 2**15 branches; only those merge
+    merged = []
+    gadget = pqec.montecarlo.swap_gadget
+    monkeypatch.setattr(pqec.montecarlo, "swap_gadget",
+                        lambda a, b, sign: merged.append(len(sign)) or gadget(a, b, sign))
+    rho = make_channel(NoiseModel("local-depol", 0.01), 1)(density_from_pure(zero_state(1)))
+    tree = sampling_tree(rho, 4)
+    assert len(tree) == 2 ** 15 and merged == []
+    simulate_shots(rho, Z, 4, 100_000, np.random.default_rng(1), tree)
+    assert sum(merged) == 207
 
 
 def test_simulate_shots_unbiased_components():

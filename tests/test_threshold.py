@@ -329,6 +329,14 @@ def test_threshold_needs_strictly_increasing_grid(p_values):
         find_threshold(result)
 
 
+def test_threshold_needs_two_p_values():
+    # one point brackets no crossing; it would read as a no-crossing with grid-step 0
+    result = sweep(plus_state(1), NoiseModel("local-depol", 0.0), [0.5], (0, 1), cycles=1)
+    with pytest.raises(ValidationError, match=">= 2 p values"):
+        find_threshold(result)
+    threshold.check_threshold_grid([0.4, 0.5], (0, 1))
+
+
 @pytest.mark.parametrize("rounds", [(1, 1), (0, 1, 1), (2, 0, 2, 1), (3,)])
 def test_threshold_needs_two_distinct_rounds_values(rounds):
     # a repeated value would pair a curve with itself: a bogus always-below row
@@ -347,6 +355,21 @@ def test_gamma_does_not_depend_on_cycles(model):
     many = sweep(psi, model, p_values, (0, 1, 2, 5), cycles=30)
     assert np.array_equal(one.gamma, many.gamma)
     assert np.array_equal(one.traces, many.traces[:, :, :2])
+
+
+@pytest.mark.parametrize("kind", ["local-depol", "dephasing"])
+@pytest.mark.parametrize("target", ["plus", "bloch:0.7,0.3"])
+def test_product_target_traces_factorize(kind, target):
+    # a local channel and the spectral power both act qubit by qubit on a product
+    # state, so F_M(t) = F_1(t)**M, and the gamma curves of any M cross where M = 1's do
+    def psi(qubits):
+        return plus_state(qubits) if target == "plus" else bloch_state(0.7, 0.3, qubits)
+
+    models = [NoiseModel(kind, p) for p in np.linspace(0, 1, 11)]
+    single = run_cycles(psi(1), models, (0, 1, 2, 3), 6).fidelities
+    for qubits in (2, 4):
+        traces = run_cycles(psi(qubits), models, (0, 1, 2, 3), 6).fidelities
+        assert np.max(np.abs(traces - single ** qubits)) < 1e-13
 
 
 def test_threshold_no_crossing_status():
