@@ -28,8 +28,8 @@ from .purify import extract_observable_exact, purified_state
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
     bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
-from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, check_threshold_grid, \
-    find_threshold, run_cycles, sweep
+from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, available_cpus, \
+    check_threshold_grid, find_threshold, run_cycles, sweep
 
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
@@ -276,8 +276,9 @@ def _add_sweep(sub):
     sub.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
                      help=f"cycles per cell (default {DEFAULT_CYCLES}); a threshold run "
                           "records the value but reads only the first cycle")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads, capped at the CPUs this process may use (default 1)")
+    sub.add_argument("--jobs", type=int, default=available_cpus(),
+                     help="worker threads, capped at the CPUs this process may use "
+                          "(default: those CPUs)")
 
 
 def build_parser() -> _Parser:
@@ -555,6 +556,11 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args, parser)
     except (ValidationError, ResourceLimitError) as exc:
         print(f"pqec: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        # a backstop for a run the limits above admit but this machine cannot hold
+        print(f"pqec: error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -15,15 +15,22 @@ p from the same noisy state, so it decomposes that state once. Every step
 acts matrix by matrix, so a trace has the same bits as a run of its cell
 alone, however the grid is split into blocks. Parallel blocks run on
 threads of the calling process: the stacked ``eigh`` and Pauli kernels
-release the interpreter lock, and no worker is forked or starts a BLAS
-thread pool of its own.
+release the interpreter lock, and no worker is forked. While they run,
+every OpenBLAS loaded in the process, numpy's among them, is pinned to
+one thread, so its own thread pool does not compete with the workers for
+the CPUs; its old thread count comes back when the sweep ends.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -47,6 +54,18 @@ ZERO_TOL = 1e-12
 # benchmark's five threshold sweeps peaked 13 MB higher with 3.4 MB blocks
 # and 1.5 MB higher with 512 KiB ones, while below 256 KiB they slow down.
 BLOCK_BYTES = CHUNK_BYTES // 16
+
+# (get, set) thread-count symbols of OpenBLAS builds: numpy's wheels vendor
+# scipy-openblas with 64-bit integers, other builds export the plain names.
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+# Held while a parallel sweep has OpenBLAS pinned, so that two such sweeps in
+# one process cannot restore each other's thread count.
+_BLAS_PIN_LOCK = threading.Lock()
 
 
 class UndefinedSteadyStateError(ValueError):
@@ -193,6 +212,68 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _openblas_paths() -> list[str]:
+    """Files of the OpenBLAS libraries this process has loaded.
+
+    Read from the process's memory map where the OS has one; otherwise the
+    library vendored next to the numpy package.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # a mapped file is the sixth field; its name may hold spaces
+            fields = [line.split(maxsplit=5) for line in fh if "openblas" in line]
+    except OSError:
+        site = os.path.dirname(os.path.dirname(np.__file__))
+        return sorted(glob.glob(os.path.join(site, "numpy.libs", "*openblas*")))
+    return list(dict.fromkeys(f[5].strip() for f in fields if len(f) == 6))
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of each loaded OpenBLAS, found once.
+
+    Empty where no OpenBLAS, or none with a known symbol pair, is loaded.
+    """
+    controls = []
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_count, set_count = getattr(lib, get_name), getattr(lib, set_name)
+                get_count.argtypes, get_count.restype = [], ctypes.c_int
+                set_count.argtypes, set_count.restype = [ctypes.c_int], None
+                controls.append((get_count, set_count))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread, and restore its count after.
+
+    Sweep workers each run their own stacked ``eigh``; OpenBLAS's threads
+    would compete with them for the same CPUs. The thread count is global
+    to the library, so one lock serializes pinned sweeps. Where no OpenBLAS
+    thread control is found, nothing is pinned or locked.
+    """
+    controls = _openblas_controls()
+    if not controls:
+        yield
+        return
+    with _BLAS_PIN_LOCK:
+        counts = [get_count() for get_count, _ in controls]
+        try:
+            for _, set_count in controls:
+                set_count(1)
+            yield
+        finally:
+            for (_, set_count), count in zip(controls, counts):
+                set_count(count)
+
+
 def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
           cycles: int = DEFAULT_CYCLES, jobs: int = 1) -> SweepResult:
     """One trace per (p, rounds) cell; cells are independent and deterministic.
@@ -204,8 +285,10 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     the grid into one block per worker, over a pool of at most ``jobs``
     threads in this process, and no more than there are CPUs or blocks.
     The traces do not depend on the split, and ``p_values`` may come in any
-    order. Each ``eigh`` may itself use the BLAS library's threads, so more
-    workers pay only where BLAS runs single-threaded.
+    order. While the pool runs, OpenBLAS is pinned to one thread, so each
+    worker's ``eigh`` runs on its own CPU; the old thread count is restored
+    afterwards, also when a worker raises. Where no OpenBLAS thread control
+    is found, the workers share the CPUs with BLAS's own threads.
     """
     if jobs < 1 or cycles < 1:
         raise ValidationError(f"jobs ({jobs}) and cycles ({cycles}) must be >= 1")
@@ -224,7 +307,7 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     blocks = [models[lo:lo + step] for lo in range(0, len(models), step)]
     workers = min(workers, len(blocks))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cycles, repeat(psi0), blocks, repeat(rounds_list),
                                     repeat(cycles)))
     else:

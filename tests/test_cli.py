@@ -378,6 +378,22 @@ def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and "error" in err
 
 
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 9.77 GiB"), MemoryError()])
+@pytest.mark.parametrize("command", ["sweep", "threshold"])
+def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc, command):
+    # a backstop for a run the limits admit but the machine cannot hold
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(pqec.cli, "sweep", out_of_memory)
+    assert main([command, "--channel", "local-depol", "--M", "1", "--p", "0:1:3",
+                 "--ell", "0,1", "--out", str(tmp_path / "x.csv")]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("pqec: error: out of memory: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sample_enumerates_the_tree_once_per_run(tmp_path, monkeypatch):
     # 20 batches of 2 shots at l = 4 share one enumeration; each batch is one CSV row
     import pqec.montecarlo

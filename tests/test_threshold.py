@@ -148,19 +148,43 @@ def test_sweep_traces_match_per_cell_oracle(psi, model):
             assert np.array_equal(result.traces[i, j], oracle), (p, r)
 
 
-def test_sweep_traces_do_not_depend_on_blocks(monkeypatch):
-    psi = bloch_state(0.7, 0.3, 3)
+# OpenBLAS thread control of this process, if numpy's BLAS has one
+BLAS_CONTROLS = threshold._openblas_controls()
+needs_openblas = pytest.mark.skipif(not BLAS_CONTROLS,
+                                    reason="no OpenBLAS thread-count symbols found")
+
+
+def blas_counts():
+    return [get_count() for get_count, _ in BLAS_CONTROLS]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS on two threads for the test, so a pin to one shows."""
+    counts = blas_counts()
+    for _, set_count in BLAS_CONTROLS:
+        set_count(2)
+    yield [2] * len(BLAS_CONTROLS)
+    for (_, set_count), count in zip(BLAS_CONTROLS, counts):
+        set_count(count)
+
+
+def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
+    # jobs=1 runs on two BLAS threads and jobs=2 on one, with the same bits
+    monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
     model = NoiseModel("local-depol", 0.0)
     p_values = np.linspace(0, 1, 7)
-    whole = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=1)
-    halves = [run_cycles(psi, [NoiseModel("local-depol", float(p)) for p in part],
-                         (0, 1, 3), 4).fidelities for part in (p_values[:3], p_values[3:])]
-    assert np.array_equal(whole.traces, np.concatenate(halves))
-    # a byte budget of two p values per block splits the grid into four blocks
-    monkeypatch.setattr(threshold, "BLOCK_BYTES", 2 * 16 * 8 ** 2 * 3)
-    for jobs in (1, 2):
-        split = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=jobs)
-        assert np.array_equal(whole.traces, split.traces)
+    for psi in (bloch_state(0.7, 0.3, 3), plus_state(6)):
+        whole = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=1)
+        halves = [run_cycles(psi, [NoiseModel("local-depol", float(p)) for p in part],
+                             (0, 1, 3), 4).fidelities for part in (p_values[:3], p_values[3:])]
+        assert np.array_equal(whole.traces, np.concatenate(halves))
+        # a byte budget of two p values per block splits the grid into four blocks
+        with monkeypatch.context() as patch:
+            patch.setattr(threshold, "BLOCK_BYTES", 2 * 16 * psi.size ** 2 * 3)
+            for jobs in (1, 2):
+                split = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=jobs)
+                assert np.array_equal(whole.traces, split.traces), (psi.size, jobs)
 
 
 def test_sweep_parallel_matches_serial():
@@ -195,6 +219,98 @@ def test_sweep_workers_are_threads_with_serial_bits(monkeypatch):
         serial = sweep(psi, model, p_values, (0, 1, 3), cycles=3, jobs=1)
         assert np.array_equal(parallel.traces, serial.traces), model
     assert workers - {threading.get_ident()}
+
+
+def _counting_run_cycles(counts, fail_at=None):
+    """``run_cycles`` that records the BLAS thread counts each call sees."""
+    def counting(*args):
+        counts.append(blas_counts())
+        if len(counts) == fail_at:
+            raise RuntimeError("worker failed")
+        return run_cycles(*args)
+    return counting
+
+
+@needs_openblas
+def test_parallel_sweep_pins_blas_to_one_thread(monkeypatch, two_blas_threads):
+    monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    psi, model, p_values = plus_state(2), NoiseModel("local-depol", 0.0), np.linspace(0, 1, 4)
+    for jobs, inside in ((2, [1] * len(BLAS_CONTROLS)), (1, two_blas_threads)):
+        counts = []
+        monkeypatch.setattr(threshold, "run_cycles", _counting_run_cycles(counts))
+        sweep(psi, model, p_values, (0, 1), cycles=2, jobs=jobs)
+        assert counts and all(seen == inside for seen in counts), jobs
+        assert blas_counts() == two_blas_threads
+    # a worker that raises still restores the count, and releases the pin
+    monkeypatch.setattr(threshold, "run_cycles", _counting_run_cycles([], fail_at=1))
+    with pytest.raises(RuntimeError, match="worker failed"):
+        sweep(psi, model, p_values, (0, 1), cycles=2, jobs=2)
+    assert blas_counts() == two_blas_threads
+    assert not threshold._BLAS_PIN_LOCK.locked()
+
+
+def test_sweep_without_blas_control_runs_unpinned(monkeypatch, two_blas_threads):
+    # where no OpenBLAS thread control is found, the workers share the CPUs
+    # with BLAS's threads and the traces keep their bits
+    monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    psi, p_values = bloch_state(0.7, 0.3, 3), np.linspace(0, 1, 6)
+    model = ORACLE_MODELS[-1]
+    pinned = sweep(psi, model, p_values, (0, 1, 3), cycles=3, jobs=2)
+    counts = []
+    monkeypatch.setattr(threshold, "_openblas_controls", lambda: ())
+    monkeypatch.setattr(threshold, "run_cycles", _counting_run_cycles(counts))
+    unpinned = sweep(psi, model, p_values, (0, 1, 3), cycles=3, jobs=2)
+    assert np.array_equal(pinned.traces, unpinned.traces)
+    assert counts and all(seen == two_blas_threads for seen in counts)
+
+
+@needs_openblas
+def test_overlapping_parallel_sweeps_restore_blas_count(monkeypatch, two_blas_threads):
+    # sweep A (dephasing) pins BLAS, and its workers wait until sweep B
+    # (local-depol) has asked for the pin; B's workers wait until A has
+    # returned. B must take the pin after A restored the count, or B's
+    # workers run unpinned and B restores A's pin.
+    monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    a_running, b_asked, a_done = threading.Event(), threading.Event(), threading.Event()
+    find = threshold._openblas_controls
+
+    def finding():
+        if threading.current_thread().name == "sweep-b":
+            b_asked.set()
+        return find()
+
+    counts = []
+
+    def waiting_run_cycles(psi, models, rounds, cycles):
+        if models[0].kind == "dephasing":
+            a_running.set()
+            b_asked.wait(timeout=5)
+        else:
+            a_done.wait(timeout=5)
+        counts.append(blas_counts())
+        return run_cycles(psi, models, rounds, cycles)
+
+    monkeypatch.setattr(threshold, "_openblas_controls", finding)
+    monkeypatch.setattr(threshold, "run_cycles", waiting_run_cycles)
+    results = {}
+
+    def run(kind, done=None):
+        results[kind] = sweep(plus_state(2), NoiseModel(kind, 0.0), np.linspace(0, 1, 4),
+                              (0, 1), cycles=2, jobs=2)
+        if done is not None:
+            done.set()
+
+    sweep_a = threading.Thread(target=run, args=("dephasing", a_done), name="sweep-a")
+    sweep_b = threading.Thread(target=run, args=("local-depol",), name="sweep-b")
+    sweep_a.start()
+    assert a_running.wait(timeout=5)
+    sweep_b.start()
+    for thread in (sweep_a, sweep_b):
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert b_asked.is_set() and sorted(results) == ["dephasing", "local-depol"]
+    assert len(counts) == 4 and all(seen == [1] * len(BLAS_CONTROLS) for seen in counts)
+    assert blas_counts() == two_blas_threads
 
 
 class _RecordingPool:
