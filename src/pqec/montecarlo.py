@@ -22,18 +22,19 @@ import numpy as np
 
 from .purify import MAX_BRUTE_FORCE_ROUNDS, LevelMerges, OutcomeBranches, \
     check_enumeration_budget, check_observable, chunk_rows, enumerate_outcomes, level_merges, \
-    merge_states, swap_gadget, walk_tree
-from .states import ResourceLimitError, ValidationError, num_qubits
+    merge_spectra, merge_states, swap_gadget
+from .states import ResourceLimitError, ValidationError, num_qubits, spectral_decomposition
 
 # Budget of one sampling run, checked before anything is built:
 # - shots per batch, whose records are held in memory at once;
 # - shots in all, batches x shots, and batches, since each batch adds a CSV
 #   row and a fixed cost: many tiny batches stay bounded too;
-# - beyond the enumeration limit, where every shot walks its own tree, gadget
+# - beyond the enumeration limit, where every shot walks its own tree,
 #   merges batches x shots x (2**rounds - 1), each weighted by (d/2)**2 =
-#   4**(M-1), so the limit is the M=1 count. Stacked over the shots of a
-#   batch, a merge takes about 3 us at M=1, 18 us at M=3 and 65 us at M=4 on
-#   one core of a 2-vCPU Xeon VM.
+#   4**(M-1), so the limit is the M=1 count. The weight was set for dense
+#   gadget merges; stacked over the shots of a batch, a merge of eigenvalue
+#   vectors takes about 0.26 us at M=1, 0.35 us at M=3 and 0.6 us at M=4 on a
+#   2-vCPU Xeon VM, where the dense gadget took 3.4, 9.9 and 29 us.
 MAX_SHOTS_PER_BATCH = 10 ** 6
 MAX_RUN_SHOTS = 5 * 10 ** 7
 MAX_BATCHES = 10 ** 4
@@ -145,17 +146,36 @@ def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
                         shots: int = 1) -> OutcomeBranches:
     """Draw ``shots`` outcome strings node by node through the merge tree.
 
-    The shots walk the tree together, one stacked gadget call per node.
-    Every node's sign is drawn for all shots from one vector of uniforms,
-    each with its conditional probability given the shot's two child
-    states; zero-probability branches are never drawn. Returns the drawn
-    branches, one per shot, with their strings in outcome-string order.
+    Every branch state is a polynomial in rho, so it shares rho's
+    eigenbasis: after one ``spectral_decomposition`` the shots walk the
+    tree together as (shots, d) eigenvalue vectors, post-order, one
+    stacked ``merge_spectra`` call per node. Every node's sign is drawn for
+    all shots from one vector of uniforms, each with its conditional
+    probability given the shot's two child states; zero-probability
+    branches are never drawn. Returns the drawn branches, one per shot,
+    with their strings in outcome-string order and their states rebuilt
+    once, at the root.
     """
-    def draw(left, right):
-        overlap = (left @ right).trace(axis1=-2, axis2=-1).real
-        return np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
+    vals, vecs = spectral_decomposition(rho)
+    leaf = np.broadcast_to(vals, (shots, vals.size))
+    signs = []
 
-    return walk_tree(rho, rounds, draw, shots)
+    def walk(level: int):
+        if level == 0:
+            return leaf, np.ones(shots)
+        left, prob_l = walk(level - 1)
+        right, prob_r = walk(level - 1)
+        overlap = (left * right).sum(axis=-1)
+        sign = np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
+        signs.append(sign)
+        spectrum, prob = merge_spectra(left, right, sign)
+        return spectrum, prob_l * prob_r * prob
+
+    spectrum, prob = walk(rounds)
+    outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+    return OutcomeBranches(state=(vecs * spectrum[:, None, :]) @ vecs.conj().T,
+                           probability=prob, parity=np.prod(outcomes, axis=1),
+                           outcomes=outcomes)
 
 
 def _measure(records: np.ndarray, shots: np.ndarray, rows: np.ndarray, parity: np.ndarray,
@@ -173,6 +193,22 @@ def _measure(records: np.ndarray, shots: np.ndarray, rows: np.ndarray, parity: n
     for lo in range(0, len(shots), step):
         part = slice(lo, lo + step)
         records[shots[part], 1] = vals[np.sum(cdf[rows[part]] <= u[part, None], axis=1)]
+
+
+def group_by_branch(which: np.ndarray, n_branches: int):
+    """``(order, drawn, rows)`` for shots that drew the branches ``which``.
+
+    ``order`` sorts the shots by branch, stably; ``drawn`` lists the
+    distinct branches drawn in ascending order, and ``rows[k]`` is the
+    position in ``drawn`` of shot ``order[k]``'s branch: what ``np.unique(
+    which[order], return_inverse=True)`` returns, from one count per branch
+    and a radix sort. ``n_branches`` may be at most 2**16, which the
+    enumeration limit keeps (2**15 branches at four rounds).
+    """
+    order = np.argsort(which.astype(np.uint16), kind="stable")
+    counts = np.bincount(which, minlength=n_branches)
+    drawn = np.flatnonzero(counts)
+    return order, drawn, np.repeat(np.arange(len(drawn)), counts[drawn])
 
 
 def sampling_tree(rho: np.ndarray, rounds: int) -> LevelMerges | OutcomeBranches | None:
@@ -205,8 +241,10 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     and in shot order within a branch. Only the distinct branches drawn are
     merged, bit for bit as in ``enumerate_outcomes``. ``tree``, if given,
     is ``sampling_tree(rho, rounds)`` from an earlier batch; it is built
-    here otherwise. Beyond the limit the shots walk the tree together, in
-    chunks of ``CHUNK_BYTES``, and each chunk then draws its observables.
+    here otherwise. Beyond the limit the shots walk the tree together on
+    eigenvalue vectors (``sample_outcome_tree``), in chunks of
+    ``CHUNK_BYTES`` of rebuilt states, and each chunk then draws its
+    observables.
     """
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
@@ -216,9 +254,8 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
         branches = sampling_tree(rho, rounds) if tree is None else tree
         probs = branches.probability
         which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
-        order = np.argsort(which, kind="stable")
         # only the branches drawn need a state and their observable distribution
-        drawn, rows = np.unique(which[order], return_inverse=True)
+        order, drawn, rows = group_by_branch(which, len(branches))
         states = (branches.state[drawn] if isinstance(branches, OutcomeBranches)
                   else merge_states(branches, drawn, swap_gadget))
         _measure(records, order, rows, branches.parity[drawn],

@@ -95,6 +95,25 @@ def _sign_probability(overlap: np.ndarray, sign) -> np.ndarray:
     return 0.5 * (1.0 + sign * overlap)
 
 
+def pair_overlap(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """Re Tr(rho_a rho_b), pair by pair over stacks ``(..., d, d)``, without a matrix product.
+
+    The gadget and ``level_merges`` both take their overlaps from here, so a
+    merge has the same probability bits whichever of them computes it.
+    """
+    return (rho_a * rho_b.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+
+
+def _check_reachable(prob: np.ndarray, sign) -> None:
+    """Raise ``DegenerateOutcomeError`` if any merge probability is below ``PROB_FLOOR``."""
+    unreachable = prob < PROB_FLOOR
+    if unreachable.any():
+        first = np.argmax(unreachable)
+        raise DegenerateOutcomeError(
+            f"outcome sign {int(np.broadcast_to(sign, prob.shape).flat[first]):+d} has"
+            f" probability {prob.flat[first]} (unreachable branch)")
+
+
 def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
     """Post-measurement state and probability of one SWAP merge, or of a stack.
 
@@ -114,15 +133,10 @@ def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
     sign = np.asarray(sign)
     if (np.abs(sign) != 1).any():
         raise ValidationError("sign must be +1 or -1")
-    cross = rho_a @ rho_b
-    prob = _sign_probability(cross.trace(axis1=-2, axis2=-1).real, sign)
-    unreachable = prob < PROB_FLOOR
-    if unreachable.any():
-        first = np.argmax(unreachable)
-        raise DegenerateOutcomeError(
-            f"outcome sign {int(np.broadcast_to(sign, prob.shape).flat[first]):+d} has"
-            f" probability {prob.flat[first]} (unreachable branch)")
+    prob = _sign_probability(pair_overlap(rho_a, rho_b), sign)
+    _check_reachable(prob, sign)
     # (rho_a + rho_b + sign (cross + cross^dagger)) / (4 prob), built in place
+    cross = rho_a @ rho_b
     raw = rho_a + rho_b
     cross += cross.conj().swapaxes(-1, -2)
     cross *= sign[..., None, None]
@@ -132,51 +146,57 @@ def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
     return project_to_density(raw), (prob if prob.ndim else float(prob))
 
 
+def merge_spectra(spec_a: np.ndarray, spec_b: np.ndarray, sign: np.ndarray):
+    """The SWAP merge of two states that share an eigenbasis, on their eigenvalues.
+
+    ``spec_a`` and ``spec_b`` are (..., d) eigenvalues in one common
+    eigenbasis, as every branch of an outcome tree has rho's. The merged
+    state's eigenvalues in that basis are (a + b + 2 sign a b) / (4 P),
+    clamped and renormalized as ``project_to_density`` does, with P =
+    (1 + sign sum(a b)) / 2; returns them with P, which must clear
+    ``PROB_FLOOR`` as in ``swap_gadget``.
+    """
+    prob = _sign_probability((spec_a * spec_b).sum(axis=-1), sign)
+    _check_reachable(prob, sign)
+    merged = np.clip((spec_a + spec_b + 2.0 * sign[..., None] * spec_a * spec_b)
+                     / (4.0 * prob[..., None]), 0.0, None)
+    return merged / merged.sum(axis=-1, keepdims=True), prob
+
+
 # ----------------------------------------------------------------------
 # Outcome tree
 # ----------------------------------------------------------------------
-
-def walk_tree(rho: np.ndarray, rounds: int, choose_sign, shots: int = 1) -> OutcomeBranches:
-    """Merge 2**rounds copies of ``rho`` through a ``rounds``-level tree, ``shots`` times.
-
-    The walk is post-order: left subtree, right subtree, then the node, so
-    signs are chosen, and recorded, in outcome-string order. Every node is
-    one stacked ``swap_gadget`` call over all shots: ``choose_sign(left,
-    right)`` picks the node's sign for each shot from the (shots, d, d)
-    child states. A branch's probability is the product of its per-node
-    probabilities.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    leaf = np.broadcast_to(rho, (shots,) + rho.shape)
-
-    def walk(level: int):
-        if level == 0:
-            return leaf, np.ones(shots), []
-        left, prob_l, out_l = walk(level - 1)
-        right, prob_r, out_r = walk(level - 1)
-        sign = choose_sign(left, right)
-        state, prob = swap_gadget(left, right, sign)
-        return state, prob_l * prob_r * prob, out_l + out_r + [sign]
-
-    state, prob, signs = walk(rounds)
-    outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
-    return OutcomeBranches(state=state, probability=prob, parity=np.prod(outcomes, axis=1),
-                           outcomes=outcomes)
-
 
 def conditional_state(rho: np.ndarray, outcomes) -> OutcomeBranches:
     """Conditional states after full outcome strings.
 
     ``outcomes`` is one string of 2**rounds - 1 signs, ordered left
     subtree, right subtree, root, or a (B, 2**rounds - 1) stack of them;
-    all leaves carry the same input state.
+    all leaves carry the same input state. The tree is walked post-order,
+    so signs are read in string order, and every node is one stacked
+    ``swap_gadget`` call over all strings. A branch's probability is the
+    product of its per-node probabilities.
     """
     strings = np.atleast_2d(np.asarray(outcomes))
     if strings.ndim != 2 or not np.all((strings == 1) | (strings == -1)):
         raise ValidationError("outcomes must be +1 or -1")
+    rounds = _tree_rounds(strings.shape[1])
+    rho = np.asarray(rho, dtype=complex)
+    leaf = np.broadcast_to(rho, (len(strings),) + rho.shape)
     columns = iter(strings.T.astype(int))
-    return walk_tree(rho, _tree_rounds(strings.shape[1]), lambda left, right: next(columns),
-                     len(strings))
+
+    def walk(level: int):
+        if level == 0:
+            return leaf, np.ones(len(strings))
+        left, prob_l = walk(level - 1)
+        right, prob_r = walk(level - 1)
+        state, prob = swap_gadget(left, right, next(columns))
+        return state, prob_l * prob_r * prob
+
+    state, prob = walk(rounds)
+    outcomes = strings.astype(np.int8)
+    return OutcomeBranches(state=state, probability=prob, parity=np.prod(outcomes, axis=1),
+                           outcomes=outcomes)
 
 
 def check_enumeration_budget(rounds: int, qubits: int) -> None:
@@ -241,8 +261,8 @@ def level_merges(level: OutcomeBranches) -> LevelMerges:
     """Every reachable (left, right, sign) merge of ``level`` with itself.
 
     Merges are ordered left outermost, then right, then sign +1 before -1.
-    The node probabilities of both signs come from one overlap per pair, by
-    the gadget's own expression; merges whose node probability falls below
+    The node probabilities of both signs come from one ``pair_overlap`` per
+    pair, as the gadget computes it; merges whose node probability falls below
     ``PROB_FLOOR`` are unreachable and left out, and the rest still sum to
     one.
     """
@@ -251,7 +271,7 @@ def level_merges(level: OutcomeBranches) -> LevelMerges:
     probs = np.empty((n, n, 2))
     step = chunk_rows(16 * d * d * n)
     for lo in range(0, n, step):
-        overlap = (states[lo:lo + step, None] @ states[None]).trace(axis1=-2, axis2=-1).real
+        overlap = pair_overlap(states[lo:lo + step, None], states[None])
         probs[lo:lo + step, :, 0] = _sign_probability(overlap, 1)
         probs[lo:lo + step, :, 1] = _sign_probability(overlap, -1)
     left, right, minus = np.nonzero(probs >= PROB_FLOOR)

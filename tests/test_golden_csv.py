@@ -1,7 +1,10 @@
 """Seeded CLI runs reproduce the committed CSVs byte for byte.
 
 The ``sample-*`` files under ``tests/data/`` were written by pqec 0.4.3,
-the others by 0.4.0. Every line must match apart from ``# pqec-version``.
+apart from ``sample-zero-ell6`` and ``sample-bloch-M3-ell5``, which 0.4.5
+wrote with the dense tree walk that 0.4.6 replaced by a walk on eigenvalue
+vectors; the others were written by 0.4.0. Every line must match apart
+from ``# pqec-version``.
 A change that alters these bytes on purpose bumps the version, says so in
 CHANGES.md, and rewrites them with
 
@@ -41,7 +44,7 @@ GOLDEN = {
                               "--ell", "2", "--cycles", "10"], EXIT_OK, False),
     "cycle-dephasing-bloch": (["cycle", "--channel", "dephasing", "--state", "bloch:1,0.4^2",
                                "--p", "0.2", "--ell", "1", "--cycles", "6"], EXIT_OK, False),
-    # the enumerated tree (l <= 4) and the per-shot walk beyond it
+    # the enumerated tree (l <= 4) and the per-shot walk beyond it, on one and three qubits
     "sample-zero-ell4": (["sample", "--state", "zero^1", "--observable", "Z",
                           "--channel", "local-depol", "--p", "0.01", "--ell", "4",
                           "--shots", "20000", "--batches", "2", "--seed", "1"], EXIT_OK, False),
@@ -51,6 +54,12 @@ GOLDEN = {
     "sample-local-depol-ell5": (["sample", "--M", "1", "--channel", "local-depol", "--p", "0.2",
                                  "--ell", "5", "--shots", "300", "--batches", "2",
                                  "--seed", "4"], EXIT_OK, False),
+    "sample-zero-ell6": (["sample", "--state", "zero^1", "--observable", "Z",
+                          "--channel", "local-depol", "--p", "0.01", "--ell", "6",
+                          "--shots", "100", "--batches", "3", "--seed", "1"], EXIT_OK, False),
+    "sample-bloch-M3-ell5": (["sample", "--state", "bloch:0.7,0.3^3", "--observable", "ZIZ",
+                              "--channel", "local-depol", "--p", "0.1", "--ell", "5",
+                              "--shots", "300", "--batches", "2", "--seed", "4"], EXIT_OK, False),
 }
 
 # commands that take --jobs

@@ -14,6 +14,7 @@ from pqec import (
     make_channel,
     maximally_mixed,
     pauli_matrix,
+    plus_state,
     random_density_matrix,
     random_pure_state,
     ratio_estimate,
@@ -24,9 +25,9 @@ from pqec import (
 )
 import pqec.montecarlo
 from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
-    check_sampling_budget, sampling_tree
+    check_sampling_budget, group_by_branch, sampling_tree
 from pqec.purify import check_observable, merge_states, swap_gadget
-from pqec.states import ResourceLimitError, ValidationError
+from pqec.states import ResourceLimitError, ValidationError, kron_all
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
 Z = pauli_matrix("Z")
@@ -193,6 +194,51 @@ def test_batched_tree_walk_matches_conditional_state():
             assert np.max(np.abs(drawn.probability / fixed.probability - 1.0)) < 1e-12
             assert np.array_equal(drawn.parity, fixed.parity)
             assert np.array_equal(drawn.parity, np.prod(drawn.outcomes, axis=1))
+
+
+def _dephased_plus_pair():
+    """Rank 2 of 4: a dephased |+> beside a pure |+>."""
+    dephased = make_channel(NoiseModel("dephasing", 0.2), 1)(density_from_pure(plus_state(1)))
+    return kron_all([dephased, density_from_pure(plus_state(1))])
+
+
+# (M, l, state): l = 5 up to M = 3, l <= 3 at M = 4, 5; pure and rank-deficient inputs
+SPECTRAL_CASES = ([(m, 5, "random") for m in (1, 2, 3)] + [(m, 5, "zero") for m in (1, 3)]
+                  + [(2, 5, "dephased-plus")]
+                  + [(m, ell, "random") for m in (4, 5) for ell in (2, 3)]
+                  + [(m, 3, "zero") for m in (4, 5)])
+
+
+@pytest.mark.parametrize("qubits, rounds, kind", SPECTRAL_CASES)
+def test_spectral_walk_matches_dense_conditional_state(qubits, rounds, kind):
+    # the eigenvalue walk and the dense gadget oracle agree on every drawn string
+    rng = np.random.default_rng(100 * qubits + rounds)
+    rho = {"random": lambda: random_density_matrix(qubits, rng),
+           "zero": lambda: density_from_pure(zero_state(qubits)),
+           "dephased-plus": _dephased_plus_pair}[kind]()
+    drawn = sample_outcome_tree(rho, rounds, rng, 64)
+    fixed = conditional_state(rho, drawn.outcomes)
+    assert np.array_equal(drawn.outcomes, fixed.outcomes)
+    assert np.array_equal(drawn.parity, fixed.parity)
+    assert np.max(np.abs(drawn.state - fixed.state)) < 1e-13
+    assert np.max(np.abs(drawn.probability / fixed.probability - 1.0)) < 1e-12
+    if kind == "zero":
+        assert np.all(drawn.outcomes == 1)
+
+
+def test_group_by_branch_matches_unique():
+    # a skewed draw over the 2**15 branches of four rounds that hits thousands of them
+    rng = np.random.default_rng(31)
+    weights = rng.pareto(1.0, size=2 ** 15)
+    which = rng.choice(2 ** 15, size=200_000, p=weights / weights.sum())
+    order, drawn, rows = group_by_branch(which, 2 ** 15)
+    expected_order = np.argsort(which, kind="stable")
+    expected_drawn, expected_rows = np.unique(which[expected_order], return_inverse=True)
+    assert len(expected_drawn) > 5000
+    assert np.array_equal(order, expected_order)
+    assert np.array_equal(drawn, expected_drawn)
+    assert np.array_equal(rows, expected_rows)
+    assert drawn.dtype == expected_drawn.dtype and rows.dtype == expected_rows.dtype
 
 
 def test_sample_observable_examples():

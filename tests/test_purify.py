@@ -33,7 +33,7 @@ from pqec import (
     werner_state,
     zero_state,
 )
-from pqec.purify import check_enumeration_budget
+from pqec.purify import check_enumeration_budget, merge_spectra
 from pqec.states import ResourceLimitError, ValidationError
 
 
@@ -125,6 +125,15 @@ def test_gadget_degenerate_branch():
     rho = density_from_pure(plus_state(1))
     with pytest.raises(DegenerateOutcomeError):
         swap_gadget(rho, rho, -1)
+
+
+def test_spectral_merge_rejects_unreachable_branch_like_the_gadget():
+    # identical pure spectra: the antisymmetric merge is unreachable on either form
+    pure = np.array([[0.0, 1.0], [0.3, 0.7]])
+    merged, prob = merge_spectra(pure, pure, np.array([1, -1]))
+    assert prob[0] == 1.0 and np.array_equal(merged[0], [0.0, 1.0])
+    with pytest.raises(DegenerateOutcomeError, match="sign -1"):
+        merge_spectra(pure, pure, np.array([-1, 1]))
 
 
 def test_stacked_gadget_matches_per_pair_calls():
@@ -238,6 +247,19 @@ def test_enumeration_matches_per_pair_merges():
         assert np.array_equal(branches.probability, np.array([r[1] for r in reference]))
         assert np.array_equal(branches.parity, np.array([r[2] for r in reference]))
         assert np.array_equal(branches.outcomes, np.array([r[3] for r in reference]))
+
+
+@pytest.mark.parametrize("qubits", [4, 5])
+def test_enumeration_matches_per_pair_merges_on_large_registers(qubits):
+    # the elementwise overlap sums a 16x16 and 32x32 pair the same way alone or stacked
+    rho = random_density_matrix(qubits, np.random.default_rng(26 + qubits))
+    branches = enumerate_outcomes(rho, 2)
+    reference = _per_pair_enumeration(rho, 2)
+    assert len(branches) == len(reference) == 8
+    assert np.array_equal(branches.state, np.array([r[0] for r in reference]))
+    assert np.array_equal(branches.probability, np.array([r[1] for r in reference]))
+    assert np.array_equal(branches.parity, np.array([r[2] for r in reference]))
+    assert np.array_equal(branches.outcomes, np.array([r[3] for r in reference]))
 
 
 def test_enumeration_budget_by_register_size():
