@@ -17,7 +17,7 @@ import numpy as np
 
 from .purify import chunk_rows
 from .states import PAULI_LABELS, ValidationError, from_pauli_basis, num_qubits, pauli_matrix, \
-    to_pauli_basis
+    pauli_weight_tensor, to_pauli_basis
 
 # Fixed default seed for subset twirling; documented in the README. Chosen so
 # the seeded single-gate subset at M=1 rotates the dephasing axis to one that
@@ -148,7 +148,7 @@ def _full_damping_counts(qubits: int) -> np.ndarray:
     by comb(w, k) 2**k 3**(M - w) sequences, the x**k coefficient of the
     per-qubit product 3**(M - w) (1 + 2x)**w.
     """
-    weight = functools.reduce(np.add.outer, [np.array([0, 1, 1, 1])] * qubits)[..., None]
+    weight = pauli_weight_tensor(qubits)[..., None]
     k = np.arange(qubits + 1)
     comb = np.array([[math.comb(n, j) for j in k] for n in k])
     return comb[weight, k] * 2 ** k * 3 ** (qubits - weight)

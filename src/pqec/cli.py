@@ -4,7 +4,8 @@ Subcommands: ``purify``, ``cycle``, ``sweep``, ``threshold``, ``sample``,
 ``twirl-check``. Every run writes a CSV with a provenance header (artifact
 version, command, seed, canonical config and its hash), so identical
 (config, seed) pairs reproduce byte-identical files. Exit codes: 0 success,
-1 error, 2 threshold-without-crossing.
+1 error, 2 threshold-without-crossing. ``main`` returns them, except that a
+flag argparse or ``--config`` rejects while parsing raises ``SystemExit(1)``.
 """
 
 from __future__ import annotations
@@ -257,7 +258,6 @@ def _add_common(sub, *, channel=False, state=False, shots=False):
     sub.add_argument("--M", type=int, dest="m", help="number of register qubits")
     if channel:
         sub.add_argument("--channel", choices=CHANNEL_KINDS, help="noise channel kind")
-        sub.add_argument("--p", help="error probability: value, list, or min:max:count")
         sub.add_argument("--twirl", type=float, dest="twirl",
                          help="twirl fraction in (0,1]; turns dephasing into twirled-dephasing")
     if state:
@@ -270,7 +270,9 @@ def _add_common(sub, *, channel=False, state=False, shots=False):
 
 
 def _add_sweep(sub):
-    sub.set_defaults(p=f"0:1:{DEFAULT_P_COUNT}")
+    grid = f"0:1:{DEFAULT_P_COUNT}"
+    sub.add_argument("--p", default=grid,
+                     help=f"error probability: value, list, or min:max:count (default {grid})")
     ells = ",".join(str(e) for e in DEFAULT_ROUNDS)
     sub.add_argument("--ell", default=ells, help=f"rounds values: list or a..b (default {ells})")
     sub.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
@@ -289,10 +291,12 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("purify", help="noise once, then purification rounds")
     _add_common(p, channel=True, state=True)
+    p.add_argument("--p", help="error probability (single value)")
     p.add_argument("--ell", help="purification rounds: value, list, or a..b")
 
     p = subs.add_parser("cycle", help="iterate channel-then-purify cycles")
     _add_common(p, channel=True, state=True)
+    p.add_argument("--p", help="error probability (single value)")
     p.add_argument("--ell", help="purification rounds per cycle (single value)")
     p.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
                    help=f"number of cycles (default {DEFAULT_CYCLES})")
@@ -308,11 +312,12 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("sample", help="shot-level ratio estimation of an observable")
     _add_common(p, channel=True, state=True, shots=True)
+    p.add_argument("--p", help="error probability (single value)")
     p.add_argument("--ell", help="purification rounds (single value)")
 
     p = subs.add_parser("twirl-check", help="full-twirl dephasing vs local depolarizing")
     _add_common(p, channel=False)
-    p.add_argument("--p", help="error probability: value or list")
+    p.add_argument("--p", help="error probability: value, list, or min:max:count")
 
     # only the commands that draw a chart take --svg
     for command in ("purify", "cycle", "sweep", "threshold"):
@@ -320,65 +325,58 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_state(args, parser) -> np.ndarray:
+def _flag_values(args, flag: str, single: bool = False):
+    """The checked values of ``--p`` (a float array) or ``--ell`` (an int tuple).
+
+    ``single`` admits exactly one value, for the commands that run one point.
+    """
+    text = getattr(args, flag)
+    if text is None:
+        raise ValidationError(f"--{flag} is required")
+    try:
+        values = parse_real_grid(text) if flag == "p" else parse_int_list(text)
+    except ValueError as exc:
+        raise ValidationError(f"--{flag}: {exc}") from exc
+    if flag == "p" and not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValidationError(f"--p: values must lie in [0, 1], got {text}")
+    if flag == "ell" and any(e < 0 for e in values):
+        raise ValidationError("--ell: rounds must be >= 0")
+    if single and len(values) != 1:
+        raise ValidationError(f"--{flag} must be a single value for {args.command}")
+    return values
+
+
+def _experiment(args, single=()):
+    """``(psi, model, p_values, ells)``, in the order ``sweep`` takes them.
+
+    Sets ``args.m`` from the target state. The model carries the first p
+    value; ``single`` names the flags (``"p"``, ``"ell"``) that take one value.
+    """
     if args.state is None and args.m is None:
-        parser.error("need --state or --M")
+        raise ValidationError("need --state or --M")
     flag, spec = ("--M", f"plus^{args.m}") if args.state is None else ("--state", args.state)
     try:
         psi = parse_state(spec)
     except ValueError as exc:
-        parser.error(f"{flag}: {exc}")
+        raise ValidationError(f"{flag}: {exc}") from exc
     m = psi.size.bit_length() - 1
     if args.m is not None and args.m != m:
-        parser.error(f"--M {args.m} conflicts with state on {m} qubits")
+        raise ValidationError(f"--M {args.m} conflicts with state on {m} qubits")
     args.m = m
-    return psi
-
-
-def _resolve_model(args, parser, p_value: float) -> NoiseModel:
+    p_values = _flag_values(args, "p", "p" in single)
+    ells = _flag_values(args, "ell", "ell" in single)
     kind = args.channel
     if kind is None:
-        parser.error("--channel is required")
-    fraction = getattr(args, "twirl", None)
-    if fraction is not None:
+        raise ValidationError("--channel is required")
+    if args.twirl is not None:
         if kind == "dephasing":
             kind = "twirled-dephasing"
         elif kind != "twirled-dephasing":
-            parser.error(f"--twirl does not apply to channel {kind!r}")
-    model = NoiseModel(kind=kind, p=float(p_value),
-                       twirl_fraction=float(fraction) if fraction is not None else 1.0,
-                       twirl_seed=args.seed)
-    try:
-        model.validate()
-    except ValidationError as exc:
-        parser.error(str(exc))
-    return model
-
-
-def _p_grid(args, parser) -> np.ndarray:
-    if args.p is None:
-        parser.error("--p is required")
-    try:
-        grid = parse_real_grid(args.p)
-    except ValueError as exc:
-        parser.error(f"--p: {exc}")
-    if not np.all((grid >= 0.0) & (grid <= 1.0)):
-        parser.error(f"--p: values must lie in [0, 1], got {args.p}")
-    return grid
-
-
-def _ell_list(args, parser, single=False) -> tuple[int, ...]:
-    if args.ell is None:
-        parser.error("--ell is required")
-    try:
-        ells = parse_int_list(args.ell)
-    except ValueError as exc:
-        parser.error(f"--ell: {exc}")
-    if any(e < 0 for e in ells):
-        parser.error("--ell: rounds must be >= 0")
-    if single and len(ells) != 1:
-        parser.error(f"--ell must be a single value for {args.command}")
-    return ells
+            raise ValidationError(f"--twirl does not apply to channel {kind!r}")
+    model = NoiseModel(kind=kind, p=float(p_values[0]),
+                       twirl_fraction=1.0 if args.twirl is None else args.twirl,
+                       twirl_seed=args.seed).validate()
+    return psi, model, p_values, ells
 
 
 # Keys that do not influence the computed values: output locations and the
@@ -396,11 +394,8 @@ def _config_dict(args) -> dict:
 # Commands
 # ----------------------------------------------------------------------
 
-def _cmd_purify(args, parser) -> int:
-    psi = _resolve_state(args, parser)
-    p = float(_p_grid(args, parser)[0])
-    ells = _ell_list(args, parser)
-    model = _resolve_model(args, parser, p)
+def _cmd_purify(args) -> int:
+    psi, model, _, ells = _experiment(args, single=("p",))
     channel = make_channel(model, args.m)
     noisy = channel(density_from_pure(psi))
     rows = [(ell, fidelity(purified_state(noisy, ell), psi)) for ell in ells]
@@ -411,40 +406,31 @@ def _cmd_purify(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_cycle(args, parser) -> int:
-    psi = _resolve_state(args, parser)
-    p = float(_p_grid(args, parser)[0])
-    ells = _ell_list(args, parser, single=True)
-    model = _resolve_model(args, parser, p)
-    trace = run_cycles(psi, model, ells[0], args.cycles)
+def _cmd_cycle(args) -> int:
+    psi, model, _, (ell,) = _experiment(args, single=("p", "ell"))
+    trace = run_cycles(psi, model, ell, args.cycles)
     _write_table(args, ["t", "fidelity"], list(enumerate(trace.fidelities)),
                  note=f" (final F = {trace.fidelities[-1]:.10f})",
-                 chart=dict(series=[(f"ell={ells[0]}", range(args.cycles + 1), trace.fidelities)],
+                 chart=dict(series=[(f"ell={ell}", range(args.cycles + 1), trace.fidelities)],
                             title="fidelity vs cycles", xlabel="t", ylabel="fidelity"))
     return EXIT_OK
 
 
-def _run_sweep(args, parser, cycles):
-    """The sweep of a ``sweep`` or ``threshold`` run and its gamma chart."""
-    psi = _resolve_state(args, parser)
-    p_values = _p_grid(args, parser)
-    ells = _ell_list(args, parser)
-    model = _resolve_model(args, parser, float(p_values[0]))
-    result = sweep(psi, model, p_values, ells, cycles=cycles, jobs=args.jobs)
-    chart = dict(series=[(f"ell={ell}", result.p_values, result.gamma[:, j])
-                         for j, ell in enumerate(result.rounds)],
-                 title="logical error rate vs physical error rate",
-                 xlabel="p", ylabel="gamma_L")
-    return result, chart
+def _gamma_chart(result) -> dict:
+    """The chart of a ``sweep`` or ``threshold`` run: gamma_L against p per ell."""
+    return dict(series=[(f"ell={ell}", result.p_values, result.gamma[:, j])
+                        for j, ell in enumerate(result.rounds)],
+                title="logical error rate vs physical error rate",
+                xlabel="p", ylabel="gamma_L")
 
 
-def _cmd_sweep(args, parser) -> int:
-    result, chart = _run_sweep(args, parser, args.cycles)
+def _cmd_sweep(args) -> int:
+    result = sweep(*_experiment(args), cycles=args.cycles, jobs=args.jobs)
     rows = [(result.channel.kind, result.qubits, float(p), ell, result.cycles,
              float(result.gamma[i, j]), float(result.steady_fidelity[i, j]))
             for i, p in enumerate(result.p_values) for j, ell in enumerate(result.rounds)]
     _write_table(args, ["channel", "M", "p", "ell", "t_max", "gamma_L", "F_steady"], rows,
-                 chart=chart)
+                 chart=_gamma_chart(result))
     if args.traces:
         trace_rows = [(float(p), ell, t, float(f))
                       for i, p in enumerate(result.p_values)
@@ -456,11 +442,12 @@ def _cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_threshold(args, parser) -> int:
-    check_threshold_grid(_p_grid(args, parser), _ell_list(args, parser))
+def _cmd_threshold(args) -> int:
+    experiment = _experiment(args)
+    check_threshold_grid(*experiment[2:])
     # a crossing reads only gamma = F(0) - F(1), and the first cycle of a
     # cell does not depend on how many follow it
-    result, chart = _run_sweep(args, parser, 1)
+    result = sweep(*experiment, cycles=1, jobs=args.jobs)
     estimate = find_threshold(result)
     rows = [(pair.rounds_low, pair.rounds_high,
              float("nan") if pair.p_cross is None else pair.p_cross,
@@ -474,36 +461,33 @@ def _cmd_threshold(args, parser) -> int:
         comments.insert(0, f"p-threshold: {estimate.p_threshold:.17g}")
         note = f" (p_threshold = {estimate.p_threshold:.6f} +- {estimate.grid_step:.6f})"
     _write_table(args, ["ell_low", "ell_high", "p_cross", "direction", "bracket"],
-                 rows, comments, note, chart)
+                 rows, comments, note, _gamma_chart(result))
     return EXIT_NO_CROSSING if estimate.p_threshold is None else EXIT_OK
 
 
-def _cmd_sample(args, parser) -> int:
-    ells = _ell_list(args, parser, single=True)
+def _cmd_sample(args) -> int:
+    psi, model, _, (ell,) = _experiment(args, single=("p", "ell"))
     if args.shots < 2 or args.batches < 1:
-        parser.error("--shots must be >= 2 and --batches >= 1")
-    psi = _resolve_state(args, parser)
-    check_sampling_budget(ells[0], args.shots, args.batches, args.m)
-    p = float(_p_grid(args, parser)[0])
+        raise ValidationError("--shots must be >= 2 and --batches >= 1")
+    check_sampling_budget(ell, args.shots, args.batches, args.m)
     if args.observable is None:
         # the default depends on the register size, known only from the state
         args.observable = "Z" + "I" * (args.m - 1)
     if len(args.observable) != args.m:
-        parser.error(f"--observable length {len(args.observable)} != M={args.m}")
+        raise ValidationError(f"--observable length {len(args.observable)} != M={args.m}")
     try:
         obs = pauli_matrix(args.observable.upper())
     except ValidationError as exc:
-        parser.error(f"--observable: {exc}")
-    model = _resolve_model(args, parser, p)
+        raise ValidationError(f"--observable: {exc}") from exc
     channel = make_channel(model, args.m)
     noisy = channel(density_from_pure(psi))
-    exact = extract_observable_exact(obs, noisy, ells[0])
+    exact = extract_observable_exact(obs, noisy, ell)
     rng = np.random.default_rng(args.seed)
-    tree = sampling_tree(noisy, ells[0])
+    tree = sampling_tree(noisy, ell)
     rows = []
     any_unstable = False
     for b in range(args.batches):
-        res = ratio_estimate(simulate_shots(noisy, obs, ells[0], args.shots, rng, tree))
+        res = ratio_estimate(simulate_shots(noisy, obs, ell, args.shots, rng, tree))
         any_unstable |= res.unstable_denominator
         rows.append((b, res.n_samples, res.numerator_mean, res.denominator_mean,
                      res.estimate, res.standard_error))
@@ -515,12 +499,12 @@ def _cmd_sample(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_twirl_check(args, parser) -> int:
+def _cmd_twirl_check(args) -> int:
     if args.m is None or not 1 <= args.m <= MAX_PAULI_QUBITS:
-        parser.error(f"--M must be in 1..{MAX_PAULI_QUBITS} for the exhaustive channel comparison")
-    p_values = _p_grid(args, parser)
+        raise ValidationError(
+            f"--M must be in 1..{MAX_PAULI_QUBITS} for the exhaustive channel comparison")
     rows = []
-    for p in p_values:
+    for p in _flag_values(args, "p"):
         # Both channels are Pauli diagonal, so they agree on every input
         # exactly when their transfer-eigenvalue tensors agree.
         twirled = NoiseModel("twirled-dephasing", float(p), twirl_seed=args.seed)
@@ -553,7 +537,7 @@ def main(argv=None) -> int:
         config = parser.commands[args.command].config_flags(args.config)
         args = parser.parse_args(argv[:at] + config + argv[at:])
     try:
-        return _DISPATCH[args.command](args, parser)
+        return _DISPATCH[args.command](args)
     except (ValidationError, ResourceLimitError) as exc:
         print(f"pqec: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

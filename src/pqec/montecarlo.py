@@ -125,18 +125,18 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
             f" limit of {MAX_SHOT_MERGES:.0e} single-qubit gadget merges")
 
 
-def _outcome_cdf(states: np.ndarray, index: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row k: the CDF of the eigenvectors ``vecs`` measured on ``states[index[k]]``.
+def _outcome_cdf(states: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row k: the CDF of the eigenvectors ``vecs`` measured on ``states[k]``.
 
     Each row is what ``Generator.choice(p=...)`` builds from the clamped,
     normalized probabilities Tr(Pi_j rho): their cumulative sum, divided by
-    its last entry. States are gathered one chunk at a time.
+    its last entry. States are read one chunk at a time.
     """
-    q = np.empty((len(index), vecs.shape[1]))
+    q = np.empty((len(states), vecs.shape[1]))
     step = chunk_rows(16 * vecs.size)
-    for lo in range(0, len(index), step):
+    for lo in range(0, len(states), step):
         q[lo:lo + step] = np.real(np.einsum("ij,bjk,ki->bi", vecs.conj().T,
-                                            states[index[lo:lo + step]], vecs))
+                                            states[lo:lo + step], vecs))
     q = np.clip(q, 0.0, None)
     cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
     return cdf / cdf[:, -1:]
@@ -259,15 +259,14 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
         states = (branches.state[drawn] if isinstance(branches, OutcomeBranches)
                   else merge_states(branches, drawn, swap_gadget))
         _measure(records, order, rows, branches.parity[drawn],
-                 _outcome_cdf(states, np.arange(len(drawn)), vecs), vals, rng)
+                 _outcome_cdf(states, vecs), vals, rng)
         return records
     step = chunk_rows(16 * vals.size ** 2)
     for lo in range(0, n_shots, step):
         shots = np.arange(lo, min(lo + step, n_shots))
         drawn = sample_outcome_tree(rho, rounds, rng, len(shots))
         rows = np.arange(len(shots))
-        _measure(records, shots, rows, drawn.parity, _outcome_cdf(drawn.state, rows, vecs),
-                 vals, rng)
+        _measure(records, shots, rows, drawn.parity, _outcome_cdf(drawn.state, vecs), vals, rng)
     return records
 
 

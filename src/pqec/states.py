@@ -356,7 +356,7 @@ def pauli_expand(rho: np.ndarray) -> dict[str, float]:
     return out
 
 
-def _weight_tensor(qubits: int) -> np.ndarray:
+def pauli_weight_tensor(qubits: int) -> np.ndarray:
     """Tensor of Pauli weights, shape (4,)*qubits: count of non-identity axes."""
     return functools.reduce(np.add.outer, [np.array([0, 1, 1, 1])] * qubits)
 
@@ -371,7 +371,7 @@ def pauli_weight_distribution(psi: np.ndarray):
     m = num_qubits(psi.size)
     _check_pauli_budget(m)
     coeffs = to_pauli_basis(density_from_pure(psi)).real
-    weights = _weight_tensor(m)
+    weights = pauli_weight_tensor(m)
     sq = coeffs ** 2 / 2 ** m
     a = np.array([sq[weights == k].sum() for k in range(m + 1)])
     mean_weight = float(np.sum(np.arange(m + 1) * a))

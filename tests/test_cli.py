@@ -63,14 +63,13 @@ def test_parse_state_specs():
                        bloch_state(math.pi / 2, -math.pi / 2))
 
 
-def test_angle_accepts_only_arithmetic(tmp_path):
+def test_angle_accepts_only_arithmetic(tmp_path, capsys):
     for bad in ("9**9**9", "__import__('os')", "pi.real", "[1]", "1/0", "1e999"):
         with pytest.raises(ValidationError):
             parse_state(f"bloch:{bad},0")
-    with pytest.raises(SystemExit) as info:
-        main(["purify", "--state", "bloch:9**9**9,0", "--channel", "dephasing",
-              "--p", "0.1", "--ell", "1", "--out", str(tmp_path / "x.csv")])
-    assert info.value.code == EXIT_ERROR
+    assert _exit_code(["purify", "--state", "bloch:9**9**9,0", "--channel", "dephasing",
+                       "--p", "0.1", "--ell", "1", "--out", str(tmp_path / "x.csv")]) == EXIT_ERROR
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +232,7 @@ def test_sample_command(tmp_path):
     assert abs(float(last[4]) - exact) < 5 * float(last[5])
 
 
-def test_twirl_check_command(tmp_path):
+def test_twirl_check_command(tmp_path, capsys):
     out = tmp_path / "tw.csv"
     code = main(["twirl-check", "--M", "2", "--p", "0.37", "--out", str(out)])
     assert code == EXIT_OK
@@ -245,9 +244,9 @@ def test_twirl_check_command(tmp_path):
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 3
     assert all(float(r.split(",")[2]) < 1e-12 for r in rows)
-    with pytest.raises(SystemExit) as info:
-        main(["twirl-check", "--M", "7", "--p", "0.1", "--out", str(out)])
-    assert info.value.code == EXIT_ERROR
+    capsys.readouterr()
+    assert _exit_code(["twirl-check", "--M", "7", "--p", "0.1", "--out", str(out)]) == EXIT_ERROR
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_purify_converges_at_huge_rounds(tmp_path):
@@ -409,16 +408,26 @@ def test_sample_enumerates_the_tree_once_per_run(tmp_path, monkeypatch):
     assert len(rows) == 21
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     for grid in ("1.5", "0,nan"):
-        with pytest.raises(SystemExit) as info:
-            main(["sweep", "--channel", "local-depol", "--M", "1", "--p", grid,
-                  "--ell", "0,1", "--out", str(tmp_path / "x.csv")])
-        assert info.value.code == EXIT_ERROR
-    with pytest.raises(SystemExit) as info:
-        main(["cycle", "--channel", "global-depol", "--p", "0.1", "--ell", "1",
-              "--M", "2", "--state", "plus^3", "--out", str(tmp_path / "y.csv")])
-    assert info.value.code == EXIT_ERROR
+        assert _exit_code(["sweep", "--channel", "local-depol", "--M", "1", "--p", grid,
+                           "--ell", "0,1", "--out", str(tmp_path / "x.csv")]) == EXIT_ERROR
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    assert _exit_code(["cycle", "--channel", "global-depol", "--p", "0.1", "--ell", "1",
+                       "--M", "2", "--state", "plus^3",
+                       "--out", str(tmp_path / "y.csv")]) == EXIT_ERROR
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    # purify, cycle and sample run one p; cycle and sample run one ell
+    for flag, argv in [("--p", ["purify", "--p", "0.1,0.5", "--ell", "1"]),
+                       ("--p", ["cycle", "--p", "0:1:5", "--ell", "1"]),
+                       ("--p", ["sample", "--p", "0.3,0.01", "--ell", "1", "--shots", "10"]),
+                       ("--ell", ["sample", "--p", "0.3", "--ell", "1,2", "--shots", "10"])]:
+        out = tmp_path / f"{argv[0]}.csv"
+        assert _exit_code(argv + ["--channel", "local-depol", "--M", "1",
+                                  "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{flag} must be a single value" in err
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")

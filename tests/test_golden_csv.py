@@ -3,8 +3,9 @@
 The ``sample-*`` files under ``tests/data/`` were written by pqec 0.4.3,
 apart from ``sample-zero-ell6`` and ``sample-bloch-M3-ell5``, which 0.4.5
 wrote with the dense tree walk that 0.4.6 replaced by a walk on eigenvalue
-vectors; the others were written by 0.4.0. Every line must match apart
-from ``# pqec-version``.
+vectors. ``purify-bloch-M3`` and ``twirl-check-M3`` were written by 0.4.6,
+before 0.4.7 merged the command-line resolvers; the others were written by
+0.4.0. Every line must match apart from ``# pqec-version``.
 A change that alters these bytes on purpose bumps the version, says so in
 CHANGES.md, and rewrites them with
 
@@ -60,6 +61,11 @@ GOLDEN = {
     "sample-bloch-M3-ell5": (["sample", "--state", "bloch:0.7,0.3^3", "--observable", "ZIZ",
                               "--channel", "local-depol", "--p", "0.1", "--ell", "5",
                               "--shots", "300", "--batches", "2", "--seed", "4"], EXIT_OK, False),
+    # rounds from the closed form's small powers up to a converged spectrum
+    "purify-bloch-M3": (["purify", "--state", "bloch:0.7,0.3^3", "--channel", "local-depol",
+                         "--p", "0.3", "--ell", "0,1,2,5,64,1100"], EXIT_OK, False),
+    "twirl-check-M3": (["twirl-check", "--M", "3", "--p", "0:1:5", "--seed", "4"],
+                       EXIT_OK, False),
 }
 
 # commands that take --jobs
