@@ -29,8 +29,8 @@ from .purify import extract_observable_exact, purified_state
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
     bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
-from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, available_cpus, \
-    check_threshold_grid, find_threshold, run_cycles, sweep
+from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, MIN_WORKER_WORK, \
+    available_cpus, check_threshold_grid, find_threshold, run_cycles, sweep
 
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
@@ -279,8 +279,9 @@ def _add_sweep(sub):
                      help=f"cycles per cell (default {DEFAULT_CYCLES}); a threshold run "
                           "records the value but reads only the first cycle")
     sub.add_argument("--jobs", type=int, default=available_cpus(),
-                     help="worker threads, capped at the CPUs this process may use "
-                          "(default: those CPUs)")
+                     help="worker threads, capped at the CPUs this process may use and at "
+                          f"one per {MIN_WORKER_WORK:,} of p values x rounds x cycles run x "
+                          "8^M (default: those CPUs)")
 
 
 def build_parser() -> _Parser:

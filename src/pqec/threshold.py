@@ -15,7 +15,7 @@ p from the same noisy state, so it decomposes that state once. Every step
 acts matrix by matrix, so a trace has the same bits as a run of its cell
 alone, however the grid is split into blocks. Parallel blocks run on
 threads of the calling process: the stacked ``eigh`` and Pauli kernels
-release the interpreter lock, and no worker is forked. While they run,
+release the interpreter lock, and no worker is forked. At ``jobs`` > 1,
 every OpenBLAS loaded in the process, numpy's among them, is pinned to
 one thread, so its own thread pool does not compete with the workers for
 the CPUs; its old thread count comes back when the sweep ends.
@@ -30,7 +30,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -54,6 +54,11 @@ ZERO_TOL = 1e-12
 # benchmark's five threshold sweeps peaked 13 MB higher with 3.4 MB blocks
 # and 1.5 MB higher with 512 KiB ones, while below 256 KiB they slow down.
 BLOCK_BYTES = CHUNK_BYTES // 16
+
+# Lock-step work (cells x cycles x d^3) per sweep worker thread. Smaller
+# blocks pass the interpreter lock back and forth: on a 2-vCPU VM two workers
+# lost to one up to 1.7e7, tied at 2.5e7 and won from 2.7e7 (README).
+MIN_WORKER_WORK = 10 ** 7
 
 # (get, set) thread-count symbols of OpenBLAS builds: numpy's wheels vendor
 # scipy-openblas with 64-bit integers, other builds export the plain names.
@@ -283,12 +288,15 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     call each, and no block holds more than ``BLOCK_BYTES`` of states. At
     ``jobs`` = 1 that is the whole grid where it fits; ``jobs`` > 1 splits
     the grid into one block per worker, over a pool of at most ``jobs``
-    threads in this process, and no more than there are CPUs or blocks.
+    threads in this process, and no more than there are CPUs, blocks, or
+    ``MIN_WORKER_WORK`` units in the work, cells x cycles x d^3; a single
+    worker runs on the calling thread.
     The traces do not depend on the split, and ``p_values`` may come in any
-    order. While the pool runs, OpenBLAS is pinned to one thread, so each
-    worker's ``eigh`` runs on its own CPU; the old thread count is restored
-    afterwards, also when a worker raises. Where no OpenBLAS thread control
-    is found, the workers share the CPUs with BLAS's own threads.
+    order. At ``jobs`` > 1, OpenBLAS is pinned to one thread, also for one
+    worker, so each worker's ``eigh``, and each concurrent pqec run, keeps
+    to its CPU; the old thread count is restored afterwards, also when a
+    block raises. Where no OpenBLAS thread control is found, the blocks
+    share the CPUs with BLAS's own threads.
     """
     if jobs < 1 or cycles < 1:
         raise ValidationError(f"jobs ({jobs}) and cycles ({cycles}) must be >= 1")
@@ -301,17 +309,19 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
         raise ValidationError(f"rounds must be >= 0, got {min(rounds_list)}")
     qubits = num_qubits(psi0.size)
     models = [replace(model, p=float(p)) for p in p_values]
-    workers = min(jobs, available_cpus(), len(models))
+    work = len(models) * len(rounds_list) * cycles * psi0.size ** 3
+    workers = max(1, min(jobs, available_cpus(), len(models), work // MIN_WORKER_WORK))
     step = min(max(1, BLOCK_BYTES // (16 * psi0.size ** 2 * len(rounds_list))),
                math.ceil(len(models) / workers))
     blocks = [models[lo:lo + step] for lo in range(0, len(models), step)]
     workers = min(workers, len(blocks))
-    if workers > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cycles, repeat(psi0), blocks, repeat(rounds_list),
-                                    repeat(cycles)))
-    else:
-        results = [run_cycles(psi0, block, rounds_list, cycles) for block in blocks]
+    with _one_blas_thread() if jobs > 1 else nullcontext():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run_cycles, repeat(psi0), blocks,
+                                        repeat(rounds_list), repeat(cycles)))
+        else:
+            results = [run_cycles(psi0, block, rounds_list, cycles) for block in blocks]
     traces = np.concatenate([result.fidelities for result in results])
     gamma = traces[:, :, 0] - traces[:, :, 1]
     steady = traces[:, :, -1]

@@ -187,6 +187,7 @@ def test_threshold_runs_one_cycle_whatever_cycles_says(tmp_path, monkeypatch, ch
 
     monkeypatch.setattr(pqec.threshold, "run_cycles", recording_run_cycles)
     monkeypatch.setattr(pqec.threshold, "available_cpus", lambda: 2)
+    monkeypatch.setattr(pqec.threshold, "MIN_WORKER_WORK", 1)
     base = ["threshold", "--channel"] + channel + ["--M", "3", "--p", "0:1:21",
                                                    "--ell", "0,1,2,3"]
     outputs = {}

@@ -187,7 +187,8 @@ def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
                 assert np.array_equal(whole.traces, split.traces), (psi.size, jobs)
 
 
-def test_sweep_parallel_matches_serial():
+def test_sweep_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
     p_values = np.linspace(0, 1, 5)
     serial = sweep(plus_state(1), NoiseModel("dephasing", 0.0), p_values,
                    (0, 1), cycles=5, jobs=1)
@@ -210,6 +211,7 @@ def test_sweep_workers_are_threads_with_serial_bits(monkeypatch):
 
     monkeypatch.setattr(threshold.os, "fork", no_fork)
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
     monkeypatch.setattr(threshold, "run_cycles", recording_run_cycles)
     psi = bloch_state(0.7, 0.3, 2)
     p_values = np.linspace(0, 1, 5)
@@ -235,14 +237,36 @@ def _counting_run_cycles(counts, fail_at=None):
 def test_parallel_sweep_pins_blas_to_one_thread(monkeypatch, two_blas_threads):
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
     psi, model, p_values = plus_state(2), NoiseModel("local-depol", 0.0), np.linspace(0, 1, 4)
-    for jobs, inside in ((2, [1] * len(BLAS_CONTROLS)), (1, two_blas_threads)):
-        counts = []
-        monkeypatch.setattr(threshold, "run_cycles", _counting_run_cycles(counts))
-        sweep(psi, model, p_values, (0, 1), cycles=2, jobs=jobs)
-        assert counts and all(seen == inside for seen in counts), jobs
+    with monkeypatch.context() as patch:
+        patch.setattr(threshold, "MIN_WORKER_WORK", 1)
+        for jobs, inside in ((2, [1] * len(BLAS_CONTROLS)), (1, two_blas_threads)):
+            counts = []
+            patch.setattr(threshold, "run_cycles", _counting_run_cycles(counts))
+            sweep(psi, model, p_values, (0, 1), cycles=2, jobs=jobs)
+            assert counts and all(seen == inside for seen in counts), jobs
+            assert blas_counts() == two_blas_threads
+        # a worker that raises still restores the count, and releases the pin
+        patch.setattr(threshold, "run_cycles", _counting_run_cycles([], fail_at=1))
+        with pytest.raises(RuntimeError, match="worker failed"):
+            sweep(psi, model, p_values, (0, 1), cycles=2, jobs=2)
         assert blas_counts() == two_blas_threads
-    # a worker that raises still restores the count, and releases the pin
-    monkeypatch.setattr(threshold, "run_cycles", _counting_run_cycles([], fail_at=1))
+        assert not threshold._BLAS_PIN_LOCK.locked()
+    # under the work floor a jobs=2 sweep runs every block on the calling
+    # thread, still on one BLAS thread, and restores the count after it,
+    # also when a block raises; a byte budget of one p value makes four blocks
+    assert len(p_values) * 2 * 2 * psi.size ** 3 < threshold.MIN_WORKER_WORK
+    monkeypatch.setattr(threshold, "BLOCK_BYTES", 16 * psi.size ** 2 * 2)
+    calls = []
+
+    def calling_thread_run_cycles(*args):
+        calls.append((threading.get_ident(), blas_counts()))
+        return run_cycles(*args)
+
+    monkeypatch.setattr(threshold, "run_cycles", calling_thread_run_cycles)
+    sweep(psi, model, p_values, (0, 1), cycles=2, jobs=2)
+    assert calls == [(threading.get_ident(), [1] * len(BLAS_CONTROLS))] * 4
+    assert blas_counts() == two_blas_threads
+    monkeypatch.setattr(threshold, "run_cycles", _counting_run_cycles([], fail_at=2))
     with pytest.raises(RuntimeError, match="worker failed"):
         sweep(psi, model, p_values, (0, 1), cycles=2, jobs=2)
     assert blas_counts() == two_blas_threads
@@ -253,6 +277,7 @@ def test_sweep_without_blas_control_runs_unpinned(monkeypatch, two_blas_threads)
     # where no OpenBLAS thread control is found, the workers share the CPUs
     # with BLAS's threads and the traces keep their bits
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
     psi, p_values = bloch_state(0.7, 0.3, 3), np.linspace(0, 1, 6)
     model = ORACLE_MODELS[-1]
     pinned = sweep(psi, model, p_values, (0, 1, 3), cycles=3, jobs=2)
@@ -271,6 +296,7 @@ def test_overlapping_parallel_sweeps_restore_blas_count(monkeypatch, two_blas_th
     # returned. B must take the pin after A restored the count, or B's
     # workers run unpinned and B restores A's pin.
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
     a_running, b_asked, a_done = threading.Event(), threading.Event(), threading.Event()
     find = threshold._openblas_controls
 
@@ -335,6 +361,13 @@ def _cpus(count):
     return lambda pid: set(range(count))
 
 
+def _zero_run_cycles(psi0, models, rounds, cycles):
+    """``run_cycles`` stand-in that returns zero traces of the right shape."""
+    return threshold.CycleTrace(fidelities=np.zeros((len(models), len(rounds), cycles + 1)),
+                                channel=tuple(models), rounds=tuple(rounds),
+                                qubits=num_qubits(psi0.size), cycles=cycles)
+
+
 def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
     # workers are capped at the CPUs this process may use and at the blocks
     # of p values, whatever the number of rounds values
@@ -342,17 +375,41 @@ def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(threshold.os, "cpu_count", lambda: 64)
     model = NoiseModel("dephasing", 0.0)
-    monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(2))
-    sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=64)
+    with monkeypatch.context() as patch:
+        patch.setattr(threshold, "MIN_WORKER_WORK", 1)
+        patch.setattr(threshold.os, "sched_getaffinity", _cpus(2))
+        sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=64)
+        patch.setattr(threshold.os, "sched_getaffinity", _cpus(16))
+        sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0,), cycles=1, jobs=64)
+        sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=4)
+        # five p values in blocks of two: three blocks for four workers
+        sweep(plus_state(1), model, np.linspace(0, 1, 5), (0, 1), cycles=1, jobs=4)
+        # one worker, or one p value, runs serially without a pool
+        sweep(plus_state(1), model, [0.1], (0, 1, 2), cycles=1, jobs=64)
+        sweep(plus_state(1), model, [0.1, 0.2], (0,), cycles=1, jobs=1)
+        assert _RecordingPool.sizes == [2, 3, 3, 3]
+    # with the real floor, a grid whose work (cells x cycles x d^3) holds k
+    # floors starts min(k, CPUs, blocks) workers, and none below two floors;
+    # these grids are sized by their work, so their cells are not run
+    _RecordingPool.sizes.clear()
+    monkeypatch.setattr(threshold, "run_cycles", _zero_run_cycles)
     monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(16))
-    sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0,), cycles=1, jobs=64)
-    sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=4)
-    # five p values in blocks of two: three blocks for four workers
-    sweep(plus_state(1), model, np.linspace(0, 1, 5), (0, 1), cycles=1, jobs=4)
-    # one worker, or one p value, runs serially without a pool
-    sweep(plus_state(1), model, [0.1], (0, 1, 2), cycles=1, jobs=64)
-    sweep(plus_state(1), model, [0.1, 0.2], (0,), cycles=1, jobs=1)
-    assert _RecordingPool.sizes == [2, 3, 3, 3]
+    psi = plus_state(5)
+    floors = [p_count * cycles * psi.size ** 3 // threshold.MIN_WORKER_WORK
+              for p_count, cycles in ((5, 61), (6, 51), (5, 183), (6, 153), (5, 245))]
+    assert floors == [0, 1, 2, 3, 4]
+    sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=64)
+    sweep(psi, model, np.linspace(0, 1, 5), (0,), cycles=61, jobs=64)
+    sweep(psi, model, np.linspace(0, 1, 6), (0,), cycles=51, jobs=64)
+    assert _RecordingPool.sizes == []
+    # k = 2 and k = 3 bind; five p values at k = 4 make three blocks of two
+    sweep(psi, model, np.linspace(0, 1, 5), (0,), cycles=183, jobs=64)
+    sweep(psi, model, np.linspace(0, 1, 6), (0,), cycles=153, jobs=64)
+    sweep(psi, model, np.linspace(0, 1, 5), (0,), cycles=245, jobs=64)
+    # two CPUs bind at k = 3
+    monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(2))
+    sweep(psi, model, np.linspace(0, 1, 6), (0,), cycles=153, jobs=64)
+    assert _RecordingPool.sizes == [2, 3, 3, 2]
     for jobs in (0, -3):
         with pytest.raises(ValidationError):
             sweep(plus_state(1), model, [0.1], (0,), cycles=1, jobs=jobs)
