@@ -229,7 +229,10 @@ def _write_table(args, columns, rows, comments=(), note="", chart=None) -> None:
     ResultTable(columns, rows, _config_dict(args), args.seed, args.command, comments).write(path)
     print(f"wrote {path}{note}")
     if chart and args.svg:
-        line_chart(path=args.svg, **chart)
+        try:
+            line_chart(path=args.svg, **chart)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.svg}: {exc}") from exc
         print(f"wrote {args.svg}")
 
 

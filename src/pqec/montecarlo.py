@@ -178,37 +178,21 @@ def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
                            outcomes=outcomes)
 
 
-def _measure(records: np.ndarray, shots: np.ndarray, rows: np.ndarray, parity: np.ndarray,
-             cdf: np.ndarray, vals: np.ndarray, rng: np.random.Generator) -> None:
-    """Record a parity and one observable draw for each shot in ``shots``.
+def _measure(records: np.ndarray, rows: np.ndarray, parity: np.ndarray, cdf: np.ndarray,
+             vals: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``records`` with a parity and one observable draw per record.
 
-    Shot ``shots[k]`` sits on row ``rows[k]`` of ``parity`` and of the
-    eigenvalue CDFs ``cdf``. Its draw is the inverse CDF at the k-th of
-    ``len(shots)`` uniforms, which is how ``Generator.choice(p=...)`` draws,
-    so the stream matches one ``choice`` per row group in ``shots`` order.
+    Record k sits on row ``rows[k]`` of ``parity`` and of the eigenvalue
+    CDFs ``cdf``. Its draw is the inverse CDF at the k-th of
+    ``len(records)`` uniforms, which is how ``Generator.choice(p=...)``
+    draws, so the stream matches one scalar ``choice`` per record, in order.
     """
-    u = rng.random(len(shots))
-    records[shots, 0] = parity[rows]
+    u = rng.random(len(records))
+    records[:, 0] = parity[rows]
     step = chunk_rows(8 * cdf.shape[1])
-    for lo in range(0, len(shots), step):
+    for lo in range(0, len(records), step):
         part = slice(lo, lo + step)
-        records[shots[part], 1] = vals[np.sum(cdf[rows[part]] <= u[part, None], axis=1)]
-
-
-def group_by_branch(which: np.ndarray, n_branches: int):
-    """``(order, drawn, rows)`` for shots that drew the branches ``which``.
-
-    ``order`` sorts the shots by branch, stably; ``drawn`` lists the
-    distinct branches drawn in ascending order, and ``rows[k]`` is the
-    position in ``drawn`` of shot ``order[k]``'s branch: what ``np.unique(
-    which[order], return_inverse=True)`` returns, from one count per branch
-    and a radix sort. ``n_branches`` may be at most 2**16, which the
-    enumeration limit keeps (2**15 branches at four rounds).
-    """
-    order = np.argsort(which.astype(np.uint16), kind="stable")
-    counts = np.bincount(which, minlength=n_branches)
-    drawn = np.flatnonzero(counts)
-    return order, drawn, np.repeat(np.arange(len(drawn)), counts[drawn])
+        records[part, 1] = vals[np.sum(cdf[rows[part]] <= u[part, None], axis=1)]
 
 
 def sampling_tree(rho: np.ndarray, rounds: int) -> LevelMerges | OutcomeBranches | None:
@@ -237,14 +221,14 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     Up to the enumeration limit, shots are drawn vectorized from the joint
     branch/eigenvalue distribution of the enumerated tree, which is
     identical to the node-by-node draw: first the branch of every shot,
-    then the observable of every shot, grouped by branch in index order
-    and in shot order within a branch. Only the distinct branches drawn are
-    merged, bit for bit as in ``enumerate_outcomes``. ``tree``, if given,
-    is ``sampling_tree(rho, rounds)`` from an earlier batch; it is built
-    here otherwise. Beyond the limit the shots walk the tree together on
-    eigenvalue vectors (``sample_outcome_tree``), in chunks of
-    ``CHUNK_BYTES`` of rebuilt states, and each chunk then draws its
-    observables.
+    then the observable of every shot, both in shot order. Only the
+    distinct branches drawn are merged, bit for bit as in
+    ``enumerate_outcomes``. ``tree``, if given, is ``sampling_tree(rho,
+    rounds)`` from an earlier batch; it is built here otherwise. Beyond the
+    limit the shots walk the tree together on eigenvalue vectors
+    (``sample_outcome_tree``), in chunks of ``CHUNK_BYTES`` of rebuilt
+    states, and each chunk then draws its observables through the same
+    measurement step.
     """
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
@@ -255,18 +239,19 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
         probs = branches.probability
         which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
         # only the branches drawn need a state and their observable distribution
-        order, drawn, rows = group_by_branch(which, len(branches))
+        counts = np.bincount(which)
+        drawn = np.flatnonzero(counts)
         states = (branches.state[drawn] if isinstance(branches, OutcomeBranches)
                   else merge_states(branches, drawn, swap_gadget))
-        _measure(records, order, rows, branches.parity[drawn],
+        _measure(records, (np.cumsum(counts > 0) - 1)[which], branches.parity[drawn],
                  _outcome_cdf(states, vecs), vals, rng)
         return records
     step = chunk_rows(16 * vals.size ** 2)
     for lo in range(0, n_shots, step):
-        shots = np.arange(lo, min(lo + step, n_shots))
-        drawn = sample_outcome_tree(rho, rounds, rng, len(shots))
-        rows = np.arange(len(shots))
-        _measure(records, shots, rows, drawn.parity, _outcome_cdf(drawn.state, vecs), vals, rng)
+        block = records[lo:lo + step]
+        drawn = sample_outcome_tree(rho, rounds, rng, len(block))
+        _measure(block, np.arange(len(block)), drawn.parity, _outcome_cdf(drawn.state, vecs),
+                 vals, rng)
     return records
 
 

@@ -310,7 +310,7 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     qubits = num_qubits(psi0.size)
     models = [replace(model, p=float(p)) for p in p_values]
     work = len(models) * len(rounds_list) * cycles * psi0.size ** 3
-    workers = max(1, min(jobs, available_cpus(), len(models), work // MIN_WORKER_WORK))
+    workers = max(1, min(jobs, available_cpus(), work // MIN_WORKER_WORK))
     step = min(max(1, BLOCK_BYTES // (16 * psi0.size ** 2 * len(rounds_list))),
                math.ceil(len(models) / workers))
     blocks = [models[lo:lo + step] for lo in range(0, len(models), step)]

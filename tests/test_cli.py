@@ -366,6 +366,9 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["sample", "--ell", "4", "--M", "6", "--shots", "10"],
     ["sample", "--ell", "4", "--state", "plus^8", "--shots", "10"],
     ["sample", "--ell", "5", "--M", "4", "--shots", "32258"],
+    # a chart path that cannot be written, after the CSV is
+    ["purify", "--ell", "1", "--svg", "no-such-directory/x.svg"],
+    ["cycle", "--ell", "1", "--cycles", "2", "--svg", "."],
 ])
 def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
     # twirl-check has no --channel: the flag would be an error of its own

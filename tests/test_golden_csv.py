@@ -1,13 +1,15 @@
 """Seeded CLI runs reproduce the committed CSVs byte for byte.
 
-The ``sample-*`` files under ``tests/data/`` were written by pqec 0.4.3,
-apart from ``sample-zero-ell6`` and ``sample-bloch-M3-ell5``, which 0.4.5
-wrote with the dense tree walk that 0.4.6 replaced by a walk on eigenvalue
-vectors. ``purify-bloch-M3`` and ``twirl-check-M3`` were written by 0.4.6,
-before 0.4.7 merged the command-line resolvers; the others were written by
-0.4.0. Every line must match apart from ``# pqec-version``.
-A change that alters these bytes on purpose bumps the version, says so in
-CHANGES.md, and rewrites them with
+``sample-local-depol-ell5`` under ``tests/data/`` was written by pqec
+0.4.3, and ``sample-zero-ell6`` and ``sample-bloch-M3-ell5`` by 0.4.5, with
+the dense tree walk that 0.4.6 replaced by a walk on eigenvalue vectors.
+``sample-zero-ell4`` and ``sample-dephasing-M2-ell3`` were written by 0.4.9,
+which draws the observables of four rounds or fewer in shot order.
+``purify-bloch-M3`` and ``twirl-check-M3`` were written by 0.4.6, before
+0.4.7 merged the command-line resolvers; the others were written by 0.4.0.
+Every line must match apart from ``# pqec-version``. A change that alters
+these bytes on purpose bumps the version, says so in CHANGES.md, and
+rewrites them with
 
     PYTHONPATH=src python tests/test_golden_csv.py
 """

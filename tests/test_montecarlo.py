@@ -25,7 +25,7 @@ from pqec import (
 )
 import pqec.montecarlo
 from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
-    check_sampling_budget, group_by_branch, sampling_tree
+    check_sampling_budget, sampling_tree
 from pqec.purify import check_observable, merge_states, swap_gadget
 from pqec.states import ResourceLimitError, ValidationError, kron_all
 
@@ -226,21 +226,6 @@ def test_spectral_walk_matches_dense_conditional_state(qubits, rounds, kind):
         assert np.all(drawn.outcomes == 1)
 
 
-def test_group_by_branch_matches_unique():
-    # a skewed draw over the 2**15 branches of four rounds that hits thousands of them
-    rng = np.random.default_rng(31)
-    weights = rng.pareto(1.0, size=2 ** 15)
-    which = rng.choice(2 ** 15, size=200_000, p=weights / weights.sum())
-    order, drawn, rows = group_by_branch(which, 2 ** 15)
-    expected_order = np.argsort(which, kind="stable")
-    expected_drawn, expected_rows = np.unique(which[expected_order], return_inverse=True)
-    assert len(expected_drawn) > 5000
-    assert np.array_equal(order, expected_order)
-    assert np.array_equal(drawn, expected_drawn)
-    assert np.array_equal(rows, expected_rows)
-    assert drawn.dtype == expected_drawn.dtype and rows.dtype == expected_rows.dtype
-
-
 def test_sample_observable_examples():
     rng = np.random.default_rng(5)
     assert sample_observable(density_from_pure(zero_state(1)), Z, rng) == 1.0
@@ -276,27 +261,22 @@ def test_simulate_shots_deterministic():
 
 
 def _per_branch_scan(rho, obs, rounds, n_shots, rng):
-    """Enumeration-path oracle: one scan of all shots for every branch."""
+    """Enumeration-path oracle: every branch first, then one ``choice`` per shot."""
     vals, vecs = np.linalg.eigh(obs)
     records = np.empty((n_shots, 2))
     branches = enumerate_outcomes(rho, rounds)
     probs = branches.probability
     which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
-    for k in range(len(branches)):
-        sel = np.flatnonzero(which == k)
-        if sel.size == 0:
-            continue
+    for shot, k in enumerate(which):
         q = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, branches.state[k], vecs)),
                     0.0, None)
-        draws = rng.choice(vals.size, size=sel.size, p=q / q.sum())
-        records[sel, 0] = branches.parity[k]
-        records[sel, 1] = vals[draws]
+        records[shot] = branches.parity[k], vals[rng.choice(vals.size, p=q / q.sum())]
     return records
 
 
 @pytest.mark.parametrize("seed", [0, 1, 97])
 def test_enumeration_path_matches_per_branch_scan(seed):
-    # grouping shots by branch must keep the RNG stream record for record
+    # the vectorized draw keeps the RNG stream of one scalar draw per shot, record for record
     cases = [(random_density_matrix(2, np.random.default_rng(seed)), pauli_matrix("ZX")),
              (density_from_pure(zero_state(1)), Z), (DIAG, Z)]
     for rho, obs in cases:
@@ -307,10 +287,11 @@ def test_enumeration_path_matches_per_branch_scan(seed):
 
 
 def test_enumeration_path_stream_is_pinned():
-    # the benchmark's l=4 state: these are the values every version since 0.2.0 draws
+    # the benchmark's l=4 state: the branch draw (B_hat) is that of every version since
+    # 0.2.0; the observables are drawn in shot order since 0.4.9
     rho = make_channel(NoiseModel("local-depol", 0.01), 1)(density_from_pure(zero_state(1)))
     res = ratio_estimate(simulate_shots(rho, Z, 4, 100_000, np.random.default_rng(1)))
-    assert res.numerator_mean == 0.89904
+    assert res.numerator_mean == 0.89912
     assert res.denominator_mean == 0.89916
 
 
