@@ -34,6 +34,7 @@ from .purify import (
     fidelity_bounds,
     parity_weighted_sum,
     plain_sum_check,
+    purified_spectra,
     purified_state,
     swap_gadget,
     werner_fidelity_update,
@@ -78,4 +79,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.4.9"
+__version__ = "0.4.10"

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, make_channel
 from .montecarlo import check_sampling_budget, ratio_estimate, sampling_tree, simulate_shots
-from .purify import extract_observable_exact, purified_state
+from .purify import extract_observable_exact, purified_spectra
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
     bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
@@ -402,7 +402,9 @@ def _cmd_purify(args) -> int:
     psi, model, _, ells = _experiment(args, single=("p",))
     channel = make_channel(model, args.m)
     noisy = channel(density_from_pure(psi))
-    rows = [(ell, fidelity(purified_state(noisy, ell), psi)) for ell in ells]
+    # one decomposition serves every rounds value, and no purified state is built
+    rows = [(ell, fidelity(noisy, psi) if spectrum is None else spectrum.fidelity(psi))
+            for ell, spectrum in zip(ells, purified_spectra(noisy, ells))]
     _write_table(args, ["ell", "fidelity"], rows,
                  chart=dict(series=[("F", ells, [r[1] for r in rows])],
                             title="fidelity vs purification rounds",

@@ -365,6 +365,25 @@ def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> OutcomeBranches:
 MAX_SPECTRAL_ROUNDS = 64
 
 
+def purified_spectra(rho: np.ndarray, rounds):
+    """The spectra of rho**N, N = 2**r, for each r of the sequence ``rounds``.
+
+    Yields one ``SpectralPower`` per value, or None for r = 0, which leaves
+    the input unpurified. Every value shares one eigendecomposition of the
+    stack ``(..., d, d)``, made at the call; the powers follow lazily, so
+    a long ``rounds`` holds one spectrum at a time. ``.fidelity`` of one
+    reads the purified fidelity off the spectrum, and ``.normalized`` builds
+    the purified state.
+    """
+    ells = tuple(int(r) for r in rounds)
+    if min(ells, default=0) < 0:
+        raise ValidationError(f"rounds must be >= 0, got {min(ells)}")
+    decomposition = spectral_decomposition(rho) if any(ells) else None
+    # each power has its own scalar exponent, exactly as one call per value
+    return (power_spectrum(*decomposition, 2 ** min(ell, MAX_SPECTRAL_ROUNDS)) if ell else None
+            for ell in ells)
+
+
 def purified_state(rho: np.ndarray, rounds) -> np.ndarray:
     """rho**N / Tr(rho**N) with N = 2**rounds; rounds = 0 returns the input.
 
@@ -372,26 +391,18 @@ def purified_state(rho: np.ndarray, rounds) -> np.ndarray:
     and the cost is one eigendecomposition regardless of ``rounds``. A
     stack ``(..., d, d)`` is purified matrix by matrix, with the same result
     as one call each. A sequence of ``rounds`` values shares that one
-    decomposition and returns ``(..., len(rounds), d, d)``.
+    decomposition (``purified_spectra``) and returns
+    ``(..., len(rounds), d, d)``.
     """
-    many = np.ndim(rounds) > 0
-    ells = tuple(int(r) for r in np.atleast_1d(rounds))
-    if min(ells, default=0) < 0:
-        raise ValidationError(f"rounds must be >= 0, got {min(ells)}")
+    ells = np.atleast_1d(rounds)
     rho = np.asarray(rho, dtype=complex)
-    decomposition = spectral_decomposition(rho) if any(ells) else None
-
-    def purify(ell):
-        # each power has its own scalar exponent, exactly as one call per value
-        if ell == 0:
-            return rho
-        return power_spectrum(*decomposition, 2 ** min(ell, MAX_SPECTRAL_ROUNDS)).normalized()
-
-    if not many:
-        return purify(ells[0])
+    states = (rho if spectrum is None else spectrum.normalized()
+              for spectrum in purified_spectra(rho, ells))
+    if np.ndim(rounds) == 0:
+        return next(states)
     out = np.empty(rho.shape[:-2] + (len(ells),) + rho.shape[-2:], dtype=complex)
-    for j, ell in enumerate(ells):
-        out[..., j, :, :] = purify(ell)
+    for j, state in enumerate(states):
+        out[..., j, :, :] = state
     return out
 
 

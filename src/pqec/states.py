@@ -253,7 +253,20 @@ class SpectralPower:
 
     def normalized(self) -> np.ndarray:
         """rho**n / Tr(rho**n), computed without leaving the scaled form."""
-        return self._reconstruct(self.eigenvalues / self.eigenvalues.sum(axis=-1, keepdims=True))
+        return self._reconstruct(self._weights())
+
+    def fidelity(self, psi: np.ndarray):
+        """<psi|rho**n|psi> / Tr(rho**n) as sum_i w_i |<v_i|psi>|^2, with no matrix built.
+
+        The weights w_i are the normalized spectrum. A stack gives an array
+        of overlaps, one per matrix, with the same bits as one call each.
+        """
+        amplitudes = np.asarray(psi).conj() @ self.eigenvectors
+        overlap = (self._weights() * (amplitudes.real ** 2 + amplitudes.imag ** 2)).sum(axis=-1)
+        return float(overlap) if overlap.ndim == 0 else overlap
+
+    def _weights(self) -> np.ndarray:
+        return self.eigenvalues / self.eigenvalues.sum(axis=-1, keepdims=True)
 
     def _reconstruct(self, weights: np.ndarray) -> np.ndarray:
         # V diag(weights) V^dagger, matrix by matrix for a stack

@@ -7,18 +7,21 @@ fidelity drop F(0) - F(1), and the threshold of a channel family is the
 error probability where the logical-error curves for different numbers of
 purification rounds cross.
 
-The engine runs a whole (p, rounds) grid in lock-step as one (P, L, d, d)
-stack of states. Each cycle applies every p's channel to that p's L
-states, makes one stacked eigendecomposition per rounds value, and takes
-every fidelity in one call. The first cycle starts all rounds values of a
-p from the same noisy state, so it decomposes that state once. Every step
-acts matrix by matrix, so a trace has the same bits as a run of its cell
-alone, however the grid is split into blocks. Parallel blocks run on
-threads of the calling process: the stacked ``eigh`` and Pauli kernels
-release the interpreter lock, and no worker is forked. At ``jobs`` > 1,
-every OpenBLAS loaded in the process, numpy's among them, is pinned to
-one thread, so its own thread pool does not compete with the workers for
-the CPUs; its old thread count comes back when the sweep ends.
+The engine runs a whole (p, rounds) grid in lock-step. Each cycle applies
+every p's channel to that p's L states and makes one stacked
+eigendecomposition per rounds value. Every purified fidelity is read off
+its spectrum, sum_i w_i |<v_i|psi>|^2, and a purified matrix is built only
+for a cycle that follows, into one (P, L, d, d) stack of states. The first
+cycle starts all rounds values of a p from the same noisy state, so it
+decomposes that state once; a one-cycle run, as every threshold is, holds
+one state per p and builds no purified matrix. Every step acts matrix by
+matrix, so a trace has the same bits as a run of its cell alone, however
+the grid is split into blocks. Parallel blocks run on threads of the
+calling process: the stacked ``eigh`` and Pauli kernels release the
+interpreter lock, and no worker is forked. At ``jobs`` > 1, every OpenBLAS
+loaded in the process, numpy's among them, is pinned to one thread, so its
+own thread pool does not compete with the workers for the CPUs; its old
+thread count comes back when the sweep ends.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ from itertools import repeat
 import numpy as np
 
 from .channels import NoiseModel, make_channel
-from .purify import CHUNK_BYTES, purified_state, werner_fidelity_update
+from .purify import CHUNK_BYTES, purified_spectra, werner_fidelity_update
+# The engine builds no state through ``purified_state``; the name stays bound
+# here because perfbench's span recorder wraps it at this module.
+from .purify import purified_state  # noqa: F401
 from .states import ValidationError, check_pure_state, density_from_pure, fidelity, num_qubits
 
 DEFAULT_P_COUNT = 41
@@ -48,11 +54,13 @@ DEFAULT_CYCLES = 30
 # crossing; covers floating-point noise at exact-threshold grid points.
 ZERO_TOL = 1e-12
 
-# Most bytes of states one lock-step block of a sweep holds. A cycle makes a
-# few working copies of its block, so every stacked step stays well inside
-# CHUNK_BYTES. Larger blocks save no time but raise peak memory: the
-# benchmark's five threshold sweeps peaked 13 MB higher with 3.4 MB blocks
-# and 1.5 MB higher with 512 KiB ones, while below 256 KiB they slow down.
+# Most bytes of states one lock-step block of a sweep holds: one noisy state
+# per p for a one-cycle sweep, one state per (p, rounds) cell for a longer
+# one. A cycle makes a few working copies of its block, so every stacked
+# step stays well inside CHUNK_BYTES. Larger blocks save no time but raise
+# peak memory: the benchmark's five threshold sweeps peaked 13 MB higher
+# with 3.4 MB blocks and 1.5 MB higher with 512 KiB ones, while below 256 KiB
+# they slow down (measured in 0.4.1, with a state per cell in every block).
 BLOCK_BYTES = CHUNK_BYTES // 16
 
 # Lock-step work (cells x cycles x d^3) per sweep worker thread. Smaller
@@ -150,14 +158,24 @@ def run_cycles(psi0: np.ndarray, model, rounds, cycles: int) -> CycleTrace:
     fids[..., 0] = fidelity(rho, psi0)
     # every cell of a p starts from the same noisy state: one decomposition
     # per p serves all rounds values in the first cycle
-    rho = purified_state(np.stack([channel(rho) for channel in channels]), ells)
-    fids[..., 1] = fidelity(rho, psi0)
-    for t in range(2, cycles + 1):
-        for i, channel in enumerate(channels):
-            rho[i] = channel(rho[i])
-        for j, ell in enumerate(ells):
-            rho[:, j] = purified_state(rho[:, j], ell)
-        fids[..., t] = fidelity(rho, psi0)
+    noisy = np.stack([channel(rho) for channel in channels])
+    spectra = purified_spectra(noisy, ells)
+    # the (P, L) states of the next cycle, updated in place; a one-cycle run
+    # reads every fidelity off the spectra and builds no state
+    rho = np.repeat(noisy[:, None], len(ells), axis=1) if cycles > 1 else None
+    for t in range(1, cycles + 1):
+        if t > 1:
+            for i, channel in enumerate(channels):
+                rho[i] = channel(rho[i])
+            # each rounds value now has states of its own to decompose
+            spectra = (next(purified_spectra(rho[:, j], (ell,))) for j, ell in enumerate(ells))
+        for j, spectrum in enumerate(spectra):
+            if spectrum is None:
+                fids[:, j, t] = fidelity(noisy if t == 1 else rho[:, j], psi0)
+                continue
+            fids[:, j, t] = spectrum.fidelity(psi0)
+            if t < cycles:
+                rho[:, j] = spectrum.normalized()
     # a scalar argument drops its axis, as in numpy broadcasting
     scalar = [isinstance(model, NoiseModel), np.ndim(rounds) == 0]
     return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),
@@ -285,12 +303,13 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
 
     ``model`` acts as a template whose ``p`` is replaced per grid point.
     Blocks of consecutive p values run in lock-step, one ``run_cycles``
-    call each, and no block holds more than ``BLOCK_BYTES`` of states. At
-    ``jobs`` = 1 that is the whole grid where it fits; ``jobs`` > 1 splits
-    the grid into one block per worker, over a pool of at most ``jobs``
-    threads in this process, and no more than there are CPUs, blocks, or
-    ``MIN_WORKER_WORK`` units in the work, cells x cycles x d^3; a single
-    worker runs on the calling thread.
+    call each, and no block holds more than ``BLOCK_BYTES`` of states: one
+    per p at one cycle, one per cell otherwise. At ``jobs`` = 1 that is the
+    whole grid where it fits; ``jobs`` > 1 splits the grid into one block
+    per worker, over a pool of at most ``jobs`` threads in this process,
+    and no more than there are CPUs, blocks, or ``MIN_WORKER_WORK`` units
+    in the work, cells x cycles x d^3; a single worker runs on the calling
+    thread.
     The traces do not depend on the split, and ``p_values`` may come in any
     order. At ``jobs`` > 1, OpenBLAS is pinned to one thread, also for one
     worker, so each worker's ``eigh``, and each concurrent pqec run, keeps
@@ -311,7 +330,8 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     models = [replace(model, p=float(p)) for p in p_values]
     work = len(models) * len(rounds_list) * cycles * psi0.size ** 3
     workers = max(1, min(jobs, available_cpus(), work // MIN_WORKER_WORK))
-    step = min(max(1, BLOCK_BYTES // (16 * psi0.size ** 2 * len(rounds_list))),
+    held = 1 if cycles == 1 else len(rounds_list)
+    step = min(max(1, BLOCK_BYTES // (16 * psi0.size ** 2 * held)),
                math.ceil(len(models) / workers))
     blocks = [models[lo:lo + step] for lo in range(0, len(models), step)]
     workers = min(workers, len(blocks))

@@ -5,13 +5,16 @@
 the dense tree walk that 0.4.6 replaced by a walk on eigenvalue vectors.
 ``sample-zero-ell4`` and ``sample-dephasing-M2-ell3`` were written by 0.4.9,
 which draws the observables of four rounds or fewer in shot order.
-``purify-bloch-M3`` and ``twirl-check-M3`` were written by 0.4.6, before
-0.4.7 merged the command-line resolvers; the others were written by 0.4.0.
-Every line must match apart from ``# pqec-version``. A change that alters
-these bytes on purpose bumps the version, says so in CHANGES.md, and
-rewrites them with
+``twirl-check-M3`` was written by 0.4.6, before 0.4.7 merged the
+command-line resolvers. 0.4.10 reads fidelities off the purified spectrum
+instead of a rebuilt matrix, and wrote ``purify-bloch-M3``, both ``cycle``
+files, the three ``sweep`` files with their traces and
+``threshold-twirled-M2``; the other three ``threshold`` files were written by
+0.4.0. Every line must match apart from ``# pqec-version``. A change that
+alters these bytes on purpose bumps the version, says so in CHANGES.md, and
+rewrites the files it changes, named by stem, with
 
-    PYTHONPATH=src python tests/test_golden_csv.py
+    PYTHONPATH=src python tests/test_golden_csv.py STEM [STEM ...]
 """
 
 import sys
@@ -103,7 +106,11 @@ def test_golden_sweep_with_a_pool(tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    stems = sys.argv[1:]
+    unknown = sorted(set(stems) - set(GOLDEN))
+    if not stems or unknown:
+        sys.exit(f"usage: {sys.argv[0]} STEM [STEM ...]; stems: {', '.join(GOLDEN)}"
+                 + (f"; unknown: {', '.join(unknown)}" if unknown else ""))
     DATA.mkdir(exist_ok=True)
-    for stem in GOLDEN:
+    for stem in stems:
         run_golden(stem, DATA)
-    sys.exit(0)

@@ -22,6 +22,7 @@ from pqec import (
     pauli_matrix,
     plain_sum_check,
     plus_state,
+    purified_spectra,
     purified_state,
     purity,
     random_density_matrix,
@@ -336,6 +337,30 @@ def test_purified_state_stacks_and_round_lists():
     assert np.array_equal(purified_state(stack, (0, 0)), np.stack([stack, stack], axis=1))
     with pytest.raises(ValidationError, match="-2"):
         purified_state(stack, (1, -2))
+
+
+# float64 rounding of two d-term sums, set before the test first ran
+SPECTRAL_FIDELITY_TOL = 1e-14
+
+
+@pytest.mark.parametrize("qubits", range(1, 6))
+def test_spectral_fidelity_matches_purified_matrix(qubits):
+    rng = np.random.default_rng(40 + qubits)
+    psi = random_pure_state(qubits, rng)
+    noisy = make_channel(NoiseModel("local-depol", 0.2), qubits)(density_from_pure(psi))
+    stack = np.stack([noisy] + [random_density_matrix(qubits, rng) for _ in range(3)])
+    rounds = (1, 2, 5, 64, 1100)
+    for r, spectrum in zip(rounds, purified_spectra(stack, rounds)):
+        spectral = spectrum.fidelity(psi)
+        assert spectral.shape == (len(stack),)
+        for b, rho in enumerate(stack):
+            assert abs(spectral[b] - fidelity(purified_state(rho, r), psi)) < SPECTRAL_FIDELITY_TOL
+            # one matrix alone gives the bits of its row of the stack
+            (alone,) = purified_spectra(rho, (r,))
+            assert alone.fidelity(psi) == spectral[b]
+    # zero rounds leave the input unpurified: no spectrum
+    assert list(purified_spectra(stack, (0, 0))) == [None, None]
+
 
 def test_purity_monotone():
     rng = np.random.default_rng(3)

@@ -13,25 +13,35 @@ from pqec import (
     logical_error_rate,
     make_channel,
     plus_state,
-    purified_state,
+    purified_spectra,
     run_cycles,
     steady_state_fidelity_analytic,
     sweep,
     werner_cycle_fidelities,
 )
-from pqec import threshold
+from pqec import purify, threshold
 from pqec.channels import _seeded_damping_shares
-from pqec.states import ValidationError, num_qubits
+from pqec.cli import main
+from pqec.states import SpectralPower, ValidationError, num_qubits
 
 
 def cell_oracle(psi, model, rounds, cycles):
-    """One cell's trace by a plain loop over single matrices."""
+    """One cell's trace by a plain loop over single matrices.
+
+    F is read off the purified spectrum, and the state of the next cycle is
+    the normalized power, as the engine does.
+    """
     channel = make_channel(model, num_qubits(psi.size))
     rho = density_from_pure(psi)
     fids = [fidelity(rho, psi)]
     for _ in range(cycles):
-        rho = purified_state(channel(rho), rounds)
-        fids.append(fidelity(rho, psi))
+        rho = channel(rho)
+        (spectrum,) = purified_spectra(rho, (rounds,))
+        if spectrum is None:
+            fids.append(fidelity(rho, psi))
+        else:
+            fids.append(spectrum.fidelity(psi))
+            rho = spectrum.normalized()
     return np.array(fids)
 
 
@@ -146,6 +156,33 @@ def test_sweep_traces_match_per_cell_oracle(psi, model):
             oracle = cell_oracle(psi, NoiseModel(model.kind, float(p), model.twirl_fraction,
                                                  model.twirl_seed), r, 3)
             assert np.array_equal(result.traces[i, j], oracle), (p, r)
+
+
+def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("a purified state was built")
+
+    for owner in (purify, threshold):
+        monkeypatch.setattr(owner, "purified_state", refuse)
+    monkeypatch.setattr(SpectralPower, "normalized", refuse)
+    model, p_values, rounds = NoiseModel("local-depol", 0.0), np.linspace(0, 1, 5), (0, 1, 3)
+    one = sweep(plus_state(2), model, p_values, rounds, cycles=1)
+    argv = ["purify", "--M", "2", "--channel", "local-depol", "--p", "0.2", "--ell", "0..70"]
+    assert main(argv + ["--out", str(tmp_path / "purify.csv")]) == 0
+
+    monkeypatch.undo()
+    built = []
+    normalized = SpectralPower.normalized
+
+    def counting(self):
+        built.append(self.eigenvalues.shape)
+        return normalized(self)
+
+    monkeypatch.setattr(SpectralPower, "normalized", counting)
+    three = sweep(plus_state(2), model, p_values, rounds, cycles=3)
+    # cycles 1 and 2 build the states of the two purified columns; cycle 3 builds none
+    assert built == [(len(p_values), 4)] * 4
+    assert np.array_equal(three.traces[..., :2], one.traces)
 
 
 # OpenBLAS thread control of this process, if numpy's BLAS has one
