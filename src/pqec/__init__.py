@@ -79,4 +79,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.4.10"
+__version__ = "0.5.0"

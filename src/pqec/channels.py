@@ -42,52 +42,78 @@ class NoiseModel:
     ``local-depol`` (Kraus sqrt(1-p) I, sqrt(p/3) X, Y, Z on every qubit),
     ``dephasing`` ((1-p) rho + p Z rho Z on every qubit) or
     ``twirled-dephasing`` (the mean of U^dag E_z(U rho U^dag) U over the
-    seeded frame subset); ``p`` is the error probability. The twirl fields
-    only matter for ``twirled-dephasing``. ``make_channel`` applies it.
+    seeded frame subset); ``p`` is the error probability, or a tuple of
+    them for one channel per entry, stacked. The twirl fields only matter
+    for ``twirled-dephasing``. ``make_channel`` applies it.
     """
 
     kind: str
-    p: float
+    p: float | tuple[float, ...]
     twirl_fraction: float = 1.0
     twirl_seed: int = DEFAULT_SEED
 
     def validate(self) -> "NoiseModel":
         if self.kind not in CHANNEL_KINDS:
             raise ValidationError(f"unknown channel kind {self.kind!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError(f"error probability {self.p} outside [0, 1]")
+        values = self.p if isinstance(self.p, tuple) else (self.p,)
+        if not values or any(np.ndim(p) != 0 for p in values):
+            raise ValidationError(
+                f"error probability {self.p!r} is neither a number nor a flat nonempty tuple")
+        for p in values:
+            if not 0.0 <= p <= 1.0:
+                raise ValidationError(f"error probability {p} outside [0, 1]")
         if not 0.0 < self.twirl_fraction <= 1.0:
             raise ValidationError(
                 f"twirl fraction {self.twirl_fraction} outside (0, 1]")
         return self
 
     def transfer_eigenvalues(self, qubits: int) -> np.ndarray:
-        """Tensor lam, shape (4,)*qubits: the channel maps Tr(rho P) to lam[P] Tr(rho P)."""
+        """Tensor lam, shape np.shape(p) + (4,)*qubits: the channel maps Tr(rho P) to lam[P] Tr(rho P).
+
+        A tuple ``p`` gives one row per entry, each with the bits of a call
+        with that entry alone.
+        """
         self.validate()
-        p = self.p
+        p = np.asarray(self.p, dtype=float)
+        lam_shape = p.shape + (4,) * qubits
         if self.kind == "global-depol":
-            lam = np.full((4,) * qubits, 1.0 - p)
-            lam[(0,) * qubits] = 1.0
+            lam = np.repeat(1.0 - p, 4 ** qubits).reshape(lam_shape)
+            lam[(...,) + (0,) * qubits] = 1.0
             return lam
         if self.kind == "twirled-dephasing":
             shares = _seeded_damping_shares(qubits, self.twirl_fraction, self.twirl_seed)
-            return shares @ (1.0 - 2.0 * p) ** np.arange(qubits + 1)
-        eta = 1.0 - 4.0 * p / 3.0 if self.kind == "local-depol" else 1.0 - 2.0 * p
-        factors = np.array([1.0, eta, eta, eta if self.kind == "local-depol" else 1.0])
-        return functools.reduce(np.multiply.outer, [factors] * qubits)
+            k = np.arange(qubits + 1)
+            # one matrix-vector product per p: a stacked product sums in another order
+            return np.stack([shares @ (1.0 - 2.0 * q) ** k for q in p.ravel()]).reshape(lam_shape)
+        local = self.kind == "local-depol"
+        eta = 1.0 - 4.0 * p / 3.0 if local else 1.0 - 2.0 * p
+        one = np.ones_like(eta)
+        factors = np.stack([one, eta, eta, eta if local else one], axis=-1)
+        # outer products folded from the left, qubit 0 outermost, per p
+        lam = factors
+        for q in range(1, qubits):
+            lam = lam[..., None] * factors.reshape(p.shape + (1,) * q + (4,))
+        return lam
 
 
-def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray, qubits: int | None = None) -> np.ndarray:
     """Multiply the coefficient of every Pauli string P in rho by lam[P].
 
-    O(M 4**M) and, unlike the Pauli expansion, not limited in M. A stack
-    ``(..., d, d)`` is mapped matrix by matrix, with the same result as one
-    call each.
+    O(M 4**M) and, unlike the Pauli expansion, not limited in M. The last
+    ``qubits`` axes of ``lam`` (all by default) are its Pauli axes; any
+    before them are a stack of channels, lined up with the leading axes of
+    ``rho``. So one matrix under a stack of P channels gives ``(P, d, d)``,
+    and a stack ``(P, L, d, d)`` under it maps each channel over its L
+    matrices. Every matrix gets the bits of one call with its channel alone.
     """
-    qubits = num_qubits(np.shape(rho)[-1])
-    if qubits != lam.ndim:
-        raise ValidationError(f"channel acts on {lam.ndim} qubits, input on {qubits}")
-    return from_pauli_basis(to_pauli_basis(rho) * lam, qubits)
+    m = lam.ndim if qubits is None else qubits
+    rho_qubits = num_qubits(np.shape(rho)[-1])
+    if rho_qubits != m:
+        raise ValidationError(f"channel acts on {m} qubits, input on {rho_qubits}")
+    coeffs = to_pauli_basis(rho)
+    lead = lam.ndim - m
+    lam = lam.reshape(lam.shape[:lead] + (1,) * (coeffs.ndim - m - lead) + lam.shape[lead:])
+    return from_pauli_basis(coeffs * lam, m)
 
 
 # ----------------------------------------------------------------------
@@ -174,14 +200,17 @@ def _subset_damping_counts(qubits: int, gates) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def make_channel(model: NoiseModel, qubits: int):
-    """Closure applying the described channel to a density matrix.
+    """Closure applying the described channel to a density matrix or a stack.
 
-    The transfer eigenvalues are built once here. A twirled model's seeded
+    The transfer eigenvalues are built once here. A tuple ``p`` makes one
+    closure for all its entries: one matrix in gives ``(P, d, d)`` out, one
+    state per p, and a stack ``(P, L, d, d)`` gets p's channel on each of
+    its L matrices (``apply_pauli_diagonal``). A twirled model's seeded
     subset and damping table are cached per (qubits, fraction, seed), so a
-    sweep draws one subset and each cell costs O(M 4**M).
+    sweep draws one subset and each p costs O(M 4**M).
     """
     lam = model.transfer_eigenvalues(qubits)
-    return lambda rho: apply_pauli_diagonal(rho, lam)
+    return lambda rho: apply_pauli_diagonal(rho, lam, qubits)
 
 
 def channel_matrix_equality(chan_a, chan_b, qubits: int) -> float:

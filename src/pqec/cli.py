@@ -402,9 +402,16 @@ def _cmd_purify(args) -> int:
     psi, model, _, ells = _experiment(args, single=("p",))
     channel = make_channel(model, args.m)
     noisy = channel(density_from_pure(psi))
-    # one decomposition serves every rounds value, and no purified state is built
-    rows = [(ell, fidelity(noisy, psi) if spectrum is None else spectrum.fidelity(psi))
-            for ell, spectrum in zip(ells, purified_spectra(noisy, ells))]
+    # one decomposition, and one set of overlaps with its eigenvectors, serves
+    # every rounds value, and no purified state is built
+    rows, populations = [], None
+    for ell, spectrum in zip(ells, purified_spectra(noisy, ells)):
+        if spectrum is None:
+            rows.append((ell, fidelity(noisy, psi)))
+            continue
+        if populations is None:
+            populations = spectrum.populations(psi)
+        rows.append((ell, spectrum.mean(populations)))
     _write_table(args, ["ell", "fidelity"], rows,
                  chart=dict(series=[("F", ells, [r[1] for r in rows])],
                             title="fidelity vs purification rounds",

@@ -261,8 +261,20 @@ class SpectralPower:
         The weights w_i are the normalized spectrum. A stack gives an array
         of overlaps, one per matrix, with the same bits as one call each.
         """
+        return self.mean(self.populations(psi))
+
+    def populations(self, psi: np.ndarray) -> np.ndarray:
+        """|<v_i|psi>|^2 for every eigenvector v_i, shape (..., d).
+
+        Every power of one decomposition has the same eigenvectors, so one
+        call serves them all through ``mean``.
+        """
         amplitudes = np.asarray(psi).conj() @ self.eigenvectors
-        overlap = (self._weights() * (amplitudes.real ** 2 + amplitudes.imag ** 2)).sum(axis=-1)
+        return amplitudes.real ** 2 + amplitudes.imag ** 2
+
+    def mean(self, populations: np.ndarray):
+        """sum_i w_i populations_i over the normalized spectrum w: ``fidelity`` from ``populations``."""
+        overlap = (self._weights() * populations).sum(axis=-1)
         return float(overlap) if overlap.ndim == 0 else overlap
 
     def _weights(self) -> np.ndarray:

@@ -7,12 +7,14 @@ fidelity drop F(0) - F(1), and the threshold of a channel family is the
 error probability where the logical-error curves for different numbers of
 purification rounds cross.
 
-The engine runs a whole (p, rounds) grid in lock-step. Each cycle applies
-every p's channel to that p's L states and makes one stacked
-eigendecomposition per rounds value. Every purified fidelity is read off
-its spectrum, sum_i w_i |<v_i|psi>|^2, and a purified matrix is built only
-for a cycle that follows, into one (P, L, d, d) stack of states. The first
-cycle starts all rounds values of a p from the same noisy state, so it
+The engine runs a whole (p, rounds) grid in lock-step. Its noise model
+holds the grid's p values as one tuple, so each cycle makes one call of
+one channel closure on the (P, L, d, d) stack of states, each p's channel
+on that p's L states, and one stacked eigendecomposition per rounds value.
+Every purified fidelity is read off its spectrum, sum_i w_i |<v_i|psi>|^2,
+with the overlaps |<v_i|psi>|^2 taken once per decomposition, and a
+purified matrix is built only for a cycle that follows. The first cycle
+starts all rounds values of a p from the same noisy state, so it
 decomposes that state once; a one-cycle run, as every threshold is, holds
 one state per p and builds no purified matrix. Every step acts matrix by
 matrix, so a trace has the same bits as a run of its cell alone, however
@@ -89,13 +91,13 @@ class UndefinedSteadyStateError(ValueError):
 class CycleTrace:
     """Fidelity record F(0..T) of channel-then-purify experiments.
 
-    ``fidelities`` is (cycles + 1,) for one model and one rounds value, and
-    gains a leading axis for a sequence of models and then one for a
-    sequence of rounds values, as given to ``run_cycles``.
+    ``fidelities`` is (cycles + 1,) for a scalar p and one rounds value,
+    and gains a leading axis for a tuple p and then one for a sequence of
+    rounds values, as given to ``run_cycles``.
     """
 
     fidelities: np.ndarray
-    channel: NoiseModel | tuple[NoiseModel, ...]
+    channel: NoiseModel
     rounds: int | tuple[int, ...]
     qubits: int
     cycles: int
@@ -136,48 +138,51 @@ class ThresholdEstimate:
 # Cycles
 # ----------------------------------------------------------------------
 
-def run_cycles(psi0: np.ndarray, model, rounds, cycles: int) -> CycleTrace:
+def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> CycleTrace:
     """Iterate channel-then-purify from a pure target, recording fidelity.
 
     ``rounds`` = 0 applies the channel only. The purification uses the exact
     spectral map, matching the deterministic curves the threshold analysis
-    is defined on. ``model`` and ``rounds`` broadcast like numpy arguments:
-    one ``NoiseModel`` and one rounds value give fidelities of shape
-    (cycles + 1,); a sequence of P models and a sequence of L rounds values
-    give (P, L, cycles + 1), every cell run in lock-step.
+    is defined on. ``model.p`` and ``rounds`` broadcast like numpy
+    arguments: a scalar p and one rounds value give fidelities of shape
+    (cycles + 1,); a tuple of P values of p and a sequence of L rounds
+    values give (P, L, cycles + 1), every cell run in lock-step under one
+    channel closure, called once per cycle.
     """
     if cycles < 1:
         raise ValidationError("cycles must be >= 1")
     psi0 = check_pure_state(psi0)
     qubits = num_qubits(psi0.size)
-    models = (model,) if isinstance(model, NoiseModel) else tuple(model)
     ells = tuple(int(r) for r in np.atleast_1d(rounds))
-    channels = [make_channel(m, qubits) for m in models]
+    channel = make_channel(model, qubits)
     rho = density_from_pure(psi0)
-    fids = np.empty((len(models), len(ells), cycles + 1))
+    # one noisy state per p: every cell of a p starts from it, so one
+    # decomposition per p serves all rounds values in the first cycle
+    noisy = channel(rho).reshape((-1,) + rho.shape)
+    fids = np.empty((len(noisy), len(ells), cycles + 1))
     fids[..., 0] = fidelity(rho, psi0)
-    # every cell of a p starts from the same noisy state: one decomposition
-    # per p serves all rounds values in the first cycle
-    noisy = np.stack([channel(rho) for channel in channels])
     spectra = purified_spectra(noisy, ells)
-    # the (P, L) states of the next cycle, updated in place; a one-cycle run
-    # reads every fidelity off the spectra and builds no state
+    # the (P, L) states of the next cycle; a one-cycle run reads every
+    # fidelity off the spectra and builds no state
     rho = np.repeat(noisy[:, None], len(ells), axis=1) if cycles > 1 else None
     for t in range(1, cycles + 1):
         if t > 1:
-            for i, channel in enumerate(channels):
-                rho[i] = channel(rho[i])
+            rho = channel(rho)
             # each rounds value now has states of its own to decompose
             spectra = (next(purified_spectra(rho[:, j], (ell,))) for j, ell in enumerate(ells))
+        populations = None
         for j, spectrum in enumerate(spectra):
             if spectrum is None:
                 fids[:, j, t] = fidelity(noisy if t == 1 else rho[:, j], psi0)
                 continue
-            fids[:, j, t] = spectrum.fidelity(psi0)
+            # the first cycle's spectra share one eigenbasis, later ones have one each
+            if t > 1 or populations is None:
+                populations = spectrum.populations(psi0)
+            fids[:, j, t] = spectrum.mean(populations)
             if t < cycles:
                 rho[:, j] = spectrum.normalized()
     # a scalar argument drops its axis, as in numpy broadcasting
-    scalar = [isinstance(model, NoiseModel), np.ndim(rounds) == 0]
+    scalar = [np.ndim(model.p) == 0, np.ndim(rounds) == 0]
     return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),
                       channel=model, rounds=rounds, qubits=qubits, cycles=cycles)
 
@@ -301,9 +306,10 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
           cycles: int = DEFAULT_CYCLES, jobs: int = 1) -> SweepResult:
     """One trace per (p, rounds) cell; cells are independent and deterministic.
 
-    ``model`` acts as a template whose ``p`` is replaced per grid point.
-    Blocks of consecutive p values run in lock-step, one ``run_cycles``
-    call each, and no block holds more than ``BLOCK_BYTES`` of states: one
+    ``model`` acts as a template whose ``p`` is replaced per block of
+    consecutive p values by the tuple of the block's values. The blocks run
+    in lock-step, one ``run_cycles`` call and one channel closure each,
+    and no block holds more than ``BLOCK_BYTES`` of states: one
     per p at one cycle, one per cell otherwise. At ``jobs`` = 1 that is the
     whole grid where it fits; ``jobs`` > 1 splits the grid into one block
     per worker, over a pool of at most ``jobs`` threads in this process,
@@ -327,13 +333,13 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     if min(rounds_list) < 0:
         raise ValidationError(f"rounds must be >= 0, got {min(rounds_list)}")
     qubits = num_qubits(psi0.size)
-    models = [replace(model, p=float(p)) for p in p_values]
-    work = len(models) * len(rounds_list) * cycles * psi0.size ** 3
+    work = p_values.size * len(rounds_list) * cycles * psi0.size ** 3
     workers = max(1, min(jobs, available_cpus(), work // MIN_WORKER_WORK))
     held = 1 if cycles == 1 else len(rounds_list)
     step = min(max(1, BLOCK_BYTES // (16 * psi0.size ** 2 * held)),
-               math.ceil(len(models) / workers))
-    blocks = [models[lo:lo + step] for lo in range(0, len(models), step)]
+               math.ceil(p_values.size / workers))
+    blocks = [replace(model, p=tuple(p_values[lo:lo + step].tolist()))
+              for lo in range(0, p_values.size, step)]
     workers = min(workers, len(blocks))
     with _one_blas_thread() if jobs > 1 else nullcontext():
         if workers > 1:

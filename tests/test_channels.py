@@ -279,6 +279,53 @@ def test_channel_maps_a_stack_matrix_by_matrix():
             assert np.array_equal(chan(stack), one_by_one)
 
 
+# a sweep block's p values: both ends, exact and inexact binary fractions
+STACKED_P = (0.0, 0.1, 0.25, 1 / 3, 0.6, 0.75, 1.0)
+STACKED_KINDS = [(kind, 1.0) for kind in CHANNEL_KINDS] + [("twirled-dephasing", 0.2)]
+
+
+def scalar_eigenvalues_reference(kind, p, qubits, fraction):
+    """One p's transfer eigenvalues by the single-p formulas of pqec 0.4.10."""
+    if kind == "global-depol":
+        lam = np.full((4,) * qubits, 1.0 - p)
+        lam[(0,) * qubits] = 1.0
+        return lam
+    if kind == "twirled-dephasing":
+        shares = _seeded_damping_shares(qubits, fraction, DEFAULT_SEED)
+        return shares @ (1.0 - 2.0 * p) ** np.arange(qubits + 1)
+    eta = 1.0 - 4.0 * p / 3.0 if kind == "local-depol" else 1.0 - 2.0 * p
+    factors = np.array([1.0, eta, eta, eta if kind == "local-depol" else 1.0])
+    return functools.reduce(np.multiply.outer, [factors] * qubits)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_stacked_transfer_eigenvalues_match_scalar_bits(qubits):
+    for kind, fraction in STACKED_KINDS:
+        stacked = NoiseModel(kind, STACKED_P, fraction).transfer_eigenvalues(qubits)
+        assert stacked.shape == (len(STACKED_P),) + (4,) * qubits
+        for row, p in zip(stacked, STACKED_P):
+            scalar = NoiseModel(kind, p, fraction).transfer_eigenvalues(qubits)
+            assert np.array_equal(row, scalar), (kind, fraction, p)
+            assert np.array_equal(scalar, scalar_eigenvalues_reference(kind, p, qubits, fraction))
+
+
+def test_stacked_channel_matches_per_p_calls():
+    # one matrix in gives one state per p; a (P, L, d, d) stack gets each
+    # p's channel on its L matrices, bit for bit as one call per matrix
+    rng = np.random.default_rng(9)
+    for m in (1, 2, 3):
+        rho = random_density_matrix(m, rng)
+        stack = np.array([[random_density_matrix(m, rng) for _ in range(3)] for _ in STACKED_P])
+        for kind, fraction in STACKED_KINDS:
+            stacked = make_channel(NoiseModel(kind, STACKED_P, fraction), m)
+            singles = [make_channel(NoiseModel(kind, p, fraction), m) for p in STACKED_P]
+            assert np.array_equal(stacked(rho), np.array([chan(rho) for chan in singles]))
+            per_matrix = np.array([[chan(r) for r in row] for chan, row in zip(singles, stack)])
+            assert np.array_equal(stacked(stack), per_matrix), (m, kind, fraction)
+            with pytest.raises(ValidationError):
+                stacked(maximally_mixed(m + 1))
+
+
 def test_full_twirl_bloch_example():
     out = apply("twirled-dephasing", bloch_compose([1, 0, 0]), 0.3)
     assert np.allclose(bloch_decompose(out), [0.6, 0, 0], atol=1e-12)
@@ -354,3 +401,19 @@ def test_noise_model_validation():
         NoiseModel("dephasing", -0.1).validate()
     with pytest.raises(ValidationError):
         NoiseModel("twirled-dephasing", 0.1, twirl_fraction=0.0).validate()
+
+
+@pytest.mark.parametrize("p", [(0.1, 1.2), (-0.1, 0.5), (0.2, float("nan")), (),
+                               ((0.1, 0.2),), (0.1, (0.2,)), [0.1, 0.2]])
+def test_noise_model_rejects_a_bad_p_stack(p):
+    # every entry is checked, and the stack must be one flat, nonempty tuple
+    with pytest.raises(ValidationError):
+        NoiseModel("dephasing", p).validate()
+    with pytest.raises(ValidationError):
+        make_channel(NoiseModel("local-depol", p), 1)
+
+
+def test_noise_model_with_a_p_stack_is_hashable():
+    model = NoiseModel("local-depol", (0.0, 0.5, 1.0)).validate()
+    assert model == NoiseModel("local-depol", (0.0, 0.5, 1.0))
+    assert len({model, NoiseModel("local-depol", (0.0, 0.5, 1.0))}) == 1

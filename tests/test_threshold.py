@@ -84,15 +84,18 @@ def test_run_cycles_validation():
 
 def test_run_cycles_broadcasts_models_and_rounds():
     psi = plus_state(2)
-    models = [NoiseModel("local-depol", p) for p in (0.1, 0.3, 0.6)]
+    p_values = (0.1, 0.3, 0.6)
+    stacked = NoiseModel("local-depol", p_values)
     rounds = (0, 1, 3)
-    cells = np.array([[cell_oracle(psi, m, r, 4) for r in rounds] for m in models])
-    assert run_cycles(psi, models[1], 3, 4).fidelities.shape == (5,)
-    assert np.array_equal(run_cycles(psi, models, rounds, 4).fidelities, cells)
-    assert np.array_equal(run_cycles(psi, models, 1, 4).fidelities, cells[:, 1])
-    assert np.array_equal(run_cycles(psi, models[2], rounds, 4).fidelities, cells[2])
-    assert np.array_equal(run_cycles(psi, models[:1], rounds[1:], 1).fidelities,
-                          cells[:1, 1:, :2])
+    cells = np.array([[cell_oracle(psi, NoiseModel("local-depol", p), r, 4) for r in rounds]
+                      for p in p_values])
+    assert run_cycles(psi, NoiseModel("local-depol", 0.3), 3, 4).fidelities.shape == (5,)
+    assert np.array_equal(run_cycles(psi, stacked, rounds, 4).fidelities, cells)
+    assert np.array_equal(run_cycles(psi, stacked, 1, 4).fidelities, cells[:, 1])
+    assert np.array_equal(run_cycles(psi, NoiseModel("local-depol", 0.6), rounds, 4).fidelities,
+                          cells[2])
+    assert np.array_equal(run_cycles(psi, NoiseModel("local-depol", (0.1,)), rounds[1:],
+                                     1).fidelities, cells[:1, 1:, :2])
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +161,27 @@ def test_sweep_traces_match_per_cell_oracle(psi, model):
             assert np.array_equal(result.traces[i, j], oracle), (p, r)
 
 
+def test_a_block_applies_its_channel_once_per_cycle(monkeypatch):
+    # one closure for the block's p values, called once on the whole stack per cycle
+    builds, applications = [], []
+    make = threshold.make_channel
+
+    def counting_make_channel(model, qubits):
+        builds.append(model.p)
+        channel = make(model, qubits)
+
+        def counting_channel(rho):
+            applications.append(rho.shape)
+            return channel(rho)
+        return counting_channel
+
+    monkeypatch.setattr(threshold, "make_channel", counting_make_channel)
+    p_values = np.linspace(0, 1, 5)
+    sweep(plus_state(2), NoiseModel("local-depol", 0.0), p_values, (0, 1, 3), cycles=3)
+    assert builds == [tuple(p_values.tolist())]
+    assert applications == [(4, 4), (5, 3, 4, 4), (5, 3, 4, 4)]
+
+
 def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("a purified state was built")
@@ -213,7 +237,7 @@ def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
     p_values = np.linspace(0, 1, 7)
     for psi in (bloch_state(0.7, 0.3, 3), plus_state(6)):
         whole = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=1)
-        halves = [run_cycles(psi, [NoiseModel("local-depol", float(p)) for p in part],
+        halves = [run_cycles(psi, NoiseModel("local-depol", tuple(part.tolist())),
                              (0, 1, 3), 4).fidelities for part in (p_values[:3], p_values[3:])]
         assert np.array_equal(whole.traces, np.concatenate(halves))
         # a byte budget of two p values per block splits the grid into four blocks
@@ -344,14 +368,14 @@ def test_overlapping_parallel_sweeps_restore_blas_count(monkeypatch, two_blas_th
 
     counts = []
 
-    def waiting_run_cycles(psi, models, rounds, cycles):
-        if models[0].kind == "dephasing":
+    def waiting_run_cycles(psi, model, rounds, cycles):
+        if model.kind == "dephasing":
             a_running.set()
             b_asked.wait(timeout=5)
         else:
             a_done.wait(timeout=5)
         counts.append(blas_counts())
-        return run_cycles(psi, models, rounds, cycles)
+        return run_cycles(psi, model, rounds, cycles)
 
     monkeypatch.setattr(threshold, "_openblas_controls", finding)
     monkeypatch.setattr(threshold, "run_cycles", waiting_run_cycles)
@@ -398,10 +422,10 @@ def _cpus(count):
     return lambda pid: set(range(count))
 
 
-def _zero_run_cycles(psi0, models, rounds, cycles):
+def _zero_run_cycles(psi0, model, rounds, cycles):
     """``run_cycles`` stand-in that returns zero traces of the right shape."""
-    return threshold.CycleTrace(fidelities=np.zeros((len(models), len(rounds), cycles + 1)),
-                                channel=tuple(models), rounds=tuple(rounds),
+    return threshold.CycleTrace(fidelities=np.zeros((len(model.p), len(rounds), cycles + 1)),
+                                channel=model, rounds=tuple(rounds),
                                 qubits=num_qubits(psi0.size), cycles=cycles)
 
 
@@ -575,10 +599,10 @@ def test_product_target_traces_factorize(kind, target):
     def psi(qubits):
         return plus_state(qubits) if target == "plus" else bloch_state(0.7, 0.3, qubits)
 
-    models = [NoiseModel(kind, p) for p in np.linspace(0, 1, 11)]
-    single = run_cycles(psi(1), models, (0, 1, 2, 3), 6).fidelities
+    model = NoiseModel(kind, tuple(np.linspace(0, 1, 11).tolist()))
+    single = run_cycles(psi(1), model, (0, 1, 2, 3), 6).fidelities
     for qubits in (2, 4):
-        traces = run_cycles(psi(qubits), models, (0, 1, 2, 3), 6).fidelities
+        traces = run_cycles(psi(qubits), model, (0, 1, 2, 3), 6).fidelities
         assert np.max(np.abs(traces - single ** qubits)) < 1e-13
 
 
