@@ -14,7 +14,6 @@ from pqec import (
     extract_observable_exact,
     pauli_matrix,
     required_samples,
-    spectral_power,
 )
 
 Z = pauli_matrix("Z")
@@ -30,14 +29,14 @@ for rounds in (0, 1, 2, 3):
 
 print("\nshot-count bound for target precision 0.01:")
 for rounds in (1, 2, 3, 4):
-    trace_n = spectral_power(rho, 2 ** rounds).trace
+    trace_n = np.trace(np.linalg.matrix_power(rho, 2 ** rounds)).real
     print(f"  rounds={rounds}: Tr(rho^N) = {trace_n:.4f} -> "
           f"{required_samples(0.01, trace_n):>8d} shots")
 
 print("\nthe same bound for a noisier state diag(0.6, 0.4):")
 noisier = np.diag([0.6, 0.4]).astype(complex)
 for rounds in (1, 2, 3, 4):
-    trace_n = spectral_power(noisier, 2 ** rounds).trace
+    trace_n = np.trace(np.linalg.matrix_power(noisier, 2 ** rounds)).real
     print(f"  rounds={rounds}: Tr(rho^N) = {trace_n:.4f} -> "
           f"{required_samples(0.01, trace_n):>8d} shots")
 

@@ -36,13 +36,13 @@ from .purify import (
     plain_sum_check,
     purified_spectra,
     purified_state,
+    purified_weights,
     swap_gadget,
     werner_fidelity_update,
     werner_mixing_update,
 )
 from .states import (
     ResourceLimitError,
-    SpectralPower,
     ValidationError,
     bloch_compose,
     bloch_decompose,
@@ -51,6 +51,7 @@ from .states import (
     check_pure_state,
     density_from_pure,
     fidelity,
+    from_spectrum,
     maximally_mixed,
     pauli_expand,
     pauli_matrix,
@@ -60,7 +61,6 @@ from .states import (
     purity,
     random_density_matrix,
     random_pure_state,
-    spectral_power,
     werner_fidelity,
     werner_mixing,
     werner_state,
@@ -79,4 +79,4 @@ from .threshold import (
     werner_cycle_fidelities,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

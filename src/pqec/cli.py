@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, make_channel
 from .montecarlo import check_sampling_budget, ratio_estimate, sampling_tree, simulate_shots
-from .purify import extract_observable_exact, purified_spectra
+from .purify import extract_observable_exact
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
-    bloch_state, density_from_pure, fidelity, pauli_matrix, plus_state, zero_state
+    bloch_state, density_from_pure, pauli_matrix, plus_state, zero_state
 from .svgplot import line_chart
 from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, MIN_WORKER_WORK, \
     available_cpus, check_threshold_grid, find_threshold, run_cycles, sweep
@@ -400,20 +400,11 @@ def _config_dict(args) -> dict:
 
 def _cmd_purify(args) -> int:
     psi, model, _, ells = _experiment(args, single=("p",))
-    channel = make_channel(model, args.m)
-    noisy = channel(density_from_pure(psi))
-    # one decomposition, and one set of overlaps with its eigenvectors, serves
-    # every rounds value, and no purified state is built
-    rows, populations = [], None
-    for ell, spectrum in zip(ells, purified_spectra(noisy, ells)):
-        if spectrum is None:
-            rows.append((ell, fidelity(noisy, psi)))
-            continue
-        if populations is None:
-            populations = spectrum.populations(psi)
-        rows.append((ell, spectrum.mean(populations)))
-    _write_table(args, ["ell", "fidelity"], rows,
-                 chart=dict(series=[("F", ells, [r[1] for r in rows])],
+    # the first cycle's fidelities: one decomposition serves every rounds
+    # value, and no purified state is built
+    fids = run_cycles(psi, model, ells, 1).fidelities[:, 1]
+    _write_table(args, ["ell", "fidelity"], list(zip(ells, fids)),
+                 chart=dict(series=[("F", ells, fids)],
                             title="fidelity vs purification rounds",
                             xlabel="rounds", ylabel="fidelity"))
     return EXIT_OK

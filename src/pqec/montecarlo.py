@@ -23,7 +23,8 @@ import numpy as np
 from .purify import MAX_BRUTE_FORCE_ROUNDS, LevelMerges, OutcomeBranches, \
     check_enumeration_budget, check_observable, chunk_rows, enumerate_outcomes, level_merges, \
     merge_spectra, merge_states, swap_gadget
-from .states import ResourceLimitError, ValidationError, num_qubits, spectral_decomposition
+from .states import ResourceLimitError, ValidationError, from_spectrum, num_qubits, \
+    spectral_decomposition
 
 # Budget of one sampling run, checked before anything is built:
 # - shots per batch, whose records are held in memory at once;
@@ -173,7 +174,7 @@ def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
 
     spectrum, prob = walk(rounds)
     outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
-    return OutcomeBranches(state=(vecs * spectrum[:, None, :]) @ vecs.conj().T,
+    return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),
                            outcomes=outcomes)
 

@@ -12,8 +12,10 @@ right subtree, then the root. Averaging the conditional states over all
 outcomes returns the input, while weighting each term by the outcome parity
 (the product of all signs) extracts the matrix power rho**(2**rounds) with
 unit coefficient; the normalized power is the purified state. The spectral
-shortcut computes that power directly, and the explicit tree is kept as a
-brute-force oracle for small ``rounds``.
+shortcut never builds the power: it keeps rho's eigenvectors v_i and the
+normalized powered eigenvalues w_i (``purified_weights``), and reads any
+purified expectation as sum_i w_i <v_i|O|v_i>. The explicit tree is kept as
+a brute-force oracle for small ``rounds``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from .states import (
     ResourceLimitError,
     ValidationError,
     fidelity,
+    from_spectrum,
     num_qubits,
     project_to_density,
-    power_spectrum,
     purity,
     spectral_decomposition,
-    spectral_power,
 )
 
 # Node probabilities below this are treated as exactly zero: the branch is
@@ -360,28 +361,39 @@ def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> OutcomeBranches:
 # Exact purification (spectral shortcut)
 # ----------------------------------------------------------------------
 
-# Powering by more than 2**64 changes no normalized spectrum (``spectral_power``
-# caps there), so rounds are capped before the integer 2**rounds is built.
+# Any eigenvalue ratio below one powered by 2**64 or more is already 0.0 in
+# float64, so rounds are capped there, before the integer 2**rounds is built:
+# more rounds change no purified state.
 MAX_SPECTRAL_ROUNDS = 64
 
 
-def purified_spectra(rho: np.ndarray, rounds):
-    """The spectra of rho**N, N = 2**r, for each r of the sequence ``rounds``.
+def purified_weights(vals: np.ndarray, rounds: int) -> np.ndarray:
+    """Eigenvalues of rho**N / Tr(rho**N), N = 2**rounds, from rho's ascending ``vals``.
 
-    Yields one ``SpectralPower`` per value, or None for r = 0, which leaves
-    the input unpurified. Every value shares one eigendecomposition of the
-    stack ``(..., d, d)``, made at the call; the powers follow lazily, so
-    a long ``rounds`` holds one spectrum at a time. ``.fidelity`` of one
-    reads the purified fidelity off the spectrum, and ``.normalized`` builds
-    the purified state.
+    ``vals`` are divided by the largest before powering, so the weights stay
+    finite where Tr(rho**N) underflows. A stack ``(..., d)`` is powered row
+    by row, as one call each.
+    """
+    scaled = (vals / vals[..., -1:]) ** float(2 ** min(rounds, MAX_SPECTRAL_ROUNDS))
+    return scaled / scaled.sum(axis=-1, keepdims=True)
+
+
+def purified_spectra(rho: np.ndarray, rounds):
+    """The eigenvectors of ``rho`` and the purified weights of each r in ``rounds``.
+
+    Returns ``(vecs, weights)``: every rounds value shares one
+    eigendecomposition of the stack ``(..., d, d)``, made at the call, and
+    ``weights`` yields ``purified_weights`` for each value lazily, so a long
+    ``rounds`` holds one spectrum at a time. r = 0 yields None, which leaves
+    the input unpurified; if every r is 0 nothing is decomposed and
+    ``vecs`` is None. The purified state is ``from_spectrum(w, vecs)``, and
+    a purified fidelity is sum_i w_i |<v_i|psi>|^2.
     """
     ells = tuple(int(r) for r in rounds)
     if min(ells, default=0) < 0:
         raise ValidationError(f"rounds must be >= 0, got {min(ells)}")
-    decomposition = spectral_decomposition(rho) if any(ells) else None
-    # each power has its own scalar exponent, exactly as one call per value
-    return (power_spectrum(*decomposition, 2 ** min(ell, MAX_SPECTRAL_ROUNDS)) if ell else None
-            for ell in ells)
+    vals, vecs = spectral_decomposition(rho) if any(ells) else (None, None)
+    return vecs, (purified_weights(vals, ell) if ell else None for ell in ells)
 
 
 def purified_state(rho: np.ndarray, rounds) -> np.ndarray:
@@ -396,8 +408,8 @@ def purified_state(rho: np.ndarray, rounds) -> np.ndarray:
     """
     ells = np.atleast_1d(rounds)
     rho = np.asarray(rho, dtype=complex)
-    states = (rho if spectrum is None else spectrum.normalized()
-              for spectrum in purified_spectra(rho, ells))
+    vecs, weights = purified_spectra(rho, ells)
+    states = (rho if w is None else from_spectrum(w, vecs) for w in weights)
     if np.ndim(rounds) == 0:
         return next(states)
     out = np.empty(rho.shape[:-2] + (len(ells),) + rho.shape[-2:], dtype=complex)
@@ -415,15 +427,16 @@ def check_observable(obs: np.ndarray) -> np.ndarray:
 
 
 def extract_observable_exact(obs: np.ndarray, rho: np.ndarray, rounds: int) -> float:
-    """Tr(O rho**N) / Tr(rho**N) for N = 2**rounds, evaluated spectrally."""
+    """Tr(O rho**N) / Tr(rho**N), N = 2**rounds, as sum_i w_i <v_i|O|v_i> over rho's eigenbasis."""
     rho = np.asarray(rho, dtype=complex)
     if np.shape(obs) != rho.shape:
         raise ValidationError("observable and state dimensions differ")
     obs = check_observable(obs)
-    power = spectral_power(rho, 2 ** min(rounds, MAX_SPECTRAL_ROUNDS))
-    vecs = power.eigenvectors
+    if rounds < 0:
+        raise ValidationError(f"rounds must be >= 0, got {rounds}")
+    vals, vecs = spectral_decomposition(rho)
     diag = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, obs, vecs))
-    return float(np.sum(power.eigenvalues * diag) / np.sum(power.eigenvalues))
+    return float((purified_weights(vals, rounds) * diag).sum())
 
 
 # ----------------------------------------------------------------------

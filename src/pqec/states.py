@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,6 +215,15 @@ def spectral_decomposition(rho: np.ndarray):
     return vals / total, vecs
 
 
+def from_spectrum(weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """V diag(weights) V^dagger: the matrix with eigenvalues ``weights`` on eigenvectors ``vecs``.
+
+    Stacks ``(..., d)`` of weights and ``(..., d, d)`` of eigenvectors
+    broadcast, and give one matrix per row of weights.
+    """
+    return (vecs * weights[..., None, :]) @ _dagger(vecs)
+
+
 def project_to_density(mat: np.ndarray) -> np.ndarray:
     """Nearest well-formed density matrix: symmetrize, clamp, renormalize.
 
@@ -223,95 +231,8 @@ def project_to_density(mat: np.ndarray) -> np.ndarray:
     """
     vals, vecs = spectral_decomposition(mat)
     scaled = vecs * vals[..., None, :]
-    # V diag(vals) V^dagger, conjugating V in place to spare a copy of the stack
+    # ``from_spectrum``, but conjugating V in place to spare a copy of the stack
     return scaled @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class SpectralPower:
-    """rho**n in scaled form: V diag(eigenvalues) V^dagger * exp(log_scale) equals rho**n.
-
-    Eigenvalues are divided by the largest one before powering, so the
-    object stays finite for n as large as 2**30 even when the true trace
-    underflows; ``log_scale`` carries n*log(lambda_max). For a stack of
-    matrices every field gains the stack's leading axes.
-    """
-
-    eigenvalues: np.ndarray   # (lambda_i / lambda_max) ** n, ascending
-    eigenvectors: np.ndarray
-    log_scale: float | np.ndarray
-
-    @property
-    def value(self) -> np.ndarray:
-        """rho**n itself; underflows to zero for extreme n, by design."""
-        return np.exp(self.log_scale)[..., None, None] * self._reconstruct(self.eigenvalues)
-
-    @property
-    def trace(self):
-        """Tr(rho**n); may underflow to 0.0 for extreme n."""
-        return np.exp(self.log_scale) * self.eigenvalues.sum(axis=-1)
-
-    def normalized(self) -> np.ndarray:
-        """rho**n / Tr(rho**n), computed without leaving the scaled form."""
-        return self._reconstruct(self._weights())
-
-    def fidelity(self, psi: np.ndarray):
-        """<psi|rho**n|psi> / Tr(rho**n) as sum_i w_i |<v_i|psi>|^2, with no matrix built.
-
-        The weights w_i are the normalized spectrum. A stack gives an array
-        of overlaps, one per matrix, with the same bits as one call each.
-        """
-        return self.mean(self.populations(psi))
-
-    def populations(self, psi: np.ndarray) -> np.ndarray:
-        """|<v_i|psi>|^2 for every eigenvector v_i, shape (..., d).
-
-        Every power of one decomposition has the same eigenvectors, so one
-        call serves them all through ``mean``.
-        """
-        amplitudes = np.asarray(psi).conj() @ self.eigenvectors
-        return amplitudes.real ** 2 + amplitudes.imag ** 2
-
-    def mean(self, populations: np.ndarray):
-        """sum_i w_i populations_i over the normalized spectrum w: ``fidelity`` from ``populations``."""
-        overlap = (self._weights() * populations).sum(axis=-1)
-        return float(overlap) if overlap.ndim == 0 else overlap
-
-    def _weights(self) -> np.ndarray:
-        return self.eigenvalues / self.eigenvalues.sum(axis=-1, keepdims=True)
-
-    def _reconstruct(self, weights: np.ndarray) -> np.ndarray:
-        # V diag(weights) V^dagger, matrix by matrix for a stack
-        return (self.eigenvectors * weights[..., None, :]) @ _dagger(self.eigenvectors)
-
-
-# Any eigenvalue ratio below one powered by 2**64 or more is already 0.0 in
-# float64, so capping exponents there changes no value and keeps them floats.
-_POWER_CAP = 2 ** 64
-
-
-def spectral_power(rho: np.ndarray, power: int) -> SpectralPower:
-    """Matrix power rho**power through the eigendecomposition.
-
-    The eigenbasis is the input's own; only the spectrum is powered. A
-    stack ``(..., d, d)`` is powered matrix by matrix, with the same result
-    as one call each.
-    """
-    return power_spectrum(*spectral_decomposition(rho), power)
-
-
-def power_spectrum(vals: np.ndarray, vecs: np.ndarray, power: int) -> SpectralPower:
-    """``spectral_power`` from a ``spectral_decomposition`` already made."""
-    if power < 1:
-        raise ValidationError("power must be >= 1")
-    lam_max = vals[..., -1]
-    # one scalar exponent for the whole stack, as for a single matrix
-    scaled = (vals / lam_max[..., None]) ** float(min(power, _POWER_CAP))
-    try:
-        log_scale = power * np.log(lam_max)
-    except OverflowError:  # power beyond the float range: n log(lam) is 0 or -inf
-        log_scale = np.where(lam_max < 1.0, -np.inf, 0.0)
-    return SpectralPower(eigenvalues=scaled, eigenvectors=vecs, log_scale=log_scale)
 
 
 # ----------------------------------------------------------------------

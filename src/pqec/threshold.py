@@ -11,12 +11,14 @@ The engine runs a whole (p, rounds) grid in lock-step. Its noise model
 holds the grid's p values as one tuple, so each cycle makes one call of
 one channel closure on the (P, L, d, d) stack of states, each p's channel
 on that p's L states, and one stacked eigendecomposition per rounds value.
-Every purified fidelity is read off its spectrum, sum_i w_i |<v_i|psi>|^2,
-with the overlaps |<v_i|psi>|^2 taken once per decomposition, and a
-purified matrix is built only for a cycle that follows. The first cycle
-starts all rounds values of a p from the same noisy state, so it
-decomposes that state once; a one-cycle run, as every threshold is, holds
-one state per p and builds no purified matrix. Every step acts matrix by
+Every purified fidelity is sum_i w_i |<v_i|psi>|^2 over the eigenvectors
+v_i of the noisy state and its normalized powered eigenvalues w_i
+(``purify.purified_weights``), with the overlaps |<v_i|psi>|^2 taken once
+per decomposition. A purified matrix V diag(w) V^dagger
+(``states.from_spectrum``) is built only for a cycle that follows. The
+first cycle starts all rounds values of a p from the same noisy state, so
+it decomposes that state once; a one-cycle run, as every threshold is,
+holds one state per p and builds no purified matrix. Every step acts matrix by
 matrix, so a trace has the same bits as a run of its cell alone, however
 the grid is split into blocks. Parallel blocks run on threads of the
 calling process: the stacked ``eigh`` and Pauli kernels release the
@@ -46,7 +48,8 @@ from .purify import CHUNK_BYTES, purified_spectra, werner_fidelity_update
 # The engine builds no state through ``purified_state``; the name stays bound
 # here because perfbench's span recorder wraps it at this module.
 from .purify import purified_state  # noqa: F401
-from .states import ValidationError, check_pure_state, density_from_pure, fidelity, num_qubits
+from .states import ValidationError, check_pure_state, density_from_pure, fidelity, \
+    from_spectrum, num_qubits
 
 DEFAULT_P_COUNT = 41
 DEFAULT_ROUNDS = (0, 1, 2, 3, 5)
@@ -161,26 +164,29 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
     noisy = channel(rho).reshape((-1,) + rho.shape)
     fids = np.empty((len(noisy), len(ells), cycles + 1))
     fids[..., 0] = fidelity(rho, psi0)
-    spectra = purified_spectra(noisy, ells)
+    vecs, weights = purified_spectra(noisy, ells)
     # the (P, L) states of the next cycle; a one-cycle run reads every
     # fidelity off the spectra and builds no state
     rho = np.repeat(noisy[:, None], len(ells), axis=1) if cycles > 1 else None
+    populations = None
     for t in range(1, cycles + 1):
         if t > 1:
             rho = channel(rho)
-            # each rounds value now has states of its own to decompose
-            spectra = (next(purified_spectra(rho[:, j], (ell,))) for j, ell in enumerate(ells))
-        populations = None
-        for j, spectrum in enumerate(spectra):
-            if spectrum is None:
+        for j, ell in enumerate(ells):
+            if t > 1:
+                # each rounds value now has states of its own to decompose
+                vecs, weights = purified_spectra(rho[:, j], (ell,))
+            w = next(weights)
+            if w is None:
                 fids[:, j, t] = fidelity(noisy if t == 1 else rho[:, j], psi0)
                 continue
-            # the first cycle's spectra share one eigenbasis, later ones have one each
+            # the first cycle's weights share one eigenbasis, later ones have one each
             if t > 1 or populations is None:
-                populations = spectrum.populations(psi0)
-            fids[:, j, t] = spectrum.mean(populations)
+                amplitudes = psi0.conj() @ vecs
+                populations = amplitudes.real ** 2 + amplitudes.imag ** 2
+            fids[:, j, t] = (w * populations).sum(axis=-1)
             if t < cycles:
-                rho[:, j] = spectrum.normalized()
+                rho[:, j] = from_spectrum(w, vecs)
     # a scalar argument drops its axis, as in numpy broadcasting
     scalar = [np.ndim(model.p) == 0, np.ndim(rounds) == 0]
     return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),

@@ -3,8 +3,9 @@
 ``sample-local-depol-ell5`` under ``tests/data/`` was written by pqec
 0.4.3, and ``sample-zero-ell6`` and ``sample-bloch-M3-ell5`` by 0.4.5, with
 the dense tree walk that 0.4.6 replaced by a walk on eigenvalue vectors.
-``sample-zero-ell4`` and ``sample-dephasing-M2-ell3`` were written by 0.4.9,
-which draws the observables of four rounds or fewer in shot order.
+``sample-zero-ell4`` was written by 0.4.9, which draws the observables of
+four rounds or fewer in shot order, and ``sample-dephasing-M2-ell3`` by
+0.6.0, whose ``# exact:`` line sums normalized purified weights.
 ``twirl-check-M3`` was written by 0.4.6, before 0.4.7 merged the
 command-line resolvers. 0.4.10 reads fidelities off the purified spectrum
 instead of a rebuilt matrix, and wrote ``purify-bloch-M3``, both ``cycle``

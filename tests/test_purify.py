@@ -27,7 +27,6 @@ from pqec import (
     purity,
     random_density_matrix,
     random_pure_state,
-    spectral_power,
     swap_gadget,
     werner_fidelity_update,
     werner_mixing,
@@ -284,7 +283,7 @@ def test_parity_weighted_sum_matches_spectral():
     rng = np.random.default_rng(1)
     rho = random_density_matrix(2, rng)
     mat, _ = parity_weighted_sum(rho, 2)
-    assert np.max(np.abs(mat - spectral_power(rho, 4).value)) < 1e-9
+    assert np.max(np.abs(mat - np.linalg.matrix_power(rho, 4))) < 1e-9
 
 
 def test_parity_weighted_sum_pure_state():
@@ -322,7 +321,6 @@ def test_purified_state_examples():
     assert np.allclose(purified_state(DIAG, 0), DIAG)
 
 
-
 def test_purified_state_stacks_and_round_lists():
     # one decomposition serves a list of rounds; a stack purifies matrix by matrix
     rng = np.random.default_rng(10)
@@ -343,6 +341,12 @@ def test_purified_state_stacks_and_round_lists():
 SPECTRAL_FIDELITY_TOL = 1e-14
 
 
+def spectral_fidelity(weights, vecs, psi):
+    """sum_i w_i |<v_i|psi>|^2, as the cycle engine reads a purified fidelity."""
+    amplitudes = psi.conj() @ vecs
+    return (weights * (amplitudes.real ** 2 + amplitudes.imag ** 2)).sum(axis=-1)
+
+
 @pytest.mark.parametrize("qubits", range(1, 6))
 def test_spectral_fidelity_matches_purified_matrix(qubits):
     rng = np.random.default_rng(40 + qubits)
@@ -350,16 +354,18 @@ def test_spectral_fidelity_matches_purified_matrix(qubits):
     noisy = make_channel(NoiseModel("local-depol", 0.2), qubits)(density_from_pure(psi))
     stack = np.stack([noisy] + [random_density_matrix(qubits, rng) for _ in range(3)])
     rounds = (1, 2, 5, 64, 1100)
-    for r, spectrum in zip(rounds, purified_spectra(stack, rounds)):
-        spectral = spectrum.fidelity(psi)
+    vecs, weights = purified_spectra(stack, rounds)
+    for r, w in zip(rounds, weights):
+        spectral = spectral_fidelity(w, vecs, psi)
         assert spectral.shape == (len(stack),)
         for b, rho in enumerate(stack):
             assert abs(spectral[b] - fidelity(purified_state(rho, r), psi)) < SPECTRAL_FIDELITY_TOL
             # one matrix alone gives the bits of its row of the stack
-            (alone,) = purified_spectra(rho, (r,))
-            assert alone.fidelity(psi) == spectral[b]
-    # zero rounds leave the input unpurified: no spectrum
-    assert list(purified_spectra(stack, (0, 0))) == [None, None]
+            alone_vecs, (alone,) = purified_spectra(rho, (r,))
+            assert spectral_fidelity(alone, alone_vecs, psi) == spectral[b]
+    # zero rounds leave the input unpurified: nothing is decomposed
+    vecs, weights = purified_spectra(stack, (0, 0))
+    assert vecs is None and list(weights) == [None, None]
 
 
 def test_purity_monotone():
@@ -441,6 +447,11 @@ def test_extract_observable_converges_at_huge_rounds():
 def test_extract_observable_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         extract_observable_exact(np.array([[0, 1], [0, 0]]), DIAG, 1)
+
+
+def test_extract_observable_rejects_negative_rounds():
+    with pytest.raises(ValidationError, match="-1"):
+        extract_observable_exact(pauli_matrix("Z"), DIAG, -1)
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,10 @@ from pqec import (
     pauli_weight,
     pauli_weight_distribution,
     plus_state,
+    purified_state,
     purity,
     random_density_matrix,
     random_pure_state,
-    spectral_power,
     werner_fidelity,
     werner_state,
     zero_state,
@@ -91,45 +91,28 @@ def test_purity_examples():
 
 
 # ----------------------------------------------------------------------
-# spectral powers
+# purified states
 # ----------------------------------------------------------------------
 
-def test_spectral_power_square():
-    sp = spectral_power(np.diag([0.8, 0.2]).astype(complex), 2)
-    assert np.allclose(sp.value, np.diag([0.64, 0.04]), atol=1e-12)
-    assert sp.trace == pytest.approx(0.68, abs=1e-12)
-
-
-def test_spectral_power_pure_idempotent():
-    rho = density_from_pure(plus_state(1))
-    sp = spectral_power(rho, 17)
-    assert np.allclose(sp.value, rho, atol=1e-12)
-    assert sp.trace == pytest.approx(1.0, abs=1e-10)
-
-
-def test_spectral_power_flat_spectrum_large_n():
-    sp = spectral_power(maximally_mixed(1), 2 ** 20)
-    assert np.allclose(sp.normalized(), maximally_mixed(1), atol=1e-12)
-
-
-def test_spectral_power_requires_positive_exponent():
-    with pytest.raises(ValidationError):
-        spectral_power(maximally_mixed(1), 0)
-
-
-def test_spectral_power_rejects_zero_spectrum():
-    with pytest.raises(ValidationError):
-        spectral_power(np.zeros((2, 2)), 2)
-
-
-def test_spectral_power_commutes_with_conjugation():
+def test_purified_state_commutes_with_conjugation():
     rng = np.random.default_rng(11)
     for _ in range(5):
         rho = random_density_matrix(2, rng)
         u = haar_unitary(4, rng)
-        a = spectral_power(u @ rho @ u.conj().T, 8).value
-        b = u @ spectral_power(rho, 8).value @ u.conj().T
+        a = purified_state(u @ rho @ u.conj().T, 3)
+        b = u @ purified_state(rho, 3) @ u.conj().T
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_spectral_power_flat_spectrum_large_n():
+    # a flat spectrum stays flat at any power, here rho**(2**20)
+    assert np.allclose(purified_state(maximally_mixed(1), 20), maximally_mixed(1), atol=1e-12)
+
+
+def test_spectral_power_rejects_zero_spectrum():
+    # a zero matrix has no spectrum to normalize
+    with pytest.raises(ValidationError):
+        purified_state(np.zeros((2, 2)), 1)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +156,7 @@ def test_pauli_roundtrip_and_norm_identity():
 
 
 def test_stacks_give_the_bits_of_one_call_each():
-    # Pauli basis changes, powers and overlaps map a stack matrix by matrix
+    # Pauli basis changes and overlaps map a stack matrix by matrix
     rng = np.random.default_rng(9)
     for m in (1, 2, 3, 5):
         psi = random_pure_state(m, rng)
@@ -186,11 +169,6 @@ def test_stacks_give_the_bits_of_one_call_each():
                               [to_pauli_basis(rho) for rho in flat])
         assert np.array_equal(from_pauli_basis(coeffs, m).reshape(flat.shape),
                               [from_pauli_basis(c) for c in coeffs.reshape((6,) + (4,) * m)])
-        for power in (2, 8, 2 ** 40):
-            assert np.array_equal(spectral_power(stack, power).normalized().reshape(flat.shape),
-                                  [spectral_power(rho, power).normalized() for rho in flat])
-        assert np.array_equal(spectral_power(stack, 4).trace.ravel(),
-                              [spectral_power(rho, 4).trace for rho in flat])
         assert np.array_equal(fidelity(stack, psi).ravel(), [fidelity(rho, psi) for rho in flat])
 
 

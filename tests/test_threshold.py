@@ -22,26 +22,27 @@ from pqec import (
 from pqec import purify, threshold
 from pqec.channels import _seeded_damping_shares
 from pqec.cli import main
-from pqec.states import SpectralPower, ValidationError, num_qubits
+from pqec.states import ValidationError, from_spectrum, num_qubits
+from test_purify import spectral_fidelity
 
 
 def cell_oracle(psi, model, rounds, cycles):
     """One cell's trace by a plain loop over single matrices.
 
-    F is read off the purified spectrum, and the state of the next cycle is
-    the normalized power, as the engine does.
+    F is sum_i w_i |<v_i|psi>|^2 over the purified weights, and the state
+    of the next cycle is V diag(w) V^dagger, as the engine does.
     """
     channel = make_channel(model, num_qubits(psi.size))
     rho = density_from_pure(psi)
     fids = [fidelity(rho, psi)]
     for _ in range(cycles):
         rho = channel(rho)
-        (spectrum,) = purified_spectra(rho, (rounds,))
-        if spectrum is None:
+        vecs, (w,) = purified_spectra(rho, (rounds,))
+        if w is None:
             fids.append(fidelity(rho, psi))
         else:
-            fids.append(spectrum.fidelity(psi))
-            rho = spectrum.normalized()
+            fids.append(spectral_fidelity(w, vecs, psi))
+            rho = from_spectrum(w, vecs)
     return np.array(fids)
 
 
@@ -188,7 +189,7 @@ def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, 
 
     for owner in (purify, threshold):
         monkeypatch.setattr(owner, "purified_state", refuse)
-    monkeypatch.setattr(SpectralPower, "normalized", refuse)
+        monkeypatch.setattr(owner, "from_spectrum", refuse)
     model, p_values, rounds = NoiseModel("local-depol", 0.0), np.linspace(0, 1, 5), (0, 1, 3)
     one = sweep(plus_state(2), model, p_values, rounds, cycles=1)
     argv = ["purify", "--M", "2", "--channel", "local-depol", "--p", "0.2", "--ell", "0..70"]
@@ -196,13 +197,12 @@ def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, 
 
     monkeypatch.undo()
     built = []
-    normalized = SpectralPower.normalized
 
-    def counting(self):
-        built.append(self.eigenvalues.shape)
-        return normalized(self)
+    def counting(weights, vecs):
+        built.append(weights.shape)
+        return from_spectrum(weights, vecs)
 
-    monkeypatch.setattr(SpectralPower, "normalized", counting)
+    monkeypatch.setattr(threshold, "from_spectrum", counting)
     three = sweep(plus_state(2), model, p_values, rounds, cycles=3)
     # cycles 1 and 2 build the states of the two purified columns; cycle 3 builds none
     assert built == [(len(p_values), 4)] * 4
