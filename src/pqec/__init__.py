@@ -15,7 +15,6 @@ from .channels import (
 )
 from .montecarlo import (
     EstimatorResult,
-    ShotRecord,
     estimate_observable,
     ratio_estimate,
     required_samples,
@@ -25,45 +24,26 @@ from .montecarlo import (
 from .purify import (
     DegenerateOutcomeError,
     OutcomeBranches,
-    anisotropic_qubit_purify_fidelity,
-    bloch_purify,
-    conditional_state,
-    conditional_state_two_rounds,
     enumerate_outcomes,
     extract_observable_exact,
-    fidelity_bounds,
     parity_weighted_sum,
-    plain_sum_check,
     purified_spectra,
     purified_state,
     purified_weights,
     swap_gadget,
     werner_fidelity_update,
-    werner_mixing_update,
 )
 from .states import (
     ResourceLimitError,
     ValidationError,
-    bloch_compose,
-    bloch_decompose,
     bloch_state,
-    check_density_matrix,
     check_pure_state,
     density_from_pure,
     fidelity,
     from_spectrum,
-    maximally_mixed,
-    pauli_expand,
     pauli_matrix,
-    pauli_weight,
-    pauli_weight_distribution,
     plus_state,
     purity,
-    random_density_matrix,
-    random_pure_state,
-    werner_fidelity,
-    werner_mixing,
-    werner_state,
     zero_state,
 )
 from .threshold import (
@@ -72,11 +52,9 @@ from .threshold import (
     ThresholdEstimate,
     UndefinedSteadyStateError,
     find_threshold,
-    logical_error_rate,
     run_cycles,
     steady_state_fidelity_analytic,
     sweep,
-    werner_cycle_fidelities,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -99,12 +99,12 @@ class NoiseModel:
 def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray, qubits: int | None = None) -> np.ndarray:
     """Multiply the coefficient of every Pauli string P in rho by lam[P].
 
-    O(M 4**M) and, unlike the Pauli expansion, not limited in M. The last
-    ``qubits`` axes of ``lam`` (all by default) are its Pauli axes; any
-    before them are a stack of channels, lined up with the leading axes of
-    ``rho``. So one matrix under a stack of P channels gives ``(P, d, d)``,
-    and a stack ``(P, L, d, d)`` under it maps each channel over its L
-    matrices. Every matrix gets the bits of one call with its channel alone.
+    O(M 4**M) and not limited in M. The last ``qubits`` axes of ``lam``
+    (all by default) are its Pauli axes; any before them are a stack of
+    channels, lined up with the leading axes of ``rho``. So one matrix under
+    a stack of P channels gives ``(P, d, d)``, and a stack ``(P, L, d, d)``
+    under it maps each channel over its L matrices. Every matrix gets the
+    bits of one call with its channel alone.
     """
     m = lam.ndim if qubits is None else qubits
     rho_qubits = num_qubits(np.shape(rho)[-1])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +39,6 @@ MAX_SHOTS_PER_BATCH = 10 ** 6
 MAX_RUN_SHOTS = 5 * 10 ** 7
 MAX_BATCHES = 10 ** 4
 MAX_SHOT_MERGES = 10 ** 6
-
-
-class ShotRecord(NamedTuple):
-    parity: int
-    observable_outcome: float
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""SWAP-gadget purification: outcome trees, parity extraction, closed forms.
+"""SWAP-gadget purification: outcome trees, parity extraction, the Werner map.
 
 The elementary step projects two copies onto the symmetric or antisymmetric
 subspace and discards one register:
@@ -14,13 +14,13 @@ outcomes returns the input, while weighting each term by the outcome parity
 unit coefficient; the normalized power is the purified state. The spectral
 shortcut never builds the power: it keeps rho's eigenvectors v_i and the
 normalized powered eigenvalues w_i (``purified_weights``), and reads any
-purified expectation as sum_i w_i <v_i|O|v_i>. The explicit tree is kept as
-a brute-force oracle for small ``rounds``.
+purified expectation as sum_i w_i <v_i|O|v_i>. The explicit tree runs the
+sampler's shot draw up to four rounds, and is the brute-force oracle the
+spectral shortcut is checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +28,9 @@ import numpy as np
 from .states import (
     ResourceLimitError,
     ValidationError,
-    fidelity,
     from_spectrum,
     num_qubits,
     project_to_density,
-    purity,
     spectral_decomposition,
 )
 
@@ -54,14 +52,6 @@ CHUNK_BYTES = 2 ** 22
 
 class DegenerateOutcomeError(RuntimeError):
     """Requested the conditional state of a zero-probability branch."""
-
-
-def _tree_rounds(n_outcomes: int) -> int:
-    rounds = (n_outcomes + 1).bit_length() - 1
-    if 2 ** rounds - 1 != n_outcomes or rounds < 1:
-        raise ValidationError(
-            f"outcome string length {n_outcomes} is not 2**rounds - 1")
-    return rounds
 
 
 def chunk_rows(row_bytes: int) -> int:
@@ -167,37 +157,6 @@ def merge_spectra(spec_a: np.ndarray, spec_b: np.ndarray, sign: np.ndarray):
 # ----------------------------------------------------------------------
 # Outcome tree
 # ----------------------------------------------------------------------
-
-def conditional_state(rho: np.ndarray, outcomes) -> OutcomeBranches:
-    """Conditional states after full outcome strings.
-
-    ``outcomes`` is one string of 2**rounds - 1 signs, ordered left
-    subtree, right subtree, root, or a (B, 2**rounds - 1) stack of them;
-    all leaves carry the same input state. The tree is walked post-order,
-    so signs are read in string order, and every node is one stacked
-    ``swap_gadget`` call over all strings. A branch's probability is the
-    product of its per-node probabilities.
-    """
-    strings = np.atleast_2d(np.asarray(outcomes))
-    if strings.ndim != 2 or not np.all((strings == 1) | (strings == -1)):
-        raise ValidationError("outcomes must be +1 or -1")
-    rounds = _tree_rounds(strings.shape[1])
-    rho = np.asarray(rho, dtype=complex)
-    leaf = np.broadcast_to(rho, (len(strings),) + rho.shape)
-    columns = iter(strings.T.astype(int))
-
-    def walk(level: int):
-        if level == 0:
-            return leaf, np.ones(len(strings))
-        left, prob_l = walk(level - 1)
-        right, prob_r = walk(level - 1)
-        state, prob = swap_gadget(left, right, next(columns))
-        return state, prob_l * prob_r * prob
-
-    state, prob = walk(rounds)
-    outcomes = strings.astype(np.int8)
-    return OutcomeBranches(state=state, probability=prob, parity=np.prod(outcomes, axis=1),
-                           outcomes=outcomes)
 
 
 def check_enumeration_budget(rounds: int, qubits: int) -> None:
@@ -314,49 +273,6 @@ def parity_weighted_sum(rho: np.ndarray, rounds: int):
     return total, float(np.real(np.trace(total)))
 
 
-def plain_sum_check(rho: np.ndarray, rounds: int) -> float:
-    """Max entrywise deviation of sum_sigma P_sigma rho_sigma from the input."""
-    rho = np.asarray(rho, dtype=complex)
-    branches = enumerate_outcomes(rho, rounds)
-    total = np.tensordot(branches.probability, branches.state, axes=1)
-    return float(np.max(np.abs(total - rho)))
-
-
-def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> OutcomeBranches:
-    """Two-round conditional state from its closed form, no recursion.
-
-    Expresses the (s1, s2, s3) branch directly through the matrix powers
-    rho..rho**4 and the power traces, with the root probability conditioned
-    on the two first-round outcomes. Used as an independent check of the
-    recursive evaluator.
-    """
-    s1, s2, s3 = (int(s) for s in outcomes)
-    rho = np.asarray(rho, dtype=complex)
-    rho2 = rho @ rho
-    rho3 = rho2 @ rho
-    rho4 = rho3 @ rho
-    t2 = float(np.real(np.trace(rho2)))
-    t3 = float(np.real(np.trace(rho3)))
-    t4 = float(np.real(np.trace(rho4)))
-    p1 = 0.5 * (1.0 + s1 * t2)
-    p2 = 0.5 * (1.0 + s2 * t2)
-    if min(p1, p2) < PROB_FLOOR:
-        raise DegenerateOutcomeError("unreachable first-round branch")
-    overlap_12 = (t2 + (s1 + s2) * t3 + s1 * s2 * t4) / (4.0 * p1 * p2)
-    p3 = 0.5 * (1.0 + s3 * overlap_12)
-    if p3 < PROB_FLOOR:
-        raise DegenerateOutcomeError("unreachable root branch")
-    state = (
-        (1.0 / (p1 * p3) + 1.0 / (p2 * p3)) * rho
-        + (s1 / (p1 * p3) + s2 / (p2 * p3) + s3 / (p1 * p2 * p3)) * rho2
-        + ((s1 * s3 + s2 * s3) / (p1 * p2 * p3)) * rho3
-        + (s1 * s2 * s3 / (p1 * p2 * p3)) * rho4
-    ) / 8.0
-    return OutcomeBranches(state=state[None], probability=np.array([p1 * p2 * p3]),
-                           parity=np.array([s1 * s2 * s3]),
-                           outcomes=np.array([[s1, s2, s3]], dtype=np.int8))
-
-
 # ----------------------------------------------------------------------
 # Exact purification (spectral shortcut)
 # ----------------------------------------------------------------------
@@ -440,20 +356,8 @@ def extract_observable_exact(obs: np.ndarray, rho: np.ndarray, rounds: int) -> f
 
 
 # ----------------------------------------------------------------------
-# Closed forms: Bloch, Werner, anisotropic qubit
+# Closed form: the Werner fidelity map
 # ----------------------------------------------------------------------
-
-def bloch_purify(r: np.ndarray) -> np.ndarray:
-    """Radial rescaling r -> 2 r / (1 + |r|^2) of a single-qubit Bloch vector.
-
-    Direction is preserved exactly; the radius strictly increases for
-    0 < |r| < 1 with fixed points at 0 and 1.
-    """
-    r = np.asarray(r, dtype=float)
-    norm_sq = float(r @ r)
-    if norm_sq > 1.0 + 1e-12:
-        raise ValidationError("Bloch vector length exceeds 1")
-    return 2.0 * r / (1.0 + norm_sq)
 
 
 def werner_fidelity_update(fid: float, dim: int) -> float:
@@ -468,36 +372,3 @@ def werner_fidelity_update(fid: float, dim: int) -> float:
     if denom == 0.0:
         return 0.0
     return fid * fid / denom
-
-
-def werner_mixing_update(mix: float, dim: int) -> float:
-    """One purification round in Werner mixing-parameter coordinates."""
-    denom = dim * (1.0 - mix) ** 2 - mix * (mix - 2.0)
-    return mix * mix / denom
-
-
-def fidelity_bounds(rho: np.ndarray, psi: np.ndarray):
-    """Sandwich bounds (F^2/Tr rho^2, min(1, F/Tr rho^2)) on one-round output."""
-    f = fidelity(rho, psi)
-    p2 = purity(rho)
-    if p2 <= 0.0:
-        raise ValidationError("purity must be positive")
-    return f * f / p2, min(1.0, f / p2)
-
-
-def anisotropic_qubit_purify_fidelity(theta: float, p: float):
-    """Dephase-then-purify fidelities of a tilted single-qubit target.
-
-    The target points along (sin theta, 0, cos theta) up to an irrelevant
-    azimuth. Dephasing with probability p contracts the transverse Bloch
-    components by beta = 1 - 2p; one purification round rescales the radius
-    but cannot rotate the (tilted) direction back. Returns the fidelity
-    after the channel and after the subsequent purification round.
-    """
-    beta = 1.0 - 2.0 * p
-    sin_sq = math.sin(theta) ** 2
-    cos_sq = math.cos(theta) ** 2
-    f_in = 0.5 * (1.0 + 1.0 - (1.0 - beta) * sin_sq)
-    radius_sq = beta * beta * sin_sq + cos_sq
-    f_out = 0.5 * (1.0 + 2.0 * (beta * sin_sq + cos_sq) / (1.0 + radius_sq))
-    return f_in, f_out

@@ -3,14 +3,14 @@
 Everything operates on plain numpy arrays: pure states are normalized
 complex vectors of length D = 2**M, density matrices are D x D complex
 Hermitian, trace-one, positive-semidefinite matrices. Validation is
-explicit (``check_pure_state`` / ``check_density_matrix``) rather than
-implicit on every operation, so parameter sweeps stay cheap.
+explicit (``check_pure_state``) rather than implicit on every operation,
+so parameter sweeps stay cheap; ``project_to_density`` puts a computed
+matrix back on the PSD manifold.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -27,15 +27,13 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_LABELS = "IXYZ"
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
-# Guard on the 4**M cost of Pauli-basis operations.
+# Largest register on which ``twirl-check`` compares channels exhaustively;
+# channel application and the Pauli basis change are not limited in M.
 MAX_PAULI_QUBITS = 6
 # Largest register the command line builds as a dense 2**M x 2**M matrix.
 MAX_DENSE_QUBITS = 8
 
 NORM_TOL = 1e-12
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIG_TOL = 1e-10
 
 
 class ValidationError(ValueError):
@@ -74,11 +72,6 @@ def pauli_matrix(code: str) -> np.ndarray:
         raise ValidationError(f"invalid Pauli label in {code!r}") from exc
 
 
-def pauli_weight(code: str) -> int:
-    """Number of non-identity factors in a Pauli string."""
-    return sum(1 for c in code if c != "I")
-
-
 # ----------------------------------------------------------------------
 # Construction and validation
 # ----------------------------------------------------------------------
@@ -95,33 +88,10 @@ def check_pure_state(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError("density matrix must be square")
-    num_qubits(rho.shape[0])
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > HERM_TOL:
-        raise ValidationError(f"Hermiticity violation {herm_dev} > {HERM_TOL}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if min_eig < -EIG_TOL:
-        raise ValidationError(f"negative eigenvalue {min_eig} below -{EIG_TOL}")
-    return rho
-
-
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Rank-one projector |psi><psi| of a normalized pure state."""
     psi = check_pure_state(psi)
     return np.outer(psi, psi.conj())
-
-
-def maximally_mixed(qubits: int) -> np.ndarray:
-    d = 2 ** qubits
-    return np.eye(d, dtype=complex) / d
 
 
 def zero_state(qubits: int) -> np.ndarray:
@@ -144,21 +114,6 @@ def bloch_state(theta: float, phi: float, qubits: int = 1) -> np.ndarray:
     for _ in range(qubits):
         psi = np.kron(psi, single)
     return psi
-
-
-def random_pure_state(qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state on ``qubits`` qubits."""
-    d = 2 ** qubits
-    vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return vec / np.linalg.norm(vec)
-
-
-def random_density_matrix(qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix, Wishart-normalized."""
-    d = 2 ** qubits
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +191,7 @@ def project_to_density(mat: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Pauli expansion
+# Pauli basis
 # ----------------------------------------------------------------------
 
 # Pair one qubit's row and column indices as k = 2i + j. Then T[a, k] =
@@ -283,90 +238,6 @@ def from_pauli_basis(coeffs: np.ndarray, qubits: int | None = None) -> np.ndarra
     return t.transpose(rows_then_cols).reshape(stack + (2 ** m, 2 ** m))
 
 
-def _check_pauli_budget(qubits: int) -> None:
-    if qubits > MAX_PAULI_QUBITS:
-        raise ResourceLimitError(
-            f"Pauli expansion limited to {MAX_PAULI_QUBITS} qubits "
-            f"(4**{qubits} coefficients requested)")
-
-
-def pauli_expand(rho: np.ndarray) -> dict[str, float]:
-    """Map from Pauli string (e.g. ``"XZ"``) to its real coefficient Tr(rho P)."""
-    rho = np.asarray(rho, dtype=complex)
-    m = num_qubits(rho.shape[0])
-    _check_pauli_budget(m)
-    coeffs = to_pauli_basis(rho).real
-    out = {}
-    for idx in itertools.product(range(4), repeat=m):
-        out["".join(PAULI_LABELS[i] for i in idx)] = float(coeffs[idx])
-    return out
-
-
 def pauli_weight_tensor(qubits: int) -> np.ndarray:
     """Tensor of Pauli weights, shape (4,)*qubits: count of non-identity axes."""
     return functools.reduce(np.add.outer, [np.array([0, 1, 1, 1])] * qubits)
-
-
-def pauli_weight_distribution(psi: np.ndarray):
-    """Weight distribution a_k of a pure target and its mean weight.
-
-    a_k = 2**-M sum_{w(P)=k} r_P^2 with sum_k a_k = 1; the second return
-    value is sum_k k a_k, the average Pauli weight of the target.
-    """
-    psi = check_pure_state(psi)
-    m = num_qubits(psi.size)
-    _check_pauli_budget(m)
-    coeffs = to_pauli_basis(density_from_pure(psi)).real
-    weights = pauli_weight_tensor(m)
-    sq = coeffs ** 2 / 2 ** m
-    a = np.array([sq[weights == k].sum() for k in range(m + 1)])
-    mean_weight = float(np.sum(np.arange(m + 1) * a))
-    return a, mean_weight
-
-
-# ----------------------------------------------------------------------
-# Bloch sphere (single qubit)
-# ----------------------------------------------------------------------
-
-def bloch_decompose(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (r_x, r_y, r_z) of a single-qubit density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValidationError("Bloch decomposition requires a single qubit")
-    r = np.array([np.trace(rho @ PAULI_X), np.trace(rho @ PAULI_Y),
-                  np.trace(rho @ PAULI_Z)])
-    return np.real(r)
-
-
-def bloch_compose(r: np.ndarray) -> np.ndarray:
-    """Density matrix (I + r . sigma)/2 of a Bloch vector with |r| <= 1."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValidationError("Bloch vector must have three components")
-    norm = np.linalg.norm(r)
-    if norm > 1.0 + NORM_TOL:
-        raise ValidationError(f"Bloch vector length {norm} exceeds 1")
-    return (PAULI_I + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2
-
-
-# ----------------------------------------------------------------------
-# Werner family
-# ----------------------------------------------------------------------
-
-def werner_state(mix: float, target: np.ndarray) -> np.ndarray:
-    """(1 - mix)|psi><psi| + mix I/D for mixing parameter in [0, 1]."""
-    if not 0.0 <= mix <= 1.0 + NORM_TOL:
-        raise ValidationError(f"mixing parameter {mix} outside [0, 1]")
-    psi = check_pure_state(target)
-    d = psi.size
-    return (1.0 - mix) * density_from_pure(psi) + mix * np.eye(d) / d
-
-
-def werner_fidelity(mix: float, dim: int) -> float:
-    """Fidelity 1 - mix (1 - 1/D) of a Werner state with its target."""
-    return 1.0 - mix * (1.0 - 1.0 / dim)
-
-
-def werner_mixing(fid: float, dim: int) -> float:
-    """Inverse of ``werner_fidelity``."""
-    return (1.0 - fid) * dim / (dim - 1.0)

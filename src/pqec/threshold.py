@@ -44,7 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from .channels import NoiseModel, make_channel
-from .purify import CHUNK_BYTES, purified_spectra, werner_fidelity_update
+from .purify import CHUNK_BYTES, purified_spectra
 # The engine builds no state through ``purified_state``; the name stays bound
 # here because perfbench's span recorder wraps it at this module.
 from .purify import purified_state  # noqa: F401
@@ -193,11 +193,6 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
                       channel=model, rounds=rounds, qubits=qubits, cycles=cycles)
 
 
-def logical_error_rate(trace: CycleTrace) -> float:
-    """First-cycle fidelity drop F(0) - F(1)."""
-    return float(trace.fidelities[0] - trace.fidelities[1])
-
-
 def steady_state_fidelity_analytic(dim: int, p: float) -> float:
     """Fixed-point fidelity of one-round purification under global depolarizing.
 
@@ -214,25 +209,6 @@ def steady_state_fidelity_analytic(dim: int, p: float) -> float:
         raise UndefinedSteadyStateError(
             f"negative discriminant {disc} at D={dim}, p={p}")
     return 0.5 * (1.0 + math.sqrt(disc))
-
-
-def werner_cycle_fidelities(dim: int, p: float, rounds: int, cycles: int) -> np.ndarray:
-    """Scalar recursion for global-depolarizing cycles on the Werner family.
-
-    Cross-check for the full-matrix engine: channel update of the mixing
-    parameter, then ``rounds`` fidelity updates per cycle.
-    """
-    fids = np.empty(cycles + 1)
-    fid = 1.0
-    fids[0] = fid
-    for t in range(1, cycles + 1):
-        mix = (1.0 - fid) * dim / (dim - 1.0)
-        mix = (1.0 - p) * mix + p
-        fid = 1.0 - mix * (1.0 - 1.0 / dim)
-        for _ in range(rounds):
-            fid = werner_fidelity_update(fid, dim)
-        fids[t] = fid
-    return fids
 
 
 # ----------------------------------------------------------------------

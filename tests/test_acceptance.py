@@ -12,11 +12,8 @@ import numpy as np
 from pqec import (
     DEFAULT_SEED,
     NoiseModel,
-    anisotropic_qubit_purify_fidelity,
     channel_matrix_equality,
     bloch_state,
-    conditional_state,
-    conditional_state_two_rounds,
     density_from_pure,
     extract_observable_exact,
     fidelity,
@@ -25,13 +22,9 @@ from pqec import (
     make_channel,
     parity_weighted_sum,
     pauli_matrix,
-    pauli_weight_distribution,
-    plain_sum_check,
     plus_state,
     purified_state,
     purity,
-    random_density_matrix,
-    random_pure_state,
     ratio_estimate,
     required_samples,
     run_cycles,
@@ -39,10 +32,10 @@ from pqec import (
     steady_state_fidelity_analytic,
     sweep,
     werner_fidelity_update,
-    werner_mixing,
-    werner_state,
 )
-
+from oracles import anisotropic_qubit_purify_fidelity, conditional_state, \
+    conditional_state_two_rounds, pauli_weight_distribution, plain_sum_check, \
+    random_density_matrix, random_pure_state, werner_mixing, werner_state
 from test_channels import twirl_by_conjugation
 
 JOBS = 2

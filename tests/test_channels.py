@@ -8,24 +8,18 @@ from pqec import (
     DEFAULT_SEED,
     NoiseModel,
     ValidationError,
-    bloch_compose,
-    bloch_decompose,
     channel_matrix_equality,
     density_from_pure,
     fidelity,
     generate_twirl_set,
     make_channel,
-    maximally_mixed,
-    pauli_expand,
-    pauli_weight,
     plus_state,
-    random_density_matrix,
-    random_pure_state,
-    werner_state,
     zero_state,
 )
 from pqec.channels import _DAMPED, CHANNEL_KINDS, FRAME_LABELS, _seeded_damping_shares
 from pqec.states import MAX_PAULI_QUBITS
+from oracles import bloch_compose, bloch_decompose, maximally_mixed, pauli_expand, pauli_weight, \
+    random_density_matrix, random_pure_state, werner_state
 
 
 # ----------------------------------------------------------------------

@@ -5,18 +5,13 @@ import pytest
 
 from pqec import (
     NoiseModel,
-    ShotRecord,
-    conditional_state,
     density_from_pure,
     enumerate_outcomes,
     estimate_observable,
     extract_observable_exact,
     make_channel,
-    maximally_mixed,
     pauli_matrix,
     plus_state,
-    random_density_matrix,
-    random_pure_state,
     ratio_estimate,
     required_samples,
     sample_outcome_tree,
@@ -28,6 +23,7 @@ from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHO
     check_sampling_budget, sampling_tree
 from pqec.purify import check_observable, merge_states, swap_gadget
 from pqec.states import ResourceLimitError, ValidationError, kron_all
+from oracles import conditional_state, maximally_mixed, random_density_matrix, random_pure_state
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
 Z = pauli_matrix("Z")
@@ -49,15 +45,14 @@ def sample_observable(state, obs, rng):
 # ----------------------------------------------------------------------
 
 def test_ratio_estimate_constant_shots():
-    res = ratio_estimate([ShotRecord(1, 1.0)] * 100)
+    res = ratio_estimate([(1, 1.0)] * 100)
     assert res.estimate == pytest.approx(1.0)
     assert res.standard_error == pytest.approx(0.0)
     assert not res.unstable_denominator
 
 
 def test_ratio_estimate_component_means():
-    shots = [ShotRecord(1, 1.0), ShotRecord(-1, 1.0), ShotRecord(1, -1.0),
-             ShotRecord(1, 1.0)]
+    shots = [(1, 1.0), (-1, 1.0), (1, -1.0), (1, 1.0)]
     res = ratio_estimate(shots)
     assert res.numerator_mean == pytest.approx((1 - 1 - 1 + 1) / 4)
     assert res.denominator_mean == pytest.approx(0.5)
@@ -78,7 +73,7 @@ def test_ratio_estimate_adversarial_denominator():
 
 def test_ratio_estimate_needs_two_shots():
     with pytest.raises(ValidationError):
-        ratio_estimate([ShotRecord(1, 1.0)])
+        ratio_estimate([(1, 1.0)])
 
 
 def test_required_samples_examples():

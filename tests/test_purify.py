@@ -6,35 +6,26 @@ import pytest
 from pqec import (
     DegenerateOutcomeError,
     NoiseModel,
-    anisotropic_qubit_purify_fidelity,
-    bloch_compose,
-    bloch_purify,
-    conditional_state,
-    conditional_state_two_rounds,
     density_from_pure,
     enumerate_outcomes,
     extract_observable_exact,
     fidelity,
-    fidelity_bounds,
     make_channel,
-    maximally_mixed,
     parity_weighted_sum,
     pauli_matrix,
-    plain_sum_check,
     plus_state,
     purified_spectra,
     purified_state,
     purity,
-    random_density_matrix,
-    random_pure_state,
     swap_gadget,
     werner_fidelity_update,
-    werner_mixing,
-    werner_state,
     zero_state,
 )
 from pqec.purify import check_enumeration_budget, merge_spectra
 from pqec.states import ResourceLimitError, ValidationError
+from oracles import anisotropic_qubit_purify_fidelity, bloch_compose, bloch_purify, \
+    conditional_state, conditional_state_two_rounds, fidelity_bounds, maximally_mixed, \
+    plain_sum_check, random_density_matrix, random_pure_state, werner_mixing, werner_state
 
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
@@ -492,7 +483,7 @@ def test_werner_fidelity_update_examples():
 
 def test_werner_update_parameterizations_agree():
     # the mixing-parameter update and the fidelity update describe the same map
-    from pqec import werner_fidelity, werner_mixing_update
+    from oracles import werner_fidelity, werner_mixing_update
     for dim in (2, 4, 16, 256):
         for mix in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             via_mix = werner_fidelity(werner_mixing_update(mix, dim), dim)

@@ -4,26 +4,18 @@ import pytest
 from pqec import (
     ResourceLimitError,
     ValidationError,
-    bloch_compose,
-    bloch_decompose,
-    check_density_matrix,
     density_from_pure,
     fidelity,
-    maximally_mixed,
-    pauli_expand,
     pauli_matrix,
-    pauli_weight,
-    pauli_weight_distribution,
     plus_state,
     purified_state,
     purity,
-    random_density_matrix,
-    random_pure_state,
-    werner_fidelity,
-    werner_state,
     zero_state,
 )
 from pqec.states import from_pauli_basis, to_pauli_basis
+from oracles import bloch_compose, bloch_decompose, check_density_matrix, maximally_mixed, \
+    pauli_expand, pauli_weight, pauli_weight_distribution, random_density_matrix, \
+    random_pure_state, werner_fidelity, werner_state
 
 
 def haar_unitary(dim, rng):
@@ -138,6 +130,16 @@ def test_pauli_expand_plus_plus():
     for label, value in coeffs.items():
         expected = 1.0 if set(label) <= {"I", "X"} else 0.0
         assert value == pytest.approx(expected, abs=1e-12), label
+
+
+def test_dense_pauli_expansion_matches_the_basis_change():
+    # the oracle takes one trace per string; the kernel pairs qubit axes
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 3):
+        rho = random_density_matrix(m, rng)
+        coeffs = to_pauli_basis(rho).real
+        for label, value in pauli_expand(rho).items():
+            assert abs(value - coeffs[tuple("IXYZ".index(c) for c in label)]) <= 1e-12, label
 
 
 def test_pauli_roundtrip_and_norm_identity():

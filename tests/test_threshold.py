@@ -10,19 +10,18 @@ from pqec import (
     density_from_pure,
     fidelity,
     find_threshold,
-    logical_error_rate,
     make_channel,
     plus_state,
     purified_spectra,
     run_cycles,
     steady_state_fidelity_analytic,
     sweep,
-    werner_cycle_fidelities,
 )
 from pqec import purify, threshold
 from pqec.channels import _seeded_damping_shares
 from pqec.cli import main
 from pqec.states import ValidationError, from_spectrum, num_qubits
+from oracles import logical_error_rate, werner_cycle_fidelities
 from test_purify import spectral_fidelity
 
 
