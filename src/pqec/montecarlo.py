@@ -181,13 +181,41 @@ def _measure(records: np.ndarray, rows: np.ndarray, parity: np.ndarray, cdf: np.
     CDFs ``cdf``. Its draw is the inverse CDF at the k-th of
     ``len(records)`` uniforms, which is how ``Generator.choice(p=...)``
     draws, so the stream matches one scalar ``choice`` per record, in order.
+    The index is counted column by column: how many of the first d - 1 CDF
+    entries lie at or below the uniform, which is ``searchsorted(side="right")``
+    on a nondecreasing row; the last entry is exactly 1.0, above every
+    uniform. Records run in chunks of ``CHUNK_BYTES`` of indices and
+    gathered CDF entries, so no (records, d) block is built.
     """
     u = rng.random(len(records))
     records[:, 0] = parity[rows]
-    step = chunk_rows(8 * cdf.shape[1])
+    step = chunk_rows(16)
     for lo in range(0, len(records), step):
-        part = slice(lo, lo + step)
-        records[part, 1] = vals[np.sum(cdf[rows[part]] <= u[part, None], axis=1)]
+        part = rows[lo:lo + step]
+        index = np.zeros(len(part), dtype=np.intp)
+        for column in cdf[:, :-1].T:
+            index += column[part] <= u[lo:lo + step]
+        records[lo:lo + step, 1] = vals[index]
+
+
+def _choice(p: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(p), size=size, p=p)``, bit for bit, with the most probable index looked up.
+
+    This is ``choice``'s own inverse-CDF draw: the normalized cumulative sum
+    of ``p``, one ``rng.random(size)`` call and ``searchsorted(side="right")``,
+    so the indices and the generator's state afterwards are ``choice``'s.
+    Uniforms in the half-open CDF interval of the most probable index are
+    resolved by two comparisons; only the rest are binary-searched.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    top = int(np.argmax(p))
+    low = cdf[top - 1] if top else 0.0
+    index = np.full(size, top, dtype=np.int64)
+    rest = np.flatnonzero((u < low) | (u >= cdf[top]))
+    index[rest] = cdf.searchsorted(u[rest], side="right")
+    return index
 
 
 def sampling_tree(rho: np.ndarray, rounds: int) -> LevelMerges | OutcomeBranches | None:
@@ -195,10 +223,12 @@ def sampling_tree(rho: np.ndarray, rounds: int) -> LevelMerges | OutcomeBranches
 
     Up to the enumeration limit, the reachable merges of the last level
     over the enumerated tree of ``rounds - 1`` levels: every branch's
-    probability, parity and string, but no state yet, since only the
-    branches that shots draw need one. Zero rounds give the one unmerged
-    branch, and None beyond the limit, where every shot walks its own tree.
-    The tree draws no random numbers, so one serves any number of batches.
+    probability and parity, but no state and no sign string, since only the
+    branches that shots draw need a state and no sampler output reads a
+    string (``LevelMerges.outcomes`` builds them on access). Zero rounds
+    give the one unmerged branch, and None beyond the limit, where every
+    shot walks its own tree. The tree draws no random numbers, so one serves
+    any number of batches.
     """
     if rounds > MAX_BRUTE_FORCE_ROUNDS:
         return None
@@ -216,8 +246,10 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     Up to the enumeration limit, shots are drawn vectorized from the joint
     branch/eigenvalue distribution of the enumerated tree, which is
     identical to the node-by-node draw: first the branch of every shot,
-    then the observable of every shot, both in shot order. Only the
-    distinct branches drawn are merged, bit for bit as in
+    by ``Generator.choice``'s inverse-CDF draw with the most probable
+    branch looked up by two comparisons (``_choice``), then the observable
+    of every shot, counted column by column (``_measure``), both in shot
+    order. Only the distinct branches drawn are merged, bit for bit as in
     ``enumerate_outcomes``. ``tree``, if given, is ``sampling_tree(rho,
     rounds)`` from an earlier batch; it is built here otherwise. Beyond the
     limit the shots walk the tree together on eigenvalue vectors
@@ -232,14 +264,16 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     if rounds <= MAX_BRUTE_FORCE_ROUNDS:
         branches = sampling_tree(rho, rounds) if tree is None else tree
         probs = branches.probability
-        which = rng.choice(len(branches), size=n_shots, p=probs / probs.sum())
+        which = _choice(probs / probs.sum(), n_shots, rng)
         # only the branches drawn need a state and their observable distribution
         counts = np.bincount(which)
         drawn = np.flatnonzero(counts)
         states = (branches.state[drawn] if isinstance(branches, OutcomeBranches)
                   else merge_states(branches, drawn, swap_gadget))
-        _measure(records, (np.cumsum(counts > 0) - 1)[which], branches.parity[drawn],
-                 _outcome_cdf(states, vecs), vals, rng)
+        # each shot's row among the drawn branches, written over its branch index so that
+        # a million-shot batch holds one shots-long index array, not two
+        np.take(np.cumsum(counts > 0) - 1, which, out=which)
+        _measure(records, which, branches.parity[drawn], _outcome_cdf(states, vecs), vals, rng)
         return records
     step = chunk_rows(16 * vals.size ** 2)
     for lo in range(0, n_shots, step):

@@ -200,9 +200,10 @@ class LevelMerges:
     """The reachable merges of a tree level with itself, before any state is built.
 
     Merge b joins branches ``left[b]`` and ``right[b]`` of ``below`` with
-    sign ``sign[b]``. ``probability``, ``parity`` and ``outcomes`` are
-    those of the merged branches, as in ``OutcomeBranches``;
-    ``merge_states`` builds their states.
+    sign ``sign[b]``. ``probability`` and ``parity`` are those of the
+    merged branches, as in ``OutcomeBranches``. Their sign strings
+    ``outcomes`` are built on each access, since only enumeration reads
+    them, and ``merge_states`` builds their states.
     """
 
     below: OutcomeBranches
@@ -211,10 +212,15 @@ class LevelMerges:
     sign: np.ndarray
     probability: np.ndarray
     parity: np.ndarray
-    outcomes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.probability)
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """(B, 2**rounds - 1) int8 sign strings: left string, right string, then the sign."""
+        return np.concatenate([self.below.outcomes[self.left], self.below.outcomes[self.right],
+                               self.sign[:, None]], axis=1, dtype=np.int8)
 
 
 def level_merges(level: OutcomeBranches) -> LevelMerges:
@@ -239,9 +245,7 @@ def level_merges(level: OutcomeBranches) -> LevelMerges:
     return LevelMerges(
         below=level, left=left, right=right, sign=sign,
         probability=level.probability[left] * level.probability[right] * probs[left, right, minus],
-        parity=level.parity[left] * level.parity[right] * sign,
-        outcomes=np.concatenate([level.outcomes[left], level.outcomes[right], sign[:, None]],
-                                axis=1, dtype=np.int8))
+        parity=level.parity[left] * level.parity[right] * sign)
 
 
 def merge_states(merges: LevelMerges, index: np.ndarray, gadget) -> np.ndarray:

@@ -281,6 +281,37 @@ def test_enumeration_path_matches_per_branch_scan(seed):
             assert np.array_equal(fast, slow)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_observable_draw_matches_per_branch_scan_at_three_qubits(p):
+    # At p = 0 the target stays pure, so each level has one branch, and |000> has
+    # probability 0 on six of the eight ZZX eigenvectors: its CDF has plateaus. At p = 0.3
+    # every level holds many branches. The all-plus branch is the most probable of every
+    # tree, so the other positions of the branch lookup are checked on their own below.
+    rho = make_channel(NoiseModel("local-depol", p), 3)(density_from_pure(zero_state(3)))
+    obs = pauli_matrix("ZZX")
+    for rounds in (0, 1, 2, 3):
+        fast = simulate_shots(rho, obs, rounds, 3000, np.random.default_rng(rounds))
+        slow = _per_branch_scan(rho, obs, rounds, 3000, np.random.default_rng(rounds))
+        assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0],                          # one branch
+    [0.5, 0.2, 0.0, 0.3],           # the maximum first
+    [0.1, 0.0, 0.2, 0.6, 0.1],      # in the middle
+    [0.0, 0.2, 0.3, 0.5],           # last
+    [0.1, 0.4, 0.1, 0.4],           # a tie for the maximum
+    [1.0] * 7,                      # flat
+])
+def test_branch_draw_is_generator_choice(weights):
+    p = np.array(weights) / np.sum(weights)
+    ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+    drawn = pqec.montecarlo._choice(p, 5000, ours)
+    want = theirs.choice(len(p), size=5000, p=p)
+    assert drawn.dtype == want.dtype and np.array_equal(drawn, want)
+    assert ours.random() == theirs.random()
+
+
 def test_enumeration_path_stream_is_pinned():
     # the benchmark's l=4 state: the branch draw (B_hat) is that of every version since
     # 0.2.0; the observables are drawn in shot order since 0.4.9
