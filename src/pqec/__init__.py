@@ -57,4 +57,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

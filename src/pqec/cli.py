@@ -174,12 +174,16 @@ def parse_state(spec: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _fmt_value(v) -> str:
+    """A CSV cell or header value: ints and bools as integers, floats to 13 decimals.
+
+    Every reported float is at most 1 in size, with float error near 1e-15,
+    or carries a statistical error far above 1e-13, so the digits beyond it
+    are rounding noise. ``+ 0.0`` prints -0.0 as 0.0.
+    """
     if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
     if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
+        return repr(round(float(v), 13) + 0.0)
     return str(v)
 
 
@@ -458,11 +462,11 @@ def _cmd_threshold(args) -> int:
              pair.direction,
              float("nan") if pair.bracket is None else pair.bracket)
             for pair in estimate.crossing_pairs]
-    comments = [f"grid-step: {estimate.grid_step:.17g}", f"status: {estimate.status}"]
+    comments = [f"grid-step: {_fmt_value(estimate.grid_step)}", f"status: {estimate.status}"]
     if estimate.p_threshold is None:
         note = " (no crossing found)"
     else:
-        comments.insert(0, f"p-threshold: {estimate.p_threshold:.17g}")
+        comments.insert(0, f"p-threshold: {_fmt_value(estimate.p_threshold)}")
         note = f" (p_threshold = {estimate.p_threshold:.6f} +- {estimate.grid_step:.6f})"
     _write_table(args, ["ell_low", "ell_high", "p_cross", "direction", "bracket"],
                  rows, comments, note, _gamma_chart(result))
@@ -496,7 +500,7 @@ def _cmd_sample(args) -> int:
         rows.append((b, res.n_samples, res.numerator_mean, res.denominator_mean,
                      res.estimate, res.standard_error))
     _write_table(args, ["batch", "n", "A_hat", "B_hat", "estimate", "se"], rows,
-                 [f"exact: {exact:.17g}"], f" (exact value {exact:.10f})")
+                 [f"exact: {_fmt_value(exact)}"], f" (exact value {_fmt_value(exact)})")
     if any_unstable:
         print("warning: denominator mean close to zero; estimates unstable",
               file=sys.stderr)
@@ -516,8 +520,9 @@ def _cmd_twirl_check(args) -> int:
         dev = np.max(np.abs(twirled.transfer_eigenvalues(args.m)
                             - depol.transfer_eigenvalues(args.m)))
         rows.append((args.m, float(p), float(dev)))
+    # rounding is monotone, so this is the largest value of the CSV column
     _write_table(args, ["M", "p", "max_deviation"], rows,
-                 note=f" (max deviation {max(r[2] for r in rows):.3e})")
+                 note=f" (max deviation {_fmt_value(max(r[2] for r in rows))})")
     return EXIT_OK
 
 

@@ -316,26 +316,17 @@ def purified_spectra(rho: np.ndarray, rounds):
     return vecs, (purified_weights(vals, ell) if ell else None for ell in ells)
 
 
-def purified_state(rho: np.ndarray, rounds) -> np.ndarray:
+def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
     """rho**N / Tr(rho**N) with N = 2**rounds; rounds = 0 returns the input.
 
     Computed spectrally, so the eigenbasis of the output is the input's own
     and the cost is one eigendecomposition regardless of ``rounds``. A
     stack ``(..., d, d)`` is purified matrix by matrix, with the same result
-    as one call each. A sequence of ``rounds`` values shares that one
-    decomposition (``purified_spectra``) and returns
-    ``(..., len(rounds), d, d)``.
+    as one call each.
     """
-    ells = np.atleast_1d(rounds)
     rho = np.asarray(rho, dtype=complex)
-    vecs, weights = purified_spectra(rho, ells)
-    states = (rho if w is None else from_spectrum(w, vecs) for w in weights)
-    if np.ndim(rounds) == 0:
-        return next(states)
-    out = np.empty(rho.shape[:-2] + (len(ells),) + rho.shape[-2:], dtype=complex)
-    for j, state in enumerate(states):
-        out[..., j, :, :] = state
-    return out
+    vecs, (weights,) = purified_spectra(rho, (rounds,))
+    return rho if weights is None else from_spectrum(weights, vecs)
 
 
 def check_observable(obs: np.ndarray) -> np.ndarray:

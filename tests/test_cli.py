@@ -11,6 +11,7 @@ from pqec.cli import (
     EXIT_NO_CROSSING,
     EXIT_OK,
     MAX_GRID_POINTS,
+    _fmt_value,
     main,
     parse_int_list,
     parse_real_grid,
@@ -70,6 +71,24 @@ def test_angle_accepts_only_arithmetic(tmp_path, capsys):
     assert _exit_code(["purify", "--state", "bloch:9**9**9,0", "--channel", "dephasing",
                        "--p", "0.1", "--ell", "1", "--out", str(tmp_path / "x.csv")]) == EXIT_ERROR
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# ----------------------------------------------------------------------
+# reported numbers
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0.0"),
+    (1.0000000000000004, "1.0"),
+    (-6.66e-16, "0.0"),
+    (0.1 + 0.2, "0.3"),
+    (np.float64(0.1 + 0.2), "0.3"),
+    (float("nan"), "nan"),
+    (True, "1"),
+    (np.int64(5), "5"),
+])
+def test_fmt_value(value, text):
+    assert _fmt_value(value) == text
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +170,7 @@ def test_threshold_grid_step_is_the_crossing_bracket(tmp_path):
     assert main(["threshold", "--channel", "local-depol", "--M", "1",
                  "--p", "0:1:41", "--ell", "0,1", "--cycles", "1",
                  "--jobs", "1", "--out", str(out)]) == EXIT_OK
-    assert _header(out)["grid-step"] == f"{1 / 40:.17g}"
+    assert _header(out)["grid-step"] == "0.025"
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,7 +264,9 @@ def test_twirl_check_command(tmp_path, capsys):
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 3
     assert all(float(r.split(",")[2]) < 1e-12 for r in rows)
-    capsys.readouterr()
+    # the note names the largest deviation as the CSV prints it
+    column = [r.split(",")[2] for r in rows]
+    assert capsys.readouterr().out.endswith(f"(max deviation {max(column, key=float)})\n")
     assert _exit_code(["twirl-check", "--M", "7", "--p", "0.1", "--out", str(out)]) == EXIT_ERROR
     assert len(capsys.readouterr().err.splitlines()) == 1
 

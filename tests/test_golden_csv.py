@@ -1,29 +1,32 @@
 """Seeded CLI runs reproduce the committed CSVs byte for byte.
 
-``sample-local-depol-ell5`` under ``tests/data/`` was written by pqec
-0.4.3, and ``sample-zero-ell6`` and ``sample-bloch-M3-ell5`` by 0.4.5, with
-the dense tree walk that 0.4.6 replaced by a walk on eigenvalue vectors.
-``sample-zero-ell4`` was written by 0.4.9, which draws the observables of
-four rounds or fewer in shot order, and ``sample-dephasing-M2-ell3`` by
-0.6.0, whose ``# exact:`` line sums normalized purified weights.
-``twirl-check-M3`` was written by 0.4.6, before 0.4.7 merged the
-command-line resolvers. 0.4.10 reads fidelities off the purified spectrum
-instead of a rebuilt matrix, and wrote ``purify-bloch-M3``, both ``cycle``
-files, the three ``sweep`` files with their traces and
-``threshold-twirled-M2``; the other three ``threshold`` files were written by
-0.4.0. Every line must match apart from ``# pqec-version``. A change that
-alters these bytes on purpose bumps the version, says so in CHANGES.md, and
-rewrites the files it changes, named by stem, with
+0.8.0 prints every reported float rounded to 13 decimal places. It wrote
+every file under ``tests/data/`` but ``threshold-local-depol-M5``, which
+0.4.0 wrote and the rounding left as it was. Each value 0.8.0 wrote is the
+rounding of the one written by the last version that changed it:
+``sample-local-depol-ell5`` by 0.4.3; ``sample-zero-ell6`` and
+``sample-bloch-M3-ell5`` by 0.4.5, with the dense tree walk that 0.4.6
+replaced by a walk on eigenvalue vectors; ``sample-zero-ell4`` by 0.4.9,
+which draws the observables of four rounds or fewer in shot order;
+``sample-dephasing-M2-ell3`` by 0.6.0, whose ``# exact:`` line sums
+normalized purified weights; ``twirl-check-M3`` by 0.4.6; ``purify-bloch-M3``,
+both ``cycle`` files, the three ``sweep`` files with their traces and
+``threshold-twirled-M2`` by 0.4.10, which reads fidelities off the purified
+spectrum; the other two ``threshold`` files by 0.4.0. Every line must match
+apart from ``# pqec-version``. A change that alters these bytes on purpose
+bumps the version, says so in CHANGES.md, and rewrites the files it
+changes, named by stem, with
 
     PYTHONPATH=src python tests/test_golden_csv.py STEM [STEM ...]
 """
 
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from pqec.cli import EXIT_NO_CROSSING, EXIT_OK, main
+from pqec.cli import EXIT_NO_CROSSING, EXIT_OK, _fmt_value, main
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -104,6 +107,33 @@ def test_golden_sweep_with_a_pool(tmp_path, capsys):
     # workers split the grid into blocks; the bytes stay the same
     for name in run_golden("sweep-twirl20-M3", tmp_path, jobs="2"):
         assert _without_version(tmp_path / name) == _without_version(DATA / name), name
+
+
+# header lines that echo the input or name it, rather than report a number
+_NOT_REPORTED = ("pqec-version", "command", "seed", "config", "config-hash")
+
+
+def _reported_fields(path):
+    """Every CSV cell and reported header value of a golden, as text."""
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(": ", 1)
+            if key not in _NOT_REPORTED:
+                yield value
+        else:
+            yield from line.split(",")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.csv")))
+def test_golden_floats_are_printed_at_the_formatter_resolution(name):
+    for field in _reported_fields(DATA / name):
+        if re.fullmatch(r"-?\d+", field):
+            continue
+        try:
+            value = float(field)
+        except ValueError:
+            continue
+        assert _fmt_value(value) == field, field
 
 
 if __name__ == "__main__":
