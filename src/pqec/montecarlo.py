@@ -14,6 +14,7 @@ a bounded observable scales as 1 / (eps Tr(rho**N))**2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,12 +30,14 @@ from .states import ResourceLimitError, ValidationError, from_spectrum, num_qubi
 # - shots per batch, whose records are held in memory at once;
 # - shots in all, batches x shots, and batches, since each batch adds a CSV
 #   row and a fixed cost: many tiny batches stay bounded too;
-# - beyond the enumeration limit, where every shot walks its own tree,
+# - beyond the enumeration limit, where every shot walks its own branch,
 #   merges batches x shots x (2**rounds - 1), each weighted by (d/2)**2 =
 #   4**(M-1), so the limit is the M=1 count. The weight was set for dense
-#   gadget merges; stacked over the shots of a batch, a merge of eigenvalue
-#   vectors takes about 0.26 us at M=1, 0.35 us at M=3 and 0.6 us at M=4 on a
-#   2-vCPU Xeon VM, where the dense gadget took 3.4, 9.9 and 29 us.
+#   gadget merges, which took 3.4, 9.9 and 29 us at M = 1, 3, 4. Walked
+#   level by level on eigenvalue vectors, one merge takes about 0.17, 0.36,
+#   0.40 and 0.74 us at M = 1, 3, 4, 5 with 100 shots at l = 6, and 0.15,
+#   0.34, 0.47 and 1.0 us in the largest l = 5 batch the budget admits
+#   (32258, 2016, 504 and 126 shots), on a 2-vCPU Xeon VM.
 MAX_SHOTS_PER_BATCH = 10 ** 6
 MAX_RUN_SHOTS = 5 * 10 ** 7
 MAX_BATCHES = 10 ** 4
@@ -137,37 +140,91 @@ def _outcome_cdf(states: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return cdf / cdf[:, -1:]
 
 
+@functools.cache
+def _level_rows(height: int) -> tuple[np.ndarray, ...]:
+    """Post-order indices of the nodes of a ``height``-level tree, one array per level.
+
+    Entry k - 1 lists the nodes k levels above the leaves, left to right.
+    Post-order (left subtree, right subtree, root) is the order of the
+    outcome string and of the walk's uniforms, and it keeps nodes of one
+    level in left-to-right order.
+    """
+    heights = np.zeros(0, dtype=int)
+    for level in range(1, height + 1):
+        heights = np.concatenate([heights, heights, [level]])
+    rows = tuple(np.flatnonzero(heights == level) for level in range(1, height + 1))
+    for index in rows:
+        index.setflags(write=False)
+    return rows
+
+
+def _merge_nodes(left, right, prob_l, prob_r, u):
+    """Draw each node's sign from its uniform ``u``, then merge its two child spectra.
+
+    Every argument is a stack over the nodes of a level, or one node, and
+    each node draws and merges as it would alone. Returns the merged
+    spectra, the branch probabilities and the signs.
+    """
+    overlap = (left * right).sum(axis=-1)
+    sign = np.where(u < 0.5 * (1.0 + overlap), 1, -1)
+    spectrum, prob = merge_spectra(left, right, sign)
+    return spectrum, prob_l * prob_r * prob, sign
+
+
+def _walk(vals: np.ndarray, rounds: int, height: int, rng: np.random.Generator,
+          signs: np.ndarray, first: int):
+    """Root spectra and probabilities of a ``rounds``-level subtree; its signs go to ``signs``.
+
+    ``first`` is the post-order index of the subtree's first node. Up to
+    ``height`` levels the subtree is stacked: one ``rng.random`` call for
+    the uniforms of all its nodes, one merge per level. A taller one walks
+    its left subtree, its right subtree, then its root, so the uniforms
+    come in post-order either way.
+    """
+    shots = signs.shape[1]
+    if rounds > height:
+        left, prob_l = _walk(vals, rounds - 1, height, rng, signs, first)
+        right, prob_r = _walk(vals, rounds - 1, height, rng, signs, first + 2 ** (rounds - 1) - 1)
+        spectrum, prob, signs[first + 2 ** rounds - 2] = _merge_nodes(
+            left, right, prob_l, prob_r, rng.random(shots))
+        return spectrum, prob
+    u = rng.random((2 ** rounds - 1, shots))
+    spectrum = np.broadcast_to(vals, (2 ** rounds, shots, vals.size))
+    prob_l = prob_r = np.ones((1, shots))
+    for rows in _level_rows(rounds):
+        spectrum, prob, signs[first + rows] = _merge_nodes(
+            spectrum[0::2], spectrum[1::2], prob_l, prob_r, u[rows])
+        prob_l, prob_r = prob[0::2], prob[1::2]
+    return spectrum[0], prob_l[0]
+
+
 def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
                         shots: int = 1) -> OutcomeBranches:
-    """Draw ``shots`` outcome strings node by node through the merge tree.
+    """Draw ``shots`` outcome strings through the merge tree, one level at a time.
 
     Every branch state is a polynomial in rho, so it shares rho's
     eigenbasis: after one ``spectral_decomposition`` the shots walk the
-    tree together as (shots, d) eigenvalue vectors, post-order, one
-    stacked ``merge_spectra`` call per node. Every node's sign is drawn for
-    all shots from one vector of uniforms, each with its conditional
-    probability given the shot's two child states; zero-probability
-    branches are never drawn. Returns the drawn branches, one per shot,
-    with their strings in outcome-string order and their states rebuilt
-    once, at the root.
+    tree together as (shots, d) eigenvalue vectors. Each node's sign is
+    drawn for all shots from one vector of uniforms, each with its
+    conditional probability given the shot's two child states, so
+    zero-probability branches are never drawn. The walk stacks whole
+    subtrees: one ``rng.random`` call draws all the uniforms of a subtree,
+    and one ``merge_spectra`` call merges each of its levels. A subtree is
+    as tall as lets the arrays that merging its widest level builds fit
+    ``CHUNK_BYTES``; above that the walk goes node by node. Both take the
+    uniforms in post-order, so the draws are those of a node-by-node walk
+    for any shot count. Returns the drawn branches, one per shot, with
+    their strings in outcome-string order and their states rebuilt once,
+    at the root.
     """
     vals, vecs = spectral_decomposition(rho)
-    leaf = np.broadcast_to(vals, (shots, vals.size))
-    signs = []
-
-    def walk(level: int):
-        if level == 0:
-            return leaf, np.ones(shots)
-        left, prob_l = walk(level - 1)
-        right, prob_r = walk(level - 1)
-        overlap = (left * right).sum(axis=-1)
-        sign = np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
-        signs.append(sign)
-        spectrum, prob = merge_spectra(left, right, sign)
-        return spectrum, prob_l * prob_r * prob
-
-    spectrum, prob = walk(rounds)
-    outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+    # merging a level of n nodes builds nine (n, shots, d) arrays and about
+    # sixteen (n, shots) ones, so the widest level, of 2**(height - 1) nodes,
+    # builds at most CHUNK_BYTES
+    height = min(rounds, chunk_rows(8 * max(shots, 1) * (9 * vals.size + 16)).bit_length())
+    signs = np.empty((2 ** rounds - 1, shots), dtype=np.int8)
+    spectrum, prob = _walk(vals, rounds, height, rng, signs, 0)
+    outcomes = signs.T
     return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),
                            outcomes=outcomes)
@@ -252,10 +309,11 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     order. Only the distinct branches drawn are merged, bit for bit as in
     ``enumerate_outcomes``. ``tree``, if given, is ``sampling_tree(rho,
     rounds)`` from an earlier batch; it is built here otherwise. Beyond the
-    limit the shots walk the tree together on eigenvalue vectors
-    (``sample_outcome_tree``), in chunks of ``CHUNK_BYTES`` of rebuilt
-    states, and each chunk then draws its observables through the same
-    measurement step.
+    limit the shots walk the tree together on eigenvalue vectors, a level
+    of a stacked subtree per ``merge_spectra`` call and one ``rng.random``
+    call per subtree (``sample_outcome_tree``), in chunks of ``CHUNK_BYTES``
+    of rebuilt states, and each chunk then draws its observables through
+    the same measurement step.
     """
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")

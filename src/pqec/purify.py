@@ -199,8 +199,8 @@ def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
 class LevelMerges:
     """The reachable merges of a tree level with itself, before any state is built.
 
-    Merge b joins branches ``left[b]`` and ``right[b]`` of ``below`` with
-    sign ``sign[b]``. ``probability`` and ``parity`` are those of the
+    Merge b joins branches ``left[b]`` and ``right[b]`` (int32) of ``below``
+    with sign ``sign[b]`` (int8). ``probability`` and ``parity`` are those of the
     merged branches, as in ``OutcomeBranches``. Their sign strings
     ``outcomes`` are built on each access, since only enumeration reads
     them, and ``merge_states`` builds their states.
@@ -241,7 +241,9 @@ def level_merges(level: OutcomeBranches) -> LevelMerges:
         probs[lo:lo + step, :, 0] = _sign_probability(overlap, 1)
         probs[lo:lo + step, :, 1] = _sign_probability(overlap, -1)
     left, right, minus = np.nonzero(probs >= PROB_FLOOR)
-    sign = 1 - 2 * minus
+    # enumeration stops at four rounds, so a level below holds at most 2**7 branches
+    left, right = left.astype(np.int32), right.astype(np.int32)
+    sign = (1 - 2 * minus).astype(np.int8)
     return LevelMerges(
         below=level, left=left, right=right, sign=sign,
         probability=level.probability[left] * level.probability[right] * probs[left, right, minus],

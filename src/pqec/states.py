@@ -56,10 +56,12 @@ def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, first factor leftmost.
 
     Qubit 0 is the leftmost factor, i.e. the most significant bit of the
-    basis-state index.
+    basis-state index. Returns a new complex array, also for one factor;
+    no factors give the 1 x 1 identity.
     """
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
+    factors = iter(mats)
+    out = np.array(next(factors, [[1.0]]), dtype=complex)
+    for m in factors:
         out = np.kron(out, m)
     return out
 

@@ -4,8 +4,9 @@ Nothing under ``src/`` imports this module. It holds the paper's closed
 forms (the Bloch rescaling r -> 2r/(1+|r|^2), the Werner family and its
 fidelity map, dephasing of a tilted qubit, the sandwich fidelity bounds),
 the brute-force outcome tree over fixed sign strings and its two-round
-closed form, the Pauli expansion computed densely, and the state
-constructors and validation the tests build their inputs with. Each oracle
+closed form, the sampler's node-by-node tree walk, the Pauli expansion
+computed densely, and the state constructors and validation the tests
+build their inputs with. Each oracle
 is computed apart from the fast path it checks: ``pauli_expand`` takes one
 trace per Pauli string, never ``to_pauli_basis``.
 """
@@ -18,10 +19,10 @@ import math
 import numpy as np
 
 from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, OutcomeBranches, enumerate_outcomes, \
-    swap_gadget, werner_fidelity_update
+    merge_spectra, swap_gadget, werner_fidelity_update
 from pqec.states import MAX_PAULI_QUBITS, NORM_TOL, PAULI_I, PAULI_LABELS, PAULI_X, PAULI_Y, \
     PAULI_Z, ResourceLimitError, ValidationError, check_pure_state, density_from_pure, fidelity, \
-    num_qubits, pauli_matrix, purity
+    from_spectrum, num_qubits, pauli_matrix, purity, spectral_decomposition
 from pqec.threshold import CycleTrace
 
 HERM_TOL = 1e-10
@@ -275,6 +276,37 @@ def conditional_state(rho: np.ndarray, outcomes) -> OutcomeBranches:
     state, prob = walk(rounds)
     outcomes = strings.astype(np.int8)
     return OutcomeBranches(state=state, probability=prob, parity=np.prod(outcomes, axis=1),
+                           outcomes=outcomes)
+
+
+def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
+                          shots: int = 1) -> OutcomeBranches:
+    """Draw ``shots`` outcome strings node by node, post-order, on eigenvalue vectors.
+
+    The reference for the sampler's level-order walk: the shots walk the
+    tree together as (shots, d) eigenvalue vectors in rho's eigenbasis,
+    and each node takes its own ``rng.random(shots)`` call, in post-order,
+    and its own ``merge_spectra`` call.
+    """
+    vals, vecs = spectral_decomposition(rho)
+    leaf = np.broadcast_to(vals, (shots, vals.size))
+    signs = []
+
+    def walk(level: int):
+        if level == 0:
+            return leaf, np.ones(shots)
+        left, prob_l = walk(level - 1)
+        right, prob_r = walk(level - 1)
+        overlap = (left * right).sum(axis=-1)
+        sign = np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
+        signs.append(sign)
+        spectrum, prob = merge_spectra(left, right, sign)
+        return spectrum, prob_l * prob_r * prob
+
+    spectrum, prob = walk(rounds)
+    outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+    return OutcomeBranches(state=from_spectrum(spectrum, vecs),
+                           probability=prob, parity=np.prod(outcomes, axis=1),
                            outcomes=outcomes)
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +23,11 @@ from pqec import (
 import pqec.montecarlo
 from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
     check_sampling_budget, sampling_tree
+import pqec.purify
 from pqec.purify import check_observable, merge_states, swap_gadget
 from pqec.states import ResourceLimitError, ValidationError, kron_all
-from oracles import conditional_state, maximally_mixed, random_density_matrix, random_pure_state
+from oracles import conditional_state, maximally_mixed, per_node_outcome_tree, \
+    random_density_matrix, random_pure_state
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
 Z = pauli_matrix("Z")
@@ -221,6 +225,73 @@ def test_spectral_walk_matches_dense_conditional_state(qubits, rounds, kind):
         assert np.all(drawn.outcomes == 1)
 
 
+def _same_walk(rho, rounds, shots, seed):
+    """The level-order walk and the per-node oracle draw the same bits from one seed."""
+    fast_rng, node_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = sample_outcome_tree(rho, rounds, fast_rng, shots)
+    node = per_node_outcome_tree(rho, rounds, node_rng, shots)
+    for field in ("state", "probability", "parity", "outcomes"):
+        assert np.array_equal(getattr(fast, field), getattr(node, field)), field
+    assert fast_rng.random() == node_rng.random()
+
+
+@pytest.mark.parametrize("qubits, rounds", [(m, ell) for m in (1, 2, 3) for ell in range(8)])
+def test_level_walk_matches_per_node_walk(qubits, rounds):
+    # stacked subtrees draw and merge bit for bit as the node-by-node walk
+    rho = random_density_matrix(qubits, np.random.default_rng(10 * qubits + rounds))
+    for shots in (1, 3, 100):
+        _same_walk(rho, rounds, shots, seed=shots)
+
+
+def test_level_walk_splits_under_chunk_bound(monkeypatch):
+    # a small chunk leaves three-level subtrees under four levels walked node by node
+    monkeypatch.setattr(pqec.purify, "CHUNK_BYTES", 2 ** 17)
+    calls = []
+    merge = pqec.montecarlo.merge_spectra
+    monkeypatch.setattr(pqec.montecarlo, "merge_spectra",
+                        lambda a, b, sign: calls.append(sign.shape) or merge(a, b, sign))
+    rho = random_density_matrix(1, np.random.default_rng(3))
+    _same_walk(rho, 7, 100, seed=4)
+    assert calls.count((100,)) == 2 ** 4 - 1
+    assert [shape for shape in calls if shape != (100,)] == [(4, 100), (2, 100), (1, 100)] * 2 ** 4
+
+
+def test_stacked_merge_builds_at_most_chunk_bytes(monkeypatch):
+    # the largest l=9 run the merge budget admits on one qubit stacks within CHUNK_BYTES
+    peaks = []
+    merge = pqec.montecarlo._merge_nodes
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = merge(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(pqec.montecarlo, "_merge_nodes", traced)
+    rho = make_channel(NoiseModel("local-depol", 0.01), 1)(density_from_pure(zero_state(1)))
+    tracemalloc.start()
+    try:
+        sample_outcome_tree(rho, 9, np.random.default_rng(2), 1900)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) < 2 ** 9 - 1
+    assert 0 < max(peaks) <= pqec.purify.CHUNK_BYTES
+
+
+def test_simulate_shots_leaves_no_garbage():
+    # the walk holds no reference cycle, so a batch's arrays are freed without a gc pass
+    rho = make_channel(NoiseModel("local-depol", 0.01), 1)(density_from_pure(zero_state(1)))
+    rng = np.random.default_rng(6)
+    gc.collect()
+    gc.disable()
+    try:
+        simulate_shots(rho, Z, 6, 100, rng)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_sample_observable_examples():
     rng = np.random.default_rng(5)
     assert sample_observable(density_from_pure(zero_state(1)), Z, rng) == 1.0
@@ -350,6 +421,8 @@ def test_sampling_tree_merges_lazily_as_enumerated(qubits, rounds, p):
         density_from_pure(random_pure_state(qubits, np.random.default_rng(rounds))))
     tree = sampling_tree(rho, rounds)
     whole = enumerate_outcomes(rho, rounds)
+    assert (tree.left.dtype, tree.right.dtype, tree.sign.dtype) == (np.int32, np.int32, np.int8)
+    assert tree.parity.dtype == whole.parity.dtype
     assert (len(whole) < 2 ** (2 ** rounds - 1)) == (p == 0.0)
     for field in ("probability", "parity", "outcomes"):
         assert np.array_equal(getattr(tree, field), getattr(whole, field))
@@ -400,7 +473,7 @@ def test_estimate_matches_exact_value():
 
 
 def test_sequential_path_beyond_enumeration_limit():
-    # rounds > 4 falls back to the per-shot sampler
+    # rounds > 4 walks the shots of a batch together on eigenvalue vectors
     seq = simulate_shots(DIAG, Z, 5, 400, np.random.default_rng(9))
     assert seq.shape == (400, 2)
     assert set(np.unique(seq[:, 0])) <= {-1.0, 1.0}

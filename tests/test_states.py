@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from pqec import (
     purity,
     zero_state,
 )
-from pqec.states import from_pauli_basis, to_pauli_basis
+from pqec.states import PAULIS, from_pauli_basis, to_pauli_basis
 from oracles import bloch_compose, bloch_decompose, check_density_matrix, maximally_mixed, \
     pauli_expand, pauli_weight, pauli_weight_distribution, random_density_matrix, \
     random_pure_state, werner_fidelity, werner_state
@@ -185,6 +188,17 @@ def test_pauli_matrix_and_weight():
     assert np.allclose(xz, np.kron(pauli_matrix("X"), pauli_matrix("Z")))
     with pytest.raises(ValidationError):
         pauli_matrix("XQ")
+
+
+def test_pauli_matrix_is_a_fresh_kron_chain():
+    # every label up to three qubits, as an explicit kron chain, in an array of its own
+    assert np.array_equal(pauli_matrix(""), [[1.0]])
+    for m in (1, 2, 3):
+        for label in map("".join, itertools.product("IXYZ", repeat=m)):
+            mat = pauli_matrix(label)
+            assert mat.dtype == complex and mat.flags.writeable
+            assert np.array_equal(mat, functools.reduce(np.kron, [PAULIS[c] for c in label]))
+            assert not any(np.shares_memory(mat, p) for p in PAULIS.values())
 
 
 def test_weight_distribution_plus():
