@@ -10,7 +10,6 @@ from .channels import (
     NoiseModel,
     apply_pauli_diagonal,
     channel_matrix_equality,
-    generate_twirl_set,
     make_channel,
 )
 from .montecarlo import (
@@ -57,4 +56,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

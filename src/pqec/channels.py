@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,10 @@ from .states import PAULI_LABELS, ValidationError, from_pauli_basis, num_qubits,
 # still damps the |+> target (see tests).
 DEFAULT_SEED = 7
 
-# Averaged as U^dag E_z(U rho U^dag) U, frame I keeps the dephasing axis on Z,
-# H rotates it onto X and HS onto Y. Per frame, 1 marks the IXYZ labels that
-# its dephasing damps: all but I and that axis.
-FRAME_LABELS = ("I", "H", "HS")
-_DAMPED = {"I": np.array([0, 1, 1, 0]), "H": np.array([0, 0, 1, 1]),
-           "HS": np.array([0, 1, 0, 1])}
+# Row f marks the IXYZ labels that frame f damps. Averaged as
+# U^dag E_z(U rho U^dag) U, frame 0 (I) keeps the dephasing axis on Z, 1 (H)
+# rotates it onto X and 2 (HS) onto Y; each damps all but I and that axis.
+_DAMPED = np.array([[0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1]])
 
 CHANNEL_KINDS = ("global-depol", "local-depol", "dephasing", "twirled-dephasing")
 
@@ -65,6 +64,9 @@ class NoiseModel:
         if not 0.0 < self.twirl_fraction <= 1.0:
             raise ValidationError(
                 f"twirl fraction {self.twirl_fraction} outside (0, 1]")
+        seed = self.twirl_seed
+        if not hasattr(type(seed), "__index__") or operator.index(seed) < 0:
+            raise ValidationError(f"twirl seed {seed!r} is not an integer >= 0")
         return self
 
     def transfer_eigenvalues(self, qubits: int) -> np.ndarray:
@@ -120,47 +122,22 @@ def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray, qubits: int | None = 
 # Twirling
 # ----------------------------------------------------------------------
 
-def generate_twirl_set(qubits: int, fraction: float,
-                       seed: int = DEFAULT_SEED) -> tuple[tuple[str, ...], ...]:
-    """Seeded subset of the 3**M frame-gate sequences, each a length-M label tuple.
-
-    ``fraction`` = 1 yields the full set in lexicographic order; otherwise
-    ceil(fraction * 3**M) distinct sequences are drawn without replacement
-    from the index space using the given seed.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(f"twirl fraction {fraction} outside (0, 1]")
-    total = 3 ** qubits
-
-    def decode(n: int):
-        digits = []
-        for _ in range(qubits):
-            n, r = divmod(n, 3)
-            digits.append(FRAME_LABELS[r])
-        return tuple(reversed(digits))
-
-    if fraction == 1.0:
-        indices = range(total)
-    else:
-        count = math.ceil(fraction * total)
-        rng = np.random.default_rng(seed)
-        indices = rng.permutation(total)[:count]
-    return tuple(decode(int(n)) for n in indices)
-
-
 @functools.lru_cache(maxsize=16)
 def _seeded_damping_shares(qubits: int, fraction: float, seed: int) -> np.ndarray:
     """shares[P + (k,)]: fraction of the sequences that damp P on exactly k qubits.
 
     A sequence's eigenvalue on P is (1-2p)**k, so this is the p-independent
-    part of the twirl. The counts are exact integers, divided once at the
-    end.
+    part of the twirl. A subset is the first ceil(fraction * 3**M) entries
+    of ``default_rng(seed).permutation(3**M)``; each entry's base-3 digits,
+    qubit 0 most significant, are its frames. The counts are exact
+    integers, divided once at the end.
     """
+    total = 3 ** qubits
     if fraction == 1.0:
-        counts, total = _full_damping_counts(qubits), 3 ** qubits
+        counts = _full_damping_counts(qubits)
     else:
-        gates = generate_twirl_set(qubits, fraction, seed)
-        counts, total = _subset_damping_counts(qubits, gates), len(gates)
+        index = np.random.default_rng(seed).permutation(total)[:math.ceil(fraction * total)]
+        counts, total = _subset_damping_counts(qubits, index), len(index)
     shares = counts / total
     shares.flags.writeable = False
     return shares
@@ -180,17 +157,18 @@ def _full_damping_counts(qubits: int) -> np.ndarray:
     return comb[weight, k] * 2 ** k * 3 ** (qubits - weight)
 
 
-def _subset_damping_counts(qubits: int, gates) -> np.ndarray:
-    """Damping counts of the listed sequences, by ``np.bincount`` over chunks of them."""
+def _subset_damping_counts(qubits: int, index: np.ndarray) -> np.ndarray:
+    """Damping counts of the sequences ``index``, by ``np.bincount`` over chunks of them."""
     flat = np.arange(4 ** qubits) * (qubits + 1)
     counts = np.zeros(4 ** qubits * (qubits + 1), dtype=np.int64)
     step = chunk_rows(8 * 4 ** qubits)
-    for lo in range(0, len(gates), step):
-        damped = np.array([[_DAMPED[g] for g in seq] for seq in gates[lo:lo + step]])
+    for lo in range(0, len(index), step):
+        chunk = index[lo:lo + step]
         # damped-qubit count of every string, qubit 0 outermost as in the (4,)*M tensor
-        k = damped[:, 0]
-        for q in range(1, qubits):
-            k = (k[:, :, None] + damped[:, q, None, :]).reshape(len(damped), -1)
+        k = np.zeros((len(chunk), 1), dtype=np.int64)
+        for q in range(qubits):
+            damped = _DAMPED[chunk // 3 ** (qubits - 1 - q) % 3]
+            k = (k[:, :, None] + damped[:, None, :]).reshape(len(chunk), -1)
         counts += np.bincount((flat + k).ravel(), minlength=counts.size)
     return counts.reshape((4,) * qubits + (qubits + 1,))
 

@@ -347,6 +347,12 @@ def _flag_values(args, flag: str, single: bool = False):
         raise ValidationError(f"--{flag}: {exc}") from exc
     if flag == "p" and not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValidationError(f"--p: values must lie in [0, 1], got {text}")
+    if flag == "p":
+        # each p must print as itself at the CSV's resolution: nonzero, and apart from the others
+        printed = {_fmt_value(float(p)): p for p in values}
+        if len(printed) < len(set(values)) or printed.get("0.0", 0.0):
+            raise ValidationError(f"--p: {text} holds a nonzero value that prints as 0.0, or two "
+                                  "that print alike, at the 1e-13 resolution of the CSV")
     if flag == "ell" and any(e < 0 for e in values):
         raise ValidationError("--ell: rounds must be >= 0")
     if single and len(values) != 1:

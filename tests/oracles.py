@@ -5,8 +5,8 @@ forms (the Bloch rescaling r -> 2r/(1+|r|^2), the Werner family and its
 fidelity map, dephasing of a tilted qubit, the sandwich fidelity bounds),
 the brute-force outcome tree over fixed sign strings and its two-round
 closed form, the sampler's node-by-node tree walk, the Pauli expansion
-computed densely, and the state constructors and validation the tests
-build their inputs with. Each oracle
+computed densely, the twirl's frame subsets as label tuples, and the state
+constructors and validation the tests build their inputs with. Each oracle
 is computed apart from the fast path it checks: ``pauli_expand`` takes one
 trace per Pauli string, never ``to_pauli_basis``.
 """
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from pqec.channels import DEFAULT_SEED
 from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, OutcomeBranches, enumerate_outcomes, \
     merge_spectra, swap_gadget, werner_fidelity_update
 from pqec.states import MAX_PAULI_QUBITS, NORM_TOL, PAULI_I, PAULI_LABELS, PAULI_X, PAULI_Y, \
@@ -111,6 +112,37 @@ def pauli_weight_distribution(psi: np.ndarray):
         a[pauli_weight(label)] += r * r / 2 ** m
     mean_weight = float(np.sum(np.arange(m + 1) * a))
     return a, mean_weight
+
+
+# ----------------------------------------------------------------------
+# Twirl frame subsets, as label tuples
+# ----------------------------------------------------------------------
+
+# Averaged as U^dag E_z(U rho U^dag) U, frame I keeps the dephasing axis on Z,
+# H rotates it onto X and HS onto Y. Per frame, 1 marks the IXYZ labels that
+# its dephasing damps: all but I and that axis.
+FRAME_LABELS = ("I", "H", "HS")
+DAMPED = {"I": np.array([0, 1, 1, 0]), "H": np.array([0, 0, 1, 1]),
+          "HS": np.array([0, 1, 0, 1])}
+
+
+def generate_twirl_set(qubits: int, fraction: float,
+                       seed: int = DEFAULT_SEED) -> tuple[tuple[str, ...], ...]:
+    """The seeded subset of the 3**M frame-gate sequences, each a length-M label tuple.
+
+    The subset is the first ceil(fraction * 3**M) entries of
+    ``default_rng(seed).permutation(3**M)``, and entry n is the n-th
+    sequence of ``itertools.product`` over the labels, qubit 0 leftmost, so
+    that its base-3 digits, qubit 0 most significant, name its frames.
+    ``fraction`` = 1 gives every sequence in that order.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValidationError(f"twirl fraction {fraction} outside (0, 1]")
+    sequences = list(itertools.product(FRAME_LABELS, repeat=qubits))
+    if fraction == 1.0:
+        return tuple(sequences)
+    drawn = np.random.default_rng(seed).permutation(len(sequences))
+    return tuple(sequences[n] for n in drawn[:math.ceil(fraction * len(sequences))])
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from pqec import (
     extract_observable_exact,
     fidelity,
     find_threshold,
-    generate_twirl_set,
     make_channel,
     parity_weighted_sum,
     pauli_matrix,
@@ -34,7 +33,7 @@ from pqec import (
     werner_fidelity_update,
 )
 from oracles import anisotropic_qubit_purify_fidelity, conditional_state, \
-    conditional_state_two_rounds, pauli_weight_distribution, plain_sum_check, \
+    conditional_state_two_rounds, generate_twirl_set, pauli_weight_distribution, plain_sum_check, \
     random_density_matrix, random_pure_state, werner_mixing, werner_state
 from test_channels import twirl_by_conjugation
 

@@ -11,15 +11,16 @@ from pqec import (
     channel_matrix_equality,
     density_from_pure,
     fidelity,
-    generate_twirl_set,
     make_channel,
     plus_state,
+    run_cycles,
     zero_state,
 )
-from pqec.channels import _DAMPED, CHANNEL_KINDS, FRAME_LABELS, _seeded_damping_shares
+from pqec.channels import CHANNEL_KINDS, _seeded_damping_shares
 from pqec.states import MAX_PAULI_QUBITS
-from oracles import bloch_compose, bloch_decompose, maximally_mixed, pauli_expand, pauli_weight, \
-    random_density_matrix, random_pure_state, werner_state
+from oracles import DAMPED, FRAME_LABELS, bloch_compose, bloch_decompose, generate_twirl_set, \
+    maximally_mixed, pauli_expand, pauli_weight, random_density_matrix, random_pure_state, \
+    werner_state
 
 
 # ----------------------------------------------------------------------
@@ -249,16 +250,30 @@ def damping_shares_one_hot(qubits, fraction, seed):
     one_hot = np.eye(qubits + 1)
     shares = np.zeros((4,) * qubits + (qubits + 1,))
     for seq in gates:
-        shares += one_hot[functools.reduce(np.add.outer, [_DAMPED[g] for g in seq])]
+        shares += one_hot[functools.reduce(np.add.outer, [DAMPED[g] for g in seq])]
     return shares / len(gates)
 
 
-@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5, 6])
 def test_damping_counts_match_one_hot_construction(qubits):
-    for fraction in (1.0, 0.2):
+    for fraction in (1.0, 0.9, 0.5, 0.2, 0.05):
         for seed in (DEFAULT_SEED, 10):
             assert np.array_equal(_seeded_damping_shares(qubits, fraction, seed),
                                   damping_shares_one_hot(qubits, fraction, seed))
+
+
+@pytest.mark.parametrize("psi", [np.kron(zero_state(1), plus_state(1)),
+                                 np.kron(zero_state(1), plus_state(2))], ids=["M2", "M3"])
+@pytest.mark.parametrize("seed", [0, 7, 10])
+def test_twirled_cycle_on_an_asymmetric_target_matches_conjugation(psi, seed):
+    # |0> on qubit 0 only: a subset read in another qubit order damps it otherwise
+    rho = density_from_pure(psi)
+    trace = run_cycles(psi, NoiseModel("twirled-dephasing", 0.3, 0.2, seed), (0, 1), 1)
+    noisy = twirl_by_conjugation(rho, 0.3, generate_twirl_set(_qubit_count(rho), 0.2, seed))
+    for ell, fids in zip((0, 1), trace.fidelities):
+        power = np.linalg.matrix_power(noisy, 2 ** ell)
+        expected = (psi.conj() @ power @ psi).real / np.trace(power).real
+        assert abs(fids[1] - expected) < 1e-12, (ell, fids[1], expected)
 
 
 def test_channel_maps_a_stack_matrix_by_matrix():
@@ -395,6 +410,20 @@ def test_noise_model_validation():
         NoiseModel("dephasing", -0.1).validate()
     with pytest.raises(ValidationError):
         NoiseModel("twirled-dephasing", 0.1, twirl_fraction=0.0).validate()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_noise_model_rejects_a_bad_twirl_seed(cached):
+    # the table cache keys 7.0 like 7: the verdict must not depend on what it holds
+    _seeded_damping_shares.cache_clear()
+    if cached:
+        NoiseModel("twirled-dephasing", 0.1, 0.2, 7).transfer_eigenvalues(2)
+    for seed in (-1, 7.0, "7", None):
+        with pytest.raises(ValidationError):
+            NoiseModel("twirled-dephasing", 0.1, 0.2, seed).transfer_eigenvalues(2)
+    assert np.array_equal(NoiseModel("twirled-dephasing", 0.1, 0.2, np.int64(7))
+                          .transfer_eigenvalues(2),
+                          NoiseModel("twirled-dephasing", 0.1, 0.2, 7).transfer_eigenvalues(2))
 
 
 @pytest.mark.parametrize("p", [(0.1, 1.2), (-0.1, 0.5), (0.2, float("nan")), (),

@@ -375,6 +375,9 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["threshold", "--p", "0.2,0.1,0.9", "--ell", "0,1"],
     ["threshold", "--M", "1", "--p", "0.5"],
     ["sweep", "--p", "0:1:1000000000"],
+    # p values the CSV's 1e-13 resolution cannot tell from 0 or from each other
+    ["sweep", "--p", "0,1e-14,1e-3"],
+    ["sweep", "--p", "1e-14"],
     ["threshold", "--ell", "0..1000000000"],
     ["cycle", "--ell", "1", "--cycles", "1000000000000"],
     ["cycle", "--ell", "1", "--cycles", "1000000000"],
