@@ -4,6 +4,8 @@ Implements the global depolarizing mixture, the per-qubit depolarizing
 product channel, per-qubit dephasing, and Clifford-frame twirling of the
 dephasing channel (full or seeded-subset). All four are diagonal in the
 Pauli basis, so each is one transfer-eigenvalue tensor applied by one kernel.
+The kernel changes basis to the real Pauli-type basis {I, X, XZ, Z}, where
+XZ = -iY, so a real state stays real and a complex one runs the same code.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purify import chunk_rows
-from .states import PAULI_LABELS, ValidationError, from_pauli_basis, num_qubits, pauli_matrix, \
-    pauli_weight_tensor, to_pauli_basis
+from .states import PAULI_LABELS, ValidationError, num_qubits, pauli_matrix, pauli_weight_tensor
 
 # Fixed default seed for subset twirling; documented in the README. Chosen so
 # the seeded single-gate subset at M=1 rotates the dephasing axis to one that
@@ -98,24 +99,54 @@ class NoiseModel:
         return lam
 
 
+# Pair one qubit's row and column indices as k = 2i + j. Then T[a, k] =
+# B_a[j, i] maps the pair to the coefficients Tr(rho B_a) in the real basis
+# B = (I, X, XZ, Z). Tr(B_a^T B_b) = 2 delta_ab makes T.T / 2 its exact
+# inverse. A Pauli-diagonal channel scales Tr(rho XZ) = -i Tr(rho Y) by Y's
+# eigenvalue, so lam keeps its IXYZ axes. Stored transposed, for
+# right-multiplication.
+_PAIR_T = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]], dtype=float)
+_TO_PAIR, _FROM_PAIR = _PAIR_T.T.copy(), _PAIR_T / 2
+
+
+def _each_qubit(t: np.ndarray, mat: np.ndarray, qubits: int) -> np.ndarray:
+    # each pass contracts the leading axis and appends the result last, so
+    # after ``qubits`` passes the axes are back in qubit order
+    for _ in range(qubits):
+        t = t.reshape(4, -1).T @ mat
+    return t
+
+
 def apply_pauli_diagonal(rho: np.ndarray, lam: np.ndarray, qubits: int | None = None) -> np.ndarray:
     """Multiply the coefficient of every Pauli string P in rho by lam[P].
 
     O(M 4**M) and not limited in M. The last ``qubits`` axes of ``lam``
-    (all by default) are its Pauli axes; any before them are a stack of
-    channels, lined up with the leading axes of ``rho``. So one matrix under
-    a stack of P channels gives ``(P, d, d)``, and a stack ``(P, L, d, d)``
-    under it maps each channel over its L matrices. Every matrix gets the
-    bits of one call with its channel alone.
+    (all by default) are its Pauli axes, in IXYZ order; any before them are
+    a stack of channels, lined up with the leading axes of ``rho``. So one
+    matrix under a stack of P channels gives ``(P, d, d)``, and a stack
+    ``(P, L, d, d)`` under it maps each channel over its L matrices. Every
+    matrix gets the bits of one call with its channel alone. A real ``rho``
+    gives a real result.
     """
     m = lam.ndim if qubits is None else qubits
-    rho_qubits = num_qubits(np.shape(rho)[-1])
+    rho = np.asarray(rho)
+    rho_qubits = num_qubits(rho.shape[-1])
     if rho_qubits != m:
         raise ValidationError(f"channel acts on {m} qubits, input on {rho_qubits}")
-    coeffs = to_pauli_basis(rho)
+    stack = rho.shape[:-2]
+    # pair each qubit's row and column axes, with the stack axis last, so
+    # that the passes of ``_each_qubit`` bring it out first
+    t = rho.reshape((-1,) + (2,) * (2 * m))
+    t = t.transpose([1 + a for q in range(m) for a in (q, m + q)] + [0])
+    coeffs = _each_qubit(t, _TO_PAIR, m).reshape(stack + (4,) * m)
     lead = lam.ndim - m
-    lam = lam.reshape(lam.shape[:lead] + (1,) * (coeffs.ndim - m - lead) + lam.shape[lead:])
-    return from_pauli_basis(coeffs * lam, m)
+    coeffs = coeffs * lam.reshape(lam.shape[:lead] + (1,) * (len(stack) - lead) + lam.shape[lead:])
+    # and back: the stack axis last again, then rows before columns
+    out_stack = coeffs.shape[:coeffs.ndim - m]
+    t = coeffs.reshape((-1,) + (4,) * m).transpose(list(range(1, m + 1)) + [0])
+    t = _each_qubit(t, _FROM_PAIR, m).reshape((-1,) + (2,) * (2 * m))
+    rows_then_cols = [0] + list(range(1, 2 * m, 2)) + list(range(2, 2 * m + 1, 2))
+    return t.transpose(rows_then_cols).reshape(out_stack + (2 ** m, 2 ** m))
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .states import (
     from_spectrum,
     num_qubits,
     project_to_density,
+    real_or_complex,
     spectral_decomposition,
 )
 
@@ -324,9 +325,9 @@ def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
     Computed spectrally, so the eigenbasis of the output is the input's own
     and the cost is one eigendecomposition regardless of ``rounds``. A
     stack ``(..., d, d)`` is purified matrix by matrix, with the same result
-    as one call each.
+    as one call each. A real ``rho`` gives a real state.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = real_or_complex(rho)
     vecs, (weights,) = purified_spectra(rho, (rounds,))
     return rho if weights is None else from_spectrum(weights, vecs)
 

@@ -1,8 +1,11 @@
 """Quantum state representations, Pauli algebra, and spectral utilities.
 
 Everything operates on plain numpy arrays: pure states are normalized
-complex vectors of length D = 2**M, density matrices are D x D complex
-Hermitian, trace-one, positive-semidefinite matrices. Validation is
+vectors of length D = 2**M, density matrices are D x D Hermitian,
+trace-one, positive-semidefinite matrices. A state is float64 when its
+entries are real and complex128 otherwise (``real_or_complex``), and every
+helper here keeps that dtype: a real target such as ``plus_state`` stays
+real through channels, eigendecompositions and fidelities. Validation is
 explicit (``check_pure_state``) rather than implicit on every operation,
 so parameter sweeps stay cheap; ``project_to_density`` puts a computed
 matrix back on the PSD manifold.
@@ -28,7 +31,7 @@ PAULI_LABELS = "IXYZ"
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # Largest register on which ``twirl-check`` compares channels exhaustively;
-# channel application and the Pauli basis change are not limited in M.
+# channel application is not limited in M.
 MAX_PAULI_QUBITS = 6
 # Largest register the command line builds as a dense 2**M x 2**M matrix.
 MAX_DENSE_QUBITS = 8
@@ -78,9 +81,20 @@ def pauli_matrix(code: str) -> np.ndarray:
 # Construction and validation
 # ----------------------------------------------------------------------
 
+def real_or_complex(a) -> np.ndarray:
+    """``a`` as a complex128 array if its dtype is complex, else as float64.
+
+    Integers and booleans become float64 too. The one dtype rule of every
+    state helper: a real input stays real, and an array already of its
+    dtype is returned as it is.
+    """
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def check_pure_state(psi: np.ndarray) -> np.ndarray:
-    """Validate and return a pure state as a complex 1-D array."""
-    psi = np.asarray(psi, dtype=complex)
+    """Validate and return a pure state as a 1-D array, real or complex as ``real_or_complex``."""
+    psi = real_or_complex(psi)
     if psi.ndim != 1:
         raise ValidationError("pure state must be a 1-D amplitude vector")
     num_qubits(psi.size)
@@ -97,18 +111,20 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
 
 
 def zero_state(qubits: int) -> np.ndarray:
-    psi = np.zeros(2 ** qubits, dtype=complex)
+    """|0...0> as a float64 vector."""
+    psi = np.zeros(2 ** qubits)
     psi[0] = 1.0
     return psi
 
 
 def plus_state(qubits: int) -> np.ndarray:
+    """|+...+> as a float64 vector."""
     d = 2 ** qubits
-    return np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    return np.full(d, 1.0 / math.sqrt(d))
 
 
 def bloch_state(theta: float, phi: float, qubits: int = 1) -> np.ndarray:
-    """Product state (cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>)^{tensor qubits}."""
+    """Product state (cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>)^{tensor qubits}, complex128."""
     single = np.array([math.cos(theta / 2),
                        complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)],
                       dtype=complex)
@@ -159,9 +175,10 @@ def spectral_decomposition(rho: np.ndarray):
     eigensolver; small negative eigenvalues from numerical noise are clamped
     to zero and the spectrum renormalized to unit sum, which keeps iterated
     maps on the PSD manifold. A stack ``(..., d, d)`` is decomposed matrix
-    by matrix, with the same result as one call per matrix.
+    by matrix, with the same result as one call per matrix. A real matrix
+    gets real eigenvectors.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = real_or_complex(rho)
     herm = rho + _dagger(rho)
     herm /= 2
     vals, vecs = np.linalg.eigh(herm)
@@ -184,7 +201,8 @@ def from_spectrum(weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def project_to_density(mat: np.ndarray) -> np.ndarray:
     """Nearest well-formed density matrix: symmetrize, clamp, renormalize.
 
-    Accepts a stack ``(..., d, d)`` and projects each matrix on its own.
+    Accepts a stack ``(..., d, d)`` and projects each matrix on its own; a
+    real matrix stays real.
     """
     vals, vecs = spectral_decomposition(mat)
     scaled = vecs * vals[..., None, :]
@@ -195,50 +213,6 @@ def project_to_density(mat: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Pauli basis
 # ----------------------------------------------------------------------
-
-# Pair one qubit's row and column indices as k = 2i + j. Then T[a, k] =
-# P_a[j, i] maps the pair to the coefficients Tr(rho P_a), and Tr(P_a P_b) =
-# 2 delta_ab makes T^dagger / 2 its exact inverse. Stored transposed, for
-# right-multiplication.
-_PAIR_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1).reshape(4, 4)
-_TO_PAULI, _FROM_PAULI = _PAIR_T.T.copy(), _PAIR_T.conj() / 2
-
-
-def _each_qubit(t: np.ndarray, mat: np.ndarray, qubits: int) -> np.ndarray:
-    # each pass contracts the leading axis and appends the result last, so
-    # after ``qubits`` passes the axes are back in qubit order
-    for _ in range(qubits):
-        t = t.reshape(4, -1).T @ mat
-    return t
-
-
-def to_pauli_basis(rho: np.ndarray) -> np.ndarray:
-    """Complex tensor Tr(rho P), shape (4,)*M, IXYZ axes; O(M 4**M), no qubit guard.
-
-    A stack ``(..., d, d)`` gives ``(...,) + (4,)*M``, matrix by matrix.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    m = num_qubits(rho.shape[-1])
-    t = rho.reshape((-1,) + (2,) * (2 * m))
-    # pair each qubit's row and column axes; the stack axis goes last, so
-    # that the passes of ``_each_qubit`` bring it out first
-    t = t.transpose([1 + a for q in range(m) for a in (q, m + q)] + [0])
-    return _each_qubit(t, _TO_PAULI, m).reshape(rho.shape[:-2] + (4,) * m)
-
-
-def from_pauli_basis(coeffs: np.ndarray, qubits: int | None = None) -> np.ndarray:
-    """Inverse of ``to_pauli_basis``: 2**-M sum_P coeffs[P] P, with no qubit guard.
-
-    The last ``qubits`` axes (all by default) are the Pauli axes; any axes
-    before them are a stack, mapped matrix by matrix.
-    """
-    m = coeffs.ndim if qubits is None else qubits
-    stack = coeffs.shape[:coeffs.ndim - m]
-    t = coeffs.reshape((-1,) + (4,) * m).transpose(list(range(1, m + 1)) + [0])
-    t = _each_qubit(t, _FROM_PAULI, m).reshape((-1,) + (2,) * (2 * m))
-    rows_then_cols = [0] + list(range(1, 2 * m, 2)) + list(range(2, 2 * m + 1, 2))
-    return t.transpose(rows_then_cols).reshape(stack + (2 ** m, 2 ** m))
-
 
 def pauli_weight_tensor(qubits: int) -> np.ndarray:
     """Tensor of Pauli weights, shape (4,)*qubits: count of non-identity axes."""

@@ -5,10 +5,12 @@ forms (the Bloch rescaling r -> 2r/(1+|r|^2), the Werner family and its
 fidelity map, dephasing of a tilted qubit, the sandwich fidelity bounds),
 the brute-force outcome tree over fixed sign strings and its two-round
 closed form, the sampler's node-by-node tree walk, the Pauli expansion
-computed densely, the twirl's frame subsets as label tuples, and the state
-constructors and validation the tests build their inputs with. Each oracle
-is computed apart from the fast path it checks: ``pauli_expand`` takes one
-trace per Pauli string, never ``to_pauli_basis``.
+computed densely, the complex IXYZ basis change, the twirl's frame subsets
+as label tuples, and the state constructors and validation the tests build
+their inputs with. Each oracle is computed apart from the fast path it
+checks: ``pauli_expand`` takes one trace per Pauli string, never
+``to_pauli_basis``, and ``to_pauli_basis`` pairs qubit axes with the complex
+Pauli matrices, not with the channel kernel's real {I, X, XZ, Z} pair.
 """
 
 from __future__ import annotations
@@ -96,6 +98,62 @@ def pauli_expand(rho: np.ndarray) -> dict[str, float]:
             f"(4**{m} coefficients requested)")
     labels = ("".join(s) for s in itertools.product(PAULI_LABELS, repeat=m))
     return {label: float(np.trace(rho @ pauli_matrix(label)).real) for label in labels}
+
+
+# Pair one qubit's row and column indices as k = 2i + j. Then T[a, k] =
+# P_a[j, i] maps the pair to the coefficients Tr(rho P_a), and Tr(P_a P_b) =
+# 2 delta_ab makes T^dagger / 2 its exact inverse. Stored transposed, for
+# right-multiplication.
+_PAIR_T = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]).transpose(0, 2, 1).reshape(4, 4)
+_TO_PAULI, _FROM_PAULI = _PAIR_T.T.copy(), _PAIR_T.conj() / 2
+
+
+def _each_qubit(t: np.ndarray, mat: np.ndarray, qubits: int) -> np.ndarray:
+    # each pass contracts the leading axis and appends the result last, so
+    # after ``qubits`` passes the axes are back in qubit order
+    for _ in range(qubits):
+        t = t.reshape(4, -1).T @ mat
+    return t
+
+
+def to_pauli_basis(rho: np.ndarray) -> np.ndarray:
+    """Complex tensor Tr(rho P), shape (4,)*M, IXYZ axes; O(M 4**M), no qubit guard.
+
+    A stack ``(..., d, d)`` gives ``(...,) + (4,)*M``, matrix by matrix.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    m = num_qubits(rho.shape[-1])
+    t = rho.reshape((-1,) + (2,) * (2 * m))
+    # pair each qubit's row and column axes; the stack axis goes last, so
+    # that the passes of ``_each_qubit`` bring it out first
+    t = t.transpose([1 + a for q in range(m) for a in (q, m + q)] + [0])
+    return _each_qubit(t, _TO_PAULI, m).reshape(rho.shape[:-2] + (4,) * m)
+
+
+def from_pauli_basis(coeffs: np.ndarray, qubits: int | None = None) -> np.ndarray:
+    """Inverse of ``to_pauli_basis``: 2**-M sum_P coeffs[P] P, with no qubit guard.
+
+    The last ``qubits`` axes (all by default) are the Pauli axes; any axes
+    before them are a stack, mapped matrix by matrix.
+    """
+    m = coeffs.ndim if qubits is None else qubits
+    stack = coeffs.shape[:coeffs.ndim - m]
+    t = coeffs.reshape((-1,) + (4,) * m).transpose(list(range(1, m + 1)) + [0])
+    t = _each_qubit(t, _FROM_PAULI, m).reshape((-1,) + (2,) * (2 * m))
+    rows_then_cols = [0] + list(range(1, 2 * m, 2)) + list(range(2, 2 * m + 1, 2))
+    return t.transpose(rows_then_cols).reshape(stack + (2 ** m, 2 ** m))
+
+
+def pauli_diagonal_oracle(rho: np.ndarray, lam: np.ndarray, qubits: int) -> np.ndarray:
+    """Tr(rho P) in IXYZ order, scaled by lam[P], and back: the channel kernel's reference.
+
+    ``lam``'s axes before its last ``qubits`` are a stack of channels lined
+    up with the leading axes of ``rho``, as in ``apply_pauli_diagonal``.
+    """
+    coeffs = to_pauli_basis(rho)
+    lead = lam.ndim - qubits
+    lam = lam.reshape(lam.shape[:lead] + (1,) * (coeffs.ndim - qubits - lead) + lam.shape[lead:])
+    return from_pauli_basis(coeffs * lam, qubits)
 
 
 def pauli_weight_distribution(psi: np.ndarray):

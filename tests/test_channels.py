@@ -8,6 +8,7 @@ from pqec import (
     DEFAULT_SEED,
     NoiseModel,
     ValidationError,
+    apply_pauli_diagonal,
     channel_matrix_equality,
     density_from_pure,
     fidelity,
@@ -19,8 +20,8 @@ from pqec import (
 from pqec.channels import CHANNEL_KINDS, _seeded_damping_shares
 from pqec.states import MAX_PAULI_QUBITS
 from oracles import DAMPED, FRAME_LABELS, bloch_compose, bloch_decompose, generate_twirl_set, \
-    maximally_mixed, pauli_expand, pauli_weight, random_density_matrix, random_pure_state, \
-    werner_state
+    maximally_mixed, pauli_diagonal_oracle, pauli_expand, pauli_weight, random_density_matrix, \
+    random_pure_state, werner_state
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +334,25 @@ def test_stacked_channel_matches_per_p_calls():
             assert np.array_equal(stacked(stack), per_matrix), (m, kind, fraction)
             with pytest.raises(ValidationError):
                 stacked(maximally_mixed(m + 1))
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("real", [True, False])
+def test_real_pair_kernel_matches_the_ixyz_oracle(qubits, real):
+    # the kernel's {I, X, XZ, Z} pair has entries 0 and +-1 and XZ = -iY, so it
+    # rounds as the complex IXYZ basis change does, bit for bit
+    rng = np.random.default_rng(25 + qubits)
+    d = 2 ** qubits
+    p = (0.0, 0.37, 1.0)
+    for kind, fraction in STACKED_KINDS:
+        lam = NoiseModel(kind, p, fraction).transfer_eigenvalues(qubits)
+        stack = rng.normal(size=(len(p), 2, d, d))
+        if not real:
+            stack = stack + 1j * rng.normal(size=stack.shape)
+        for rho in (stack, stack[0, 0]):
+            out = apply_pauli_diagonal(rho, lam, qubits)
+            assert out.dtype == (np.float64 if real else np.complex128)
+            assert np.array_equal(out, pauli_diagonal_oracle(rho, lam, qubits)), (kind, fraction)
 
 
 def test_full_twirl_bloch_example():

@@ -7,6 +7,8 @@ import pytest
 from pqec import (
     ResourceLimitError,
     ValidationError,
+    bloch_state,
+    check_pure_state,
     density_from_pure,
     fidelity,
     pauli_matrix,
@@ -15,10 +17,10 @@ from pqec import (
     purity,
     zero_state,
 )
-from pqec.states import PAULIS, from_pauli_basis, to_pauli_basis
-from oracles import bloch_compose, bloch_decompose, check_density_matrix, maximally_mixed, \
-    pauli_expand, pauli_weight, pauli_weight_distribution, random_density_matrix, \
-    random_pure_state, werner_fidelity, werner_state
+from pqec.states import PAULIS, project_to_density, spectral_decomposition
+from oracles import bloch_compose, bloch_decompose, check_density_matrix, from_pauli_basis, \
+    maximally_mixed, pauli_expand, pauli_weight, pauli_weight_distribution, \
+    random_density_matrix, random_pure_state, to_pauli_basis, werner_fidelity, werner_state
 
 
 def haar_unitary(dim, rng):
@@ -83,6 +85,36 @@ def test_purity_examples():
     assert purity(density_from_pure(plus_state(2))) == pytest.approx(1.0, abs=1e-12)
     assert purity(maximally_mixed(2)) == pytest.approx(0.25)
     assert purity(np.diag([0.8, 0.2])) == pytest.approx(0.68)
+
+
+@pytest.mark.parametrize("psi, dtype", [
+    (np.array([1, 0]), np.float64),
+    (np.array([True, False]), np.float64),
+    (np.array([0, 1], dtype=np.float32), np.float64),
+    ([0.6, 0.8], np.float64),
+    (np.array([1j, 0], dtype=np.complex64), np.complex128),
+    ([0.6, 0.8j], np.complex128),
+])
+def test_helpers_keep_real_inputs_real(psi, dtype):
+    # one rule for every state helper: real (int and bool too) to float64,
+    # complex to complex128
+    psi = check_pure_state(psi)
+    assert psi.dtype == dtype
+    rho = density_from_pure(psi)
+    mixed = 0.8 * rho + 0.1 * np.eye(2)
+    vals, vecs = spectral_decomposition(mixed)
+    assert rho.dtype == vecs.dtype == dtype and vals.dtype == np.float64
+    assert purified_state(mixed, 2).dtype == project_to_density(mixed).dtype == dtype
+    # no rounds returns the input, in the helpers' dtype
+    single = mixed.astype(np.complex64 if dtype == np.complex128 else np.float32)
+    assert purified_state(single, 0).dtype == dtype
+
+
+def test_real_targets_and_complex_bloch_states():
+    for qubits in (1, 3):
+        assert plus_state(qubits).dtype == zero_state(qubits).dtype == np.float64
+        assert bloch_state(np.pi / 2, 0.0, qubits).dtype == np.complex128
+    assert check_pure_state(np.eye(2, dtype=int)[0]).dtype == np.float64
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,14 @@ from pqec import (
     run_cycles,
     steady_state_fidelity_analytic,
     sweep,
+    zero_state,
 )
 from pqec import purify, threshold
 from pqec.channels import _seeded_damping_shares
 from pqec.cli import main
 from pqec.states import ValidationError, from_spectrum, num_qubits
 from oracles import logical_error_rate, werner_cycle_fidelities
+from test_channels import STACKED_KINDS
 from test_purify import spectral_fidelity
 
 
@@ -96,6 +98,40 @@ def test_run_cycles_broadcasts_models_and_rounds():
                           cells[2])
     assert np.array_equal(run_cycles(psi, NoiseModel("local-depol", (0.1,)), rounds[1:],
                                      1).fidelities, cells[:1, 1:, :2])
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("target", [plus_state, zero_state])
+def test_real_targets_stay_float64_through_the_cycle(monkeypatch, qubits, target):
+    # every noisy state, eigenbasis and state a next cycle starts from is real,
+    # and the traces are those of the same target run as complex128
+    dtypes = []
+
+    def spectra(rho, rounds):
+        vecs, weights = purified_spectra(rho, rounds)
+        dtypes.append(("noisy", rho.dtype))
+        if vecs is not None:
+            dtypes.append(("vecs", vecs.dtype))
+        return vecs, weights
+
+    def rebuilt(weights, vecs):
+        state = from_spectrum(weights, vecs)
+        dtypes.append(("state", state.dtype))
+        return state
+
+    psi = target(qubits)
+    assert psi.dtype == np.float64
+    for kind, fraction in STACKED_KINDS:
+        model = NoiseModel(kind, (0.05, 0.37, 0.9), fraction)
+        with monkeypatch.context() as patch:
+            patch.setattr(threshold, "purified_spectra", spectra)
+            patch.setattr(threshold, "from_spectrum", rebuilt)
+            real = run_cycles(psi, model, (0, 1, 3), 3).fidelities
+        assert {what for what, _ in dtypes} == {"noisy", "vecs", "state"}
+        assert all(dtype == np.float64 for _, dtype in dtypes), (kind, fraction, dtypes)
+        dtypes.clear()
+        cast = run_cycles(psi.astype(complex), model, (0, 1, 3), 3).fidelities
+        assert np.max(np.abs(real - cast)) <= 1e-13, (kind, fraction)
 
 
 # ----------------------------------------------------------------------
