@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purify import MAX_BRUTE_FORCE_ROUNDS, LevelMerges, OutcomeBranches, \
-    check_enumeration_budget, check_observable, chunk_rows, enumerate_outcomes, level_merges, \
-    merge_spectra, merge_states, swap_gadget
+    check_enumeration_budget, check_observable, check_rounds, chunk_rows, enumerate_outcomes, \
+    level_merges, merge_spectra, merge_states, swap_gadget
 from .states import ResourceLimitError, ValidationError, from_spectrum, num_qubits, \
     spectral_decomposition
 
@@ -217,6 +217,7 @@ def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
     their strings in outcome-string order and their states rebuilt once,
     at the root.
     """
+    check_rounds(rounds)
     vals, vecs = spectral_decomposition(rho)
     # merging a level of n nodes builds nine (n, shots, d) arrays and about
     # sixteen (n, shots) ones, so the widest level, of 2**(height - 1) nodes,
@@ -315,9 +316,10 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     of rebuilt states, and each chunk then draws its observables through
     the same measurement step.
     """
+    check_rounds(rounds)
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
-    vals, vecs = np.linalg.eigh(check_observable(obs))
+    vals, vecs = np.linalg.eigh(check_observable(obs, rho))
     records = np.empty((n_shots, 2), dtype=float)
     if rounds <= MAX_BRUTE_FORCE_ROUNDS:
         branches = sampling_tree(rho, rounds) if tree is None else tree

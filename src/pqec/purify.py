@@ -40,8 +40,8 @@ from .states import (
 PROB_FLOOR = 1e-14
 
 # Exhaustive enumeration walks 2**(2**rounds - 1) outcome strings and holds a
-# d x d complex state for each reachable one: up to 2**15 * 4**M * 16 B at
-# four rounds, which the byte limit admits up to M = 5 (512 MiB).
+# d x d state for each reachable one: up to 2**15 * 4**M * 16 B at four rounds
+# (complex entries; real ones take half), which the limit admits up to M = 5.
 MAX_BRUTE_FORCE_ROUNDS = 4
 MAX_ENUMERATION_BYTES = 2 ** 29
 
@@ -114,12 +114,11 @@ def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
     clamped back onto the PSD manifold. Stacks ``(..., d, d)`` of pairs,
     with one sign or a sign per pair, merge pair by pair with the same
     result as one call each, and the probability takes the stack's shape.
-    Raises ``DegenerateOutcomeError`` when any requested branch has
-    (numerically) zero probability, e.g. the antisymmetric outcome of
-    identical pure inputs.
+    Real inputs give a real state (``real_or_complex``). Raises
+    ``DegenerateOutcomeError`` when any requested branch has (numerically)
+    zero probability, e.g. the antisymmetric outcome of identical pure inputs.
     """
-    rho_a = np.asarray(rho_a, dtype=complex)
-    rho_b = np.asarray(rho_b, dtype=complex)
+    rho_a, rho_b = real_or_complex(rho_a), real_or_complex(rho_b)
     if rho_a.shape != rho_b.shape or rho_a.ndim < 2 or rho_a.shape[-1] != rho_a.shape[-2]:
         raise ValidationError("gadget inputs must be square matrices of equal dimensions")
     sign = np.asarray(sign)
@@ -160,16 +159,23 @@ def merge_spectra(spec_a: np.ndarray, spec_b: np.ndarray, sign: np.ndarray):
 # ----------------------------------------------------------------------
 
 
+def check_rounds(rounds: int) -> None:
+    """Raise ``ValidationError`` if ``rounds`` is negative."""
+    if rounds < 0:
+        raise ValidationError(f"rounds must be >= 0, got {rounds}")
+
+
 def check_enumeration_budget(rounds: int, qubits: int) -> None:
     """Raise ``ResourceLimitError`` unless ``enumerate_outcomes`` may run.
 
-    Checks the rounds, then the bytes of branch states the last level may
-    hold, before anything is built.
+    Checks the rounds (negative ones by ``check_rounds``), then the bytes of
+    branch states the last level may hold, before anything is built.
     """
+    check_rounds(rounds)
     if rounds > MAX_BRUTE_FORCE_ROUNDS:
         raise ResourceLimitError(
             f"exhaustive enumeration limited to rounds <= {MAX_BRUTE_FORCE_ROUNDS}")
-    size = 2 ** (2 ** max(rounds, 0) - 1) * 16 * 4 ** qubits
+    size = 2 ** (2 ** rounds - 1) * 16 * 4 ** qubits
     if size > MAX_ENUMERATION_BYTES:
         raise ResourceLimitError(
             f"enumerating {rounds} rounds on {qubits} qubits may hold {size / 2 ** 20:.0f} MiB"
@@ -184,7 +190,7 @@ def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
     (``level_merges``), all of which merge in one stacked ``swap_gadget``
     call per chunk (``merge_states``).
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = real_or_complex(rho)
     check_enumeration_budget(rounds, num_qubits(rho.shape[0]))
     level = OutcomeBranches(state=rho[None], probability=np.ones(1), parity=np.ones(1, dtype=int),
                             outcomes=np.ones((1, 0), dtype=np.int8))
@@ -256,11 +262,11 @@ def merge_states(merges: LevelMerges, index: np.ndarray, gadget) -> np.ndarray:
 
     Each chunk is one stacked call of ``gadget``, which is ``swap_gadget``
     as the caller's module binds it, so a merge has the same state whichever
-    others share its call.
+    others share its call. The states have the dtype of the level below.
     """
     below = merges.below.state
     d = below.shape[-1]
-    out = np.empty((len(index), d, d), dtype=complex)
+    out = np.empty((len(index), d, d), dtype=below.dtype)
     step = chunk_rows(16 * d * d)
     for lo in range(0, len(index), step):
         part = index[lo:lo + step]
@@ -313,8 +319,7 @@ def purified_spectra(rho: np.ndarray, rounds):
     a purified fidelity is sum_i w_i |<v_i|psi>|^2.
     """
     ells = tuple(int(r) for r in rounds)
-    if min(ells, default=0) < 0:
-        raise ValidationError(f"rounds must be >= 0, got {min(ells)}")
+    check_rounds(min(ells, default=0))
     vals, vecs = spectral_decomposition(rho) if any(ells) else (None, None)
     return vecs, (purified_weights(vals, ell) if ell else None for ell in ells)
 
@@ -332,9 +337,15 @@ def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
     return rho if weights is None else from_spectrum(weights, vecs)
 
 
-def check_observable(obs: np.ndarray) -> np.ndarray:
-    """``obs`` as a complex array; raises ``ValidationError`` unless Hermitian."""
-    obs = np.asarray(obs, dtype=complex)
+def check_observable(obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``obs`` as ``real_or_complex`` gives it: float64 unless complex.
+
+    Raises ``ValidationError`` unless ``obs`` is a Hermitian d x d matrix,
+    d being the dimension of the state ``rho``.
+    """
+    obs = real_or_complex(obs)
+    if obs.shape != (np.shape(rho)[-1],) * 2:
+        raise ValidationError(f"observable shape {obs.shape} does not match state {np.shape(rho)}")
     if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
         raise ValidationError("observable must be Hermitian")
     return obs
@@ -342,12 +353,8 @@ def check_observable(obs: np.ndarray) -> np.ndarray:
 
 def extract_observable_exact(obs: np.ndarray, rho: np.ndarray, rounds: int) -> float:
     """Tr(O rho**N) / Tr(rho**N), N = 2**rounds, as sum_i w_i <v_i|O|v_i> over rho's eigenbasis."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.shape(obs) != rho.shape:
-        raise ValidationError("observable and state dimensions differ")
-    obs = check_observable(obs)
-    if rounds < 0:
-        raise ValidationError(f"rounds must be >= 0, got {rounds}")
+    obs = check_observable(obs, rho)
+    check_rounds(rounds)
     vals, vecs = spectral_decomposition(rho)
     diag = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, obs, vecs))
     return float((purified_weights(vals, rounds) * diag).sum())

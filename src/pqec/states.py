@@ -22,10 +22,10 @@ import numpy as np
 # Pauli matrices and basic constants
 # ----------------------------------------------------------------------
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_I = np.eye(2)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 PAULI_LABELS = "IXYZ"
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -59,18 +59,18 @@ def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, first factor leftmost.
 
     Qubit 0 is the leftmost factor, i.e. the most significant bit of the
-    basis-state index. Returns a new complex array, also for one factor;
-    no factors give the 1 x 1 identity.
+    basis-state index. Returns a new array, also for one factor: float64
+    unless a factor is complex. No factors give the 1 x 1 identity.
     """
     factors = iter(mats)
-    out = np.array(next(factors, [[1.0]]), dtype=complex)
+    out = np.array(real_or_complex(next(factors, [[1.0]])))
     for m in factors:
         out = np.kron(out, m)
     return out
 
 
 def pauli_matrix(code: str) -> np.ndarray:
-    """Dense matrix of a Pauli string such as ``"XZI"`` (qubit 0 leftmost)."""
+    """Dense matrix of a Pauli string such as ``"XZI"`` (qubit 0 leftmost); complex only with Y."""
     try:
         return kron_all([PAULIS[c] for c in code])
     except KeyError as exc:
@@ -89,7 +89,7 @@ def real_or_complex(a) -> np.ndarray:
     dtype is returned as it is.
     """
     a = np.asarray(a)
-    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+    return a.astype(float if np.isrealobj(a) else complex, copy=False)
 
 
 def check_pure_state(psi: np.ndarray) -> np.ndarray:

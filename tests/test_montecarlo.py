@@ -24,7 +24,7 @@ import pqec.montecarlo
 from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
     check_sampling_budget, sampling_tree
 import pqec.purify
-from pqec.purify import check_observable, merge_states, swap_gadget
+from pqec.purify import check_observable, level_merges, merge_states, swap_gadget
 from pqec.states import ResourceLimitError, ValidationError, kron_all
 from oracles import conditional_state, maximally_mixed, per_node_outcome_tree, \
     random_density_matrix, random_pure_state
@@ -39,7 +39,7 @@ def sample_observable(state, obs, rng):
     The eigenvalue is selected by index from the eigendecomposition, drawn
     with probability Tr(Pi_j rho).
     """
-    vals, vecs = np.linalg.eigh(check_observable(obs))
+    vals, vecs = np.linalg.eigh(check_observable(obs, state))
     q = np.clip(np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, state, vecs)), 0.0, None)
     return float(vals[rng.choice(vals.size, p=q / q.sum())])
 
@@ -509,3 +509,69 @@ def test_sampling_budget():
                                            (5, MAX_SHOT_MERGES // 31, 1, 4), (6, 100, 3, 8)):
         with pytest.raises(ResourceLimitError):
             check_sampling_budget(rounds, shots, batches, qubits)
+
+
+# ----------------------------------------------------------------------
+# input checks and the dtype rule
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda rng: simulate_shots(DIAG, Z, -1, 10, rng),
+    lambda rng: estimate_observable(DIAG, Z, -2, 10, rng),
+    lambda rng: sample_outcome_tree(DIAG, -1, rng, 3),
+    lambda rng: enumerate_outcomes(DIAG, -1),
+], ids=["simulate_shots", "estimate_observable", "sample_outcome_tree", "enumerate_outcomes"])
+def test_negative_rounds_are_rejected(call):
+    with pytest.raises(ValidationError, match=r"rounds must be >= 0, got -[12]$"):
+        call(np.random.default_rng(0))
+
+
+def test_observable_shape_is_checked_before_any_tree(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("a tree was built for a malformed observable")
+
+    monkeypatch.setattr(pqec.montecarlo, "enumerate_outcomes", no_tree)
+    monkeypatch.setattr(pqec.montecarlo, "sample_outcome_tree", no_tree)
+    rho = maximally_mixed(2)
+    for obs in (np.ones((4, 3)), Z, np.ones(4), np.ones((1, 4, 4))):
+        for rounds in (0, 3, 5):
+            with pytest.raises(ValidationError, match="observable shape"):
+                simulate_shots(rho, obs, rounds, 10, np.random.default_rng(0))
+            with pytest.raises(ValidationError, match="observable shape"):
+                estimate_observable(rho, obs, rounds, 10, 0)
+        with pytest.raises(ValidationError, match="observable shape"):
+            extract_observable_exact(obs, rho, 1)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_real_targets_stay_float64_through_the_sampler(qubits, monkeypatch):
+    noisy = make_channel(NoiseModel("local-depol", 0.2), qubits)(
+        density_from_pure(plus_state(qubits)))
+    assert noisy.dtype == np.float64
+    for rounds in range(5):
+        assert enumerate_outcomes(noisy, rounds).state.dtype == np.float64
+    merges = level_merges(enumerate_outcomes(noisy, 2))
+    assert merge_states(merges, np.arange(0, len(merges), 7), swap_gadget).dtype == np.float64
+    assert swap_gadget(noisy, noisy, 1)[0].dtype == np.float64
+    assert swap_gadget(np.stack([noisy, noisy]), np.stack([noisy, noisy]),
+                       np.array([1, -1]))[0].dtype == np.float64
+    # the states each shot measures, and the matrix the exact value diagonalizes
+    measured, decomposed = [], []
+    cdf = pqec.montecarlo._outcome_cdf
+    monkeypatch.setattr(pqec.montecarlo, "_outcome_cdf",
+                        lambda states, vecs: measured.append(states.dtype) or cdf(states, vecs))
+    spectral = pqec.purify.spectral_decomposition
+    monkeypatch.setattr(pqec.purify, "spectral_decomposition",
+                        lambda rho: decomposed.append(rho.dtype) or spectral(rho))
+    cast = noisy.astype(complex)
+    for label in ("Z" * qubits, "Y" + "X" * (qubits - 1)):
+        obs = pauli_matrix(label)
+        assert obs.dtype == (complex if "Y" in label else float)
+        for rounds in range(7):
+            real_shots = simulate_shots(noisy, obs, rounds, 300, np.random.default_rng(rounds))
+            assert np.array_equal(real_shots, simulate_shots(cast, obs, rounds, 300,
+                                                             np.random.default_rng(rounds)))
+            extract_observable_exact(obs, noisy, rounds)
+    # real runs measure float64 states and their complex casts complex128 ones
+    assert measured[0::2] == [np.float64] * 14 and measured[1::2] == [np.complex128] * 14
+    assert decomposed == [np.float64] * 14
