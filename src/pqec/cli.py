@@ -19,6 +19,7 @@ import operator
 import os
 import re
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -95,9 +96,7 @@ def parse_real_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         _check_grid_size(count)
         return np.linspace(lo, hi, count)
-    if "," in text:
-        return np.array([float(v) for v in text.split(",")])
-    return np.array([float(text)])
+    return np.array([float(v) for v in text.split(",")])
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -107,9 +106,7 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         lo, hi = (int(v) for v in text.split(".."))
         _check_grid_size(hi - lo + 1)
         return tuple(range(lo, hi + 1))
-    if "," in text:
-        return tuple(int(v) for v in text.split(","))
-    return (int(text),)
+    return tuple(int(v) for v in text.split(","))
 
 
 _ANGLE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -257,38 +254,40 @@ def _cycles(text: str) -> int:
     return int(text)
 
 
-def _add_common(sub, *, channel=False, state=False, shots=False):
-    sub.add_argument("--config", help="JSON file of flag values; explicit flags win")
-    sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
-                     help=f"RNG/twirl seed (default {DEFAULT_SEED})")
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--M", type=int, dest="m", help="number of register qubits")
-    if channel:
-        sub.add_argument("--channel", choices=CHANNEL_KINDS, help="noise channel kind")
-        sub.add_argument("--twirl", type=float, dest="twirl",
-                         help="twirl fraction in (0,1]; turns dephasing into twirled-dephasing")
-    if state:
-        sub.add_argument("--state", help="target state: plus^M, zero^M, bloch:theta,phi[^M]")
-    if shots:
-        sub.add_argument("--shots", type=int, default=100000,
-                         help="shots per batch (default 100000)")
-        sub.add_argument("--batches", type=int, default=1, help="number of batches (default 1)")
-        sub.add_argument("--observable", help="Pauli string observable (default Z on qubit 0)")
+class _Help(argparse.HelpFormatter):
+    """Help that names a flag's default, where it has one."""
+
+    def _get_help_string(self, action):
+        if action.default in (None, argparse.SUPPRESS):
+            return action.help
+        return action.help + " (default %(default)s)"
 
 
-def _add_sweep(sub):
-    grid = f"0:1:{DEFAULT_P_COUNT}"
-    sub.add_argument("--p", default=grid,
-                     help=f"error probability: value, list, or min:max:count (default {grid})")
-    ells = ",".join(str(e) for e in DEFAULT_ROUNDS)
-    sub.add_argument("--ell", default=ells, help=f"rounds values: list or a..b (default {ells})")
-    sub.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
-                     help=f"cycles per cell (default {DEFAULT_CYCLES}); a threshold run "
-                          "records the value but reads only the first cycle")
-    sub.add_argument("--jobs", type=int, default=available_cpus(),
-                     help="worker threads, capped at the CPUs this process may use and at "
-                          f"one per {MIN_WORKER_WORK:,} of p values x rounds x cycles run x "
-                          "8^M (default: those CPUs)")
+# Every flag once, by its long name: its argparse keywords on any command.
+_FLAGS = {
+    "config": dict(help="JSON file of flag values; explicit flags win"),
+    "seed": dict(type=_seed, default=DEFAULT_SEED, help="RNG/twirl seed"),
+    "out": dict(help="output CSV path"),
+    "M": dict(type=int, dest="m", help="number of register qubits"),
+    "channel": dict(choices=CHANNEL_KINDS, help="noise channel kind"),
+    "twirl": dict(type=float, help="twirl fraction in (0,1] for --channel dephasing"),
+    "state": dict(help="target state: plus^M, zero^M, bloch:theta,phi[^M]"),
+    "p": dict(help="error probability: value; list or min:max:count where a command runs several"),
+    "ell": dict(help="purification rounds: value; list or a..b where a command runs several"),
+    "cycles": dict(type=_cycles, default=DEFAULT_CYCLES,
+                   help="channel-then-purify cycles; threshold reads only the first"),
+    "jobs": dict(type=int, help="worker threads, capped at the CPUs available and at one per "
+                                f"{MIN_WORKER_WORK:,} of p values x rounds x cycles run x 8^M"),
+    "traces": dict(help="also write per-trace CSV (p, ell, t, F) here"),
+    "shots": dict(type=int, default=100000, help="shots per batch"),
+    "batches": dict(type=int, default=1, help="number of batches"),
+    "observable": dict(help="Pauli string observable (default Z on qubit 0)"),
+    "svg": dict(help="also write an SVG line chart here"),
+}
+
+# A subcommand: its help, handler, flags in the order --help lists them, the
+# flags that take exactly one value, and the defaults it alone gives its flags.
+_Command = namedtuple("_Command", "help run flags single defaults", defaults=((), {}))
 
 
 def build_parser() -> _Parser:
@@ -296,48 +295,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     parser.commands = subs.choices
-
-    p = subs.add_parser("purify", help="noise once, then purification rounds")
-    _add_common(p, channel=True, state=True)
-    p.add_argument("--p", help="error probability (single value)")
-    p.add_argument("--ell", help="purification rounds: value, list, or a..b")
-
-    p = subs.add_parser("cycle", help="iterate channel-then-purify cycles")
-    _add_common(p, channel=True, state=True)
-    p.add_argument("--p", help="error probability (single value)")
-    p.add_argument("--ell", help="purification rounds per cycle (single value)")
-    p.add_argument("--cycles", type=_cycles, default=DEFAULT_CYCLES,
-                   help=f"number of cycles (default {DEFAULT_CYCLES})")
-
-    p = subs.add_parser("sweep", help="grid of (p, rounds) cycle experiments")
-    _add_common(p, channel=True, state=True)
-    _add_sweep(p)
-    p.add_argument("--traces", help="also write per-trace CSV (p, ell, t, F) here")
-
-    p = subs.add_parser("threshold", help="sweep plus crossing-point extraction")
-    _add_common(p, channel=True, state=True)
-    _add_sweep(p)
-
-    p = subs.add_parser("sample", help="shot-level ratio estimation of an observable")
-    _add_common(p, channel=True, state=True, shots=True)
-    p.add_argument("--p", help="error probability (single value)")
-    p.add_argument("--ell", help="purification rounds (single value)")
-
-    p = subs.add_parser("twirl-check", help="full-twirl dephasing vs local depolarizing")
-    _add_common(p, channel=False)
-    p.add_argument("--p", help="error probability: value, list, or min:max:count")
-
-    # only the commands that draw a chart take --svg
-    for command in ("purify", "cycle", "sweep", "threshold"):
-        subs.choices[command].add_argument("--svg", help="also write an SVG line chart here")
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help, formatter_class=_Help)
+        for flag in command.flags:
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+        sub.set_defaults(**command.defaults)
+        if "jobs" in command.flags:
+            sub.set_defaults(jobs=available_cpus())   # the CPUs at this build, not at import
     return parser
 
 
-def _flag_values(args, flag: str, single: bool = False):
-    """The checked values of ``--p`` (a float array) or ``--ell`` (an int tuple).
-
-    ``single`` admits exactly one value, for the commands that run one point.
-    """
+def _flag_values(args, flag: str):
+    """The checked values of ``--p`` (a float array) or ``--ell`` (an int tuple)."""
     text = getattr(args, flag)
     if text is None:
         raise ValidationError(f"--{flag} is required")
@@ -355,16 +324,15 @@ def _flag_values(args, flag: str, single: bool = False):
                                   "that print alike, at the 1e-13 resolution of the CSV")
     if flag == "ell" and any(e < 0 for e in values):
         raise ValidationError("--ell: rounds must be >= 0")
-    if single and len(values) != 1:
+    if flag in _COMMANDS[args.command].single and len(values) != 1:
         raise ValidationError(f"--{flag} must be a single value for {args.command}")
     return values
 
 
-def _experiment(args, single=()):
+def _experiment(args):
     """``(psi, model, p_values, ells)``, in the order ``sweep`` takes them.
 
-    Sets ``args.m`` from the target state. The model carries the first p
-    value; ``single`` names the flags (``"p"``, ``"ell"``) that take one value.
+    Sets ``args.m`` from the target state. The model carries the first p value.
     """
     if args.state is None and args.m is None:
         raise ValidationError("need --state or --M")
@@ -377,8 +345,8 @@ def _experiment(args, single=()):
     if args.m is not None and args.m != m:
         raise ValidationError(f"--M {args.m} conflicts with state on {m} qubits")
     args.m = m
-    p_values = _flag_values(args, "p", "p" in single)
-    ells = _flag_values(args, "ell", "ell" in single)
+    p_values = _flag_values(args, "p")
+    ells = _flag_values(args, "ell")
     kind = args.channel
     if kind is None:
         raise ValidationError("--channel is required")
@@ -409,7 +377,7 @@ def _config_dict(args) -> dict:
 # ----------------------------------------------------------------------
 
 def _cmd_purify(args) -> int:
-    psi, model, _, ells = _experiment(args, single=("p",))
+    psi, model, _, ells = _experiment(args)
     # the first cycle's fidelities: one decomposition serves every rounds
     # value, and no purified state is built
     fids = run_cycles(psi, model, ells, 1).fidelities[:, 1]
@@ -421,7 +389,7 @@ def _cmd_purify(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
-    psi, model, _, (ell,) = _experiment(args, single=("p", "ell"))
+    psi, model, _, (ell,) = _experiment(args)
     trace = run_cycles(psi, model, ell, args.cycles)
     _write_table(args, ["t", "fidelity"], list(enumerate(trace.fidelities)),
                  note=f" (final F = {trace.fidelities[-1]:.10f})",
@@ -480,7 +448,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    psi, model, _, (ell,) = _experiment(args, single=("p", "ell"))
+    psi, model, _, (ell,) = _experiment(args)
     if args.shots < 2 or args.batches < 1:
         raise ValidationError("--shots must be >= 2 and --batches >= 1")
     check_sampling_budget(ell, args.shots, args.batches, args.m)
@@ -532,13 +500,23 @@ def _cmd_twirl_check(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "purify": _cmd_purify,
-    "cycle": _cmd_cycle,
-    "sweep": _cmd_sweep,
-    "threshold": _cmd_threshold,
-    "sample": _cmd_sample,
-    "twirl-check": _cmd_twirl_check,
+_BASE = ("config", "seed", "out", "M")
+_EXPERIMENT = _BASE + ("channel", "twirl", "state")
+_GRID = ("p", "ell", "cycles", "jobs")
+_GRID_DEFAULTS = {"p": f"0:1:{DEFAULT_P_COUNT}", "ell": ",".join(map(str, DEFAULT_ROUNDS))}
+_COMMANDS = {
+    "purify": _Command("noise once, then purification rounds", _cmd_purify,
+                       _EXPERIMENT + ("p", "ell", "svg"), ("p",)),
+    "cycle": _Command("iterate channel-then-purify cycles", _cmd_cycle,
+                      _EXPERIMENT + ("p", "ell", "cycles", "svg"), ("p", "ell")),
+    "sweep": _Command("grid of (p, rounds) cycle experiments", _cmd_sweep,
+                      _EXPERIMENT + _GRID + ("traces", "svg"), (), _GRID_DEFAULTS),
+    "threshold": _Command("sweep plus crossing-point extraction", _cmd_threshold,
+                          _EXPERIMENT + _GRID + ("svg",), (), _GRID_DEFAULTS),
+    "sample": _Command("shot-level ratio estimation of an observable", _cmd_sample,
+                       _EXPERIMENT + ("shots", "batches", "observable", "p", "ell"), ("p", "ell")),
+    "twirl-check": _Command("full-twirl dephasing vs local depolarizing", _cmd_twirl_check,
+                            _BASE + ("p",)),
 }
 
 
@@ -552,7 +530,7 @@ def main(argv=None) -> int:
         config = parser.commands[args.command].config_flags(args.config)
         args = parser.parse_args(argv[:at] + config + argv[at:])
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (ValidationError, ResourceLimitError) as exc:
         print(f"pqec: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -62,8 +62,8 @@ class EstimatorResult:
 
 def required_samples(epsilon: float, trace_rho_n: float) -> int:
     """Shot-count bound ceil(1 / (eps^2 Tr(rho^N)^2)) for a bounded observable."""
-    if epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0.0 < trace_rho_n <= 1.0:
         raise ValidationError("Tr(rho^N) must lie in (0, 1]")
     return math.ceil(1.0 / (epsilon * epsilon * trace_rho_n * trace_rho_n))
@@ -128,14 +128,10 @@ def _outcome_cdf(states: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
     Each row is what ``Generator.choice(p=...)`` builds from the clamped,
     normalized probabilities Tr(Pi_j rho): their cumulative sum, divided by
-    its last entry. States are read one chunk at a time.
+    its last entry. The three-operand ``einsum`` builds nothing beyond its
+    (n, d) output.
     """
-    q = np.empty((len(states), vecs.shape[1]))
-    step = chunk_rows(16 * vecs.size)
-    for lo in range(0, len(states), step):
-        q[lo:lo + step] = np.real(np.einsum("ij,bjk,ki->bi", vecs.conj().T,
-                                            states[lo:lo + step], vecs))
-    q = np.clip(q, 0.0, None)
+    q = np.real(np.einsum("ij,bjk,ki->bi", vecs.conj().T, states, vecs)).clip(0.0)
     cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
     return cdf / cdf[:, -1:]
 

@@ -373,7 +373,5 @@ def werner_fidelity_update(fid: float, dim: int) -> float:
     """
     if dim < 2:
         raise ValidationError("dimension must be >= 2")
-    denom = fid * fid + (1.0 - fid) ** 2 / (dim - 1.0)
-    if denom == 0.0:
-        return 0.0
-    return fid * fid / denom
+    # F^2 and (1-F)^2 cannot both vanish, even in underflow, so the sum is never 0
+    return fid * fid / (fid * fid + (1.0 - fid) ** 2 / (dim - 1.0))

@@ -44,7 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from .channels import NoiseModel, make_channel
-from .purify import CHUNK_BYTES, purified_spectra
+from .purify import CHUNK_BYTES, check_rounds, purified_spectra
 # The engine builds no state through ``purified_state``; the name stays bound
 # here because perfbench's span recorder wraps it at this module.
 from .purify import purified_state  # noqa: F401
@@ -313,8 +313,7 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     rounds_list = tuple(int(r) for r in rounds_list)
     if p_values.size == 0 or len(rounds_list) == 0:
         raise ValidationError("sweep grid must be nonempty")
-    if min(rounds_list) < 0:
-        raise ValidationError(f"rounds must be >= 0, got {min(rounds_list)}")
+    check_rounds(min(rounds_list))
     qubits = num_qubits(psi0.size)
     work = p_values.size * len(rounds_list) * cycles * psi0.size ** 3
     workers = max(1, min(jobs, available_cpus(), work // MIN_WORKER_WORK))

@@ -16,8 +16,10 @@ from pqec import (
     plus_state,
     ratio_estimate,
     required_samples,
+    run_cycles,
     sample_outcome_tree,
     simulate_shots,
+    sweep,
     zero_state,
 )
 import pqec.montecarlo
@@ -31,6 +33,7 @@ from oracles import conditional_state, maximally_mixed, per_node_outcome_tree, \
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
 Z = pauli_matrix("Z")
+LOCAL = NoiseModel("local-depol", 0.1)
 
 
 def sample_observable(state, obs, rng):
@@ -88,6 +91,10 @@ def test_required_samples_examples():
         required_samples(0.0, 0.5)
     with pytest.raises(ValidationError):
         required_samples(0.1, 0.0)
+    # an infinite epsilon asked for no shots; nan failed in math.ceil
+    for epsilon in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+            required_samples(epsilon, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +527,10 @@ def test_sampling_budget():
     lambda rng: estimate_observable(DIAG, Z, -2, 10, rng),
     lambda rng: sample_outcome_tree(DIAG, -1, rng, 3),
     lambda rng: enumerate_outcomes(DIAG, -1),
-], ids=["simulate_shots", "estimate_observable", "sample_outcome_tree", "enumerate_outcomes"])
+    lambda rng: sweep(plus_state(1), LOCAL, [0.1], (0, -2), cycles=1),
+    lambda rng: run_cycles(plus_state(1), LOCAL, -1, 1),
+], ids=["simulate_shots", "estimate_observable", "sample_outcome_tree", "enumerate_outcomes",
+        "sweep", "run_cycles"])
 def test_negative_rounds_are_rejected(call):
     with pytest.raises(ValidationError, match=r"rounds must be >= 0, got -[12]$"):
         call(np.random.default_rng(0))
