@@ -56,4 +56,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.11.1"
+__version__ = "0.11.2"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import hashlib
 import json
 import math
@@ -290,7 +291,14 @@ _FLAGS = {
 _Command = namedtuple("_Command", "help run flags single defaults", defaults=((), {}))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``pqec`` parser, built on the first call and shared by every later one.
+
+    ``main`` parses every command line of the process with it, also from
+    several threads at once; parsing fills a fresh namespace and leaves the
+    parser as it was. Callers must not mutate it.
+    """
     parser = _Parser(prog="pqec", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -301,7 +309,7 @@ def build_parser() -> _Parser:
             sub.add_argument(f"--{flag}", **_FLAGS[flag])
         sub.set_defaults(**command.defaults)
         if "jobs" in command.flags:
-            sub.set_defaults(jobs=available_cpus())   # the CPUs at this build, not at import
+            sub.set_defaults(jobs=available_cpus())   # the CPUs at the first build, not at import
     return parser
 
 

@@ -66,7 +66,13 @@ def required_samples(epsilon: float, trace_rho_n: float) -> int:
         raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0.0 < trace_rho_n <= 1.0:
         raise ValidationError("Tr(rho^N) must lie in (0, 1]")
-    return math.ceil(1.0 / (epsilon * epsilon * trace_rho_n * trace_rho_n))
+    product = epsilon * epsilon * trace_rho_n * trace_rho_n
+    # a tiny epsilon or Tr(rho^N) underflows the product to 0 or overflows the bound
+    bound = 1.0 / product if product else math.inf
+    if bound == math.inf:
+        raise ValidationError(f"the shot bound for epsilon {epsilon} and Tr(rho^N) "
+                              f"{trace_rho_n} is not a finite count")
+    return math.ceil(bound)
 
 
 def ratio_estimate(shots) -> EstimatorResult:

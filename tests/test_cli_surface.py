@@ -3,10 +3,15 @@
 Every subcommand keeps its flags with their dests, defaults, types and
 choices, so the parsed namespace, and with it each CSV's recorded config
 and hash, stays the same. The flags that take one value are checked by
-running the commands.
+running the commands. The parser is built once per process and shared:
+runs in one process, in turn or from several threads, write the bytes of
+a run on its own and leave the surface as it was.
 """
 
 import argparse
+import json
+import sys
+import threading
 
 import pytest
 
@@ -98,3 +103,67 @@ def test_help_exits_zero(capsys, command):
     assert out.startswith(f"usage: pqec {command}")
     for name, _ in SURFACE[command]:
         assert name.split()[-1] in out
+
+
+def _all_surfaces(parser) -> dict:
+    return {None: _surface(parser),
+            **{name: _surface(sub) for name, sub in parser.commands.items()}}
+
+
+def _run_bytes(command, out) -> bytes:
+    assert main([command, "--M", "1", "--out", str(out)] + RUNS[command]) in (0, 2)
+    return out.read_bytes()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command", list(SURFACE))
+def test_runs_in_one_process_write_the_same_bytes(tmp_path, capsys, command):
+    surfaces = _all_surfaces(build_parser())
+    first = _run_bytes(command, tmp_path / "first.csv")
+    # a usage error, --help, a --config run and a value the command rejects
+    for argv, code in (([command, "--no-such-flag"], EXIT_ERROR), ([command, "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 11}))
+    assert main([command, "--M", "1", "--config", str(config),
+                 "--out", str(tmp_path / "config.csv")] + RUNS[command]) in (0, 2)
+    rejected = [command, "--M", "1", "--out", str(tmp_path / "rejected.csv")] + RUNS[command]
+    rejected[rejected.index("--p") + 1] = "2"
+    assert main(rejected) == EXIT_ERROR
+    assert "--p: values must lie in [0, 1]" in capsys.readouterr().err
+    assert _run_bytes(command, tmp_path / "second.csv") == first
+    assert _all_surfaces(build_parser()) == surfaces
+
+
+def test_threads_share_the_parser(tmp_path):
+    commands = ("threshold", "sample")
+    serial = {c: _run_bytes(c, tmp_path / f"{c}-serial.csv") for c in commands}
+    written = {c: [] for c in commands}
+    failures = []
+
+    def worker(command):
+        try:
+            for i in range(20):
+                written[command].append(_run_bytes(command, tmp_path / f"{command}-{i}.csv"))
+        except Exception as exc:    # reported by the test thread below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(c,)) for c in commands]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    for command in commands:
+        assert written[command] == [serial[command]] * 20, command

@@ -95,6 +95,11 @@ def test_required_samples_examples():
     for epsilon in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
             required_samples(epsilon, 0.5)
+    # a tiny positive input underflowed the product to 0 or overflowed the bound
+    for epsilon, trace in ((1e-200, 0.5), (0.1, 1e-200), (0.1, 1e-170), (1e-160, 0.5),
+                           (1e-5, 1e-150)):
+        with pytest.raises(ValidationError, match="not a finite count"):
+            required_samples(epsilon, trace)
 
 
 # ----------------------------------------------------------------------
