@@ -56,4 +56,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.11.2"
+__version__ = "0.12.0"

@@ -278,7 +278,8 @@ _FLAGS = {
     "cycles": dict(type=_cycles, default=DEFAULT_CYCLES,
                    help="channel-then-purify cycles; threshold reads only the first"),
     "jobs": dict(type=int, help="worker threads, capped at the CPUs available and at one per "
-                                f"{MIN_WORKER_WORK:,} of p values x rounds x cycles run x 8^M"),
+                                f"{MIN_WORKER_WORK:,} of cells x cycles run x per-cell work "
+                                "(8^M; plus^M and zero^M run on one thread)"),
     "traces": dict(help="also write per-trace CSV (p, ell, t, F) here"),
     "shots": dict(type=int, default=100000, help="shots per batch"),
     "batches": dict(type=int, default=1, help="number of batches"),

@@ -297,13 +297,15 @@ MAX_SPECTRAL_ROUNDS = 64
 
 
 def purified_weights(vals: np.ndarray, rounds: int) -> np.ndarray:
-    """Eigenvalues of rho**N / Tr(rho**N), N = 2**rounds, from rho's ascending ``vals``.
+    """Eigenvalues of rho**N / Tr(rho**N), N = 2**rounds, from rho's eigenvalues ``vals``.
 
-    ``vals`` are divided by the largest before powering, so the weights stay
-    finite where Tr(rho**N) underflows. A stack ``(..., d)`` is powered row
-    by row, as one call each.
+    ``vals`` may come in any order, as a diagonal does. They are divided by
+    the largest before powering, so the weights stay finite where
+    Tr(rho**N) underflows. A stack ``(..., d)`` is powered row by row, as
+    one call each.
     """
-    scaled = (vals / vals[..., -1:]) ** float(2 ** min(rounds, MAX_SPECTRAL_ROUNDS))
+    power = float(2 ** min(rounds, MAX_SPECTRAL_ROUNDS))
+    scaled = (vals / vals.max(axis=-1, keepdims=True)) ** power
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 

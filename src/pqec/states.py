@@ -214,6 +214,7 @@ def project_to_density(mat: np.ndarray) -> np.ndarray:
 # Pauli basis
 # ----------------------------------------------------------------------
 
-def pauli_weight_tensor(qubits: int) -> np.ndarray:
-    """Tensor of Pauli weights, shape (4,)*qubits: count of non-identity axes."""
-    return functools.reduce(np.add.outer, [np.array([0, 1, 1, 1])] * qubits)
+def pauli_weight_tensor(qubits: int, letters: str = PAULI_LABELS) -> np.ndarray:
+    """Weights of the Pauli strings over ``letters``, shape (len(letters),)*qubits: non-I counts."""
+    weights = np.array([c != "I" for c in letters], dtype=int)
+    return functools.reduce(np.add.outer, [weights] * qubits)

@@ -9,20 +9,28 @@ purification rounds cross.
 
 The engine runs a whole (p, rounds) grid in lock-step. Its noise model
 holds the grid's p values as one tuple, so each cycle makes one call of
-one channel closure on the (P, L, d, d) stack of states, each p's channel
-on that p's L states, and one stacked eigendecomposition per rounds value.
-Every purified fidelity is sum_i w_i |<v_i|psi>|^2 over the eigenvectors
+one channel closure on the stack of (P, L) states, each p's channel on
+that p's L states. The target sets how a state is held
+(``stabilizer_letters``). From ``plus^M`` or ``zero^M`` every state is
+diagonal in the X or the Z product basis, so it is held as its 2**M
+diagonal, with the target at index 0: the channel acts on it through
+Walsh-Hadamard passes (``channels.apply_to_diagonal``), purification
+powers it (``purify.purified_weights``), and F is its first weight, in
+O(M 2**M) per cell and cycle. Any other target is held as a d x d matrix,
+with one stacked eigendecomposition per rounds value. Every purified
+fidelity is sum_i w_i |<v_i|psi>|^2 over the eigenvectors
 v_i of the noisy state and its normalized powered eigenvalues w_i
 (``purify.purified_weights``), with the overlaps |<v_i|psi>|^2 taken once
 per decomposition. A purified matrix V diag(w) V^dagger
 (``states.from_spectrum``) is built only for a cycle that follows. The
 first cycle starts all rounds values of a p from the same noisy state, so
 it decomposes that state once; a one-cycle run, as every threshold is,
-holds one state per p and builds no purified matrix. Every step acts matrix by
-matrix, so a trace has the same bits as a run of its cell alone, however
-the grid is split into blocks. Parallel blocks run on threads of the
-calling process: the stacked ``eigh`` and Pauli kernels release the
-interpreter lock, and no worker is forked. At ``jobs`` > 1, every OpenBLAS
+holds one state per p and builds no purified matrix. Every step acts state
+by state, so a trace has the same bits as a run of its cell alone, however
+the grid is split into blocks. Parallel blocks of a dense grid run on
+threads of the calling process: the stacked ``eigh`` and Pauli kernels
+release the interpreter lock, and no worker is forked. A diagonal grid runs
+on the calling thread (``cell_cost``). At ``jobs`` > 1, every OpenBLAS
 loaded in the process, numpy's among them, is pinned to one thread, so its
 own thread pool does not compete with the workers for the CPUs; its old
 thread count comes back when the sweep ends.
@@ -44,12 +52,12 @@ from itertools import repeat
 import numpy as np
 
 from .channels import NoiseModel, make_channel
-from .purify import CHUNK_BYTES, check_rounds, purified_spectra
+from .purify import CHUNK_BYTES, check_rounds, purified_spectra, purified_weights
 # The engine builds no state through ``purified_state``; the name stays bound
 # here because perfbench's span recorder wraps it at this module.
 from .purify import purified_state  # noqa: F401
-from .states import ValidationError, check_pure_state, density_from_pure, fidelity, \
-    from_spectrum, num_qubits
+from .states import PAULI_LABELS, ValidationError, check_pure_state, density_from_pure, \
+    fidelity, from_spectrum, num_qubits, plus_state, zero_state
 
 DEFAULT_P_COUNT = 41
 DEFAULT_ROUNDS = (0, 1, 2, 3, 5)
@@ -61,16 +69,18 @@ ZERO_TOL = 1e-12
 
 # Most bytes of states one lock-step block of a sweep holds: one noisy state
 # per p for a one-cycle sweep, one state per (p, rounds) cell for a longer
-# one. A cycle makes a few working copies of its block, so every stacked
-# step stays well inside CHUNK_BYTES. Larger blocks save no time but raise
-# peak memory: the benchmark's five threshold sweeps peaked 13 MB higher
-# with 3.4 MB blocks and 1.5 MB higher with 512 KiB ones, while below 256 KiB
-# they slow down (measured in 0.4.1, with a state per cell in every block).
+# one, and one state at least, whatever its size. A cycle makes a few
+# working copies of its block, so every stacked step stays well inside
+# CHUNK_BYTES. Larger blocks save no time but raise peak memory: the
+# benchmark's five threshold sweeps peaked 13 MB higher with 3.4 MB blocks
+# and 1.5 MB higher with 512 KiB ones, while below 256 KiB they slow down
+# (measured in 0.4.1 on dense states, with a state per cell in every block).
 BLOCK_BYTES = CHUNK_BYTES // 16
 
-# Lock-step work (cells x cycles x d^3) per sweep worker thread. Smaller
-# blocks pass the interpreter lock back and forth: on a 2-vCPU VM two workers
-# lost to one up to 1.7e7, tied at 2.5e7 and won from 2.7e7 (README).
+# Lock-step work (cells x cycles x per-cell work, ``cell_cost``: d**3 on a
+# dense state) per sweep worker thread. Smaller blocks pass the interpreter
+# lock back and forth: on a 2-vCPU VM two workers lost to one up to 1.7e7,
+# tied at 2.5e7 and won from 2.7e7 (README).
 MIN_WORKER_WORK = 10 ** 7
 
 # (get, set) thread-count symbols of OpenBLAS builds: numpy's wheels vendor
@@ -141,6 +151,40 @@ class ThresholdEstimate:
 # Cycles
 # ----------------------------------------------------------------------
 
+def stabilizer_letters(psi0: np.ndarray) -> str:
+    """The Pauli letters of ``run_cycles`` states from target ``psi0``, which fix their form.
+
+    IX where ``psi0`` equals ``plus_state(M)`` exactly and IZ where it
+    equals ``zero_state(M)``: every state is then diagonal in the X or Z
+    product basis, the target at index 0. IXYZ, a d x d matrix, otherwise.
+    """
+    qubits = num_qubits(psi0.size)
+    if np.array_equal(psi0, plus_state(qubits)):
+        return "IX"
+    if np.array_equal(psi0, zero_state(qubits)):
+        return "IZ"
+    return PAULI_LABELS
+
+
+def cell_cost(psi0: np.ndarray) -> tuple[int, int]:
+    """Bytes of one cell's state and worker work of one of its cycles, from target ``psi0``.
+
+    A dense state holds 16 d**2 bytes and costs about d**3 per cycle, its
+    ``eigh``, which runs outside the interpreter lock. A diagonal
+    (``stabilizer_letters`` IX or IZ) holds 8 d bytes and counts no worker
+    work: its Walsh passes over d weights are short numpy calls that hold
+    the lock for much of their time, so a diagonal grid runs on the calling
+    thread. On a 2-vCPU VM, two workers ran 41 x 5 cells of plus^5 over
+    1000 cycles in 1.15 s against one worker's 0.48 s, and of plus^3 over
+    10,000 cycles in 5.1 s against 2.1 s; they won only at plus^8 over
+    1000 cycles, 1.60 s against 2.04 s. d = 2**M.
+    """
+    d = psi0.size
+    if stabilizer_letters(psi0) == PAULI_LABELS:
+        return 16 * d * d, d ** 3
+    return 8 * d, 0
+
+
 def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> CycleTrace:
     """Iterate channel-then-purify from a pure target, recording fidelity.
 
@@ -150,7 +194,9 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
     arguments: a scalar p and one rounds value give fidelities of shape
     (cycles + 1,); a tuple of P values of p and a sequence of L rounds
     values give (P, L, cycles + 1), every cell run in lock-step under one
-    channel closure, called once per cycle. Every state and eigenbasis
+    channel closure, called once per cycle. The target picks the state's
+    representation (``stabilizer_letters``): a 2**M diagonal for
+    ``plus_state(M)`` and ``zero_state(M)``, a dense matrix otherwise, which
     keeps the dtype of ``psi0``: float64 for a real target.
     """
     if cycles < 1:
@@ -158,7 +204,50 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
     psi0 = check_pure_state(psi0)
     qubits = num_qubits(psi0.size)
     ells = tuple(int(r) for r in np.atleast_1d(rounds))
-    channel = make_channel(model, qubits)
+    check_rounds(min(ells, default=0))
+    letters = stabilizer_letters(psi0)
+    channel = make_channel(model, qubits, letters)
+    run = _dense_cycles if letters == PAULI_LABELS else _diagonal_cycles
+    fids = run(psi0, channel, ells, cycles)
+    # a scalar argument drops its axis, as in numpy broadcasting
+    scalar = [np.ndim(model.p) == 0, np.ndim(rounds) == 0]
+    return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),
+                      channel=model, rounds=rounds, qubits=qubits, cycles=cycles)
+
+
+def _diagonal_cycles(psi0: np.ndarray, channel, ells: tuple, cycles: int) -> np.ndarray:
+    """(P, L, cycles + 1) fidelities of a target whose states are diagonals, F the weight at 0.
+
+    Powering a diagonal is purification, so no state is decomposed.
+    """
+    target = np.zeros(psi0.size)
+    target[0] = 1.0
+    noisy = _clamped(channel(target).reshape(-1, psi0.size))
+    fids = np.empty((len(noisy), len(ells), cycles + 1))
+    fids[..., 0] = 1.0
+    # the (P, L) diagonals of the next cycle
+    weights = np.repeat(noisy[:, None], len(ells), axis=1) if cycles > 1 else None
+    for t in range(1, cycles + 1):
+        if t > 1:
+            weights = _clamped(channel(weights))
+        for j, ell in enumerate(ells):
+            w = noisy if t == 1 else weights[:, j]
+            if ell:
+                w = purified_weights(w, ell)
+            fids[:, j, t] = w[:, 0]
+            if t < cycles:
+                weights[:, j] = w
+    return fids
+
+
+def _clamped(weights: np.ndarray) -> np.ndarray:
+    """Diagonals with rounding negatives clamped to 0 and renormalized, as spectra from ``eigh``."""
+    weights = np.clip(weights, 0.0, None)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _dense_cycles(psi0: np.ndarray, channel, ells: tuple, cycles: int) -> np.ndarray:
+    """(P, L, cycles + 1) fidelities of a target whose states are d x d matrices."""
     rho = density_from_pure(psi0)
     # one noisy state per p: every cell of a p starts from it, so one
     # decomposition per p serves all rounds values in the first cycle
@@ -188,10 +277,7 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
             fids[:, j, t] = (w * populations).sum(axis=-1)
             if t < cycles:
                 rho[:, j] = from_spectrum(w, vecs)
-    # a scalar argument drops its axis, as in numpy broadcasting
-    scalar = [np.ndim(model.p) == 0, np.ndim(rounds) == 0]
-    return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),
-                      channel=model, rounds=rounds, qubits=qubits, cycles=cycles)
+    return fids
 
 
 def steady_state_fidelity_analytic(dim: int, p: float) -> float:
@@ -292,13 +378,17 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     ``model`` acts as a template whose ``p`` is replaced per block of
     consecutive p values by the tuple of the block's values. The blocks run
     in lock-step, one ``run_cycles`` call and one channel closure each,
-    and no block holds more than ``BLOCK_BYTES`` of states: one
-    per p at one cycle, one per cell otherwise. At ``jobs`` = 1 that is the
-    whole grid where it fits; ``jobs`` > 1 splits the grid into one block
-    per worker, over a pool of at most ``jobs`` threads in this process,
-    and no more than there are CPUs, blocks, or ``MIN_WORKER_WORK`` units
-    in the work, cells x cycles x d^3; a single worker runs on the calling
-    thread.
+    and no block holds more than ``BLOCK_BYTES`` of states, or one state
+    where that is larger: one per p at one cycle, one per cell otherwise,
+    so a longer sweep splits its blocks along the rounds values too. A
+    state's bytes and work per cycle are ``cell_cost``'s: 16 d**2 and d**3
+    dense, 8 d and no worker work on a diagonal, whose grid therefore runs
+    on the calling thread at any ``jobs``. At ``jobs`` = 1 that is the whole grid
+    where it fits; ``jobs`` > 1 splits the p values into one block per
+    worker, over a pool of at most ``jobs`` threads in this process, and no
+    more than there are CPUs, blocks, or ``MIN_WORKER_WORK`` units in the
+    work, cells x cycles x per-cell work; a single worker runs on the
+    calling thread.
     The traces do not depend on the split, and ``p_values`` may come in any
     order. At ``jobs`` > 1, OpenBLAS is pinned to one thread, also for one
     worker, so each worker's ``eigh``, and each concurrent pqec run, keeps
@@ -315,22 +405,30 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
         raise ValidationError("sweep grid must be nonempty")
     check_rounds(min(rounds_list))
     qubits = num_qubits(psi0.size)
-    work = p_values.size * len(rounds_list) * cycles * psi0.size ** 3
+    cell_bytes, cell_work = cell_cost(psi0)
+    work = p_values.size * len(rounds_list) * cycles * cell_work
     workers = max(1, min(jobs, available_cpus(), work // MIN_WORKER_WORK))
-    held = 1 if cycles == 1 else len(rounds_list)
-    step = min(max(1, BLOCK_BYTES // (16 * psi0.size ** 2 * held)),
-               math.ceil(p_values.size / workers))
-    blocks = [replace(model, p=tuple(p_values[lo:lo + step].tolist()))
-              for lo in range(0, p_values.size, step)]
+    # states a block may hold; one cycle holds one per p whatever the rounds
+    states = max(1, BLOCK_BYTES // cell_bytes)
+    r_step = len(rounds_list) if cycles == 1 else min(len(rounds_list), states)
+    p_step = min(max(1, states // (1 if cycles == 1 else r_step)),
+                 math.ceil(p_values.size / workers))
+    models = [replace(model, p=tuple(p_values[lo:lo + p_step].tolist()))
+              for lo in range(0, p_values.size, p_step)]
+    ells = [rounds_list[lo:lo + r_step] for lo in range(0, len(rounds_list), r_step)]
+    blocks = [(block_model, block_ells) for block_model in models for block_ells in ells]
     workers = min(workers, len(blocks))
     with _one_blas_thread() if jobs > 1 else nullcontext():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_cycles, repeat(psi0), blocks,
-                                        repeat(rounds_list), repeat(cycles)))
+                results = list(pool.map(run_cycles, repeat(psi0), *zip(*blocks),
+                                        repeat(cycles)))
         else:
-            results = [run_cycles(psi0, block, rounds_list, cycles) for block in blocks]
-    traces = np.concatenate([result.fidelities for result in results])
+            results = [run_cycles(psi0, *block, cycles) for block in blocks]
+    # blocks run p-major: each row of len(ells) blocks spans every rounds value
+    traces = np.concatenate([
+        np.concatenate([result.fidelities for result in results[lo:lo + len(ells)]], axis=1)
+        for lo in range(0, len(results), len(ells))])
     gamma = traces[:, :, 0] - traces[:, :, 1]
     steady = traces[:, :, -1]
     return SweepResult(p_values=p_values, rounds=rounds_list, gamma=gamma,

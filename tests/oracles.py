@@ -289,6 +289,44 @@ def werner_cycle_fidelities(dim: int, p: float, rounds: int, cycles: int) -> np.
     return fids
 
 
+def plus_cycle_fidelities(qubits: int, kind: str, p: float, rounds: int, cycles: int,
+                          fraction: float = 1.0, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """F(0..T) of plus^M by a Walsh-basis recursion, written without engine code.
+
+    Every channel is a mixture of Pauli strings, which map |+/->^M product
+    states onto each other, so the state stays diagonal in that basis, with
+    |+>^M first. The diagonal's Walsh transform mu_hat(u) = Tr(rho X^u) is
+    multiplied by the channel's eigenvalue on X^u: the mean, over the
+    twirl's frame sequences, of a product of per-qubit factors, each 1 - 2p
+    where a frame other than H dephases an X, for a twirl. Purification
+    raises the diagonal to the power 2**rounds. The transform is a dense
+    2**M x 2**M sign matrix, as in perfbench's ``twirl_gamma``.
+    """
+    index = np.arange(2 ** qubits)
+    bits = (index[:, None] >> np.arange(qubits - 1, -1, -1)) & 1      # (2^M, M), qubit 0 first
+    signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)                         # (-1)^{u . b}
+    weight = bits.sum(axis=1)
+    if kind == "global-depol":
+        lam = np.where(weight == 0, 1.0, 1.0 - p)
+    elif kind == "local-depol":
+        lam = (1.0 - 4.0 * p / 3.0) ** weight
+    elif kind == "dephasing":
+        lam = (1.0 - 2.0 * p) ** weight
+    else:
+        frames = np.array(generate_twirl_set(qubits, fraction, seed))      # (T, M) labels
+        keep = np.where(frames == "H", 1.0, 1.0 - 2.0 * p)
+        lam = np.array([np.prod(np.where(u == 1, keep, 1.0), axis=1).mean() for u in bits])
+    mu = np.zeros(2 ** qubits)
+    mu[0] = 1.0
+    fids = [1.0]
+    for _ in range(cycles):
+        mu = np.clip(signs @ (lam * (signs @ mu)) / 2 ** qubits, 0.0, None)
+        mu = mu ** (2 ** rounds)
+        mu = mu / mu.sum()
+        fids.append(mu[0])
+    return np.array(fids)
+
+
 def logical_error_rate(trace: CycleTrace) -> float:
     """First-cycle fidelity drop F(0) - F(1)."""
     return float(trace.fidelities[0] - trace.fidelities[1])

@@ -336,6 +336,64 @@ def test_stacked_channel_matches_per_p_calls():
                 stacked(maximally_mixed(m + 1))
 
 
+# X-basis product states |+>, |-> as columns, and the Z basis
+_BASES = {"IX": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), "IZ": np.eye(2)}
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+def test_letter_subsets_are_the_full_tensor_on_those_letters(qubits):
+    # built on two letters, lam has the values of the 4**M tensor's strings over them
+    for kind, fraction in STACKED_KINDS:
+        model = NoiseModel(kind, STACKED_P, fraction)
+        full = model.transfer_eigenvalues(qubits)
+        for letters in ("IX", "IZ"):
+            columns = ["IXYZ".index(c) for c in letters]
+            part = full[np.ix_(range(len(STACKED_P)), *[columns] * qubits)]
+            lam = model.transfer_eigenvalues(qubits, letters)
+            assert lam.shape == (len(STACKED_P),) + (2,) * qubits
+            assert np.max(np.abs(lam - part)) <= 1e-15, (kind, fraction, letters)
+            for row, p in zip(lam, STACKED_P):
+                scalar = NoiseModel(kind, p, fraction).transfer_eigenvalues(qubits, letters)
+                assert np.array_equal(row, scalar), (kind, fraction, p, letters)
+
+
+def test_letter_subsets_are_built_without_the_full_tensor():
+    # 41 p values at M = 12 on four letters would take 5.5 GB; on two, 1.3 MB
+    p_values = tuple(np.linspace(0, 1, 41).tolist())
+    for kind in ("global-depol", "local-depol", "dephasing"):
+        lam = NoiseModel(kind, p_values).transfer_eigenvalues(12, "IX")
+        assert lam.shape == (41,) + (2,) * 12
+        assert lam[(slice(None),) + (0,) * 12].tolist() == [1.0] * 41
+        eta = lam[(slice(None), 1) + (0,) * 11]
+        all_x = eta ** 12 if kind != "global-depol" else eta
+        assert np.allclose(lam[(slice(None),) + (1,) * 12], all_x, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("letters", ["IX", "IZ"])
+def test_diagonal_channel_matches_the_dense_kernel(qubits, letters):
+    # a state diagonal in the X or Z product basis stays so under every
+    # channel; its new diagonal is the dense channel's, read in that basis
+    rng = np.random.default_rng(11)
+    basis = functools.reduce(np.kron, [_BASES[letters]] * qubits)
+    weights = rng.dirichlet(np.ones(2 ** qubits), size=(2, 3))
+    for kind, fraction in STACKED_KINDS:
+        model = NoiseModel(kind, (0.1, 0.4), fraction)
+        dense = make_channel(model, qubits)((basis * weights[..., None, :]) @ basis.T)
+        in_basis = basis.T @ dense @ basis
+        assert np.max(np.abs(in_basis - in_basis * np.eye(2 ** qubits))) <= 1e-14
+        diagonal = make_channel(model, qubits, letters)
+        assert np.max(np.abs(diagonal(weights) - np.diagonal(in_basis, axis1=-2, axis2=-1))) \
+            <= 1e-14, (kind, fraction)
+        # one diagonal under the stack of channels gives one per p
+        assert diagonal(weights[0, 0]).shape == (2, 2 ** qubits)
+        with pytest.raises(ValidationError):
+            diagonal(np.ones(2 ** (qubits + 1)))
+    for letters in ("XZ", "IXZ", "", "ZI"):
+        with pytest.raises(ValidationError, match="letters"):
+            make_channel(NoiseModel("dephasing", 0.1), qubits, letters)
+
+
 @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("real", [True, False])
 def test_real_pair_kernel_matches_the_ixyz_oracle(qubits, real):

@@ -196,7 +196,8 @@ def test_threshold_checks_its_grid_before_sweeping(tmp_path, capsys, monkeypatch
                                      ["dephasing", "--twirl", "0.2"]])
 def test_threshold_runs_one_cycle_whatever_cycles_says(tmp_path, monkeypatch, channel):
     # the CSV is the same at any --cycles and --jobs, apart from the recorded
-    # config; every run_cycles call runs the one cycle gamma reads
+    # config; every run_cycles call runs the one cycle gamma reads. The target
+    # is dense, since a plus^M grid runs on the calling thread in one block
     cycles = []
     run_cycles = pqec.threshold.run_cycles
 
@@ -207,8 +208,8 @@ def test_threshold_runs_one_cycle_whatever_cycles_says(tmp_path, monkeypatch, ch
     monkeypatch.setattr(pqec.threshold, "run_cycles", recording_run_cycles)
     monkeypatch.setattr(pqec.threshold, "available_cpus", lambda: 2)
     monkeypatch.setattr(pqec.threshold, "MIN_WORKER_WORK", 1)
-    base = ["threshold", "--channel"] + channel + ["--M", "3", "--p", "0:1:21",
-                                                   "--ell", "0,1,2,3"]
+    base = ["threshold", "--channel"] + channel + ["--state", "bloch:pi/2,0^3",
+                                                   "--p", "0:1:21", "--ell", "0,1,2,3"]
     outputs = {}
     for flags in (["--cycles", "1"], ["--cycles", "30"], ["--cycles", "30", "--jobs", "2"]):
         out = tmp_path / f"{'-'.join(flags)}.csv"

@@ -16,6 +16,7 @@ from pqec import (
     plus_state,
     purified_spectra,
     purified_state,
+    purified_weights,
     purity,
     swap_gadget,
     werner_fidelity_update,
@@ -374,6 +375,21 @@ def test_eigenvalue_ratio_squares():
     ratio_before = before[-1] / before[-2]
     ratio_after = after[-1] / after[-2]
     assert ratio_after == pytest.approx(ratio_before ** 2, rel=1e-9)
+
+
+def test_purified_weights_take_a_spectrum_in_any_order():
+    # an ascending spectrum keeps the bits of dividing by its last entry; a
+    # permuted one, such as a diagonal, gives the permuted weights
+    rng = np.random.default_rng(6)
+    vals = np.sort(rng.dirichlet(np.full(8, 0.5), size=(3, 2)), axis=-1)
+    order = rng.permutation(8)
+    for rounds in (0, 1, 3, 64, 1000):
+        ascending = purified_weights(vals, rounds)
+        power = float(2 ** min(rounds, 64))
+        last = (vals / vals[..., -1:]) ** power
+        assert np.array_equal(ascending, last / last.sum(axis=-1, keepdims=True))
+        assert np.max(np.abs(purified_weights(vals[..., order], rounds)
+                             - ascending[..., order])) <= 1e-15, rounds
 
 
 def test_purification_preserves_eigenvectors():

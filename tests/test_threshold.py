@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from pqec import (
     sweep,
     zero_state,
 )
-from pqec import purify, threshold
+from pqec import channels, purify, states, threshold
 from pqec.channels import _seeded_damping_shares
 from pqec.cli import main
 from pqec.states import ValidationError, from_spectrum, num_qubits
-from oracles import logical_error_rate, werner_cycle_fidelities
+from oracles import logical_error_rate, plus_cycle_fidelities, werner_cycle_fidelities
 from test_channels import STACKED_KINDS
 from test_purify import spectral_fidelity
 
@@ -82,10 +83,16 @@ def test_logical_error_rate_examples():
 def test_run_cycles_validation():
     with pytest.raises(ValidationError):
         run_cycles(plus_state(1), NoiseModel("local-depol", 0.1), 1, 0)
+    # no rounds values is an empty grid, on either representation
+    for psi in (plus_state(1), bloch_state(0.7, 0.3, 1)):
+        for p, shape in ((0.1, (0, 4)), ((0.1, 0.2), (2, 0, 4))):
+            trace = run_cycles(psi, NoiseModel("local-depol", p), (), 3)
+            assert trace.fidelities.shape == shape
 
 
 def test_run_cycles_broadcasts_models_and_rounds():
-    psi = plus_state(2)
+    # a real target off the X and Z axes runs on the dense engine
+    psi = bloch_state(0.7, 0.0, 2).real
     p_values = (0.1, 0.3, 0.6)
     stacked = NoiseModel("local-depol", p_values)
     rounds = (0, 1, 3)
@@ -100,11 +107,18 @@ def test_run_cycles_broadcasts_models_and_rounds():
                                      1).fidelities, cells[:1, 1:, :2])
 
 
+def tilted(target, qubits):
+    """A real product target 0.3 rad off ``target``'s axis, which keeps the dense engine."""
+    theta = {plus_state: np.pi / 2 - 0.3, zero_state: 0.3}[target]
+    return bloch_state(theta, 0.0, qubits).real
+
+
 @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("target", [plus_state, zero_state])
 def test_real_targets_stay_float64_through_the_cycle(monkeypatch, qubits, target):
     # every noisy state, eigenbasis and state a next cycle starts from is real,
-    # and the traces are those of the same target run as complex128
+    # and the traces are those of the same target run as complex128; plus^M and
+    # zero^M themselves run on diagonals, so the dense engine gets a tilted target
     dtypes = []
 
     def spectra(rho, rounds):
@@ -119,7 +133,7 @@ def test_real_targets_stay_float64_through_the_cycle(monkeypatch, qubits, target
         dtypes.append(("state", state.dtype))
         return state
 
-    psi = target(qubits)
+    psi = tilted(target, qubits)
     assert psi.dtype == np.float64
     for kind, fraction in STACKED_KINDS:
         model = NoiseModel(kind, (0.05, 0.37, 0.9), fraction)
@@ -132,6 +146,161 @@ def test_real_targets_stay_float64_through_the_cycle(monkeypatch, qubits, target
         dtypes.clear()
         cast = run_cycles(psi.astype(complex), model, (0, 1, 3), 3).fidelities
         assert np.max(np.abs(real - cast)) <= 1e-13, (kind, fraction)
+
+
+# ----------------------------------------------------------------------
+# stabilizer targets: plus^M and zero^M on a 2^M diagonal
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("target", [plus_state, zero_state])
+def test_stabilizer_targets_match_the_dense_oracle(qubits, target):
+    # up to six cycles, before rounding steers the dense trace of plus^M under
+    # dephasing (test_long_plus_traces_follow_the_walsh_recursion)
+    psi = target(qubits)
+    assert threshold.stabilizer_letters(psi) == ("IX" if target is plus_state else "IZ")
+    p_values, rounds = (0.0, 0.05, 0.37, 0.75, 1.0), (0, 1, 3, 5)
+    for kind, fraction in STACKED_KINDS:
+        traces = run_cycles(psi, NoiseModel(kind, p_values, fraction), rounds, 6).fidelities
+        for i, p in enumerate(p_values):
+            for j, r in enumerate(rounds):
+                oracle = cell_oracle(psi, NoiseModel(kind, p, fraction), r, 6)
+                assert np.max(np.abs(traces[i, j] - oracle)) <= 1e-13, (kind, fraction, p, r)
+
+
+def test_only_the_exact_stabilizer_targets_take_the_diagonal():
+    # bloch:pi/2,0 is plus up to one ulp and stays dense; bloch:0,0 is zero exactly
+    assert threshold.stabilizer_letters(plus_state(3).astype(complex)) == "IX"
+    assert threshold.stabilizer_letters(bloch_state(0.0, 0.0, 3)) == "IZ"
+    for psi in (bloch_state(np.pi / 2, 0.0, 3), bloch_state(0.7, 0.3, 3),
+                bloch_state(np.pi, 0.0, 3), plus_state(3)[::-1] * np.repeat([1, -1], 4)):
+        assert threshold.stabilizer_letters(psi) == "IXYZ"
+
+
+@pytest.mark.parametrize("target", [plus_state, zero_state])
+def test_stabilizer_bits_do_not_depend_on_stacks_blocks_or_jobs(monkeypatch, target):
+    monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
+    monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
+    psi, p_values, rounds = target(3), np.linspace(0, 1, 7), (0, 1, 3)
+    cell_bytes = threshold.cell_cost(psi)[0]
+    for kind, fraction in STACKED_KINDS:
+        model = NoiseModel(kind, 0.0, fraction)
+        cells = np.array([[run_cycles(psi, replace(model, p=float(p)), r, 5).fidelities
+                           for r in rounds] for p in p_values])
+        stacked = run_cycles(psi, replace(model, p=tuple(p_values.tolist())), rounds, 5)
+        assert np.array_equal(stacked.fidelities, cells), (kind, fraction)
+        # the whole grid, one cell per block, and blocks of two p by two rounds
+        for budget in (threshold.BLOCK_BYTES, cell_bytes, 4 * cell_bytes):
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "BLOCK_BYTES", budget)
+                for jobs in (1, 2):
+                    result = sweep(psi, model, p_values, rounds, cycles=5, jobs=jobs)
+                    assert np.array_equal(result.traces, cells), (kind, fraction, budget, jobs)
+
+
+@pytest.mark.parametrize("target", [plus_state, zero_state])
+def test_stabilizer_global_depol_follows_the_werner_recursion(target):
+    for qubits in (1, 2, 3, 4):
+        for p, rounds in ((0.1, 1), (0.3, 2), (0.6, 0), (0.5, 3)):
+            trace = run_cycles(target(qubits), NoiseModel("global-depol", p), rounds, 300)
+            scalar = werner_cycle_fidelities(2 ** qubits, p, rounds, 300)
+            assert np.max(np.abs(trace.fidelities - scalar)) < 1e-12, (qubits, p, rounds)
+
+
+@pytest.mark.parametrize("kind", ["local-depol", "dephasing"])
+@pytest.mark.parametrize("target", [plus_state, zero_state])
+def test_stabilizer_product_traces_factorize_up_to_16_qubits(kind, target):
+    model = NoiseModel(kind, (0.05, 0.3, 0.6))
+    single = run_cycles(target(1), model, (0, 1, 3), 6).fidelities
+    for qubits in (2, 5, 9, 16):
+        traces = run_cycles(target(qubits), model, (0, 1, 3), 6).fidelities
+        assert np.max(np.abs(traces - single ** qubits)) < 1e-13, qubits
+
+
+@pytest.mark.parametrize("qubits, kind, fraction", [(3, "dephasing", 1.0),
+                                                    (2, "twirled-dephasing", 0.2)])
+def test_long_plus_traces_follow_the_walsh_recursion(qubits, kind, fraction):
+    # a dense state of plus^M let rounding seed the I/Z strings, which these
+    # channels leave undamped and purification amplifies: 0.1250051 and
+    # 0.9994675 at t = 30 in 0.11.2. The diagonal cannot leave the X basis.
+    trace = run_cycles(plus_state(qubits), NoiseModel(kind, 0.4, fraction), 5, 30).fidelities
+    oracle = plus_cycle_fidelities(qubits, kind, 0.4, 5, 30, fraction)
+    assert np.max(np.abs(trace - oracle)) < 1e-9
+    assert oracle[-1] == pytest.approx(0.99999304614 if qubits == 3 else 0.9999954, abs=1e-7)
+
+
+def test_stabilizer_targets_decompose_and_build_no_matrix(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("a dense step ran on a stabilizer target")
+
+    for owner, name in ((states, "spectral_decomposition"), (purify, "spectral_decomposition"),
+                        (channels, "apply_pauli_diagonal"), (threshold, "purified_spectra"),
+                        (threshold, "density_from_pure"), (threshold, "fidelity")):
+        monkeypatch.setattr(owner, name, refuse)
+    for target in (plus_state, zero_state):
+        for kind, fraction in STACKED_KINDS:
+            sweep(target(4), NoiseModel(kind, 0.0, fraction), np.linspace(0, 1, 5), (0, 1, 3),
+                  cycles=3)
+    argv = ["threshold", "--channel", "dephasing", "--M", "5", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+
+
+def _recording_blocks(blocks):
+    """``run_cycles`` stand-in that records each block's (p values, rounds values)."""
+    def recording(psi0, model, rounds, cycles):
+        blocks.append((len(model.p), len(rounds)))
+        return _zero_run_cycles(psi0, model, rounds, cycles)
+    return recording
+
+
+def test_sweep_blocks_and_workers_follow_the_representation(monkeypatch):
+    # a diagonal holds 8 d bytes and counts no worker work, a dense state 16 d^2 and d^3
+    monkeypatch.setattr(threshold, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(16))
+    blocks = []
+    monkeypatch.setattr(threshold, "run_cycles", _recording_blocks(blocks))
+    model, grid, rounds = NoiseModel("local-depol", 0.0), np.linspace(0, 1, 41), (0, 1, 2, 3, 5)
+    assert threshold.cell_cost(plus_state(5)) == (256, 0)
+    assert threshold.cell_cost(bloch_state(0.7, 0.3, 5)) == (16384, 32768)
+    # the default threshold grid at M = 5: one block on a diagonal, three dense
+    sweep(plus_state(5), model, grid, rounds, cycles=1, jobs=1)
+    assert blocks == [(41, 5)]
+    blocks.clear()
+    sweep(bloch_state(0.7, 0.3, 5), model, grid, rounds, cycles=1, jobs=1)
+    assert blocks == [(16, 5), (16, 5), (9, 5)]
+    # a diagonal grid starts no pool at any --jobs, whatever its length,
+    # even under a floor of one unit
+    monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
+    for cycles in (30, 1000):
+        blocks.clear()
+        sweep(plus_state(8), model, grid, rounds, cycles=cycles, jobs=64)
+        assert blocks == [(25, 5), (16, 5)]
+    assert _RecordingPool.sizes == []
+
+
+def test_sweep_blocks_split_along_rounds(monkeypatch):
+    # a budget of two states gives one-p blocks of two rounds values, bit for bit
+    psi, model = bloch_state(0.7, 0.3, 2), NoiseModel("dephasing", 0.0)
+    p_values, rounds = np.linspace(0, 1, 3), (0, 1, 2, 3, 70)
+    whole = sweep(psi, model, p_values, rounds, cycles=4)
+    blocks = []
+    record = _recording_blocks(blocks)
+
+    def recording_run_cycles(psi0, model, rounds, cycles):
+        record(psi0, model, rounds, cycles)
+        return run_cycles(psi0, model, rounds, cycles)
+
+    monkeypatch.setattr(threshold, "run_cycles", recording_run_cycles)
+    monkeypatch.setattr(threshold, "BLOCK_BYTES", 2 * threshold.cell_cost(psi)[0])
+    split = sweep(psi, model, p_values, rounds, cycles=4)
+    assert blocks == [(1, 2), (1, 2), (1, 1)] * 3
+    assert np.array_equal(whole.traces, split.traces)
+    # one cycle holds one state per p, whatever the rounds
+    blocks.clear()
+    one = sweep(psi, model, p_values, rounds, cycles=1)
+    assert blocks == [(2, 5), (1, 5)]
+    assert np.array_equal(one.traces, whole.traces[..., :2])
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +354,9 @@ ORACLE_MODELS = [NoiseModel("global-depol", 0.0), NoiseModel("local-depol", 0.0)
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{m.kind}-{m.twirl_fraction}")
-@pytest.mark.parametrize("psi", [plus_state(3), bloch_state(0.7, 0.3, 2)], ids=["plus3", "bloch2"])
+# "plus3" is a real target 0.3 rad off plus^3: plus^3 itself runs on diagonals
+@pytest.mark.parametrize("psi", [tilted(plus_state, 3), bloch_state(0.7, 0.3, 2)],
+                         ids=["plus3", "bloch2"])
 def test_sweep_traces_match_per_cell_oracle(psi, model):
     p_values = np.linspace(0, 1, 6)
     rounds = (0, 1, 2, 5)
@@ -202,9 +373,9 @@ def test_a_block_applies_its_channel_once_per_cycle(monkeypatch):
     builds, applications = [], []
     make = threshold.make_channel
 
-    def counting_make_channel(model, qubits):
+    def counting_make_channel(model, qubits, letters):
         builds.append(model.p)
-        channel = make(model, qubits)
+        channel = make(model, qubits, letters)
 
         def counting_channel(rho):
             applications.append(rho.shape)
@@ -213,9 +384,12 @@ def test_a_block_applies_its_channel_once_per_cycle(monkeypatch):
 
     monkeypatch.setattr(threshold, "make_channel", counting_make_channel)
     p_values = np.linspace(0, 1, 5)
-    sweep(plus_state(2), NoiseModel("local-depol", 0.0), p_values, (0, 1, 3), cycles=3)
-    assert builds == [tuple(p_values.tolist())]
-    assert applications == [(4, 4), (5, 3, 4, 4), (5, 3, 4, 4)]
+    for psi, shape in ((bloch_state(0.7, 0.0, 2).real, (4, 4)), (plus_state(2), (4,))):
+        builds.clear()
+        applications.clear()
+        sweep(psi, NoiseModel("local-depol", 0.0), p_values, (0, 1, 3), cycles=3)
+        assert builds == [tuple(p_values.tolist())]
+        assert applications == [shape, (5, 3) + shape, (5, 3) + shape]
 
 
 def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, capsys):
@@ -226,8 +400,10 @@ def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, 
         monkeypatch.setattr(owner, "purified_state", refuse)
         monkeypatch.setattr(owner, "from_spectrum", refuse)
     model, p_values, rounds = NoiseModel("local-depol", 0.0), np.linspace(0, 1, 5), (0, 1, 3)
-    one = sweep(plus_state(2), model, p_values, rounds, cycles=1)
-    argv = ["purify", "--M", "2", "--channel", "local-depol", "--p", "0.2", "--ell", "0..70"]
+    psi = bloch_state(0.7, 0.0, 2).real
+    one = sweep(psi, model, p_values, rounds, cycles=1)
+    argv = ["purify", "--state", "bloch:0.7,0^2", "--channel", "local-depol", "--p", "0.2",
+            "--ell", "0..70"]
     assert main(argv + ["--out", str(tmp_path / "purify.csv")]) == 0
 
     monkeypatch.undo()
@@ -238,7 +414,7 @@ def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, 
         return from_spectrum(weights, vecs)
 
     monkeypatch.setattr(threshold, "from_spectrum", counting)
-    three = sweep(plus_state(2), model, p_values, rounds, cycles=3)
+    three = sweep(psi, model, p_values, rounds, cycles=3)
     # cycles 1 and 2 build the states of the two purified columns; cycle 3 builds none
     assert built == [(len(p_values), 4)] * 4
     assert np.array_equal(three.traces[..., :2], one.traces)
@@ -270,14 +446,14 @@ def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
     model = NoiseModel("local-depol", 0.0)
     p_values = np.linspace(0, 1, 7)
-    for psi in (bloch_state(0.7, 0.3, 3), plus_state(6)):
+    for psi in (bloch_state(0.7, 0.3, 3), plus_state(6), tilted(plus_state, 6)):
         whole = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=1)
         halves = [run_cycles(psi, NoiseModel("local-depol", tuple(part.tolist())),
                              (0, 1, 3), 4).fidelities for part in (p_values[:3], p_values[3:])]
         assert np.array_equal(whole.traces, np.concatenate(halves))
         # a byte budget of two p values per block splits the grid into four blocks
         with monkeypatch.context() as patch:
-            patch.setattr(threshold, "BLOCK_BYTES", 2 * 16 * psi.size ** 2 * 3)
+            patch.setattr(threshold, "BLOCK_BYTES", 2 * threshold.cell_cost(psi)[0] * 3)
             for jobs in (1, 2):
                 split = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=jobs)
                 assert np.array_equal(whole.traces, split.traces), (psi.size, jobs)
@@ -286,9 +462,9 @@ def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
 def test_sweep_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
     p_values = np.linspace(0, 1, 5)
-    serial = sweep(plus_state(1), NoiseModel("dephasing", 0.0), p_values,
+    serial = sweep(tilted(plus_state, 1), NoiseModel("dephasing", 0.0), p_values,
                    (0, 1), cycles=5, jobs=1)
-    parallel = sweep(plus_state(1), NoiseModel("dephasing", 0.0), p_values,
+    parallel = sweep(tilted(plus_state, 1), NoiseModel("dephasing", 0.0), p_values,
                      (0, 1), cycles=5, jobs=2)
     assert np.array_equal(serial.traces, parallel.traces)
 
@@ -332,7 +508,8 @@ def _counting_run_cycles(counts, fail_at=None):
 @needs_openblas
 def test_parallel_sweep_pins_blas_to_one_thread(monkeypatch, two_blas_threads):
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
-    psi, model, p_values = plus_state(2), NoiseModel("local-depol", 0.0), np.linspace(0, 1, 4)
+    psi, model = tilted(plus_state, 2), NoiseModel("local-depol", 0.0)
+    p_values = np.linspace(0, 1, 4)
     with monkeypatch.context() as patch:
         patch.setattr(threshold, "MIN_WORKER_WORK", 1)
         for jobs, inside in ((2, [1] * len(BLAS_CONTROLS)), (1, two_blas_threads)):
@@ -350,8 +527,9 @@ def test_parallel_sweep_pins_blas_to_one_thread(monkeypatch, two_blas_threads):
     # under the work floor a jobs=2 sweep runs every block on the calling
     # thread, still on one BLAS thread, and restores the count after it,
     # also when a block raises; a byte budget of one p value makes four blocks
-    assert len(p_values) * 2 * 2 * psi.size ** 3 < threshold.MIN_WORKER_WORK
-    monkeypatch.setattr(threshold, "BLOCK_BYTES", 16 * psi.size ** 2 * 2)
+    cell_bytes, cell_work = threshold.cell_cost(psi)
+    assert len(p_values) * 2 * 2 * cell_work < threshold.MIN_WORKER_WORK
+    monkeypatch.setattr(threshold, "BLOCK_BYTES", cell_bytes * 2)
     calls = []
 
     def calling_thread_run_cycles(*args):
@@ -417,7 +595,7 @@ def test_overlapping_parallel_sweeps_restore_blas_count(monkeypatch, two_blas_th
     results = {}
 
     def run(kind, done=None):
-        results[kind] = sweep(plus_state(2), NoiseModel(kind, 0.0), np.linspace(0, 1, 4),
+        results[kind] = sweep(tilted(plus_state, 2), NoiseModel(kind, 0.0), np.linspace(0, 1, 4),
                               (0, 1), cycles=2, jobs=2)
         if done is not None:
             done.set()
@@ -473,24 +651,26 @@ def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
     model = NoiseModel("dephasing", 0.0)
     with monkeypatch.context() as patch:
         patch.setattr(threshold, "MIN_WORKER_WORK", 1)
+        # a dense target: a diagonal grid runs on the calling thread
+        psi = tilted(plus_state, 1)
         patch.setattr(threshold.os, "sched_getaffinity", _cpus(2))
-        sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=64)
+        sweep(psi, model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=64)
         patch.setattr(threshold.os, "sched_getaffinity", _cpus(16))
-        sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0,), cycles=1, jobs=64)
-        sweep(plus_state(1), model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=4)
+        sweep(psi, model, [0.1, 0.2, 0.3], (0,), cycles=1, jobs=64)
+        sweep(psi, model, [0.1, 0.2, 0.3], (0, 1), cycles=1, jobs=4)
         # five p values in blocks of two: three blocks for four workers
-        sweep(plus_state(1), model, np.linspace(0, 1, 5), (0, 1), cycles=1, jobs=4)
+        sweep(psi, model, np.linspace(0, 1, 5), (0, 1), cycles=1, jobs=4)
         # one worker, or one p value, runs serially without a pool
-        sweep(plus_state(1), model, [0.1], (0, 1, 2), cycles=1, jobs=64)
-        sweep(plus_state(1), model, [0.1, 0.2], (0,), cycles=1, jobs=1)
+        sweep(psi, model, [0.1], (0, 1, 2), cycles=1, jobs=64)
+        sweep(psi, model, [0.1, 0.2], (0,), cycles=1, jobs=1)
         assert _RecordingPool.sizes == [2, 3, 3, 3]
-    # with the real floor, a grid whose work (cells x cycles x d^3) holds k
-    # floors starts min(k, CPUs, blocks) workers, and none below two floors;
+    # with the real floor, a dense grid whose work (cells x cycles x d^3) holds
+    # k floors starts min(k, CPUs, blocks) workers, and none below two floors;
     # these grids are sized by their work, so their cells are not run
     _RecordingPool.sizes.clear()
     monkeypatch.setattr(threshold, "run_cycles", _zero_run_cycles)
     monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(16))
-    psi = plus_state(5)
+    psi = bloch_state(0.7, 0.3, 5)
     floors = [p_count * cycles * psi.size ** 3 // threshold.MIN_WORKER_WORK
               for p_count, cycles in ((5, 61), (6, 51), (5, 183), (6, 153), (5, 245))]
     assert floors == [0, 1, 2, 3, 4]
