@@ -56,4 +56,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.12.1"

@@ -20,24 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .purify import MAX_BRUTE_FORCE_ROUNDS, LevelMerges, OutcomeBranches, \
-    check_enumeration_budget, check_observable, check_rounds, chunk_rows, enumerate_outcomes, \
-    level_merges, merge_spectra, merge_states, swap_gadget
-from .states import ResourceLimitError, ValidationError, from_spectrum, num_qubits, \
-    spectral_decomposition
+from .purify import OutcomeBranches, check_observable, check_rounds, chunk_rows, merge_spectra, \
+    overlap_matrix, reachable_merges, spectra_overlap
+from .states import ResourceLimitError, ValidationError, from_spectrum, spectral_decomposition
+
+# Up to this many rounds shots draw their branches from the whole tree's last
+# level (``_choice``), beyond it they walk the tree (``_walk``); the two take
+# their uniforms in different orders, so the split fixes a seed's draws.
+MAX_TREE_ROUNDS = 4
 
 # Budget of one sampling run, checked before anything is built:
 # - shots per batch, whose records are held in memory at once;
 # - shots in all, batches x shots, and batches, since each batch adds a CSV
 #   row and a fixed cost: many tiny batches stay bounded too;
-# - beyond the enumeration limit, where every shot walks its own branch,
+# - up to MAX_TREE_ROUNDS nothing more: the tree's size does not grow with M;
+# - beyond it, where every shot walks its own branch,
 #   merges batches x shots x (2**rounds - 1), each weighted by (d/2)**2 =
 #   4**(M-1), so the limit is the M=1 count. The weight was set for dense
-#   gadget merges, which took 3.4, 9.9 and 29 us at M = 1, 3, 4. Walked
-#   level by level on eigenvalue vectors, one merge takes about 0.17, 0.36,
-#   0.40 and 0.74 us at M = 1, 3, 4, 5 with 100 shots at l = 6, and 0.15,
-#   0.34, 0.47 and 1.0 us in the largest l = 5 batch the budget admits
-#   (32258, 2016, 504 and 126 shots), on a 2-vCPU Xeon VM.
+#   gadget merges; README gives what a merge on eigenvalue vectors costs.
 MAX_SHOTS_PER_BATCH = 10 ** 6
 MAX_RUN_SHOTS = 5 * 10 ** 7
 MAX_BATCHES = 10 ** 4
@@ -105,11 +105,10 @@ def ratio_estimate(shots) -> EstimatorResult:
 def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1) -> None:
     """Raise ``ResourceLimitError`` if a sampling run exceeds the budget.
 
-    Checks the shots per batch, the batches and the shots in all, then, up
-    to the enumeration limit, the branch states the enumerated tree of a
-    ``qubits``-qubit register may hold, and beyond it the total gadget
-    merges ``batches * shots * (2**rounds - 1)`` weighted by
-    ``4**(qubits - 1)``, before anything is built.
+    Checks the shots per batch, the batches and the shots in all, then,
+    beyond ``MAX_TREE_ROUNDS``, the total merges ``batches * shots *
+    (2**rounds - 1)`` weighted by ``4**(qubits - 1)``, before anything is
+    built.
     """
     if shots > MAX_SHOTS_PER_BATCH:
         raise ResourceLimitError(
@@ -118,8 +117,8 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
         raise ResourceLimitError(
             f"{batches} x {shots} shots exceed the limits of {MAX_BATCHES} batches and"
             f" {MAX_RUN_SHOTS:.0e} shots in all")
-    if rounds <= MAX_BRUTE_FORCE_ROUNDS:
-        check_enumeration_budget(rounds, qubits)
+    check_rounds(rounds)
+    if rounds <= MAX_TREE_ROUNDS:
         return
     # the budget is far below 2**64, so a capped exponent gives the same verdict
     merges = batches * shots * (2 ** min(rounds, 64) - 1) * 4 ** (qubits - 1)
@@ -129,15 +128,16 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
             f" limit of {MAX_SHOT_MERGES:.0e} single-qubit gadget merges")
 
 
-def _outcome_cdf(states: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row k: the CDF of the eigenvectors ``vecs`` measured on ``states[k]``.
+def _outcome_cdf(spectra: np.ndarray, vecs: np.ndarray, obs_vecs: np.ndarray) -> np.ndarray:
+    """Row k: the CDF of the observable's eigenvectors ``obs_vecs`` measured on branch k.
 
-    Each row is what ``Generator.choice(p=...)`` builds from the clamped,
-    normalized probabilities Tr(Pi_j rho): their cumulative sum, divided by
-    its last entry. The three-operand ``einsum`` builds nothing beyond its
-    (n, d) output.
+    Branch k has eigenvalues ``spectra[k]`` on rho's eigenvectors ``vecs``,
+    so Tr(Pi_i rho_k) = sum_j spectra[k, j] |<u_i|v_j>|^2, with no d x d
+    state built. Each row is what ``Generator.choice(p=...)`` builds from
+    these probabilities: their cumulative sum over their total, divided by
+    its last entry.
     """
-    q = np.real(np.einsum("ij,bjk,ki->bi", vecs.conj().T, states, vecs)).clip(0.0)
+    q = spectra @ np.abs(vecs.conj().T @ obs_vecs) ** 2
     cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
     return cdf / cdf[:, -1:]
 
@@ -167,9 +167,9 @@ def _merge_nodes(left, right, prob_l, prob_r, u):
     each node draws and merges as it would alone. Returns the merged
     spectra, the branch probabilities and the signs.
     """
-    overlap = (left * right).sum(axis=-1)
+    overlap = spectra_overlap(left, right)
     sign = np.where(u < 0.5 * (1.0 + overlap), 1, -1)
-    spectrum, prob = merge_spectra(left, right, sign)
+    spectrum, prob = merge_spectra(left, right, sign, overlap)
     return spectrum, prob_l * prob_r * prob, sign
 
 
@@ -200,33 +200,32 @@ def _walk(vals: np.ndarray, rounds: int, height: int, rng: np.random.Generator,
     return spectrum[0], prob_l[0]
 
 
-def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
-                        shots: int = 1) -> OutcomeBranches:
-    """Draw ``shots`` outcome strings through the merge tree, one level at a time.
-
-    Every branch state is a polynomial in rho, so it shares rho's
-    eigenbasis: after one ``spectral_decomposition`` the shots walk the
-    tree together as (shots, d) eigenvalue vectors. Each node's sign is
-    drawn for all shots from one vector of uniforms, each with its
-    conditional probability given the shot's two child states, so
-    zero-probability branches are never drawn. The walk stacks whole
-    subtrees: one ``rng.random`` call draws all the uniforms of a subtree,
-    and one ``merge_spectra`` call merges each of its levels. A subtree is
-    as tall as lets the arrays that merging its widest level builds fit
-    ``CHUNK_BYTES``; above that the walk goes node by node. Both take the
-    uniforms in post-order, so the draws are those of a node-by-node walk
-    for any shot count. Returns the drawn branches, one per shot, with
-    their strings in outcome-string order and their states rebuilt once,
-    at the root.
-    """
-    check_rounds(rounds)
-    vals, vecs = spectral_decomposition(rho)
+def _walk_shots(vals: np.ndarray, rounds: int, rng: np.random.Generator, shots: int):
+    """Root spectra (shots, d), probabilities and signs (2**rounds - 1, shots) of a walk."""
     # merging a level of n nodes builds nine (n, shots, d) arrays and about
     # sixteen (n, shots) ones, so the widest level, of 2**(height - 1) nodes,
     # builds at most CHUNK_BYTES
     height = min(rounds, chunk_rows(8 * max(shots, 1) * (9 * vals.size + 16)).bit_length())
     signs = np.empty((2 ** rounds - 1, shots), dtype=np.int8)
     spectrum, prob = _walk(vals, rounds, height, rng, signs, 0)
+    return spectrum, prob, signs
+
+
+def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
+                        shots: int = 1) -> OutcomeBranches:
+    """Draw ``shots`` outcome strings through the merge tree, one level at a time.
+
+    Every branch state is a polynomial in rho, so it shares rho's
+    eigenbasis: after one ``spectral_decomposition`` the shots walk the
+    tree together as (shots, d) eigenvalue vectors (``_walk``), each node
+    drawing every shot's sign with its conditional probability, so
+    zero-probability branches are never drawn. Returns the drawn branches,
+    one per shot, with their strings in outcome-string order and their
+    states built from the root spectra.
+    """
+    check_rounds(rounds)
+    vals, vecs = spectral_decomposition(rho)
+    spectrum, prob, signs = _walk_shots(vals, rounds, rng, shots)
     outcomes = signs.T
     return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),
@@ -278,71 +277,99 @@ def _choice(p: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     return index
 
 
-def sampling_tree(rho: np.ndarray, rounds: int) -> LevelMerges | OutcomeBranches | None:
-    """The outcome tree that ``simulate_shots`` draws branches from.
+@dataclass(frozen=True)
+class SpectralTree:
+    """The outcome tree of ``sampling_tree``, on rho's eigenvectors ``vecs``.
 
-    Up to the enumeration limit, the reachable merges of the last level
-    over the enumerated tree of ``rounds - 1`` levels: every branch's
-    probability and parity, but no state and no sign string, since only the
-    branches that shots draw need a state and no sampler output reads a
-    string (``LevelMerges.outcomes`` builds them on access). Zero rounds
-    give the one unmerged branch, and None beyond the limit, where every
-    shot walks its own tree. The tree draws no random numbers, so one serves
-    any number of batches.
+    ``level`` holds the (n, d) eigenvalues of the level below the last, and
+    ``overlap`` their ``overlap_matrix``. Branch b merges ``level[left[b]]``
+    and ``level[right[b]]`` with sign ``sign[b]`` when drawn (``spectra``).
+    With zero rounds ``level`` is rho's spectrum and the merge fields None.
     """
-    if rounds > MAX_BRUTE_FORCE_ROUNDS:
+
+    vecs: np.ndarray
+    level: np.ndarray
+    probability: np.ndarray
+    parity: np.ndarray
+    overlap: np.ndarray | None = None
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
+    sign: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+    def spectra(self, index: np.ndarray) -> np.ndarray:
+        """(len(index), d) eigenvalues of the branches ``index``, each as merged alone."""
+        if self.sign is None:
+            return self.level[index]
+        left, right = self.left[index], self.right[index]
+        return merge_spectra(self.level[left], self.level[right], self.sign[index],
+                             self.overlap[left, right])[0]
+
+
+def sampling_tree(rho: np.ndarray, rounds: int) -> SpectralTree | None:
+    """The tree ``simulate_shots`` draws from up to ``MAX_TREE_ROUNDS``; None beyond.
+
+    After one ``spectral_decomposition`` of rho, each level below the last
+    is merged as (n, d) eigenvalue vectors from the ``reachable_merges`` of
+    the one below, the rule the dense oracle enumerates by. The last level
+    keeps only its merges, probabilities and parities: just the branches
+    that shots draw need a spectrum, and no sampler output reads a sign
+    string. The tree draws no random numbers, so one serves every batch.
+    """
+    if rounds > MAX_TREE_ROUNDS:
         return None
-    check_enumeration_budget(rounds, num_qubits(np.shape(rho)[-1]))
-    if rounds == 0:
-        return enumerate_outcomes(rho, 0)
-    return level_merges(enumerate_outcomes(rho, rounds - 1))
+    check_rounds(rounds)
+    vals, vecs = spectral_decomposition(rho)
+    tree = SpectralTree(vecs, vals[None], np.ones(1), np.ones(1, dtype=int))
+    for _ in range(rounds):
+        level = tree.spectra(np.arange(len(tree)))
+        overlap = overlap_matrix(level, spectra_overlap)
+        left, right, sign, probability, parity = reachable_merges(
+            overlap, tree.probability, tree.parity)
+        tree = SpectralTree(vecs, level, probability, parity, overlap, left, right, sign)
+    return tree
 
 
 def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
-                   rng: np.random.Generator,
-                   tree: LevelMerges | OutcomeBranches | None = None) -> np.ndarray:
+                   rng: np.random.Generator, tree: SpectralTree | None = None) -> np.ndarray:
     """(n_shots, 2) array of (parity, observable outcome) records.
 
-    Up to the enumeration limit, shots are drawn vectorized from the joint
-    branch/eigenvalue distribution of the enumerated tree, which is
-    identical to the node-by-node draw: first the branch of every shot,
-    by ``Generator.choice``'s inverse-CDF draw with the most probable
-    branch looked up by two comparisons (``_choice``), then the observable
-    of every shot, counted column by column (``_measure``), both in shot
-    order. Only the distinct branches drawn are merged, bit for bit as in
-    ``enumerate_outcomes``. ``tree``, if given, is ``sampling_tree(rho,
-    rounds)`` from an earlier batch; it is built here otherwise. Beyond the
-    limit the shots walk the tree together on eigenvalue vectors, a level
-    of a stacked subtree per ``merge_spectra`` call and one ``rng.random``
-    call per subtree (``sample_outcome_tree``), in chunks of ``CHUNK_BYTES``
-    of rebuilt states, and each chunk then draws its observables through
-    the same measurement step.
+    Up to ``MAX_TREE_ROUNDS`` every shot draws its branch from
+    ``sampling_tree`` (``_choice``), or from ``tree`` if an earlier batch
+    built it, and only the distinct branches drawn are merged; beyond it
+    the shots walk the tree together (``_walk``), a block at a time. Then
+    each shot draws its observable in shot order (``_measure``) from a CDF
+    read off its branch's spectrum: no branch state is built.
     """
     check_rounds(rounds)
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
-    vals, vecs = np.linalg.eigh(check_observable(obs, rho))
+    obs_vals, obs_vecs = np.linalg.eigh(check_observable(obs, rho))
     records = np.empty((n_shots, 2), dtype=float)
-    if rounds <= MAX_BRUTE_FORCE_ROUNDS:
-        branches = sampling_tree(rho, rounds) if tree is None else tree
-        probs = branches.probability
+    if rounds <= MAX_TREE_ROUNDS:
+        tree = sampling_tree(rho, rounds) if tree is None else tree
+        probs = tree.probability
         which = _choice(probs / probs.sum(), n_shots, rng)
-        # only the branches drawn need a state and their observable distribution
+        # only the branches drawn need a spectrum and their observable distribution
         counts = np.bincount(which)
         drawn = np.flatnonzero(counts)
-        states = (branches.state[drawn] if isinstance(branches, OutcomeBranches)
-                  else merge_states(branches, drawn, swap_gadget))
         # each shot's row among the drawn branches, written over its branch index so that
         # a million-shot batch holds one shots-long index array, not two
         np.take(np.cumsum(counts > 0) - 1, which, out=which)
-        _measure(records, which, branches.parity[drawn], _outcome_cdf(states, vecs), vals, rng)
+        _measure(records, which, tree.parity[drawn],
+                 _outcome_cdf(tree.spectra(drawn), tree.vecs, obs_vecs), obs_vals, rng)
         return records
-    step = chunk_rows(16 * vals.size ** 2)
+    vals, vecs = spectral_decomposition(rho)
+    # each walk draws the uniforms of its block, so the block size, which once
+    # bounded the block's d x d states, fixes the draws of a seed
+    step = chunk_rows(16 * obs_vals.size ** 2)
     for lo in range(0, n_shots, step):
         block = records[lo:lo + step]
-        drawn = sample_outcome_tree(rho, rounds, rng, len(block))
-        _measure(block, np.arange(len(block)), drawn.parity, _outcome_cdf(drawn.state, vecs),
-                 vals, rng)
+        spectrum, _, signs = _walk_shots(vals, rounds, rng, len(block))
+        _measure(block, np.arange(len(block)), np.prod(signs, axis=0),
+                 _outcome_cdf(spectrum, vecs, obs_vecs), obs_vals, rng)
     return records
 
 

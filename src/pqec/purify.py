@@ -14,9 +14,11 @@ outcomes returns the input, while weighting each term by the outcome parity
 unit coefficient; the normalized power is the purified state. The spectral
 shortcut never builds the power: it keeps rho's eigenvectors v_i and the
 normalized powered eigenvalues w_i (``purified_weights``), and reads any
-purified expectation as sum_i w_i <v_i|O|v_i>. The explicit tree runs the
-sampler's shot draw up to four rounds, and is the brute-force oracle the
-spectral shortcut is checked against.
+purified expectation as sum_i w_i <v_i|O|v_i>. Every branch state shares
+rho's eigenbasis, so the sampler merges eigenvalue vectors
+(``merge_spectra``); the explicit tree of dense matrices
+(``enumerate_outcomes``) is the brute-force oracle that both are checked
+against.
 """
 
 from __future__ import annotations
@@ -90,10 +92,16 @@ def _sign_probability(overlap: np.ndarray, sign) -> np.ndarray:
 def pair_overlap(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Re Tr(rho_a rho_b), pair by pair over stacks ``(..., d, d)``, without a matrix product.
 
-    The gadget and ``level_merges`` both take their overlaps from here, so a
-    merge has the same probability bits whichever of them computes it.
+    The gadget and ``enumerate_outcomes`` both take their overlaps from
+    here, so a merge has the same probability bits whichever of them
+    computes it.
     """
     return (rho_a * rho_b.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+
+
+def spectra_overlap(spec_a: np.ndarray, spec_b: np.ndarray) -> np.ndarray:
+    """Tr(rho_a rho_b) of states that share an eigenbasis, from their eigenvalues ``(..., d)``."""
+    return (spec_a * spec_b).sum(axis=-1)
 
 
 def _check_reachable(prob: np.ndarray, sign) -> None:
@@ -137,17 +145,19 @@ def swap_gadget(rho_a: np.ndarray, rho_b: np.ndarray, sign):
     return project_to_density(raw), (prob if prob.ndim else float(prob))
 
 
-def merge_spectra(spec_a: np.ndarray, spec_b: np.ndarray, sign: np.ndarray):
+def merge_spectra(spec_a: np.ndarray, spec_b: np.ndarray, sign: np.ndarray,
+                  overlap: np.ndarray):
     """The SWAP merge of two states that share an eigenbasis, on their eigenvalues.
 
     ``spec_a`` and ``spec_b`` are (..., d) eigenvalues in one common
-    eigenbasis, as every branch of an outcome tree has rho's. The merged
-    state's eigenvalues in that basis are (a + b + 2 sign a b) / (4 P),
-    clamped and renormalized as ``project_to_density`` does, with P =
-    (1 + sign sum(a b)) / 2; returns them with P, which must clear
-    ``PROB_FLOOR`` as in ``swap_gadget``.
+    eigenbasis, as every branch of an outcome tree has rho's, and
+    ``overlap`` is their ``spectra_overlap``, which the caller already
+    holds. The merged state's eigenvalues in that basis are
+    (a + b + 2 sign a b) / (4 P), clamped and renormalized as
+    ``project_to_density`` does, with P = (1 + sign overlap) / 2; returns
+    them with P, which must clear ``PROB_FLOOR`` as in ``swap_gadget``.
     """
-    prob = _sign_probability((spec_a * spec_b).sum(axis=-1), sign)
+    prob = _sign_probability(overlap, sign)
     _check_reachable(prob, sign)
     merged = np.clip((spec_a + spec_b + 2.0 * sign[..., None] * spec_a * spec_b)
                      / (4.0 * prob[..., None]), 0.0, None)
@@ -182,97 +192,58 @@ def check_enumeration_budget(rounds: int, qubits: int) -> None:
             f" of branch states, over the limit of {MAX_ENUMERATION_BYTES / 2 ** 20:.0f} MiB")
 
 
-def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
-    """All reachable outcome branches of a ``rounds``-level tree.
-
-    Left and right subtrees share the same branch set, so each level is
-    built once from the reachable merges of the level below
-    (``level_merges``), all of which merge in one stacked ``swap_gadget``
-    call per chunk (``merge_states``).
-    """
-    rho = real_or_complex(rho)
-    check_enumeration_budget(rounds, num_qubits(rho.shape[0]))
-    level = OutcomeBranches(state=rho[None], probability=np.ones(1), parity=np.ones(1, dtype=int),
-                            outcomes=np.ones((1, 0), dtype=np.int8))
-    for _ in range(rounds):
-        merges = level_merges(level)
-        level = OutcomeBranches(state=merge_states(merges, np.arange(len(merges)), swap_gadget),
-                                probability=merges.probability, parity=merges.parity,
-                                outcomes=merges.outcomes)
-    return level
-
-
-@dataclass(frozen=True)
-class LevelMerges:
-    """The reachable merges of a tree level with itself, before any state is built.
-
-    Merge b joins branches ``left[b]`` and ``right[b]`` (int32) of ``below``
-    with sign ``sign[b]`` (int8). ``probability`` and ``parity`` are those of the
-    merged branches, as in ``OutcomeBranches``. Their sign strings
-    ``outcomes`` are built on each access, since only enumeration reads
-    them, and ``merge_states`` builds their states.
-    """
-
-    below: OutcomeBranches
-    left: np.ndarray
-    right: np.ndarray
-    sign: np.ndarray
-    probability: np.ndarray
-    parity: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.probability)
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        """(B, 2**rounds - 1) int8 sign strings: left string, right string, then the sign."""
-        return np.concatenate([self.below.outcomes[self.left], self.below.outcomes[self.right],
-                               self.sign[:, None]], axis=1, dtype=np.int8)
-
-
-def level_merges(level: OutcomeBranches) -> LevelMerges:
-    """Every reachable (left, right, sign) merge of ``level`` with itself.
-
-    Merges are ordered left outermost, then right, then sign +1 before -1.
-    The node probabilities of both signs come from one ``pair_overlap`` per
-    pair, as the gadget computes it; merges whose node probability falls below
-    ``PROB_FLOOR`` are unreachable and left out, and the rest still sum to
-    one.
-    """
-    n, d = len(level), level.state.shape[-1]
-    states = level.state
-    probs = np.empty((n, n, 2))
-    step = chunk_rows(16 * d * d * n)
+def overlap_matrix(level: np.ndarray, overlap) -> np.ndarray:
+    """(n, n) ``overlap(level[a], level[b])`` of a level's n states, in ``CHUNK_BYTES`` chunks."""
+    n = len(level)
+    out = np.empty((n, n))
+    step = chunk_rows(16 * level[0].size * n)
     for lo in range(0, n, step):
-        overlap = pair_overlap(states[lo:lo + step, None], states[None])
-        probs[lo:lo + step, :, 0] = _sign_probability(overlap, 1)
-        probs[lo:lo + step, :, 1] = _sign_probability(overlap, -1)
+        out[lo:lo + step] = overlap(level[lo:lo + step, None], level[None])
+    return out
+
+
+def reachable_merges(overlap: np.ndarray, probability: np.ndarray, parity: np.ndarray):
+    """``(left, right, sign, probability, parity)`` of a level's reachable merges with itself.
+
+    Merges of a level's branches, given its ``overlap_matrix``, are ordered
+    left outermost, then right, then sign +1 before -1; those whose node
+    probability falls below ``PROB_FLOOR`` are left out, and the rest still
+    sum to one.
+    """
+    probs = np.stack([_sign_probability(overlap, 1), _sign_probability(overlap, -1)], axis=-1)
     left, right, minus = np.nonzero(probs >= PROB_FLOOR)
-    # enumeration stops at four rounds, so a level below holds at most 2**7 branches
+    # trees stop at four rounds, so a level below holds at most 2**7 branches
     left, right = left.astype(np.int32), right.astype(np.int32)
     sign = (1 - 2 * minus).astype(np.int8)
-    return LevelMerges(
-        below=level, left=left, right=right, sign=sign,
-        probability=level.probability[left] * level.probability[right] * probs[left, right, minus],
-        parity=level.parity[left] * level.parity[right] * sign)
+    return (left, right, sign, probability[left] * probability[right] * probs[left, right, minus],
+            parity[left] * parity[right] * sign)
 
 
-def merge_states(merges: LevelMerges, index: np.ndarray, gadget) -> np.ndarray:
-    """(len(index), d, d) states of the merges ``index``, in ``CHUNK_BYTES`` chunks.
+def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
+    """All reachable outcome branches of a ``rounds``-level tree, as dense matrices.
 
-    Each chunk is one stacked call of ``gadget``, which is ``swap_gadget``
-    as the caller's module binds it, so a merge has the same state whichever
-    others share its call. The states have the dtype of the level below.
+    Left and right subtrees share the same branch set, so each level is
+    built once from the ``reachable_merges`` of the level below, in
+    ``CHUNK_BYTES`` chunks of stacked ``swap_gadget`` calls. This is the
+    brute-force oracle; the sampler merges eigenvalue vectors instead.
     """
-    below = merges.below.state
-    d = below.shape[-1]
-    out = np.empty((len(index), d, d), dtype=below.dtype)
-    step = chunk_rows(16 * d * d)
-    for lo in range(0, len(index), step):
-        part = index[lo:lo + step]
-        out[lo:lo + step], _ = gadget(below[merges.left[part]], below[merges.right[part]],
-                                      merges.sign[part])
-    return out
+    state = real_or_complex(rho)[None]
+    check_enumeration_budget(rounds, num_qubits(state.shape[-1]))
+    probability, parity = np.ones(1), np.ones(1, dtype=int)
+    outcomes = np.ones((1, 0), dtype=np.int8)
+    step = chunk_rows(16 * state[0].size)
+    for _ in range(rounds):
+        left, right, sign, probability, parity = reachable_merges(
+            overlap_matrix(state, pair_overlap), probability, parity)
+        outcomes = np.concatenate([outcomes[left], outcomes[right], sign[:, None]], axis=1,
+                                  dtype=np.int8)
+        merged = np.empty((len(sign),) + state.shape[1:], dtype=state.dtype)
+        for lo in range(0, len(sign), step):
+            part = slice(lo, lo + step)
+            merged[part], _ = swap_gadget(state[left[part]], state[right[part]], sign[part])
+        state = merged
+    return OutcomeBranches(state=state, probability=probability, parity=parity,
+                           outcomes=outcomes)
 
 
 def parity_weighted_sum(rho: np.ndarray, rounds: int):

@@ -53,9 +53,6 @@ import numpy as np
 
 from .channels import NoiseModel, make_channel
 from .purify import CHUNK_BYTES, check_rounds, purified_spectra, purified_weights
-# The engine builds no state through ``purified_state``; the name stays bound
-# here because perfbench's span recorder wraps it at this module.
-from .purify import purified_state  # noqa: F401
 from .states import PAULI_LABELS, ValidationError, check_pure_state, density_from_pure, \
     fidelity, from_spectrum, num_qubits, plus_state, zero_state
 

@@ -428,7 +428,7 @@ def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator
         overlap = (left * right).sum(axis=-1)
         sign = np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
         signs.append(sign)
-        spectrum, prob = merge_spectra(left, right, sign)
+        spectrum, prob = merge_spectra(left, right, sign, overlap)
         return spectrum, prob_l * prob_r * prob
 
     spectrum, prob = walk(rounds)

@@ -388,8 +388,9 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["purify", "--ell", "2..1", "--svg", "s.svg"],
     ["sample", "--state", "zero^1", "--ell", "4", "--shots", "2", "--batches", "100000"],
     ["sample", "--ell", "1", "--shots", "1000000", "--batches", "51"],
-    ["sample", "--ell", "4", "--M", "6", "--shots", "10"],
-    ["sample", "--ell", "4", "--state", "plus^8", "--shots", "10"],
+    # four rounds admit every register the dense commands do, and no larger one
+    ["sample", "--ell", "4", "--M", "9", "--shots", "10"],
+    ["sample", "--ell", "4", "--state", "plus^9", "--shots", "10"],
     ["sample", "--ell", "5", "--M", "4", "--shots", "32258"],
     # a chart path that cannot be written, after the CSV is
     ["purify", "--ell", "1", "--svg", "no-such-directory/x.svg"],
@@ -404,6 +405,22 @@ def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
     assert _exit_code(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error" in err
+
+
+@pytest.mark.parametrize("state", ["--M=6", "--M=7", "--state=plus^8", "--state=bloch:1,0.4^8"])
+def test_sample_admits_four_rounds_up_to_eight_qubits(tmp_path, state):
+    # the spectral tree holds at most 2**7 spectra and 2**15 merge records at any register
+    # size, so four rounds run where the dense enumeration's budget stopped at M = 5
+    out = tmp_path / "s.csv"
+    assert main(["sample", state, "--channel", "local-depol", "--p", "0.1", "--ell", "4",
+                 "--shots", "2000", "--batches", "2", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    exact = float(next(line for line in lines if line.startswith("# exact:")).split()[-1])
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 2
+    for row in rows:
+        estimate, se = float(row[4]), float(row[5])
+        assert abs(estimate - exact) < 5 * se + 1e-12
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 9.77 GiB"), MemoryError()])
@@ -423,12 +440,13 @@ def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, ex
 
 
 def test_sample_enumerates_the_tree_once_per_run(tmp_path, monkeypatch):
-    # 20 batches of 2 shots at l = 4 share one enumeration; each batch is one CSV row
+    # 20 batches of 2 shots at l = 4 share one tree, built on one eigendecomposition of
+    # rho; each batch is one CSV row
     import pqec.montecarlo
     calls = []
-    enumerate_once = pqec.montecarlo.enumerate_outcomes
-    monkeypatch.setattr(pqec.montecarlo, "enumerate_outcomes",
-                        lambda *args: calls.append(args) or enumerate_once(*args))
+    decompose = pqec.montecarlo.spectral_decomposition
+    monkeypatch.setattr(pqec.montecarlo, "spectral_decomposition",
+                        lambda *args: calls.append(args) or decompose(*args))
     out = tmp_path / "sample.csv"
     assert main(["sample", "--state", "zero^1", "--channel", "local-depol", "--p", "0.01",
                  "--ell", "4", "--shots", "2", "--batches", "20", "--out", str(out)]) == EXIT_OK

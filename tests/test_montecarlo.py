@@ -26,8 +26,8 @@ import pqec.montecarlo
 from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
     check_sampling_budget, sampling_tree
 import pqec.purify
-from pqec.purify import check_observable, level_merges, merge_states, swap_gadget
-from pqec.states import ResourceLimitError, ValidationError, kron_all
+from pqec.purify import check_observable, swap_gadget
+from pqec.states import ResourceLimitError, ValidationError, from_spectrum, kron_all
 from oracles import conditional_state, maximally_mixed, per_node_outcome_tree, \
     random_density_matrix, random_pure_state
 
@@ -261,7 +261,8 @@ def test_level_walk_splits_under_chunk_bound(monkeypatch):
     calls = []
     merge = pqec.montecarlo.merge_spectra
     monkeypatch.setattr(pqec.montecarlo, "merge_spectra",
-                        lambda a, b, sign: calls.append(sign.shape) or merge(a, b, sign))
+                        lambda a, b, sign, overlap: calls.append(sign.shape)
+                        or merge(a, b, sign, overlap))
     rho = random_density_matrix(1, np.random.default_rng(3))
     _same_walk(rho, 7, 100, seed=4)
     assert calls.count((100,)) == 2 ** 4 - 1
@@ -420,45 +421,72 @@ def test_chunk_size_changes_no_enumeration_draw(monkeypatch):
     assert set(np.unique(walked)) <= {-1.0, 1.0}
 
 
-# (M, l, p): M = 1, 2, 3 at l = 1..4 (3 at M = 3), one l = 4 case at M = 4;
-# p = 0 keeps the target pure, so antisymmetric merges of equal branches are unreachable
-LAZY_CASES = [(m, ell, p) for m, top in ((1, 4), (2, 4), (3, 3)) for ell in range(1, top + 1)
-              for p in (0.0, 0.3)] + [(4, 4, 0.1)]
+# (M, l, p): M = 1..5 at l = 0..4; p = 0 keeps the target pure, so antisymmetric merges of
+# equal branches are unreachable. At M = 5, l = 4 only the pure target runs: the mixed one
+# would hold 2**15 dense 32 x 32 branch states, 512 MiB, in the oracle.
+LAZY_CASES = [(m, ell, p) for m in range(1, 6) for ell in range(5) for p in (0.0, 0.3)
+              if (m, ell, p) != (5, 4, 0.3)]
 
 
 @pytest.mark.parametrize("qubits, rounds, p", LAZY_CASES)
 def test_sampling_tree_merges_lazily_as_enumerated(qubits, rounds, p):
-    # the last level's records come without states; the states drawn match the enumeration
+    # the spectral tree's last level comes without spectra; its triples, probabilities,
+    # parities and drawn states match the dense enumeration
     rho = make_channel(NoiseModel("dephasing", p), qubits)(
         density_from_pure(random_pure_state(qubits, np.random.default_rng(rounds))))
     tree = sampling_tree(rho, rounds)
     whole = enumerate_outcomes(rho, rounds)
-    assert (tree.left.dtype, tree.right.dtype, tree.sign.dtype) == (np.int32, np.int32, np.int8)
+    assert len(tree) == len(whole)
+    if rounds:
+        assert (tree.left.dtype, tree.right.dtype, tree.sign.dtype) == (np.int32, np.int32, np.int8)
+        assert (len(whole) < 2 ** (2 ** rounds - 1)) == (p == 0.0)
+        below = enumerate_outcomes(rho, rounds - 1).outcomes
+        strings = np.concatenate([below[tree.left], below[tree.right], tree.sign[:, None]], axis=1)
+        assert np.array_equal(strings, whole.outcomes)
     assert tree.parity.dtype == whole.parity.dtype
-    assert (len(whole) < 2 ** (2 ** rounds - 1)) == (p == 0.0)
-    for field in ("probability", "parity", "outcomes"):
-        assert np.array_equal(getattr(tree, field), getattr(whole, field))
+    assert np.array_equal(tree.parity, whole.parity)
+    assert np.max(np.abs(tree.probability / whole.probability - 1.0)) < 1e-12
+    spectra = tree.spectra(np.arange(len(tree)))
+    assert np.max(np.abs(from_spectrum(spectra, tree.vecs) - whole.state)) < 1e-13
+    # a branch merges alone as it does among all the others
     rng = np.random.default_rng(qubits)
     drawn = np.unique(rng.choice(len(tree), size=300, p=tree.probability / tree.probability.sum()))
-    assert np.array_equal(merge_states(tree, drawn, swap_gadget), whole.state[drawn])
-    # the whole sampler draws the same records from either tree
+    assert np.array_equal(tree.spectra(drawn), spectra[drawn])
+    # the whole sampler draws the same records from a tree it builds or is given
     obs = pauli_matrix("X" * qubits)
-    lazy = simulate_shots(rho, obs, rounds, 2000, np.random.default_rng(rounds), tree)
-    assert np.array_equal(lazy, simulate_shots(rho, obs, rounds, 2000,
-                                               np.random.default_rng(rounds), whole))
+    given = simulate_shots(rho, obs, rounds, 2000, np.random.default_rng(rounds), tree)
+    assert np.array_equal(given, simulate_shots(rho, obs, rounds, 2000,
+                                                np.random.default_rng(rounds)))
 
 
 def test_benchmark_draw_merges_only_the_drawn_branches(monkeypatch):
     # the benchmark's l=4 draw lands on 207 of the 2**15 branches; only those merge
     merged = []
-    gadget = pqec.montecarlo.swap_gadget
-    monkeypatch.setattr(pqec.montecarlo, "swap_gadget",
-                        lambda a, b, sign: merged.append(len(sign)) or gadget(a, b, sign))
+    merge = pqec.montecarlo.merge_spectra
+    monkeypatch.setattr(pqec.montecarlo, "merge_spectra",
+                        lambda a, b, sign, overlap: merged.append(len(sign))
+                        or merge(a, b, sign, overlap))
     rho = make_channel(NoiseModel("local-depol", 0.01), 1)(density_from_pure(zero_state(1)))
     tree = sampling_tree(rho, 4)
-    assert len(tree) == 2 ** 15 and merged == []
+    # the three levels below the last hold 2, 8 and 128 spectra
+    assert len(tree) == 2 ** 15 and merged == [2, 8, 128]
+    merged.clear()
     simulate_shots(rho, Z, 4, 100_000, np.random.default_rng(1), tree)
-    assert sum(merged) == 207
+    assert merged == [207]
+
+
+def test_sampler_makes_no_dense_merge(monkeypatch):
+    # the sampler works on eigenvalue vectors at every l; the dense gadget is only the oracle
+    def refuse(*args):
+        raise AssertionError("a dense merge or projection ran in the sampler")
+
+    for name in ("swap_gadget", "project_to_density"):
+        monkeypatch.setattr(pqec.purify, name, refuse)
+        assert not hasattr(pqec.montecarlo, name)
+    rho = random_density_matrix(2, np.random.default_rng(14))
+    for rounds in range(7):
+        records = simulate_shots(rho, pauli_matrix("ZX"), rounds, 500, np.random.default_rng(rounds))
+        assert set(np.unique(records)) <= {-1.0, 1.0}
 
 
 def test_simulate_shots_unbiased_components():
@@ -505,14 +533,16 @@ def test_sampling_budget():
                                    (1, MAX_SHOTS_PER_BATCH + 1, 1)):
         with pytest.raises(ResourceLimitError):
             check_sampling_budget(rounds, shots, batches)
-    # batches and shots in all count on every path, and so does the enumerated
-    # tree's register size: four rounds fit M = 5 but not M = 6
-    check_sampling_budget(4, 100_000, 1, 5)
+    # batches and shots in all count on every path; up to four rounds the spectral tree's
+    # size does not grow with the register, so M = 6..8 fit as M = 5 does
+    for qubits in (5, 6, 8):
+        check_sampling_budget(4, 100_000, 1, qubits)
+        check_sampling_budget(4, MAX_SHOTS_PER_BATCH, 1, qubits)
     check_sampling_budget(4, 2, MAX_BATCHES)
     for rounds, shots, batches, qubits in ((4, 2, MAX_BATCHES + 1, 1), (1, 2, 10**5, 1),
                                            (4, MAX_SHOTS_PER_BATCH, 51, 1),
                                            (2, MAX_RUN_SHOTS // 5000 + 1, 5000, 1),
-                                           (4, 2, 1, 6), (4, 2, 1, 8)):
+                                           (4, 2, MAX_BATCHES + 1, 8)):
         with pytest.raises(ResourceLimitError):
             check_sampling_budget(rounds, shots, batches, qubits)
     # beyond four rounds a merge on M qubits counts 4**(M - 1) single-qubit merges
@@ -545,8 +575,8 @@ def test_observable_shape_is_checked_before_any_tree(monkeypatch):
     def no_tree(*args):
         raise AssertionError("a tree was built for a malformed observable")
 
-    monkeypatch.setattr(pqec.montecarlo, "enumerate_outcomes", no_tree)
-    monkeypatch.setattr(pqec.montecarlo, "sample_outcome_tree", no_tree)
+    monkeypatch.setattr(pqec.montecarlo, "sampling_tree", no_tree)
+    monkeypatch.setattr(pqec.montecarlo, "spectral_decomposition", no_tree)
     rho = maximally_mixed(2)
     for obs in (np.ones((4, 3)), Z, np.ones(4), np.ones((1, 4, 4))):
         for rounds in (0, 3, 5):
@@ -563,22 +593,28 @@ def test_real_targets_stay_float64_through_the_sampler(qubits, monkeypatch):
     noisy = make_channel(NoiseModel("local-depol", 0.2), qubits)(
         density_from_pure(plus_state(qubits)))
     assert noisy.dtype == np.float64
+    # the dense oracle keeps a real state real
     for rounds in range(5):
         assert enumerate_outcomes(noisy, rounds).state.dtype == np.float64
-    merges = level_merges(enumerate_outcomes(noisy, 2))
-    assert merge_states(merges, np.arange(0, len(merges), 7), swap_gadget).dtype == np.float64
     assert swap_gadget(noisy, noisy, 1)[0].dtype == np.float64
     assert swap_gadget(np.stack([noisy, noisy]), np.stack([noisy, noisy]),
                        np.array([1, -1]))[0].dtype == np.float64
-    # the states each shot measures, and the matrix the exact value diagonalizes
+    # the sampler's only basis is rho's eigenvectors: real for a real target, complex for
+    # its cast; its spectra are float64 either way
+    cast = noisy.astype(complex)
+    for rounds in range(5):
+        real, complex_ = sampling_tree(noisy, rounds), sampling_tree(cast, rounds)
+        assert (real.vecs.dtype, complex_.vecs.dtype) == (np.float64, np.complex128)
+        drawn = np.arange(0, len(real), 7)
+        assert real.spectra(drawn).dtype == complex_.spectra(drawn).dtype == np.float64
     measured, decomposed = [], []
     cdf = pqec.montecarlo._outcome_cdf
     monkeypatch.setattr(pqec.montecarlo, "_outcome_cdf",
-                        lambda states, vecs: measured.append(states.dtype) or cdf(states, vecs))
+                        lambda spectra, vecs, obs_vecs: measured.append(vecs.dtype)
+                        or cdf(spectra, vecs, obs_vecs))
     spectral = pqec.purify.spectral_decomposition
     monkeypatch.setattr(pqec.purify, "spectral_decomposition",
                         lambda rho: decomposed.append(rho.dtype) or spectral(rho))
-    cast = noisy.astype(complex)
     for label in ("Z" * qubits, "Y" + "X" * (qubits - 1)):
         obs = pauli_matrix(label)
         assert obs.dtype == (complex if "Y" in label else float)
@@ -587,6 +623,7 @@ def test_real_targets_stay_float64_through_the_sampler(qubits, monkeypatch):
             assert np.array_equal(real_shots, simulate_shots(cast, obs, rounds, 300,
                                                              np.random.default_rng(rounds)))
             extract_observable_exact(obs, noisy, rounds)
-    # real runs measure float64 states and their complex casts complex128 ones
+    # real runs measure in float64 eigenbases and their complex casts in complex128 ones,
+    # and the matrix the exact value diagonalizes stays float64
     assert measured[0::2] == [np.float64] * 14 and measured[1::2] == [np.complex128] * 14
     assert decomposed == [np.float64] * 14

@@ -22,7 +22,7 @@ from pqec import (
     werner_fidelity_update,
     zero_state,
 )
-from pqec.purify import check_enumeration_budget, merge_spectra
+from pqec.purify import check_enumeration_budget, merge_spectra, spectra_overlap
 from pqec.states import ResourceLimitError, ValidationError
 from oracles import anisotropic_qubit_purify_fidelity, bloch_compose, bloch_purify, \
     conditional_state, conditional_state_two_rounds, fidelity_bounds, maximally_mixed, \
@@ -122,10 +122,11 @@ def test_gadget_degenerate_branch():
 def test_spectral_merge_rejects_unreachable_branch_like_the_gadget():
     # identical pure spectra: the antisymmetric merge is unreachable on either form
     pure = np.array([[0.0, 1.0], [0.3, 0.7]])
-    merged, prob = merge_spectra(pure, pure, np.array([1, -1]))
+    overlap = spectra_overlap(pure, pure)
+    merged, prob = merge_spectra(pure, pure, np.array([1, -1]), overlap)
     assert prob[0] == 1.0 and np.array_equal(merged[0], [0.0, 1.0])
     with pytest.raises(DegenerateOutcomeError, match="sign -1"):
-        merge_spectra(pure, pure, np.array([-1, 1]))
+        merge_spectra(pure, pure, np.array([-1, 1]), overlap)
 
 
 def test_stacked_gadget_matches_per_pair_calls():

@@ -396,8 +396,8 @@ def test_purified_states_are_built_only_for_a_next_cycle(monkeypatch, tmp_path, 
     def refuse(*args):
         raise AssertionError("a purified state was built")
 
+    monkeypatch.setattr(purify, "purified_state", refuse)
     for owner in (purify, threshold):
-        monkeypatch.setattr(owner, "purified_state", refuse)
         monkeypatch.setattr(owner, "from_spectrum", refuse)
     model, p_values, rounds = NoiseModel("local-depol", 0.0), np.linspace(0, 1, 5), (0, 1, 3)
     psi = bloch_state(0.7, 0.0, 2).real
