@@ -11,7 +11,6 @@ import numpy as np
 from pqec import (
     density_from_pure,
     fidelity,
-    parity_weighted_sum,
     plus_state,
     purified_state,
     purity,
@@ -44,10 +43,10 @@ print("probability-weighted average deviates from input by",
 # the state with unit coefficient. One round of the exact map is the
 # normalized square.
 # ----------------------------------------------------------------------
-signed, trace = parity_weighted_sum(rho, 1)
+signed = p_sym * sym - p_anti * anti
 print("\nsign-weighted sum equals rho^2 up to",
       np.max(np.abs(signed - rho @ rho)))
-print("trace of the signed sum (the purity):", trace)
+print("trace of the signed sum (the purity):", np.trace(signed).real)
 
 better = purified_state(rho, 1)
 print("\nafter one round  : fidelity", fidelity(better, plus),

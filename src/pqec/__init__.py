@@ -17,15 +17,11 @@ from .montecarlo import (
     estimate_observable,
     ratio_estimate,
     required_samples,
-    sample_outcome_tree,
     simulate_shots,
 )
 from .purify import (
     DegenerateOutcomeError,
-    OutcomeBranches,
-    enumerate_outcomes,
     extract_observable_exact,
-    parity_weighted_sum,
     purified_spectra,
     purified_state,
     purified_weights,
@@ -56,4 +52,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.12.1"
+__version__ = "0.13.0"

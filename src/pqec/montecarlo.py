@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .purify import OutcomeBranches, check_observable, check_rounds, chunk_rows, merge_spectra, \
-    overlap_matrix, reachable_merges, spectra_overlap
-from .states import ResourceLimitError, ValidationError, from_spectrum, spectral_decomposition
+from .purify import PROB_FLOOR, check_observable, check_rounds, chunk_rows, merge_spectra, \
+    spectra_overlap
+from .states import ResourceLimitError, ValidationError, spectral_decomposition
 
 # Up to this many rounds shots draw their branches from the whole tree's last
 # level (``_choice``), beyond it they walk the tree (``_walk``); the two take
@@ -34,10 +34,10 @@ MAX_TREE_ROUNDS = 4
 # - shots in all, batches x shots, and batches, since each batch adds a CSV
 #   row and a fixed cost: many tiny batches stay bounded too;
 # - up to MAX_TREE_ROUNDS nothing more: the tree's size does not grow with M;
-# - beyond it, where every shot walks its own branch,
-#   merges batches x shots x (2**rounds - 1), each weighted by (d/2)**2 =
-#   4**(M-1), so the limit is the M=1 count. The weight was set for dense
-#   gadget merges; README gives what a merge on eigenvalue vectors costs.
+# - beyond it, where every shot walks its own branch, the merges
+#   batches x shots x (2**rounds - 1), each weighted by d/2 = 2**(M-1), so
+#   the limit counts one-qubit merges: a merge of two vectors of d
+#   eigenvalues costs about 80 + 11 d ns (README).
 MAX_SHOTS_PER_BATCH = 10 ** 6
 MAX_RUN_SHOTS = 5 * 10 ** 7
 MAX_BATCHES = 10 ** 4
@@ -107,7 +107,7 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
 
     Checks the shots per batch, the batches and the shots in all, then,
     beyond ``MAX_TREE_ROUNDS``, the total merges ``batches * shots *
-    (2**rounds - 1)`` weighted by ``4**(qubits - 1)``, before anything is
+    (2**rounds - 1)`` weighted by ``2**(qubits - 1)``, before anything is
     built.
     """
     if shots > MAX_SHOTS_PER_BATCH:
@@ -121,11 +121,11 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
     if rounds <= MAX_TREE_ROUNDS:
         return
     # the budget is far below 2**64, so a capped exponent gives the same verdict
-    merges = batches * shots * (2 ** min(rounds, 64) - 1) * 4 ** (qubits - 1)
+    merges = batches * shots * (2 ** min(rounds, 64) - 1) * 2 ** (qubits - 1)
     if merges > MAX_SHOT_MERGES:
         raise ResourceLimitError(
             f"{batches} x {shots} shots at {rounds} rounds on {qubits} qubits exceed the"
-            f" limit of {MAX_SHOT_MERGES:.0e} single-qubit gadget merges")
+            f" limit of {MAX_SHOT_MERGES:.0e} single-qubit spectrum merges")
 
 
 def _outcome_cdf(spectra: np.ndarray, vecs: np.ndarray, obs_vecs: np.ndarray) -> np.ndarray:
@@ -211,27 +211,6 @@ def _walk_shots(vals: np.ndarray, rounds: int, rng: np.random.Generator, shots: 
     return spectrum, prob, signs
 
 
-def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
-                        shots: int = 1) -> OutcomeBranches:
-    """Draw ``shots`` outcome strings through the merge tree, one level at a time.
-
-    Every branch state is a polynomial in rho, so it shares rho's
-    eigenbasis: after one ``spectral_decomposition`` the shots walk the
-    tree together as (shots, d) eigenvalue vectors (``_walk``), each node
-    drawing every shot's sign with its conditional probability, so
-    zero-probability branches are never drawn. Returns the drawn branches,
-    one per shot, with their strings in outcome-string order and their
-    states built from the root spectra.
-    """
-    check_rounds(rounds)
-    vals, vecs = spectral_decomposition(rho)
-    spectrum, prob, signs = _walk_shots(vals, rounds, rng, shots)
-    outcomes = signs.T
-    return OutcomeBranches(state=from_spectrum(spectrum, vecs),
-                           probability=prob, parity=np.prod(outcomes, axis=1),
-                           outcomes=outcomes)
-
-
 def _measure(records: np.ndarray, rows: np.ndarray, parity: np.ndarray, cdf: np.ndarray,
              vals: np.ndarray, rng: np.random.Generator) -> None:
     """Fill ``records`` with a parity and one observable draw per record.
@@ -308,15 +287,42 @@ class SpectralTree:
                              self.overlap[left, right])[0]
 
 
+def overlap_matrix(level: np.ndarray) -> np.ndarray:
+    """(n, n) ``spectra_overlap`` of a level's n spectra with each other, in ``CHUNK_BYTES`` chunks."""
+    n = len(level)
+    out = np.empty((n, n))
+    step = chunk_rows(8 * level[0].size * n)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = spectra_overlap(level[lo:lo + step, None], level[None])
+    return out
+
+
+def reachable_merges(overlap: np.ndarray, probability: np.ndarray, parity: np.ndarray):
+    """``(left, right, sign, probability, parity)`` of a level's reachable merges with itself.
+
+    Merges of a level's branches, given its ``overlap_matrix``, are ordered
+    left outermost, then right, then sign +1 before -1; those whose node
+    probability falls below ``PROB_FLOOR`` are left out, and the rest still
+    sum to one.
+    """
+    probs = np.stack([0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)], axis=-1)
+    left, right, minus = np.nonzero(probs >= PROB_FLOOR)
+    # trees stop at four rounds, so a level below holds at most 2**7 branches
+    left, right = left.astype(np.int32), right.astype(np.int32)
+    sign = (1 - 2 * minus).astype(np.int8)
+    return (left, right, sign, probability[left] * probability[right] * probs[left, right, minus],
+            parity[left] * parity[right] * sign)
+
+
 def sampling_tree(rho: np.ndarray, rounds: int) -> SpectralTree | None:
     """The tree ``simulate_shots`` draws from up to ``MAX_TREE_ROUNDS``; None beyond.
 
     After one ``spectral_decomposition`` of rho, each level below the last
     is merged as (n, d) eigenvalue vectors from the ``reachable_merges`` of
-    the one below, the rule the dense oracle enumerates by. The last level
-    keeps only its merges, probabilities and parities: just the branches
-    that shots draw need a spectrum, and no sampler output reads a sign
-    string. The tree draws no random numbers, so one serves every batch.
+    the one below. The last level keeps only its merges, probabilities and
+    parities: just the branches that shots draw need a spectrum, and no
+    sampler output reads a sign string. The tree draws no random numbers,
+    so one serves every batch.
     """
     if rounds > MAX_TREE_ROUNDS:
         return None
@@ -325,7 +331,7 @@ def sampling_tree(rho: np.ndarray, rounds: int) -> SpectralTree | None:
     tree = SpectralTree(vecs, vals[None], np.ones(1), np.ones(1, dtype=int))
     for _ in range(rounds):
         level = tree.spectra(np.arange(len(tree)))
-        overlap = overlap_matrix(level, spectra_overlap)
+        overlap = overlap_matrix(level)
         left, right, sign, probability, parity = reachable_merges(
             overlap, tree.probability, tree.parity)
         tree = SpectralTree(vecs, level, probability, parity, overlap, left, right, sign)

@@ -1,4 +1,4 @@
-"""SWAP-gadget purification: outcome trees, parity extraction, the Werner map.
+"""SWAP-gadget purification: the merge, the spectral shortcut, the Werner map.
 
 The elementary step projects two copies onto the symmetric or antisymmetric
 subspace and discards one register:
@@ -15,23 +15,19 @@ unit coefficient; the normalized power is the purified state. The spectral
 shortcut never builds the power: it keeps rho's eigenvectors v_i and the
 normalized powered eigenvalues w_i (``purified_weights``), and reads any
 purified expectation as sum_i w_i <v_i|O|v_i>. Every branch state shares
-rho's eigenbasis, so the sampler merges eigenvalue vectors
-(``merge_spectra``); the explicit tree of dense matrices
-(``enumerate_outcomes``) is the brute-force oracle that both are checked
-against.
+rho's eigenbasis, so the sampler's tree (``montecarlo``) merges eigenvalue
+vectors (``merge_spectra``). The dense gadget (``swap_gadget``) builds one
+merge as matrices; the tests enumerate whole trees with it as the oracle
+both are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .states import (
-    ResourceLimitError,
     ValidationError,
     from_spectrum,
-    num_qubits,
     project_to_density,
     real_or_complex,
     spectral_decomposition,
@@ -40,12 +36,6 @@ from .states import (
 # Node probabilities below this are treated as exactly zero: the branch is
 # unreachable and its conditional state undefined.
 PROB_FLOOR = 1e-14
-
-# Exhaustive enumeration walks 2**(2**rounds - 1) outcome strings and holds a
-# d x d state for each reachable one: up to 2**15 * 4**M * 16 B at four rounds
-# (complex entries; real ones take half), which the limit admits up to M = 5.
-MAX_BRUTE_FORCE_ROUNDS = 4
-MAX_ENUMERATION_BYTES = 2 ** 29
 
 # Most bytes of matrices one stacked step builds at once. Longer stacks of
 # merges, and of shots, run in chunks of this size, so working memory does
@@ -62,22 +52,10 @@ def chunk_rows(row_bytes: int) -> int:
     return max(1, CHUNK_BYTES // row_bytes)
 
 
-@dataclass(frozen=True)
-class OutcomeBranches:
-    """Branches of the purification tree, stacked along a leading axis.
-
-    ``state`` is (B, d, d), ``probability`` and ``parity`` are (B,), and
-    row b of ``outcomes`` (B, 2**rounds - 1) is the sign string of branch b.
-    One branch is the B = 1 case.
-    """
-
-    state: np.ndarray
-    probability: np.ndarray
-    parity: np.ndarray
-    outcomes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.probability)
+def check_rounds(rounds: int) -> None:
+    """Raise ``ValidationError`` if ``rounds`` is negative."""
+    if rounds < 0:
+        raise ValidationError(f"rounds must be >= 0, got {rounds}")
 
 
 # ----------------------------------------------------------------------
@@ -92,9 +70,8 @@ def _sign_probability(overlap: np.ndarray, sign) -> np.ndarray:
 def pair_overlap(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Re Tr(rho_a rho_b), pair by pair over stacks ``(..., d, d)``, without a matrix product.
 
-    The gadget and ``enumerate_outcomes`` both take their overlaps from
-    here, so a merge has the same probability bits whichever of them
-    computes it.
+    The gadget takes its overlap from here, one pair or a stack of pairs,
+    so a merge has the same probability bits alone or stacked.
     """
     return (rho_a * rho_b.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
 
@@ -162,99 +139,6 @@ def merge_spectra(spec_a: np.ndarray, spec_b: np.ndarray, sign: np.ndarray,
     merged = np.clip((spec_a + spec_b + 2.0 * sign[..., None] * spec_a * spec_b)
                      / (4.0 * prob[..., None]), 0.0, None)
     return merged / merged.sum(axis=-1, keepdims=True), prob
-
-
-# ----------------------------------------------------------------------
-# Outcome tree
-# ----------------------------------------------------------------------
-
-
-def check_rounds(rounds: int) -> None:
-    """Raise ``ValidationError`` if ``rounds`` is negative."""
-    if rounds < 0:
-        raise ValidationError(f"rounds must be >= 0, got {rounds}")
-
-
-def check_enumeration_budget(rounds: int, qubits: int) -> None:
-    """Raise ``ResourceLimitError`` unless ``enumerate_outcomes`` may run.
-
-    Checks the rounds (negative ones by ``check_rounds``), then the bytes of
-    branch states the last level may hold, before anything is built.
-    """
-    check_rounds(rounds)
-    if rounds > MAX_BRUTE_FORCE_ROUNDS:
-        raise ResourceLimitError(
-            f"exhaustive enumeration limited to rounds <= {MAX_BRUTE_FORCE_ROUNDS}")
-    size = 2 ** (2 ** rounds - 1) * 16 * 4 ** qubits
-    if size > MAX_ENUMERATION_BYTES:
-        raise ResourceLimitError(
-            f"enumerating {rounds} rounds on {qubits} qubits may hold {size / 2 ** 20:.0f} MiB"
-            f" of branch states, over the limit of {MAX_ENUMERATION_BYTES / 2 ** 20:.0f} MiB")
-
-
-def overlap_matrix(level: np.ndarray, overlap) -> np.ndarray:
-    """(n, n) ``overlap(level[a], level[b])`` of a level's n states, in ``CHUNK_BYTES`` chunks."""
-    n = len(level)
-    out = np.empty((n, n))
-    step = chunk_rows(16 * level[0].size * n)
-    for lo in range(0, n, step):
-        out[lo:lo + step] = overlap(level[lo:lo + step, None], level[None])
-    return out
-
-
-def reachable_merges(overlap: np.ndarray, probability: np.ndarray, parity: np.ndarray):
-    """``(left, right, sign, probability, parity)`` of a level's reachable merges with itself.
-
-    Merges of a level's branches, given its ``overlap_matrix``, are ordered
-    left outermost, then right, then sign +1 before -1; those whose node
-    probability falls below ``PROB_FLOOR`` are left out, and the rest still
-    sum to one.
-    """
-    probs = np.stack([_sign_probability(overlap, 1), _sign_probability(overlap, -1)], axis=-1)
-    left, right, minus = np.nonzero(probs >= PROB_FLOOR)
-    # trees stop at four rounds, so a level below holds at most 2**7 branches
-    left, right = left.astype(np.int32), right.astype(np.int32)
-    sign = (1 - 2 * minus).astype(np.int8)
-    return (left, right, sign, probability[left] * probability[right] * probs[left, right, minus],
-            parity[left] * parity[right] * sign)
-
-
-def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
-    """All reachable outcome branches of a ``rounds``-level tree, as dense matrices.
-
-    Left and right subtrees share the same branch set, so each level is
-    built once from the ``reachable_merges`` of the level below, in
-    ``CHUNK_BYTES`` chunks of stacked ``swap_gadget`` calls. This is the
-    brute-force oracle; the sampler merges eigenvalue vectors instead.
-    """
-    state = real_or_complex(rho)[None]
-    check_enumeration_budget(rounds, num_qubits(state.shape[-1]))
-    probability, parity = np.ones(1), np.ones(1, dtype=int)
-    outcomes = np.ones((1, 0), dtype=np.int8)
-    step = chunk_rows(16 * state[0].size)
-    for _ in range(rounds):
-        left, right, sign, probability, parity = reachable_merges(
-            overlap_matrix(state, pair_overlap), probability, parity)
-        outcomes = np.concatenate([outcomes[left], outcomes[right], sign[:, None]], axis=1,
-                                  dtype=np.int8)
-        merged = np.empty((len(sign),) + state.shape[1:], dtype=state.dtype)
-        for lo in range(0, len(sign), step):
-            part = slice(lo, lo + step)
-            merged[part], _ = swap_gadget(state[left[part]], state[right[part]], sign[part])
-        state = merged
-    return OutcomeBranches(state=state, probability=probability, parity=parity,
-                           outcomes=outcomes)
-
-
-def parity_weighted_sum(rho: np.ndarray, rounds: int):
-    """Brute-force sum_sigma P_sigma Omega_sigma rho_sigma and its trace.
-
-    Equals the unnormalized matrix power rho**(2**rounds); this is the
-    module's core oracle against the spectral shortcut.
-    """
-    branches = enumerate_outcomes(rho, rounds)
-    total = np.tensordot(branches.probability * branches.parity, branches.state, axes=1)
-    return total, float(np.real(np.trace(total)))
 
 
 # ----------------------------------------------------------------------

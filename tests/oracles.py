@@ -4,28 +4,33 @@ Nothing under ``src/`` imports this module. It holds the paper's closed
 forms (the Bloch rescaling r -> 2r/(1+|r|^2), the Werner family and its
 fidelity map, dephasing of a tilted qubit, the sandwich fidelity bounds),
 the brute-force outcome tree over fixed sign strings and its two-round
-closed form, the sampler's node-by-node tree walk, the Pauli expansion
+closed form, the whole tree enumerated one gadget call per merge, the
+sampler's node-by-node tree walk, the Pauli expansion
 computed densely, the complex IXYZ basis change, the twirl's frame subsets
 as label tuples, and the state constructors and validation the tests build
 their inputs with. Each oracle is computed apart from the fast path it
 checks: ``pauli_expand`` takes one trace per Pauli string, never
 ``to_pauli_basis``, and ``to_pauli_basis`` pairs qubit axes with the complex
-Pauli matrices, not with the channel kernel's real {I, X, XZ, Z} pair.
+Pauli matrices, not with the channel kernel's real {I, X, XZ, Z} pair; and
+``enumerate_outcomes`` finds the reachable merges by calling the gadget on
+every (left, right, sign), never through the sampler's ``reachable_merges``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from pqec import montecarlo
 from pqec.channels import DEFAULT_SEED
-from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, OutcomeBranches, enumerate_outcomes, \
-    merge_spectra, swap_gadget, werner_fidelity_update
+from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, check_rounds, merge_spectra, \
+    swap_gadget, werner_fidelity_update
 from pqec.states import MAX_PAULI_QUBITS, NORM_TOL, PAULI_I, PAULI_LABELS, PAULI_X, PAULI_Y, \
     PAULI_Z, ResourceLimitError, ValidationError, check_pure_state, density_from_pure, fidelity, \
-    from_spectrum, num_qubits, pauli_matrix, purity, spectral_decomposition
+    from_spectrum, num_qubits, pauli_matrix, purity, real_or_complex, spectral_decomposition
 from pqec.threshold import CycleTrace
 
 HERM_TOL = 1e-10
@@ -364,8 +369,69 @@ def anisotropic_qubit_purify_fidelity(theta: float, p: float):
 
 
 # ----------------------------------------------------------------------
-# Outcome tree over fixed sign strings
+# Outcome tree: enumerated, over fixed sign strings, and walked
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OutcomeBranches:
+    """Branches of the purification tree, stacked along a leading axis.
+
+    ``state`` is (B, d, d), ``probability`` and ``parity`` are (B,), and
+    row b of ``outcomes`` (B, 2**rounds - 1) is the sign string of branch b.
+    One branch is the B = 1 case.
+    """
+
+    state: np.ndarray
+    probability: np.ndarray
+    parity: np.ndarray
+    outcomes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+
+def enumerate_outcomes(rho: np.ndarray, rounds: int) -> OutcomeBranches:
+    """All reachable outcome branches of a ``rounds``-level tree, as dense matrices.
+
+    Left and right subtrees share the same branch set, so each level merges
+    every branch of the level below with every branch: left outermost, then
+    right, then sign +1 before -1, one ``swap_gadget`` call each. A merge
+    whose call raises ``DegenerateOutcomeError`` is left out. The strings
+    so come in lexicographic order, + before -.
+    """
+    state = real_or_complex(rho)[None]
+    probability, parity = np.ones(1), np.ones(1, dtype=int)
+    outcomes = np.ones((1, 0), dtype=np.int8)
+    for _ in range(rounds):
+        n = len(state)
+        merged = np.empty((2 * n * n,) + state.shape[1:], dtype=state.dtype)
+        kept = []
+        for a, b, sign in itertools.product(range(n), range(n), (1, -1)):
+            try:
+                merged[len(kept)], prob = swap_gadget(state[a], state[b], sign)
+            except DegenerateOutcomeError:
+                continue
+            kept.append((a, b, sign, prob))
+        a, b, sign, prob = (np.array(column) for column in zip(*kept))
+        state = merged[:len(kept)]
+        probability = probability[a] * probability[b] * prob
+        parity = parity[a] * parity[b] * sign
+        outcomes = np.concatenate([outcomes[a], outcomes[b], sign[:, None]], axis=1,
+                                  dtype=np.int8)
+    return OutcomeBranches(state=state, probability=probability, parity=parity,
+                           outcomes=outcomes)
+
+
+def parity_weighted_sum(rho: np.ndarray, rounds: int):
+    """Brute-force sum_sigma P_sigma Omega_sigma rho_sigma and its trace.
+
+    Equals the unnormalized matrix power rho**(2**rounds); the core oracle
+    against the spectral shortcut.
+    """
+    branches = enumerate_outcomes(rho, rounds)
+    total = np.tensordot(branches.probability * branches.parity, branches.state, axes=1)
+    return total, float(np.real(np.trace(total)))
+
 
 def _tree_rounds(n_outcomes: int) -> int:
     rounds = (n_outcomes + 1).bit_length() - 1
@@ -433,6 +499,25 @@ def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator
 
     spectrum, prob = walk(rounds)
     outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+    return OutcomeBranches(state=from_spectrum(spectrum, vecs),
+                           probability=prob, parity=np.prod(outcomes, axis=1),
+                           outcomes=outcomes)
+
+
+def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
+                        shots: int = 1) -> OutcomeBranches:
+    """The branches ``shots`` walks of the sampler draw, with their dense states.
+
+    The sampler's own walk beyond four rounds (``montecarlo._walk_shots``)
+    at any rounds: after one ``spectral_decomposition`` the shots walk the
+    tree together as eigenvalue vectors, each node drawing every shot's
+    sign with its conditional probability. The root spectra are built into
+    states (``from_spectrum``) so that they compare with the dense oracles.
+    """
+    check_rounds(rounds)
+    vals, vecs = spectral_decomposition(rho)
+    spectrum, prob, signs = montecarlo._walk_shots(vals, rounds, rng, shots)
+    outcomes = signs.T
     return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),
                            outcomes=outcomes)

@@ -19,7 +19,6 @@ from pqec import (
     fidelity,
     find_threshold,
     make_channel,
-    parity_weighted_sum,
     pauli_matrix,
     plus_state,
     purified_state,
@@ -33,8 +32,9 @@ from pqec import (
     werner_fidelity_update,
 )
 from oracles import anisotropic_qubit_purify_fidelity, conditional_state, \
-    conditional_state_two_rounds, generate_twirl_set, pauli_weight_distribution, plain_sum_check, \
-    random_density_matrix, random_pure_state, werner_mixing, werner_state
+    conditional_state_two_rounds, generate_twirl_set, parity_weighted_sum, \
+    pauli_weight_distribution, plain_sum_check, random_density_matrix, random_pure_state, \
+    werner_mixing, werner_state
 from test_channels import twirl_by_conjugation
 
 JOBS = 2

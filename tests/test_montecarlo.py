@@ -8,7 +8,6 @@ import pytest
 from pqec import (
     NoiseModel,
     density_from_pure,
-    enumerate_outcomes,
     estimate_observable,
     extract_observable_exact,
     make_channel,
@@ -17,7 +16,6 @@ from pqec import (
     ratio_estimate,
     required_samples,
     run_cycles,
-    sample_outcome_tree,
     simulate_shots,
     sweep,
     zero_state,
@@ -28,8 +26,8 @@ from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHO
 import pqec.purify
 from pqec.purify import check_observable, swap_gadget
 from pqec.states import ResourceLimitError, ValidationError, from_spectrum, kron_all
-from oracles import conditional_state, maximally_mixed, per_node_outcome_tree, \
-    random_density_matrix, random_pure_state
+from oracles import conditional_state, enumerate_outcomes, maximally_mixed, \
+    per_node_outcome_tree, random_density_matrix, random_pure_state, sample_outcome_tree
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
 Z = pauli_matrix("Z")
@@ -116,17 +114,18 @@ def test_sample_outcome_tree_pure_state():
 
 
 def test_sample_outcome_tree_single_round_frequency():
+    # one round draws one uniform per shot, so n shots in one walk take the uniforms of n
+    # one-shot walks, in the same order, and count the same signs
     rng = np.random.default_rng(2)
     n = 20000
-    plus = sum(sample_outcome_tree(DIAG, 1, rng).outcomes[0, 0] == 1 for _ in range(n))
+    plus = np.sum(sample_outcome_tree(DIAG, 1, rng, n).outcomes[:, 0] == 1)
     assert plus / n == pytest.approx(0.84, abs=0.01)
 
 
 def test_sample_outcome_tree_mixed_state_frequency():
     rng = np.random.default_rng(3)
     n = 20000
-    plus = sum(sample_outcome_tree(maximally_mixed(1), 1, rng).outcomes[0, 0] == 1
-               for _ in range(n))
+    plus = np.sum(sample_outcome_tree(maximally_mixed(1), 1, rng, n).outcomes[:, 0] == 1)
     assert plus / n == pytest.approx(0.75, abs=0.011)
 
 
@@ -406,15 +405,15 @@ def test_enumeration_path_stream_is_pinned():
 
 
 def test_chunk_size_changes_no_enumeration_draw(monkeypatch):
-    # chunks of a few matrices give the same tree and, up to l = 4, the same shots
+    # overlaps in chunks of a few rows give the same tree and, up to l = 4, the same shots
     rng = np.random.default_rng(8)
     rho = random_density_matrix(2, rng)
     obs = pauli_matrix("ZX")
-    whole = enumerate_outcomes(rho, 3)
+    whole = sampling_tree(rho, 3)
     shots = simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3))
-    monkeypatch.setattr("pqec.purify.CHUNK_BYTES", 3 * 16 * 4 * 4)
-    chunked = enumerate_outcomes(rho, 3)
-    for field in ("state", "probability", "parity", "outcomes"):
+    monkeypatch.setattr("pqec.purify.CHUNK_BYTES", 3 * 8 * 4 * 8)
+    chunked = sampling_tree(rho, 3)
+    for field in ("level", "overlap", "probability", "parity", "left", "right", "sign"):
         assert np.array_equal(getattr(whole, field), getattr(chunked, field))
     assert np.array_equal(shots, simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3)))
     walked = simulate_shots(rho, obs, 5, 50, np.random.default_rng(3))
@@ -545,10 +544,14 @@ def test_sampling_budget():
                                            (4, 2, MAX_BATCHES + 1, 8)):
         with pytest.raises(ResourceLimitError):
             check_sampling_budget(rounds, shots, batches, qubits)
-    # beyond four rounds a merge on M qubits counts 4**(M - 1) single-qubit merges
-    check_sampling_budget(5, MAX_SHOT_MERGES // 31 // 64, 1, 4)
-    for rounds, shots, batches, qubits in ((5, MAX_SHOT_MERGES // 31 // 4 + 1, 1, 2),
-                                           (5, MAX_SHOT_MERGES // 31, 1, 4), (6, 100, 3, 8)):
+    # beyond four rounds a merge of two M-qubit spectra counts d/2 = 2**(M - 1) one-qubit
+    # merges: (rounds, M, the most shots admitted), 1e6 // (2**rounds - 1) // 2**(M - 1)
+    for rounds, qubits, largest in ((5, 2, 16129), (5, 4, 4032), (6, 5, 992), (5, 8, 252)):
+        check_sampling_budget(rounds, largest, 1, qubits)
+        with pytest.raises(ResourceLimitError, match="single-qubit spectrum merges"):
+            check_sampling_budget(rounds, largest + 1, 1, qubits)
+    check_sampling_budget(6, 500, 1, 5)
+    for rounds, shots, batches, qubits in ((6, 1000, 1, 5), (6, 100, 3, 8)):
         with pytest.raises(ResourceLimitError):
             check_sampling_budget(rounds, shots, batches, qubits)
 
@@ -560,12 +563,9 @@ def test_sampling_budget():
 @pytest.mark.parametrize("call", [
     lambda rng: simulate_shots(DIAG, Z, -1, 10, rng),
     lambda rng: estimate_observable(DIAG, Z, -2, 10, rng),
-    lambda rng: sample_outcome_tree(DIAG, -1, rng, 3),
-    lambda rng: enumerate_outcomes(DIAG, -1),
     lambda rng: sweep(plus_state(1), LOCAL, [0.1], (0, -2), cycles=1),
     lambda rng: run_cycles(plus_state(1), LOCAL, -1, 1),
-], ids=["simulate_shots", "estimate_observable", "sample_outcome_tree", "enumerate_outcomes",
-        "sweep", "run_cycles"])
+], ids=["simulate_shots", "estimate_observable", "sweep", "run_cycles"])
 def test_negative_rounds_are_rejected(call):
     with pytest.raises(ValidationError, match=r"rounds must be >= 0, got -[12]$"):
         call(np.random.default_rng(0))
@@ -593,9 +593,7 @@ def test_real_targets_stay_float64_through_the_sampler(qubits, monkeypatch):
     noisy = make_channel(NoiseModel("local-depol", 0.2), qubits)(
         density_from_pure(plus_state(qubits)))
     assert noisy.dtype == np.float64
-    # the dense oracle keeps a real state real
-    for rounds in range(5):
-        assert enumerate_outcomes(noisy, rounds).state.dtype == np.float64
+    # the dense gadget keeps a real state real
     assert swap_gadget(noisy, noisy, 1)[0].dtype == np.float64
     assert swap_gadget(np.stack([noisy, noisy]), np.stack([noisy, noisy]),
                        np.array([1, -1]))[0].dtype == np.float64

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,9 @@ from pqec import (
     DegenerateOutcomeError,
     NoiseModel,
     density_from_pure,
-    enumerate_outcomes,
     extract_observable_exact,
     fidelity,
     make_channel,
-    parity_weighted_sum,
     pauli_matrix,
     plus_state,
     purified_spectra,
@@ -22,11 +21,12 @@ from pqec import (
     werner_fidelity_update,
     zero_state,
 )
-from pqec.purify import check_enumeration_budget, merge_spectra, spectra_overlap
-from pqec.states import ResourceLimitError, ValidationError
+from pqec.purify import merge_spectra, spectra_overlap
+from pqec.states import ValidationError
 from oracles import anisotropic_qubit_purify_fidelity, bloch_compose, bloch_purify, \
-    conditional_state, conditional_state_two_rounds, fidelity_bounds, maximally_mixed, \
-    plain_sum_check, random_density_matrix, random_pure_state, werner_mixing, werner_state
+    conditional_state, conditional_state_two_rounds, enumerate_outcomes, fidelity_bounds, \
+    maximally_mixed, parity_weighted_sum, plain_sum_check, random_density_matrix, \
+    random_pure_state, werner_mixing, werner_state
 
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
@@ -207,63 +207,45 @@ def test_enumerate_skips_unreachable_branches():
     assert branches.probability[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def _per_pair_enumeration(rho, rounds):
-    """The outcome tree merged one (left, right, sign) triple per gadget call."""
-    level = [(rho, 1.0, 1, ())]
-    for _ in range(rounds):
-        merged = []
-        for state_a, prob_a, parity_a, out_a in level:
-            for state_b, prob_b, parity_b, out_b in level:
-                for sign in (1, -1):
-                    try:
-                        state, prob = swap_gadget(state_a, state_b, sign)
-                    except DegenerateOutcomeError:
-                        continue
-                    merged.append((state, prob_a * prob_b * prob, parity_a * parity_b * sign,
-                                   out_a + out_b + (sign,)))
-        level = merged
-    return level
+def _reachable_strings(rho, rounds):
+    """Every sign string, + before -, that ``conditional_state`` evaluates: no node unreachable."""
+    strings = []
+    for string in itertools.product((1, -1), repeat=2 ** rounds - 1):
+        try:
+            conditional_state(rho, string)
+        except DegenerateOutcomeError:
+            continue
+        strings.append(string)
+    return np.array(strings, dtype=np.int8)
+
+
+def _check_against_fixed_strings(rho, rounds):
+    branches = enumerate_outcomes(rho, rounds)
+    assert np.array_equal(branches.outcomes, _reachable_strings(rho, rounds))
+    fixed = conditional_state(rho, branches.outcomes)
+    for field in ("state", "probability", "parity"):
+        assert np.array_equal(getattr(branches, field), getattr(fixed, field)), field
+    return branches
 
 
 def test_enumeration_matches_per_pair_merges():
-    # stacking every level into chunked gadget calls changes no bit or order
+    # the per-pair enumeration lists every string the fixed-string evaluator reaches, in
+    # order, and each branch bit for bit as that evaluator's one stacked call per node
     rng = np.random.default_rng(25)
     cases = [(random_density_matrix(m, rng), 3) for m in (1, 2, 3)]
     cases.append((make_channel(NoiseModel("local-depol", 0.3), 2)(
         density_from_pure(plus_state(2))), 2))
     cases.append((density_from_pure(zero_state(1)), 3))
     for rho, rounds in cases:
-        branches = enumerate_outcomes(rho, rounds)
-        reference = _per_pair_enumeration(rho, rounds)
-        assert len(branches) == len(reference)
-        assert np.array_equal(branches.state, np.array([r[0] for r in reference]))
-        assert np.array_equal(branches.probability, np.array([r[1] for r in reference]))
-        assert np.array_equal(branches.parity, np.array([r[2] for r in reference]))
-        assert np.array_equal(branches.outcomes, np.array([r[3] for r in reference]))
+        # the fixed-string evaluator runs in complex128
+        _check_against_fixed_strings(rho.astype(complex), rounds)
 
 
 @pytest.mark.parametrize("qubits", [4, 5])
 def test_enumeration_matches_per_pair_merges_on_large_registers(qubits):
     # the elementwise overlap sums a 16x16 and 32x32 pair the same way alone or stacked
     rho = random_density_matrix(qubits, np.random.default_rng(26 + qubits))
-    branches = enumerate_outcomes(rho, 2)
-    reference = _per_pair_enumeration(rho, 2)
-    assert len(branches) == len(reference) == 8
-    assert np.array_equal(branches.state, np.array([r[0] for r in reference]))
-    assert np.array_equal(branches.probability, np.array([r[1] for r in reference]))
-    assert np.array_equal(branches.parity, np.array([r[2] for r in reference]))
-    assert np.array_equal(branches.outcomes, np.array([r[3] for r in reference]))
-
-
-def test_enumeration_budget_by_register_size():
-    # four rounds hold up to 2**15 states of 4**M * 16 B: M = 5 fits, M = 6 does not
-    check_enumeration_budget(4, 5)
-    check_enumeration_budget(3, 8)
-    for rounds, qubits in ((4, 6), (4, 8), (5, 1)):
-        with pytest.raises(ResourceLimitError):
-            check_enumeration_budget(rounds, qubits)
-    with pytest.raises(ResourceLimitError):
-        enumerate_outcomes(maximally_mixed(6), 4)
+    assert len(_check_against_fixed_strings(rho, 2)) == 8
 
 
 def test_parity_weighted_sum_single_round():
@@ -291,11 +273,6 @@ def test_plain_sum_examples():
     assert plain_sum_check(random_density_matrix(1, rng), 1) < 1e-12
     assert plain_sum_check(random_density_matrix(1, rng), 2) < 1e-10
     assert plain_sum_check(maximally_mixed(1), 3) < 1e-12
-
-
-def test_brute_force_guard():
-    with pytest.raises(ResourceLimitError):
-        enumerate_outcomes(DIAG, 5)
 
 
 # ----------------------------------------------------------------------
