@@ -52,4 +52,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.13.1"

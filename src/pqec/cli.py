@@ -474,7 +474,7 @@ def _cmd_sample(args) -> int:
     noisy = channel(density_from_pure(psi))
     exact = extract_observable_exact(obs, noisy, ell)
     rng = np.random.default_rng(args.seed)
-    tree = sampling_tree(noisy, ell)
+    tree = sampling_tree(noisy, obs, ell)
     rows = []
     any_unstable = False
     for b in range(args.batches):

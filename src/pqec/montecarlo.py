@@ -10,6 +10,15 @@ expectation is recovered by the ratio estimator
 whose delta-method standard error is sqrt(Var(parity (outcome - estimate)))
 / (sqrt(n) |B_hat|). The required shot count for target precision eps with
 a bounded observable scales as 1 / (eps Tr(rho**N))**2.
+
+A run builds what its batches share once (``sampling_tree``): the
+decompositions of rho and of the observable, and the outcome tree on
+eigenvalue vectors. Up to ``MAX_TREE_ROUNDS`` a batch draws its shots'
+branches from the tree's last level and measures them in place, block by
+block, so it builds no shots-long array but its records. Beyond, its shots
+walk the tree, looking the lowest ``LABEL_LEVELS`` levels up as labels and
+merging spectra above them. The estimator sums the records in blocks, in
+numpy's own order.
 """
 
 from __future__ import annotations
@@ -25,19 +34,29 @@ from .purify import PROB_FLOOR, check_observable, check_rounds, chunk_rows, merg
 from .states import ResourceLimitError, ValidationError, spectral_decomposition
 
 # Up to this many rounds shots draw their branches from the whole tree's last
-# level (``_choice``), beyond it they walk the tree (``_walk``); the two take
-# their uniforms in different orders, so the split fixes a seed's draws.
+# level (``_draw_from_tree``), beyond it they walk the tree (``_walk``); the
+# two take their uniforms in different orders, so the split fixes a seed's
+# draws.
 MAX_TREE_ROUNDS = 4
+
+# The walk's lowest levels hold few distinct branches, level k at most
+# 2**(2**k - 1), so up to this level it looks labels up in tables built once
+# per run (``label_levels``), and above it merges spectra.
+LABEL_LEVELS = 3
+
+# Shots per block of the draw from the tree and of the estimator's sums:
+# each block's scratch arrays stay in cache and in the allocator's heap.
+SHOT_BLOCK = 2 ** 13
 
 # Budget of one sampling run, checked before anything is built:
 # - shots per batch, whose records are held in memory at once;
 # - shots in all, batches x shots, and batches, since each batch adds a CSV
 #   row and a fixed cost: many tiny batches stay bounded too;
 # - up to MAX_TREE_ROUNDS nothing more: the tree's size does not grow with M;
-# - beyond it, where every shot walks its own branch, the merges
+# - beyond it, where every shot walks its own branch, the nodes walked
 #   batches x shots x (2**rounds - 1), each weighted by d/2 = 2**(M-1), so
-#   the limit counts one-qubit merges: a merge of two vectors of d
-#   eigenvalues costs about 80 + 11 d ns (README).
+#   the limit counts one-qubit merges: a node costs about 25 + 3.5 d ns,
+#   its three lowest levels looked up and the rest merged (README).
 MAX_SHOTS_PER_BATCH = 10 ** 6
 MAX_RUN_SHOTS = 5 * 10 ** 7
 MAX_BATCHES = 10 ** 4
@@ -75,24 +94,65 @@ def required_samples(epsilon: float, trace_rho_n: float) -> int:
     return math.ceil(bound)
 
 
+def _pairwise_sum(fill, count: int, scratch: np.ndarray, start: int = 0):
+    """``np.add.reduce`` of ``count`` values, bit for bit, with no array of ``count`` built.
+
+    ``fill(out, start)`` writes the values ``start .. start + len(out) - 1``
+    into ``out``. Numpy sums a contiguous float64 array pairwise: a run longer
+    than 128 values is split at half its length rounded down to a multiple
+    of eight, and each half summed alone. This splits the same way until a
+    run fits ``scratch``, which it sums with ``np.add.reduce``.
+    """
+    if count <= len(scratch):
+        part = scratch[:count]
+        fill(part, start)
+        return np.add.reduce(part)
+    half = count // 2
+    half -= half % 8
+    return (_pairwise_sum(fill, half, scratch, start)
+            + _pairwise_sum(fill, count - half, scratch, start + half))
+
+
 def ratio_estimate(shots) -> EstimatorResult:
-    """Ratio estimator over a sequence of (parity, outcome) records."""
+    """Ratio estimator over a sequence of (parity, outcome) records.
+
+    The means and the variance are those of ``np.mean`` and
+    ``np.var(ddof=1)``, bit for bit, summed block by block in one scratch
+    buffer of ``SHOT_BLOCK`` values (``_pairwise_sum``).
+    """
     arr = np.asarray(shots, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValidationError("need at least two (parity, outcome) shots")
-    parities = arr[:, 0]
-    outcomes = arr[:, 1]
+    parities, outcomes = arr.T
     n = arr.shape[0]
-    a_hat = float(np.mean(parities * outcomes))
-    b_hat = float(np.mean(parities))
+    # numpy sums a run of up to 128 values in one piece
+    scratch = np.empty(min(n, max(SHOT_BLOCK, 128)))
+
+    def products(out, lo):
+        np.multiply(parities[lo:lo + len(out)], outcomes[lo:lo + len(out)], out=out)
+
+    a_hat = float(_pairwise_sum(products, n, scratch) / n)
+    b_hat = float(np.add.reduce(parities) / n)
     unstable = abs(b_hat) < 3.0 / math.sqrt(n)
     if b_hat == 0.0:
         return EstimatorResult(estimate=math.nan, numerator_mean=a_hat,
                                denominator_mean=b_hat, standard_error=math.nan,
                                n_samples=n, unstable_denominator=True)
     estimate = a_hat / b_hat
-    residual = parities * (outcomes - estimate)
-    se = math.sqrt(float(np.var(residual, ddof=1)) / n) / abs(b_hat)
+
+    def residuals(out, lo):
+        np.subtract(outcomes[lo:lo + len(out)], estimate, out=out)
+        out *= parities[lo:lo + len(out)]
+
+    mean = _pairwise_sum(residuals, n, scratch) / n
+
+    def squared_deviations(out, lo):
+        residuals(out, lo)
+        out -= mean
+        np.square(out, out=out)
+
+    variance = _pairwise_sum(squared_deviations, n, scratch) / (n - 1)
+    se = math.sqrt(float(variance) / n) / abs(b_hat)
     return EstimatorResult(estimate=estimate, numerator_mean=a_hat,
                            denominator_mean=b_hat, standard_error=se,
                            n_samples=n, unstable_denominator=unstable)
@@ -128,18 +188,40 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
             f" limit of {MAX_SHOT_MERGES:.0e} single-qubit spectrum merges")
 
 
-def _outcome_cdf(spectra: np.ndarray, vecs: np.ndarray, obs_vecs: np.ndarray) -> np.ndarray:
-    """Row k: the CDF of the observable's eigenvectors ``obs_vecs`` measured on branch k.
+def _outcome_cdf(spectra: np.ndarray, tree: SamplingTree) -> np.ndarray:
+    """Row k: the observable's CDF on a branch of eigenvalues ``spectra[k]``, at its steps.
 
-    Branch k has eigenvalues ``spectra[k]`` on rho's eigenvectors ``vecs``,
-    so Tr(Pi_i rho_k) = sum_j spectra[k, j] |<u_i|v_j>|^2, with no d x d
-    state built. Each row is what ``Generator.choice(p=...)`` builds from
-    these probabilities: their cumulative sum over their total, divided by
-    its last entry.
+    Tr(Pi_i rho_k) = sum_j spectra[k, j] weights[j, i] (``SamplingTree``),
+    with no d x d state built. The CDF is what ``Generator.choice(p=...)``
+    builds from these probabilities: their cumulative sum over their total,
+    divided by its last entry. Only its entries at ``tree.steps`` are kept,
+    padded with 1.0 to a power-of-two width, which ``_outcome_index``
+    searches.
     """
-    q = spectra @ np.abs(vecs.conj().T @ obs_vecs) ** 2
+    q = spectra @ tree.weights
     cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
-    return cdf / cdf[:, -1:]
+    out = np.ones((len(q), 1 << len(tree.steps).bit_length()))
+    np.divide(cdf[:, tree.steps], cdf[:, -1:], out=out[:, :len(tree.steps)])
+    return out
+
+
+def _outcome_index(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each k, how many entries of ``_outcome_cdf`` row ``rows[k]`` lie at or below ``u[k]``.
+
+    The row is nondecreasing and its padding, 1.0, lies above every
+    uniform, so this is ``searchsorted(side="right")`` on the row: each
+    record binary-searches its own row, one probe per bit of the width.
+    """
+    width = cdf.shape[1]
+    flat = cdf.ravel()
+    start = rows * width
+    position = start.copy()
+    step = width // 2
+    while step:
+        position += step * (flat[position + (step - 1)] <= u)
+        step //= 2
+    position -= start
+    return position
 
 
 @functools.cache
@@ -160,6 +242,41 @@ def _level_rows(height: int) -> tuple[np.ndarray, ...]:
     return rows
 
 
+@dataclass(frozen=True)
+class LabelLevel:
+    """One of the walk's lowest levels as a lookup table: its branches are labels 0..n-1.
+
+    A node whose children carry labels a and b of the level below draws
+    sign +1 iff its uniform lies below ``threshold[a, b]``, which is
+    (1 + overlap) / 2, and then carries ``label[a, b, minus]``, -1 where
+    that merge is unreachable. ``spectra`` and ``probability`` hold each
+    label's eigenvalues and the probability of its sign string. The leaf
+    level has one label, rho, and no tables.
+    """
+
+    spectra: np.ndarray
+    probability: np.ndarray
+    threshold: np.ndarray | None = None
+    label: np.ndarray | None = None
+
+
+def _look_up(level: LabelLevel, below: LabelLevel, left, right, u):
+    """Labels and signs of nodes whose children carry labels ``left`` and ``right``.
+
+    Every argument is a stack over the nodes of a level, or one node. An
+    unreachable merge raises ``DegenerateOutcomeError`` as ``merge_spectra``
+    does on it.
+    """
+    pair = left * len(below.probability) + right
+    minus = u >= level.threshold.ravel()[pair]
+    labels = level.label.ravel()[2 * pair + minus]
+    sign = 1 - 2 * minus.astype(np.int8)
+    if labels.min() < 0:
+        left, right = below.spectra[left], below.spectra[right]
+        merge_spectra(left, right, sign, spectra_overlap(left, right))
+    return labels, sign
+
+
 def _merge_nodes(left, right, prob_l, prob_r, u):
     """Draw each node's sign from its uniform ``u``, then merge its two child spectra.
 
@@ -173,118 +290,109 @@ def _merge_nodes(left, right, prob_l, prob_r, u):
     return spectrum, prob_l * prob_r * prob, sign
 
 
-def _walk(vals: np.ndarray, rounds: int, height: int, rng: np.random.Generator,
-          signs: np.ndarray, first: int):
-    """Root spectra and probabilities of a ``rounds``-level subtree; its signs go to ``signs``.
+def _walk(tables, rounds: int, height: int, rng: np.random.Generator, signs: np.ndarray,
+          first: int):
+    """The root of a ``rounds``-level subtree; its signs go to ``signs``.
 
-    ``first`` is the post-order index of the subtree's first node. Up to
-    ``height`` levels the subtree is stacked: one ``rng.random`` call for
-    the uniforms of all its nodes, one merge per level. A taller one walks
-    its left subtree, its right subtree, then its root, so the uniforms
-    come in post-order either way.
+    The root is a label of ``tables[rounds]`` up to ``LABEL_LEVELS``,
+    otherwise a pair of (shots, d) spectra and probabilities. ``first`` is
+    the post-order index of the subtree's first node. Up to ``height``
+    levels the subtree is stacked: one ``rng.random`` call for the uniforms
+    of all its nodes, one lookup or merge per level. A taller one walks its
+    left subtree, its right subtree, then its root, so the uniforms come in
+    post-order either way.
     """
     shots = signs.shape[1]
     if rounds > height:
-        left, prob_l = _walk(vals, rounds - 1, height, rng, signs, first)
-        right, prob_r = _walk(vals, rounds - 1, height, rng, signs, first + 2 ** (rounds - 1) - 1)
-        spectrum, prob, signs[first + 2 ** rounds - 2] = _merge_nodes(
-            left, right, prob_l, prob_r, rng.random(shots))
+        left = _walk(tables, rounds - 1, height, rng, signs, first)
+        right = _walk(tables, rounds - 1, height, rng, signs, first + 2 ** (rounds - 1) - 1)
+        u, root = rng.random(shots), first + 2 ** rounds - 2
+        if rounds <= LABEL_LEVELS:
+            labels, signs[root] = _look_up(tables[rounds], tables[rounds - 1], left, right, u)
+            return labels
+        (left, prob_l), (right, prob_r) = (_spectra(tables, rounds - 1, left),
+                                           _spectra(tables, rounds - 1, right))
+        spectrum, prob, signs[root] = _merge_nodes(left, right, prob_l, prob_r, u)
         return spectrum, prob
     u = rng.random((2 ** rounds - 1, shots))
-    spectrum = np.broadcast_to(vals, (2 ** rounds, shots, vals.size))
-    prob_l = prob_r = np.ones((1, shots))
-    for rows in _level_rows(rounds):
-        spectrum, prob, signs[first + rows] = _merge_nodes(
-            spectrum[0::2], spectrum[1::2], prob_l, prob_r, u[rows])
-        prob_l, prob_r = prob[0::2], prob[1::2]
-    return spectrum[0], prob_l[0]
+    rows = _level_rows(rounds)
+    labels = np.zeros((2 ** rounds, shots), dtype=np.intp)
+    for level in range(1, min(rounds, LABEL_LEVELS) + 1):
+        labels, signs[first + rows[level - 1]] = _look_up(
+            tables[level], tables[level - 1], labels[0::2], labels[1::2], u[rows[level - 1]])
+    if rounds <= LABEL_LEVELS:
+        return labels[0]
+    spectrum, prob = _spectra(tables, LABEL_LEVELS, labels)
+    for level in range(LABEL_LEVELS + 1, rounds + 1):
+        spectrum, prob, signs[first + rows[level - 1]] = _merge_nodes(
+            spectrum[0::2], spectrum[1::2], prob[0::2], prob[1::2], u[rows[level - 1]])
+    return spectrum[0], prob[0]
 
 
-def _walk_shots(vals: np.ndarray, rounds: int, rng: np.random.Generator, shots: int):
+def _spectra(tables, level: int, root):
+    """``root`` of a ``level``-level subtree as spectra and probabilities, labels looked up."""
+    if level > LABEL_LEVELS:
+        return root
+    return tables[level].spectra[root], tables[level].probability[root]
+
+
+def _walk_shots(tables, rounds: int, rng: np.random.Generator, shots: int):
     """Root spectra (shots, d), probabilities and signs (2**rounds - 1, shots) of a walk."""
     # merging a level of n nodes builds nine (n, shots, d) arrays and about
     # sixteen (n, shots) ones, so the widest level, of 2**(height - 1) nodes,
     # builds at most CHUNK_BYTES
-    height = min(rounds, chunk_rows(8 * max(shots, 1) * (9 * vals.size + 16)).bit_length())
+    d = tables[0].spectra.shape[1]
+    height = min(rounds, chunk_rows(8 * max(shots, 1) * (9 * d + 16)).bit_length())
     signs = np.empty((2 ** rounds - 1, shots), dtype=np.int8)
-    spectrum, prob = _walk(vals, rounds, height, rng, signs, 0)
+    spectrum, prob = _spectra(tables, rounds, _walk(tables, rounds, height, rng, signs, 0))
     return spectrum, prob, signs
-
-
-def _measure(records: np.ndarray, rows: np.ndarray, parity: np.ndarray, cdf: np.ndarray,
-             vals: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill ``records`` with a parity and one observable draw per record.
-
-    Record k sits on row ``rows[k]`` of ``parity`` and of the eigenvalue
-    CDFs ``cdf``. Its draw is the inverse CDF at the k-th of
-    ``len(records)`` uniforms, which is how ``Generator.choice(p=...)``
-    draws, so the stream matches one scalar ``choice`` per record, in order.
-    The index is counted column by column: how many of the first d - 1 CDF
-    entries lie at or below the uniform, which is ``searchsorted(side="right")``
-    on a nondecreasing row; the last entry is exactly 1.0, above every
-    uniform. Records run in chunks of ``CHUNK_BYTES`` of indices and
-    gathered CDF entries, so no (records, d) block is built.
-    """
-    u = rng.random(len(records))
-    records[:, 0] = parity[rows]
-    step = chunk_rows(16)
-    for lo in range(0, len(records), step):
-        part = rows[lo:lo + step]
-        index = np.zeros(len(part), dtype=np.intp)
-        for column in cdf[:, :-1].T:
-            index += column[part] <= u[lo:lo + step]
-        records[lo:lo + step, 1] = vals[index]
-
-
-def _choice(p: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``rng.choice(len(p), size=size, p=p)``, bit for bit, with the most probable index looked up.
-
-    This is ``choice``'s own inverse-CDF draw: the normalized cumulative sum
-    of ``p``, one ``rng.random(size)`` call and ``searchsorted(side="right")``,
-    so the indices and the generator's state afterwards are ``choice``'s.
-    Uniforms in the half-open CDF interval of the most probable index are
-    resolved by two comparisons; only the rest are binary-searched.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(size)
-    top = int(np.argmax(p))
-    low = cdf[top - 1] if top else 0.0
-    index = np.full(size, top, dtype=np.int64)
-    rest = np.flatnonzero((u < low) | (u >= cdf[top]))
-    index[rest] = cdf.searchsorted(u[rest], side="right")
-    return index
 
 
 @dataclass(frozen=True)
 class SpectralTree:
-    """The outcome tree of ``sampling_tree``, on rho's eigenvectors ``vecs``.
+    """One level of the outcome tree, on eigenvalue vectors.
 
-    ``level`` holds the (n, d) eigenvalues of the level below the last, and
-    ``overlap`` their ``overlap_matrix``. Branch b merges ``level[left[b]]``
-    and ``level[right[b]]`` with sign ``sign[b]`` when drawn (``spectra``).
-    With zero rounds ``level`` is rho's spectrum and the merge fields None.
+    ``level`` holds the (n, d) eigenvalues of the level below, and
+    ``overlap`` their ``overlap_matrix``. Branch b is merge ``merges[b]`` of
+    the level below, a flat index into (left, right, minus) of shape
+    (n, n, 2), minus being 1 for sign -1, or merge b itself when
+    ``merges`` is None and every merge is reachable; it merges when drawn
+    (``spectra``). With zero rounds ``level`` is rho's spectrum and
+    ``overlap`` None.
     """
 
-    vecs: np.ndarray
     level: np.ndarray
     probability: np.ndarray
     parity: np.ndarray
     overlap: np.ndarray | None = None
-    left: np.ndarray | None = None
-    right: np.ndarray | None = None
-    sign: np.ndarray | None = None
+    merges: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.probability)
 
+    def merge_index(self, index: np.ndarray) -> np.ndarray:
+        """The flat (left, right, minus) index of the branches ``index``."""
+        return index if self.merges is None else self.merges[index]
+
+    def pairs(self, index: np.ndarray):
+        """``(left, right, sign)`` of the branches ``index``."""
+        pair, minus = np.divmod(self.merge_index(index), 2)
+        left, right = np.divmod(pair, len(self.level))
+        return left, right, (1 - 2 * minus).astype(np.int8)
+
     def spectra(self, index: np.ndarray) -> np.ndarray:
         """(len(index), d) eigenvalues of the branches ``index``, each as merged alone."""
-        if self.sign is None:
+        if self.overlap is None:
             return self.level[index]
-        left, right = self.left[index], self.right[index]
-        return merge_spectra(self.level[left], self.level[right], self.sign[index],
+        left, right, sign = self.pairs(index)
+        return merge_spectra(self.level[left], self.level[right], sign,
                              self.overlap[left, right])[0]
+
+    def above(self, level: np.ndarray) -> SpectralTree:
+        """The next level, given this level's spectra ``level``: its ``reachable_merges``."""
+        overlap = overlap_matrix(level)
+        probability, parity, merges = reachable_merges(overlap, self.probability, self.parity)
+        return SpectralTree(level, probability, parity, overlap, merges)
 
 
 def overlap_matrix(level: np.ndarray) -> np.ndarray:
@@ -298,84 +406,203 @@ def overlap_matrix(level: np.ndarray) -> np.ndarray:
 
 
 def reachable_merges(overlap: np.ndarray, probability: np.ndarray, parity: np.ndarray):
-    """``(left, right, sign, probability, parity)`` of a level's reachable merges with itself.
+    """``(probability, parity, merges)`` of a level's reachable merges with itself.
 
     Merges of a level's branches, given its ``overlap_matrix``, are ordered
-    left outermost, then right, then sign +1 before -1; those whose node
-    probability falls below ``PROB_FLOOR`` are left out, and the rest still
-    sum to one.
+    left outermost, then right, then sign +1 before -1, and ``merges``
+    holds their flat indices into that (n, n, 2) grid, or is None if all
+    are reachable. Those whose node probability falls below ``PROB_FLOOR``
+    are left out, and the rest still sum to one. Products over the grid are
+    built as outer products, then compressed by the mask of the reachable
+    merges.
     """
-    probs = np.stack([0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)], axis=-1)
-    left, right, minus = np.nonzero(probs >= PROB_FLOOR)
-    # trees stop at four rounds, so a level below holds at most 2**7 branches
-    left, right = left.astype(np.int32), right.astype(np.int32)
-    sign = (1 - 2 * minus).astype(np.int8)
-    return (left, right, sign, probability[left] * probability[right] * probs[left, right, minus],
-            parity[left] * parity[right] * sign)
+    # the grids are filled one sign at a time: numpy is slow on a length-2 inner axis
+    pair_probability = np.multiply.outer(probability, probability)
+    pair_parity = np.multiply.outer(parity, parity)
+    probs, probability, parity = (np.empty(overlap.shape + (2,), dtype=a.dtype)
+                                  for a in (overlap, pair_probability, pair_parity))
+    np.multiply(0.5, 1.0 + overlap, out=probs[..., 0])
+    np.multiply(0.5, 1.0 - overlap, out=probs[..., 1])
+    np.multiply(pair_probability, probs[..., 0], out=probability[..., 0])
+    np.multiply(pair_probability, probs[..., 1], out=probability[..., 1])
+    parity[..., 0] = pair_parity
+    np.negative(pair_parity, out=parity[..., 1])
+    keep = probs >= PROB_FLOOR
+    if keep.all():
+        return probability.ravel(), parity.ravel(), None
+    return probability[keep], parity[keep], np.flatnonzero(keep)
 
 
-def sampling_tree(rho: np.ndarray, rounds: int) -> SpectralTree | None:
-    """The tree ``simulate_shots`` draws from up to ``MAX_TREE_ROUNDS``; None beyond.
+@dataclass(frozen=True)
+class SamplingTree:
+    """What every batch of a sampling run reads, built once by ``sampling_tree``.
 
-    After one ``spectral_decomposition`` of rho, each level below the last
-    is merged as (n, d) eigenvalue vectors from the ``reachable_merges`` of
-    the one below. The last level keeps only its merges, probabilities and
-    parities: just the branches that shots draw need a spectrum, and no
-    sampler output reads a sign string. The tree draws no random numbers,
-    so one serves every batch.
+    ``weights[j, i]`` = |<u_i|v_j>|^2 pairs rho's eigenvectors v_j with the
+    observable's eigenvectors u_i. Its eigenvalues come ascending, in runs
+    of equal values; ``values`` holds one per run and ``steps`` the index
+    of the last eigenvalue of each run but the last, so a draw's eigenvalue
+    is ``values[k]``, k counting the steps at or below its uniform. A Pauli
+    string has one step, at d/2 - 1.
+
+    Up to ``MAX_TREE_ROUNDS`` rounds ``last`` is the tree's last level,
+    which shots draw their branches from by the inverse of its CDF
+    ``branch_cdf``; ``top`` is its most probable branch. Beyond,
+    ``labels`` holds the leaves and the ``LABEL_LEVELS`` levels above them
+    as lookup tables, which every walk starts from.
     """
-    if rounds > MAX_TREE_ROUNDS:
-        return None
+
+    rounds: int
+    vecs: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+    steps: np.ndarray
+    last: SpectralTree | None = None
+    branch_cdf: np.ndarray | None = None
+    top: int = 0
+    labels: tuple[LabelLevel, ...] = ()
+
+
+def label_levels(vals: np.ndarray) -> tuple[LabelLevel, ...]:
+    """The leaves, of eigenvalues ``vals``, and the ``LABEL_LEVELS`` levels above as lookups."""
+    tree = SpectralTree(vals[None], np.ones(1), np.ones(1, dtype=np.int8))
+    levels = [LabelLevel(tree.level, tree.probability)]
+    for _ in range(LABEL_LEVELS):
+        tree = tree.above(levels[-1].spectra)
+        # label b is branch b
+        branches = np.arange(len(tree))
+        label = np.full(tree.overlap.shape + (2,), -1, dtype=np.intp)
+        label.ravel()[tree.merge_index(branches)] = branches
+        levels.append(LabelLevel(tree.spectra(branches), tree.probability,
+                                 0.5 * (1.0 + tree.overlap), label))
+    return tuple(levels)
+
+
+def sampling_tree(rho: np.ndarray, obs: np.ndarray, rounds: int) -> SamplingTree:
+    """The tree ``simulate_shots`` draws from for rho, the observable ``obs`` and ``rounds``.
+
+    After one ``spectral_decomposition`` of rho, each level is merged as
+    (n, d) eigenvalue vectors from the ``reachable_merges`` of the one below
+    (``SpectralTree.above``). Up to ``MAX_TREE_ROUNDS`` the last level keeps
+    only its merges, probabilities and parities: just the branches that
+    shots draw need a spectrum, and no sampler output reads a sign string.
+    Shots draw those branches by ``branch_cdf``. Beyond, the walk starts
+    from ``label_levels``. Then the observable is decomposed, once. The
+    tree draws no random numbers, so one serves every batch.
+    """
     check_rounds(rounds)
+    obs = check_observable(obs, rho)
     vals, vecs = spectral_decomposition(rho)
-    tree = SpectralTree(vecs, vals[None], np.ones(1), np.ones(1, dtype=int))
-    for _ in range(rounds):
-        level = tree.spectra(np.arange(len(tree)))
-        overlap = overlap_matrix(level)
-        left, right, sign, probability, parity = reachable_merges(
-            overlap, tree.probability, tree.parity)
-        tree = SpectralTree(vecs, level, probability, parity, overlap, left, right, sign)
-    return tree
+    if rounds > MAX_TREE_ROUNDS:
+        draw = {"labels": label_levels(vals)}
+    else:
+        tree = SpectralTree(vals[None], np.ones(1), np.ones(1, dtype=np.int8))
+        for _ in range(rounds):
+            tree = tree.above(tree.spectra(np.arange(len(tree))))
+        cdf, top = branch_cdf(tree.probability)
+        draw = {"last": tree, "branch_cdf": cdf, "top": top}
+    # after the tree, whose overlaps are the largest arrays of a run
+    obs_vals, obs_vecs = np.linalg.eigh(obs)
+    steps = np.flatnonzero(obs_vals[1:] != obs_vals[:-1])
+    return SamplingTree(rounds, vecs, np.abs(vecs.conj().T @ obs_vecs) ** 2,
+                        obs_vals[np.r_[0, steps + 1]], steps, **draw)
+
+
+def branch_cdf(probability: np.ndarray):
+    """``Generator.choice``'s CDF over the branches, and the most probable branch.
+
+    The CDF is the cumulative sum of the normalized probabilities over its
+    last entry, as ``choice(p=...)`` builds it from p = probability / sum.
+    """
+    cdf = probability / probability.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf, int(np.argmax(probability))
+
+
+def _draw_from_tree(tree: SamplingTree, records: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill the column-major ``records`` with shots drawn from the tree's last level.
+
+    The stream is that of ``rng.choice(len(p), size=n, p=p)`` over the
+    branch probabilities, then of one scalar ``choice`` per shot over its
+    branch's observable probabilities: two ``rng.random(n)`` calls, drawn
+    straight into the two record columns. The branch is ``choice``'s
+    inverse CDF, ``searchsorted(side="right")``. A first pass searches only
+    the shots outside the CDF interval of the most probable branch, marks
+    the branches drawn and writes -1 - branch over each such shot's
+    uniform; only the marked branches are merged. A second pass gives every
+    shot the most probable branch's parity and observable, from comparisons
+    against that branch's CDF row, then the searched shots their own. Both
+    passes run in blocks of ``SHOT_BLOCK`` shots.
+    """
+    last, cdf, top = tree.last, tree.branch_cdf, tree.top
+    uniforms, outcomes = records.T
+    rng.random(len(records), out=uniforms)
+    rng.random(len(records), out=outcomes)
+    low, high = (cdf[top - 1] if top else 0.0), cdf[top]
+    drawn = np.zeros(len(last), dtype=bool)
+    for lo in range(0, len(records), SHOT_BLOCK):
+        u = uniforms[lo:lo + SHOT_BLOCK]
+        rest = np.flatnonzero((u < low) | (u >= high))
+        drawn[top] |= len(rest) < len(u)
+        branch = cdf.searchsorted(u[rest], side="right")
+        drawn[branch] = True
+        u[rest] = -1.0 - branch
+    which = np.flatnonzero(drawn)
+    row = np.cumsum(drawn, dtype=np.int32)
+    row -= 1
+    parity = last.parity[which].astype(float)
+    outcome_cdf = _outcome_cdf(last.spectra(which), tree)
+    top_parity, top_row = parity[row[top]], outcome_cdf[row[top], :len(tree.steps)]
+    counts = np.empty(min(len(records), SHOT_BLOCK), dtype=np.intp)
+    for lo in range(0, len(records), SHOT_BLOCK):
+        u, v = uniforms[lo:lo + SHOT_BLOCK], outcomes[lo:lo + SHOT_BLOCK]
+        rest = np.flatnonzero(u < 0.0)
+        searched = v[rest]
+        rows = row[(-1.0 - u[rest]).astype(np.intp)]
+        count = counts[:len(v)]
+        count.fill(0)
+        for entry in top_row:
+            count += entry <= v
+        tree.values.take(count, out=v)
+        u.fill(top_parity)
+        v[rest] = tree.values[_outcome_index(outcome_cdf, rows, searched)]
+        u[rest] = parity[rows]
 
 
 def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
-                   rng: np.random.Generator, tree: SpectralTree | None = None) -> np.ndarray:
-    """(n_shots, 2) array of (parity, observable outcome) records.
+                   rng: np.random.Generator, tree: SamplingTree | None = None) -> np.ndarray:
+    """(n_shots, 2) array of (parity, observable outcome) records, in column-major order.
 
-    Up to ``MAX_TREE_ROUNDS`` every shot draws its branch from
-    ``sampling_tree`` (``_choice``), or from ``tree`` if an earlier batch
-    built it, and only the distinct branches drawn are merged; beyond it
-    the shots walk the tree together (``_walk``), a block at a time. Then
-    each shot draws its observable in shot order (``_measure``) from a CDF
-    read off its branch's spectrum: no branch state is built.
+    ``tree`` is ``sampling_tree(rho, obs, rounds)``, built here unless an
+    earlier batch built it; given one, rho and ``obs`` are not read again,
+    and a tree built for other rounds raises ``ValidationError``.
+    Up to ``MAX_TREE_ROUNDS`` every shot draws its branch from the tree's
+    last level (``_draw_from_tree``), and only the distinct branches drawn
+    are merged; beyond it the shots walk the tree together (``_walk``), a
+    block at a time, and each then draws its observable in shot order from
+    a CDF read off its branch's spectrum. No branch state is built.
     """
     check_rounds(rounds)
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
-    obs_vals, obs_vecs = np.linalg.eigh(check_observable(obs, rho))
-    records = np.empty((n_shots, 2), dtype=float)
+    if tree is None:
+        tree = sampling_tree(rho, check_observable(obs, rho), rounds)
+    elif tree.rounds != rounds:
+        raise ValidationError(f"the tree was built for {tree.rounds} rounds, not {rounds}")
+    records = np.empty((n_shots, 2), order="F")
     if rounds <= MAX_TREE_ROUNDS:
-        tree = sampling_tree(rho, rounds) if tree is None else tree
-        probs = tree.probability
-        which = _choice(probs / probs.sum(), n_shots, rng)
-        # only the branches drawn need a spectrum and their observable distribution
-        counts = np.bincount(which)
-        drawn = np.flatnonzero(counts)
-        # each shot's row among the drawn branches, written over its branch index so that
-        # a million-shot batch holds one shots-long index array, not two
-        np.take(np.cumsum(counts > 0) - 1, which, out=which)
-        _measure(records, which, tree.parity[drawn],
-                 _outcome_cdf(tree.spectra(drawn), tree.vecs, obs_vecs), obs_vals, rng)
+        _draw_from_tree(tree, records, rng)
         return records
-    vals, vecs = spectral_decomposition(rho)
     # each walk draws the uniforms of its block, so the block size, which once
     # bounded the block's d x d states, fixes the draws of a seed
-    step = chunk_rows(16 * obs_vals.size ** 2)
+    step = chunk_rows(16 * len(tree.weights) ** 2)
     for lo in range(0, n_shots, step):
-        block = records[lo:lo + step]
-        spectrum, _, signs = _walk_shots(vals, rounds, rng, len(block))
-        _measure(block, np.arange(len(block)), np.prod(signs, axis=0),
-                 _outcome_cdf(spectrum, vecs, obs_vecs), obs_vals, rng)
+        parities, outcomes = records[lo:lo + step].T
+        spectrum, _, signs = _walk_shots(tree.labels, rounds, rng, len(parities))
+        np.prod(signs, axis=0, out=parities)
+        rng.random(len(outcomes), out=outcomes)
+        outcomes[:] = tree.values[_outcome_index(_outcome_cdf(spectrum, tree),
+                                                 np.arange(len(outcomes)), outcomes)]
     return records
 
 

@@ -5,10 +5,12 @@ forms (the Bloch rescaling r -> 2r/(1+|r|^2), the Werner family and its
 fidelity map, dephasing of a tilted qubit, the sandwich fidelity bounds),
 the brute-force outcome tree over fixed sign strings and its two-round
 closed form, the whole tree enumerated one gadget call per merge, the
-sampler's node-by-node tree walk, the Pauli expansion
-computed densely, the complex IXYZ basis change, the twirl's frame subsets
-as label tuples, and the state constructors and validation the tests build
-their inputs with. Each oracle is computed apart from the fast path it
+sampler's node-by-node tree walk, the shot records as 0.13.0 drew them
+(``frozen_shot_records``: ``Generator.choice`` over every branch, one CDF
+column at a time, no label table), the Pauli expansion computed densely,
+the complex IXYZ basis change, the twirl's frame subsets as label tuples,
+and the state constructors and validation the tests build their inputs
+with. Each oracle is computed apart from the fast path it
 checks: ``pauli_expand`` takes one trace per Pauli string, never
 ``to_pauli_basis``, and ``to_pauli_basis`` pairs qubit axes with the complex
 Pauli matrices, not with the channel kernel's real {I, X, XZ, Z} pair; and
@@ -26,8 +28,8 @@ import numpy as np
 
 from pqec import montecarlo
 from pqec.channels import DEFAULT_SEED
-from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, check_rounds, merge_spectra, \
-    swap_gadget, werner_fidelity_update
+from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, check_rounds, chunk_rows, \
+    merge_spectra, swap_gadget, werner_fidelity_update
 from pqec.states import MAX_PAULI_QUBITS, NORM_TOL, PAULI_I, PAULI_LABELS, PAULI_X, PAULI_Y, \
     PAULI_Z, ResourceLimitError, ValidationError, check_pure_state, density_from_pure, fidelity, \
     from_spectrum, num_qubits, pauli_matrix, purity, real_or_complex, spectral_decomposition
@@ -473,16 +475,13 @@ def conditional_state(rho: np.ndarray, outcomes) -> OutcomeBranches:
                            outcomes=outcomes)
 
 
-def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
-                          shots: int = 1) -> OutcomeBranches:
-    """Draw ``shots`` outcome strings node by node, post-order, on eigenvalue vectors.
+def _per_node_walk(vals: np.ndarray, rounds: int, rng: np.random.Generator, shots: int):
+    """Root spectra (shots, d), probabilities and sign strings (shots, 2**rounds - 1) of a walk.
 
-    The reference for the sampler's level-order walk: the shots walk the
-    tree together as (shots, d) eigenvalue vectors in rho's eigenbasis,
-    and each node takes its own ``rng.random(shots)`` call, in post-order,
-    and its own ``merge_spectra`` call.
+    The shots walk the tree together as (shots, d) eigenvalue vectors, and
+    each node takes its own ``rng.random(shots)`` call, in post-order, and
+    its own ``merge_spectra`` call.
     """
-    vals, vecs = spectral_decomposition(rho)
     leaf = np.broadcast_to(vals, (shots, vals.size))
     signs = []
 
@@ -498,10 +497,95 @@ def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator
         return spectrum, prob_l * prob_r * prob
 
     spectrum, prob = walk(rounds)
-    outcomes = np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+    return spectrum, prob, np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+
+
+def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
+                          shots: int = 1) -> OutcomeBranches:
+    """Draw ``shots`` outcome strings node by node, post-order, on eigenvalue vectors.
+
+    The reference for the sampler's level-order walk and its label lookups:
+    ``_per_node_walk`` in rho's eigenbasis.
+    """
+    vals, vecs = spectral_decomposition(rho)
+    spectrum, prob, outcomes = _per_node_walk(vals, rounds, rng, shots)
     return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),
                            outcomes=outcomes)
+
+
+def _branch_spectra(vals: np.ndarray, rounds: int):
+    """Spectra, probabilities and parities of every reachable branch, on eigenvalue vectors.
+
+    Each level merges every branch of the level below with every branch,
+    left outermost, then right, then sign +1 before -1, in one stacked
+    ``merge_spectra`` call, leaving out merges below ``PROB_FLOOR``: the
+    order of ``enumerate_outcomes``.
+    """
+    spectra, probability, parity = vals[None], np.ones(1), np.ones(1, dtype=int)
+    for _ in range(rounds):
+        n = len(spectra)
+        left = np.repeat(np.arange(n), 2 * n)
+        right = np.tile(np.repeat(np.arange(n), 2), n)
+        sign = np.tile([1, -1], n * n)
+        overlap = (spectra[left] * spectra[right]).sum(axis=-1)
+        prob = 0.5 * (1.0 + sign * overlap)
+        keep = prob >= PROB_FLOOR
+        left, right, sign = left[keep], right[keep], sign[keep]
+        spectra = merge_spectra(spectra[left], spectra[right], sign, overlap[keep])[0]
+        probability = probability[left] * probability[right] * prob[keep]
+        parity = parity[left] * parity[right] * sign
+    return spectra, probability, parity
+
+
+def _measure_by_columns(records, rows, parity, spectra, weights, obs_vals, rng):
+    """One ``rng.random`` call, then per record its parity and the observable its uniform picks.
+
+    Record k reads row ``rows[k]`` of ``parity`` and of the CDFs of
+    ``spectra @ weights``, built as ``Generator.choice(p=...)`` builds its
+    CDF; its index counts the first d - 1 CDF columns at or below its
+    uniform, one column at a time over all records.
+    """
+    u = rng.random(len(records))
+    q = spectra @ weights
+    cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
+    cdf = cdf / cdf[:, -1:]
+    index = np.zeros(len(records), dtype=np.intp)
+    for column in cdf[:, :-1].T:
+        index += column[rows] <= u
+    records[:, 0] = parity[rows]
+    records[:, 1] = obs_vals[index]
+
+
+def frozen_shot_records(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
+                        rng: np.random.Generator):
+    """The (n_shots, 2) records ``simulate_shots`` drew in 0.13.0, and each shot's branch.
+
+    Up to four rounds: one ``rng.choice`` over every branch of
+    ``_branch_spectra``, the drawn branches found by ``bincount``, then one
+    uniform per shot measured on its drawn branch's spectrum. Beyond, per
+    block of ``chunk_rows(16 d**2)`` shots: a node-by-node walk, then the
+    block's uniforms. The branch is None beyond four rounds.
+    """
+    obs_vals, obs_vecs = np.linalg.eigh(obs)
+    vals, vecs = spectral_decomposition(rho)
+    weights = np.abs(vecs.conj().T @ obs_vecs) ** 2
+    records = np.empty((n_shots, 2))
+    if rounds <= montecarlo.MAX_TREE_ROUNDS:
+        spectra, probability, parity = _branch_spectra(vals, rounds)
+        which = rng.choice(len(probability), size=n_shots, p=probability / probability.sum())
+        counts = np.bincount(which)
+        drawn = np.flatnonzero(counts)
+        _measure_by_columns(records, (np.cumsum(counts > 0) - 1)[which], parity[drawn],
+                            spectra[drawn], weights, obs_vals, rng)
+        return records, which
+    step = chunk_rows(16 * obs_vals.size ** 2)
+    for lo in range(0, n_shots, step):
+        block = records[lo:lo + step]
+        spectrum, _, outcomes = _per_node_walk(vals, rounds, rng, len(block))
+        _measure_by_columns(block, np.arange(len(block)), np.prod(outcomes, axis=1), spectrum,
+                            weights, obs_vals, rng)
+    return records, None
 
 
 def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
@@ -516,7 +600,8 @@ def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
     """
     check_rounds(rounds)
     vals, vecs = spectral_decomposition(rho)
-    spectrum, prob, signs = montecarlo._walk_shots(vals, rounds, rng, shots)
+    spectrum, prob, signs = montecarlo._walk_shots(montecarlo.label_levels(vals), rounds, rng,
+                                                   shots)
     outcomes = signs.T
     return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),

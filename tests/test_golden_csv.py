@@ -58,6 +58,11 @@ GOLDEN = {
     "sample-zero-ell4": (["sample", "--state", "zero^1", "--observable", "Z",
                           "--channel", "local-depol", "--p", "0.01", "--ell", "4",
                           "--shots", "20000", "--batches", "2", "--seed", "1"], EXIT_OK, False),
+    # the benchmark's l=4 command
+    "sample-zero-ell4-1e5": (["sample", "--state", "zero^1", "--observable", "Z",
+                              "--channel", "local-depol", "--p", "0.01", "--ell", "4",
+                              "--shots", "100000", "--batches", "1", "--seed", "1"],
+                             EXIT_OK, False),
     "sample-dephasing-M2-ell3": (["sample", "--M", "2", "--channel", "dephasing", "--p", "0.2",
                                   "--ell", "3", "--shots", "5000", "--batches", "3",
                                   "--seed", "3", "--observable", "XZ"], EXIT_OK, False),

@@ -22,11 +22,11 @@ from pqec import (
 )
 import pqec.montecarlo
 from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHOTS_PER_BATCH, \
-    check_sampling_budget, sampling_tree
+    SamplingTree, SpectralTree, branch_cdf, check_sampling_budget, sampling_tree
 import pqec.purify
-from pqec.purify import check_observable, swap_gadget
+from pqec.purify import DegenerateOutcomeError, check_observable, merge_spectra, swap_gadget
 from pqec.states import ResourceLimitError, ValidationError, from_spectrum, kron_all
-from oracles import conditional_state, enumerate_outcomes, maximally_mixed, \
+from oracles import conditional_state, enumerate_outcomes, frozen_shot_records, maximally_mixed, \
     per_node_outcome_tree, random_density_matrix, random_pure_state, sample_outcome_tree
 
 DIAG = np.diag([0.8, 0.2]).astype(complex)
@@ -74,6 +74,40 @@ def test_ratio_estimate_adversarial_denominator():
     assert res.unstable_denominator
     assert res.numerator_mean == pytest.approx(1.0)  # o = parity makes A_hat = 1
     assert np.isfinite(res.estimate) or np.isnan(res.estimate)
+
+
+def _numpy_estimate(records):
+    """The estimate, its components and its standard error from np.mean and np.var(ddof=1)."""
+    parities, outcomes = records[:, 0], records[:, 1]
+    a_hat, b_hat = float(np.mean(parities * outcomes)), float(np.mean(parities))
+    if b_hat == 0.0:
+        return a_hat, b_hat, math.nan, math.nan
+    estimate = a_hat / b_hat
+    residual = parities * (outcomes - estimate)
+    se = math.sqrt(float(np.var(residual, ddof=1)) / len(records)) / abs(b_hat)
+    return a_hat, b_hat, estimate, se
+
+
+@pytest.mark.parametrize("n", [2, 3, 8193, 300_000])
+def test_ratio_estimate_is_numpy_mean_and_var(n):
+    # outcomes off +-1 round in every sum, so the blocked sums must add in numpy's order
+    rng = np.random.default_rng(n)
+    parities = rng.choice([-1.0, 1.0], size=n, p=[0.3, 0.7])
+    parities[0] = 1.0
+    cases = {"mixed": np.column_stack([parities, rng.normal(size=n)]),
+             "zero B_hat": np.column_stack([np.resize([1.0, -1.0], n - n % 2), np.ones(n - n % 2)]),
+             "constant": np.column_stack([np.ones(n), np.full(n, -1.0)])}
+    for name, records in cases.items():
+        want = _numpy_estimate(records)
+        for shots in (records, np.asfortranarray(records), records.tolist()):
+            res = ratio_estimate(shots)
+            got = (res.numerator_mean, res.denominator_mean, res.estimate, res.standard_error)
+            assert np.array_equal(got, want, equal_nan=True), name
+            assert res.n_samples == len(records)
+        if name == "zero B_hat":
+            assert math.isnan(res.estimate) and res.unstable_denominator
+        if name == "constant":
+            assert res.standard_error == 0.0 and res.estimate == -1.0
 
 
 def test_ratio_estimate_needs_two_shots():
@@ -255,7 +289,9 @@ def test_level_walk_matches_per_node_walk(qubits, rounds):
 
 
 def test_level_walk_splits_under_chunk_bound(monkeypatch):
-    # a small chunk leaves three-level subtrees under four levels walked node by node
+    # a small chunk leaves three-level subtrees under four levels walked node by node; the
+    # three-level subtrees are label lookups, so spectra merge only in the tables, once per
+    # walk, and at the fifteen nodes above them
     monkeypatch.setattr(pqec.purify, "CHUNK_BYTES", 2 ** 17)
     calls = []
     merge = pqec.montecarlo.merge_spectra
@@ -264,8 +300,22 @@ def test_level_walk_splits_under_chunk_bound(monkeypatch):
                         or merge(a, b, sign, overlap))
     rho = random_density_matrix(1, np.random.default_rng(3))
     _same_walk(rho, 7, 100, seed=4)
-    assert calls.count((100,)) == 2 ** 4 - 1
-    assert [shape for shape in calls if shape != (100,)] == [(4, 100), (2, 100), (1, 100)] * 2 ** 4
+    assert calls == [(2,), (8,), (128,)] + [(100,)] * (2 ** 4 - 1)
+
+
+def test_unreachable_label_raises_as_the_merge_does():
+    # a pure leaf's antisymmetric merge is unreachable: the table holds -1 for it, and a node
+    # that draws it raises the error the merge raised
+    vals = np.array([0.0, 1.0])
+    tables = pqec.montecarlo.label_levels(vals)
+    assert tables[1].label[0, 0].tolist() == [0, -1]
+    zero = np.zeros(2, dtype=np.intp)
+    with pytest.raises(DegenerateOutcomeError) as lookup:
+        pqec.montecarlo._look_up(tables[1], tables[0], zero, zero, np.array([0.5, 1.0]))
+    with pytest.raises(DegenerateOutcomeError) as merge:
+        merge_spectra(np.stack([vals, vals]), np.stack([vals, vals]), np.array([1, -1]),
+                      np.ones(2))
+    assert str(lookup.value) == str(merge.value)
 
 
 def test_stacked_merge_builds_at_most_chunk_bytes(monkeypatch):
@@ -387,12 +437,68 @@ def test_observable_draw_matches_per_branch_scan_at_three_qubits(p):
     [1.0] * 7,                      # flat
 ])
 def test_branch_draw_is_generator_choice(weights):
+    # one-hot branch spectra measured in their own basis: a shot's outcome is its branch,
+    # and its parity the branch's; seven branches pad the CDF rows to eight entries
+    k = len(weights)
     p = np.array(weights) / np.sum(weights)
+    last = SpectralTree(np.eye(k), p, (-1) ** np.arange(k))
+    tree = SamplingTree(1, np.eye(k), np.eye(k), np.arange(k, dtype=float), np.arange(k - 1),
+                        last, *branch_cdf(p))
     ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
-    drawn = pqec.montecarlo._choice(p, 5000, ours)
-    want = theirs.choice(len(p), size=5000, p=p)
-    assert drawn.dtype == want.dtype and np.array_equal(drawn, want)
+    records = np.empty((5000, 2), order="F")
+    pqec.montecarlo._draw_from_tree(tree, records, ours)
+    want = theirs.choice(k, size=5000, p=p / p.sum())
+    theirs.random(5000)
+    assert np.array_equal(records[:, 1], want)
+    assert np.array_equal(records[:, 0], (-1.0) ** want)
     assert ours.random() == theirs.random()
+
+
+# (M, l): the tree's draw up to l = 4 and the walk beyond, at l = 5..7 on label lookups
+FROZEN_CASES = [(m, ell) for m in (1, 2, 3) for ell in range(8)]
+
+
+@pytest.mark.parametrize("qubits, rounds", FROZEN_CASES)
+def test_simulate_shots_draws_as_frozen_oracle(qubits, rounds):
+    # every record and the generator's state after them match the 0.13.0 draw, with the tree
+    # built per call or passed in
+    obs = pauli_matrix("Z" + "X" * (qubits - 1))
+    for p in (0.0, 0.01, 0.3):
+        rho = make_channel(NoiseModel("local-depol", p), qubits)(
+            density_from_pure(random_pure_state(qubits, np.random.default_rng(rounds))))
+        tree = sampling_tree(rho, obs, rounds)
+        for shots in (1, 2, 37, 5000):
+            oracle_rng = np.random.default_rng(shots + rounds)
+            want, _ = frozen_shot_records(rho, obs, rounds, shots, oracle_rng)
+            after = oracle_rng.random()
+            for given in (None, tree):
+                rng = np.random.default_rng(shots + rounds)
+                got = simulate_shots(rho, obs, rounds, shots, rng, given)
+                assert np.array_equal(got, want), (p, shots, given is None)
+                assert rng.random() == after
+
+
+def test_tree_of_other_rounds_is_rejected():
+    # a tree is read without rho or the observable, so its rounds must be the batch's
+    rng = np.random.default_rng(0)
+    for built, asked in ((2, 3), (3, 2), (4, 5), (5, 4), (6, 5)):
+        with pytest.raises(ValidationError, match=f"built for {built} rounds, not {asked}"):
+            simulate_shots(DIAG, Z, asked, 10, rng, sampling_tree(DIAG, Z, built))
+
+
+def test_draw_outside_the_top_branch_matches_frozen_oracle():
+    # shots that all miss the most probable branch are searched alone; its CDF row is not read
+    rho = make_channel(NoiseModel("local-depol", 0.3), 3)(density_from_pure(zero_state(3)))
+    obs = pauli_matrix("ZZX")
+    tree = sampling_tree(rho, obs, 4)
+    top = int(np.argmax(tree.last.probability))
+    missed = 0
+    for seed in range(40):
+        want, which = frozen_shot_records(rho, obs, 4, 3, np.random.default_rng(seed))
+        missed += top not in which
+        assert np.array_equal(simulate_shots(rho, obs, 4, 3, np.random.default_rng(seed), tree),
+                              want)
+    assert missed > 0
 
 
 def test_enumeration_path_stream_is_pinned():
@@ -405,19 +511,27 @@ def test_enumeration_path_stream_is_pinned():
 
 
 def test_chunk_size_changes_no_enumeration_draw(monkeypatch):
-    # overlaps in chunks of a few rows give the same tree and, up to l = 4, the same shots
+    # overlaps in chunks of a few rows give the same tree and, up to l = 4, the same shots;
+    # so do blocks of a few shots
     rng = np.random.default_rng(8)
     rho = random_density_matrix(2, rng)
     obs = pauli_matrix("ZX")
-    whole = sampling_tree(rho, 3)
+    whole = sampling_tree(rho, obs, 3).last
     shots = simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3))
     monkeypatch.setattr("pqec.purify.CHUNK_BYTES", 3 * 8 * 4 * 8)
-    chunked = sampling_tree(rho, 3)
-    for field in ("level", "overlap", "probability", "parity", "left", "right", "sign"):
+    chunked = sampling_tree(rho, obs, 3).last
+    for field in ("level", "overlap", "probability", "parity", "merges"):
         assert np.array_equal(getattr(whole, field), getattr(chunked, field))
     assert np.array_equal(shots, simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3)))
     walked = simulate_shots(rho, obs, 5, 50, np.random.default_rng(3))
     assert set(np.unique(walked)) <= {-1.0, 1.0}
+    for block in (1, 7, 64):
+        monkeypatch.setattr(pqec.montecarlo, "SHOT_BLOCK", block)
+        assert np.array_equal(shots, simulate_shots(rho, obs, 3, 5000, np.random.default_rng(3)))
+        res = ratio_estimate(shots)
+        monkeypatch.undo()
+        assert res == ratio_estimate(shots)
+        monkeypatch.setattr("pqec.purify.CHUNK_BYTES", 3 * 8 * 4 * 8)
 
 
 # (M, l, p): M = 1..5 at l = 0..4; p = 0 keeps the target pure, so antisymmetric merges of
@@ -433,27 +547,30 @@ def test_sampling_tree_merges_lazily_as_enumerated(qubits, rounds, p):
     # parities and drawn states match the dense enumeration
     rho = make_channel(NoiseModel("dephasing", p), qubits)(
         density_from_pure(random_pure_state(qubits, np.random.default_rng(rounds))))
-    tree = sampling_tree(rho, rounds)
+    obs = pauli_matrix("X" * qubits)
+    sampler = sampling_tree(rho, obs, rounds)
+    tree = sampler.last
     whole = enumerate_outcomes(rho, rounds)
     assert len(tree) == len(whole)
     if rounds:
-        assert (tree.left.dtype, tree.right.dtype, tree.sign.dtype) == (np.int32, np.int32, np.int8)
-        assert (len(whole) < 2 ** (2 ** rounds - 1)) == (p == 0.0)
+        # a tree with every merge reachable stores no merge index
+        assert (len(whole) < 2 ** (2 ** rounds - 1)) == (p == 0.0) == (tree.merges is not None)
         below = enumerate_outcomes(rho, rounds - 1).outcomes
-        strings = np.concatenate([below[tree.left], below[tree.right], tree.sign[:, None]], axis=1)
+        left, right, sign = tree.pairs(np.arange(len(tree)))
+        strings = np.concatenate([below[left], below[right], sign[:, None]], axis=1)
         assert np.array_equal(strings, whole.outcomes)
-    assert tree.parity.dtype == whole.parity.dtype
+    # parities are +-1, held in one byte each
+    assert tree.parity.dtype == np.int8
     assert np.array_equal(tree.parity, whole.parity)
     assert np.max(np.abs(tree.probability / whole.probability - 1.0)) < 1e-12
     spectra = tree.spectra(np.arange(len(tree)))
-    assert np.max(np.abs(from_spectrum(spectra, tree.vecs) - whole.state)) < 1e-13
+    assert np.max(np.abs(from_spectrum(spectra, sampler.vecs) - whole.state)) < 1e-13
     # a branch merges alone as it does among all the others
     rng = np.random.default_rng(qubits)
     drawn = np.unique(rng.choice(len(tree), size=300, p=tree.probability / tree.probability.sum()))
     assert np.array_equal(tree.spectra(drawn), spectra[drawn])
     # the whole sampler draws the same records from a tree it builds or is given
-    obs = pauli_matrix("X" * qubits)
-    given = simulate_shots(rho, obs, rounds, 2000, np.random.default_rng(rounds), tree)
+    given = simulate_shots(rho, obs, rounds, 2000, np.random.default_rng(rounds), sampler)
     assert np.array_equal(given, simulate_shots(rho, obs, rounds, 2000,
                                                 np.random.default_rng(rounds)))
 
@@ -466,9 +583,9 @@ def test_benchmark_draw_merges_only_the_drawn_branches(monkeypatch):
                         lambda a, b, sign, overlap: merged.append(len(sign))
                         or merge(a, b, sign, overlap))
     rho = make_channel(NoiseModel("local-depol", 0.01), 1)(density_from_pure(zero_state(1)))
-    tree = sampling_tree(rho, 4)
+    tree = sampling_tree(rho, Z, 4)
     # the three levels below the last hold 2, 8 and 128 spectra
-    assert len(tree) == 2 ** 15 and merged == [2, 8, 128]
+    assert len(tree.last) == 2 ** 15 and merged == [2, 8, 128]
     merged.clear()
     simulate_shots(rho, Z, 4, 100_000, np.random.default_rng(1), tree)
     assert merged == [207]
@@ -600,16 +717,23 @@ def test_real_targets_stay_float64_through_the_sampler(qubits, monkeypatch):
     # the sampler's only basis is rho's eigenvectors: real for a real target, complex for
     # its cast; its spectra are float64 either way
     cast = noisy.astype(complex)
-    for rounds in range(5):
-        real, complex_ = sampling_tree(noisy, rounds), sampling_tree(cast, rounds)
+    obs = pauli_matrix("Z" * qubits)
+    for rounds in range(7):
+        real, complex_ = sampling_tree(noisy, obs, rounds), sampling_tree(cast, obs, rounds)
         assert (real.vecs.dtype, complex_.vecs.dtype) == (np.float64, np.complex128)
-        drawn = np.arange(0, len(real), 7)
-        assert real.spectra(drawn).dtype == complex_.spectra(drawn).dtype == np.float64
+        assert real.weights.dtype == complex_.weights.dtype == np.float64
+        if rounds <= 4:
+            drawn = np.arange(0, len(real.last), 7)
+            spectra = real.last.spectra(drawn), complex_.last.spectra(drawn)
+            assert spectra[0].dtype == spectra[1].dtype == np.float64
+        else:
+            levels = real.labels + complex_.labels
+            assert {level.spectra.dtype for level in levels} == {np.dtype(float)}
     measured, decomposed = [], []
-    cdf = pqec.montecarlo._outcome_cdf
-    monkeypatch.setattr(pqec.montecarlo, "_outcome_cdf",
-                        lambda spectra, vecs, obs_vecs: measured.append(vecs.dtype)
-                        or cdf(spectra, vecs, obs_vecs))
+    build = pqec.montecarlo.sampling_tree
+    monkeypatch.setattr(pqec.montecarlo, "sampling_tree",
+                        lambda rho, obs, rounds: measured.append(rho.dtype)
+                        or build(rho, obs, rounds))
     spectral = pqec.purify.spectral_decomposition
     monkeypatch.setattr(pqec.purify, "spectral_decomposition",
                         lambda rho: decomposed.append(rho.dtype) or spectral(rho))
@@ -621,7 +745,7 @@ def test_real_targets_stay_float64_through_the_sampler(qubits, monkeypatch):
             assert np.array_equal(real_shots, simulate_shots(cast, obs, rounds, 300,
                                                              np.random.default_rng(rounds)))
             extract_observable_exact(obs, noisy, rounds)
-    # real runs measure in float64 eigenbases and their complex casts in complex128 ones,
-    # and the matrix the exact value diagonalizes stays float64
+    # real runs build their trees on float64 states and their complex casts on complex128
+    # ones, and the matrix the exact value diagonalizes stays float64
     assert measured[0::2] == [np.float64] * 14 and measured[1::2] == [np.complex128] * 14
     assert decomposed == [np.float64] * 14
