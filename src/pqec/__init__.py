@@ -22,7 +22,6 @@ from .montecarlo import (
 from .purify import (
     DegenerateOutcomeError,
     extract_observable_exact,
-    purified_spectra,
     purified_state,
     purified_weights,
     swap_gadget,
@@ -52,4 +51,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.13.1"
+__version__ = "0.14.0"

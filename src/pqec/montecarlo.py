@@ -188,7 +188,7 @@ def check_sampling_budget(rounds: int, shots: int, batches: int, qubits: int = 1
             f" limit of {MAX_SHOT_MERGES:.0e} single-qubit spectrum merges")
 
 
-def _outcome_cdf(spectra: np.ndarray, tree: SamplingTree) -> np.ndarray:
+def _outcome_cdf(spectra: np.ndarray, tree: SamplingTree, out: np.ndarray | None = None):
     """Row k: the observable's CDF on a branch of eigenvalues ``spectra[k]``, at its steps.
 
     Tr(Pi_i rho_k) = sum_j spectra[k, j] weights[j, i] (``SamplingTree``),
@@ -196,11 +196,13 @@ def _outcome_cdf(spectra: np.ndarray, tree: SamplingTree) -> np.ndarray:
     builds from these probabilities: their cumulative sum over their total,
     divided by its last entry. Only its entries at ``tree.steps`` are kept,
     padded with 1.0 to a power-of-two width, which ``_outcome_index``
-    searches.
+    searches. They are written into ``out``, whose padding must hold 1.0
+    already, or into a new array.
     """
     q = spectra @ tree.weights
     cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
-    out = np.ones((len(q), 1 << len(tree.steps).bit_length()))
+    if out is None:
+        out = np.ones((len(q), 1 << len(tree.steps).bit_length()))
     np.divide(cdf[:, tree.steps], cdf[:, -1:], out=out[:, :len(tree.steps)])
     return out
 
@@ -437,6 +439,8 @@ def reachable_merges(overlap: np.ndarray, probability: np.ndarray, parity: np.nd
 class SamplingTree:
     """What every batch of a sampling run reads, built once by ``sampling_tree``.
 
+    ``rho`` and ``obs`` are copies of the state and the checked observable
+    it was built for, which ``simulate_shots`` compares with its own.
     ``weights[j, i]`` = |<u_i|v_j>|^2 pairs rho's eigenvectors v_j with the
     observable's eigenvectors u_i. Its eigenvalues come ascending, in runs
     of equal values; ``values`` holds one per run and ``steps`` the index
@@ -452,6 +456,8 @@ class SamplingTree:
     """
 
     rounds: int
+    rho: np.ndarray
+    obs: np.ndarray
     vecs: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -503,8 +509,9 @@ def sampling_tree(rho: np.ndarray, obs: np.ndarray, rounds: int) -> SamplingTree
     # after the tree, whose overlaps are the largest arrays of a run
     obs_vals, obs_vecs = np.linalg.eigh(obs)
     steps = np.flatnonzero(obs_vals[1:] != obs_vals[:-1])
-    return SamplingTree(rounds, vecs, np.abs(vecs.conj().T @ obs_vecs) ** 2,
-                        obs_vals[np.r_[0, steps + 1]], steps, **draw)
+    return SamplingTree(rounds, np.array(rho), np.array(obs), vecs,
+                        np.abs(vecs.conj().T @ obs_vecs) ** 2, obs_vals[np.r_[0, steps + 1]],
+                        steps, **draw)
 
 
 def branch_cdf(probability: np.ndarray):
@@ -529,10 +536,12 @@ def _draw_from_tree(tree: SamplingTree, records: np.ndarray, rng: np.random.Gene
     inverse CDF, ``searchsorted(side="right")``. A first pass searches only
     the shots outside the CDF interval of the most probable branch, marks
     the branches drawn and writes -1 - branch over each such shot's
-    uniform; only the marked branches are merged. A second pass gives every
-    shot the most probable branch's parity and observable, from comparisons
-    against that branch's CDF row, then the searched shots their own. Both
-    passes run in blocks of ``SHOT_BLOCK`` shots.
+    uniform; only the marked branches are merged and measured, in chunks
+    of ``chunk_rows(8 d)`` branches, each writing its rows of one outcome
+    CDF. A second pass gives every shot the most probable branch's parity
+    and observable, from comparisons against that branch's CDF row, then
+    the searched shots their own. Both passes run in blocks of
+    ``SHOT_BLOCK`` shots.
     """
     last, cdf, top = tree.last, tree.branch_cdf, tree.top
     uniforms, outcomes = records.T
@@ -551,7 +560,10 @@ def _draw_from_tree(tree: SamplingTree, records: np.ndarray, rng: np.random.Gene
     row = np.cumsum(drawn, dtype=np.int32)
     row -= 1
     parity = last.parity[which].astype(float)
-    outcome_cdf = _outcome_cdf(last.spectra(which), tree)
+    outcome_cdf = np.ones((len(which), 1 << len(tree.steps).bit_length()))
+    step = chunk_rows(8 * len(tree.weights))
+    for lo in range(0, len(which), step):
+        _outcome_cdf(last.spectra(which[lo:lo + step]), tree, outcome_cdf[lo:lo + step])
     top_parity, top_row = parity[row[top]], outcome_cdf[row[top], :len(tree.steps)]
     counts = np.empty(min(len(records), SHOT_BLOCK), dtype=np.intp)
     for lo in range(0, len(records), SHOT_BLOCK):
@@ -574,8 +586,9 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     """(n_shots, 2) array of (parity, observable outcome) records, in column-major order.
 
     ``tree`` is ``sampling_tree(rho, obs, rounds)``, built here unless an
-    earlier batch built it; given one, rho and ``obs`` are not read again,
-    and a tree built for other rounds raises ``ValidationError``.
+    earlier batch built it; a tree built for other rounds, or for a state
+    or observable whose entries differ from rho's or ``obs``'s, raises
+    ``ValidationError``.
     Up to ``MAX_TREE_ROUNDS`` every shot draws its branch from the tree's
     last level (``_draw_from_tree``), and only the distinct branches drawn
     are merged; beyond it the shots walk the tree together (``_walk``), a
@@ -589,6 +602,8 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
         tree = sampling_tree(rho, check_observable(obs, rho), rounds)
     elif tree.rounds != rounds:
         raise ValidationError(f"the tree was built for {tree.rounds} rounds, not {rounds}")
+    elif not (np.array_equal(tree.rho, rho) and np.array_equal(tree.obs, obs)):
+        raise ValidationError("the tree was built for another state or observable")
     records = np.empty((n_shots, 2), order="F")
     if rounds <= MAX_TREE_ROUNDS:
         _draw_from_tree(tree, records, rng)

@@ -164,23 +164,6 @@ def purified_weights(vals: np.ndarray, rounds: int) -> np.ndarray:
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
-def purified_spectra(rho: np.ndarray, rounds):
-    """The eigenvectors of ``rho`` and the purified weights of each r in ``rounds``.
-
-    Returns ``(vecs, weights)``: every rounds value shares one
-    eigendecomposition of the stack ``(..., d, d)``, made at the call, and
-    ``weights`` yields ``purified_weights`` for each value lazily, so a long
-    ``rounds`` holds one spectrum at a time. r = 0 yields None, which leaves
-    the input unpurified; if every r is 0 nothing is decomposed and
-    ``vecs`` is None. The purified state is ``from_spectrum(w, vecs)``, and
-    a purified fidelity is sum_i w_i |<v_i|psi>|^2.
-    """
-    ells = tuple(int(r) for r in rounds)
-    check_rounds(min(ells, default=0))
-    vals, vecs = spectral_decomposition(rho) if any(ells) else (None, None)
-    return vecs, (purified_weights(vals, ell) if ell else None for ell in ells)
-
-
 def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
     """rho**N / Tr(rho**N) with N = 2**rounds; rounds = 0 returns the input.
 
@@ -190,8 +173,11 @@ def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:
     as one call each. A real ``rho`` gives a real state.
     """
     rho = real_or_complex(rho)
-    vecs, (weights,) = purified_spectra(rho, (rounds,))
-    return rho if weights is None else from_spectrum(weights, vecs)
+    check_rounds(rounds)
+    if not rounds:
+        return rho
+    vals, vecs = spectral_decomposition(rho)
+    return from_spectrum(purified_weights(vals, rounds), vecs)
 
 
 def check_observable(obs: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -10,30 +10,30 @@ purification rounds cross.
 The engine runs a whole (p, rounds) grid in lock-step. Its noise model
 holds the grid's p values as one tuple, so each cycle makes one call of
 one channel closure on the stack of (P, L) states, each p's channel on
-that p's L states. The target sets how a state is held
-(``stabilizer_letters``). From ``plus^M`` or ``zero^M`` every state is
-diagonal in the X or the Z product basis, so it is held as its 2**M
-diagonal, with the target at index 0: the channel acts on it through
-Walsh-Hadamard passes (``channels.apply_to_diagonal``), purification
-powers it (``purify.purified_weights``), and F is its first weight, in
-O(M 2**M) per cell and cycle. Any other target is held as a d x d matrix,
-with one stacked eigendecomposition per rounds value. Every purified
-fidelity is sum_i w_i |<v_i|psi>|^2 over the eigenvectors
-v_i of the noisy state and its normalized powered eigenvalues w_i
-(``purify.purified_weights``), with the overlaps |<v_i|psi>|^2 taken once
-per decomposition. A purified matrix V diag(w) V^dagger
-(``states.from_spectrum``) is built only for a cycle that follows. The
-first cycle starts all rounds values of a p from the same noisy state, so
-it decomposes that state once; a one-cycle run, as every threshold is,
-holds one state per p and builds no purified matrix. Every step acts state
-by state, so a trace has the same bits as a run of its cell alone, however
-the grid is split into blocks. Parallel blocks of a dense grid run on
-threads of the calling process: the stacked ``eigh`` and Pauli kernels
-release the interpreter lock, and no worker is forked. A diagonal grid runs
-on the calling thread (``cell_cost``). At ``jobs`` > 1, every OpenBLAS
-loaded in the process, numpy's among them, is pinned to one thread, so its
-own thread pool does not compete with the workers for the CPUs; its old
-thread count comes back when the sweep ends.
+that p's L states. One loop runs the cycles over a representation of the
+states, which the target alone picks (``representation``). From ``plus^M``
+or ``zero^M`` every state is diagonal in the X or the Z product basis, so
+it is held as its 2**M diagonal, with the target at index 0: the channel
+acts on it through Walsh-Hadamard passes (``channels.apply_to_diagonal``)
+and it is its own spectrum, in O(M 2**M) per cell and cycle. Any other
+target is held as a d x d matrix, with one stacked eigendecomposition per
+rounds value. Every purified fidelity is sum_i w_i |<v_i|psi>|^2 over the
+eigenvectors v_i of the noisy state (the basis states on a diagonal) and
+its normalized powered eigenvalues w_i (``purify.purified_weights``), with
+the populations |<v_i|psi>|^2 taken once per decomposition. A purified
+matrix V diag(w) V^dagger (``states.from_spectrum``) is built only for a
+cycle that follows. The first cycle starts all rounds values of a p from
+the same noisy state, so it decomposes that state once; a one-cycle run,
+as every threshold is, holds one state per p and builds no purified
+matrix. Every step acts state by state, so a trace has the same bits as a
+run of its cell alone, however the grid is split into blocks. Parallel
+blocks of a dense grid run on threads of the calling process: the stacked
+``eigh`` and Pauli kernels release the interpreter lock, and no worker is
+forked. A diagonal grid runs on the calling thread (its ``cell_work`` is
+0). At ``jobs`` > 1, every OpenBLAS loaded in the process, numpy's among
+them, is pinned to one thread, so its own thread pool does not compete
+with the workers for the CPUs; its old thread count comes back when the
+sweep ends.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from itertools import repeat
 import numpy as np
 
 from .channels import NoiseModel, make_channel
-from .purify import CHUNK_BYTES, check_rounds, purified_spectra, purified_weights
+from .purify import CHUNK_BYTES, check_rounds, purified_weights
 from .states import PAULI_LABELS, ValidationError, check_pure_state, density_from_pure, \
-    fidelity, from_spectrum, num_qubits, plus_state, zero_state
+    fidelity, from_spectrum, num_qubits, plus_state, spectral_decomposition, zero_state
 
 DEFAULT_P_COUNT = 41
 DEFAULT_ROUNDS = (0, 1, 2, 3, 5)
@@ -74,8 +74,8 @@ ZERO_TOL = 1e-12
 # (measured in 0.4.1 on dense states, with a state per cell in every block).
 BLOCK_BYTES = CHUNK_BYTES // 16
 
-# Lock-step work (cells x cycles x per-cell work, ``cell_cost``: d**3 on a
-# dense state) per sweep worker thread. Smaller blocks pass the interpreter
+# Lock-step work (cells x cycles x the representation's ``cell_work``: d**3
+# on a dense state) per sweep worker thread. Smaller blocks pass the interpreter
 # lock back and forth: on a 2-vCPU VM two workers lost to one up to 1.7e7,
 # tied at 2.5e7 and won from 2.7e7 (README).
 MIN_WORKER_WORK = 10 ** 7
@@ -148,38 +148,84 @@ class ThresholdEstimate:
 # Cycles
 # ----------------------------------------------------------------------
 
-def stabilizer_letters(psi0: np.ndarray) -> str:
-    """The Pauli letters of ``run_cycles`` states from target ``psi0``, which fix their form.
+class _Dense:
+    """States as d x d matrices, purified through their eigendecomposition.
 
-    IX where ``psi0`` equals ``plus_state(M)`` exactly and IZ where it
-    equals ``zero_state(M)``: every state is then diagonal in the X or Z
-    product basis, the target at index 0. IXYZ, a d x d matrix, otherwise.
+    A state holds 16 d**2 bytes and costs about d**3 per cycle, its
+    ``eigh``, which runs outside the interpreter lock.
+    """
+
+    def __init__(self, psi0: np.ndarray):
+        self.letters, self.psi0, self.target = PAULI_LABELS, psi0, density_from_pure(psi0)
+        self.cell_bytes, self.cell_work = 16 * psi0.size ** 2, psi0.size ** 3
+
+    def settle(self, states: np.ndarray) -> np.ndarray:
+        return states
+
+    def fidelity(self, states: np.ndarray) -> np.ndarray:
+        return fidelity(states, self.psi0)
+
+    def decompose(self, states: np.ndarray):
+        """Eigenvalues, eigenvectors v_i and the target's populations |<v_i|psi>|^2."""
+        vals, vecs = spectral_decomposition(states)
+        amplitudes = self.psi0.conj() @ vecs
+        return vals, vecs, amplitudes.real ** 2 + amplitudes.imag ** 2
+
+    def rebuild(self, weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        return from_spectrum(weights, vecs)
+
+
+class _Diagonal:
+    """States as 2**M diagonals in the X or Z product basis, the target at index 0.
+
+    A state holds 8 d bytes and counts no worker work: its Walsh passes
+    over d weights are short numpy calls that hold the interpreter lock
+    for much of their time, so a diagonal grid runs on the calling thread.
+    On a 2-vCPU VM, two workers ran 41 x 5 cells of plus^5 over 1000
+    cycles in 1.15 s against one worker's 0.48 s, and of plus^3 over
+    10,000 cycles in 5.1 s against 2.1 s; they won only at plus^8 over
+    1000 cycles, 1.60 s against 2.04 s. A diagonal is its own spectrum,
+    and powering it purifies it.
+    """
+
+    def __init__(self, size: int, letters: str):
+        self.letters, self.target = letters, np.zeros(size)
+        self.target[0] = 1.0
+        self.cell_bytes, self.cell_work = 8 * size, 0
+
+    def settle(self, weights: np.ndarray) -> np.ndarray:
+        """Rounding negatives clamped to 0 and renormalized, as spectra from ``eigh``."""
+        weights = np.clip(weights, 0.0, None)
+        return weights / weights.sum(axis=-1, keepdims=True)
+
+    def fidelity(self, weights: np.ndarray) -> np.ndarray:
+        return weights[..., 0]
+
+    def decompose(self, weights: np.ndarray):
+        """The weights, no basis, and the target's populations e_0."""
+        return weights, None, self.target
+
+    def rebuild(self, weights: np.ndarray, basis) -> np.ndarray:
+        return weights
+
+
+def representation(psi0: np.ndarray) -> _Dense | _Diagonal:
+    """How ``run_cycles`` holds the states of target ``psi0``.
+
+    A 2**M diagonal in the X basis (``letters`` IX) where ``psi0`` equals
+    ``plus_state(M)`` exactly, in the Z basis (IZ) where it equals
+    ``zero_state(M)``; a d x d matrix (IXYZ) otherwise. Each gives its
+    ``target`` state, the ``cell_bytes`` and ``cell_work`` of one cell's
+    state and cycle, and the steps of a cycle: ``settle`` a channel's
+    output, the ``fidelity`` of an unpurified state, ``decompose`` and
+    ``rebuild``.
     """
     qubits = num_qubits(psi0.size)
     if np.array_equal(psi0, plus_state(qubits)):
-        return "IX"
+        return _Diagonal(psi0.size, "IX")
     if np.array_equal(psi0, zero_state(qubits)):
-        return "IZ"
-    return PAULI_LABELS
-
-
-def cell_cost(psi0: np.ndarray) -> tuple[int, int]:
-    """Bytes of one cell's state and worker work of one of its cycles, from target ``psi0``.
-
-    A dense state holds 16 d**2 bytes and costs about d**3 per cycle, its
-    ``eigh``, which runs outside the interpreter lock. A diagonal
-    (``stabilizer_letters`` IX or IZ) holds 8 d bytes and counts no worker
-    work: its Walsh passes over d weights are short numpy calls that hold
-    the lock for much of their time, so a diagonal grid runs on the calling
-    thread. On a 2-vCPU VM, two workers ran 41 x 5 cells of plus^5 over
-    1000 cycles in 1.15 s against one worker's 0.48 s, and of plus^3 over
-    10,000 cycles in 5.1 s against 2.1 s; they won only at plus^8 over
-    1000 cycles, 1.60 s against 2.04 s. d = 2**M.
-    """
-    d = psi0.size
-    if stabilizer_letters(psi0) == PAULI_LABELS:
-        return 16 * d * d, d ** 3
-    return 8 * d, 0
+        return _Diagonal(psi0.size, "IZ")
+    return _Dense(psi0)
 
 
 def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> CycleTrace:
@@ -192,7 +238,7 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
     (cycles + 1,); a tuple of P values of p and a sequence of L rounds
     values give (P, L, cycles + 1), every cell run in lock-step under one
     channel closure, called once per cycle. The target picks the state's
-    representation (``stabilizer_letters``): a 2**M diagonal for
+    representation (``representation``): a 2**M diagonal for
     ``plus_state(M)`` and ``zero_state(M)``, a dense matrix otherwise, which
     keeps the dtype of ``psi0``: float64 for a real target.
     """
@@ -202,79 +248,38 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
     qubits = num_qubits(psi0.size)
     ells = tuple(int(r) for r in np.atleast_1d(rounds))
     check_rounds(min(ells, default=0))
-    letters = stabilizer_letters(psi0)
-    channel = make_channel(model, qubits, letters)
-    run = _dense_cycles if letters == PAULI_LABELS else _diagonal_cycles
-    fids = run(psi0, channel, ells, cycles)
+    rep = representation(psi0)
+    channel = make_channel(model, qubits, rep.letters)
+    # one noisy state per p: every cell of a p starts from it, so one
+    # decomposition per p serves all rounds values in the first cycle
+    noisy = rep.settle(channel(rep.target).reshape((-1,) + rep.target.shape))
+    fids = np.empty((len(noisy), len(ells), cycles + 1))
+    fids[..., 0] = rep.fidelity(rep.target)
+    # the (P, L) states of the next cycle; a one-cycle run reads every
+    # fidelity off the spectra and builds no state
+    states = np.repeat(noisy[:, None], len(ells), axis=1) if cycles > 1 else None
+    spectrum = None
+    for t in range(1, cycles + 1):
+        if t > 1:
+            states = rep.settle(channel(states))
+        for j, ell in enumerate(ells):
+            state = noisy if t == 1 else states[:, j]
+            if not ell:
+                # unpurified: the next cycle starts from the state it holds
+                fids[:, j, t] = rep.fidelity(state)
+                continue
+            # the first cycle's cells share one spectrum, later ones have one each
+            if t > 1 or spectrum is None:
+                spectrum = rep.decompose(state)
+            vals, basis, populations = spectrum
+            weights = purified_weights(vals, ell)
+            fids[:, j, t] = (weights * populations).sum(axis=-1)
+            if t < cycles:
+                states[:, j] = rep.rebuild(weights, basis)
     # a scalar argument drops its axis, as in numpy broadcasting
     scalar = [np.ndim(model.p) == 0, np.ndim(rounds) == 0]
     return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),
                       channel=model, rounds=rounds, qubits=qubits, cycles=cycles)
-
-
-def _diagonal_cycles(psi0: np.ndarray, channel, ells: tuple, cycles: int) -> np.ndarray:
-    """(P, L, cycles + 1) fidelities of a target whose states are diagonals, F the weight at 0.
-
-    Powering a diagonal is purification, so no state is decomposed.
-    """
-    target = np.zeros(psi0.size)
-    target[0] = 1.0
-    noisy = _clamped(channel(target).reshape(-1, psi0.size))
-    fids = np.empty((len(noisy), len(ells), cycles + 1))
-    fids[..., 0] = 1.0
-    # the (P, L) diagonals of the next cycle
-    weights = np.repeat(noisy[:, None], len(ells), axis=1) if cycles > 1 else None
-    for t in range(1, cycles + 1):
-        if t > 1:
-            weights = _clamped(channel(weights))
-        for j, ell in enumerate(ells):
-            w = noisy if t == 1 else weights[:, j]
-            if ell:
-                w = purified_weights(w, ell)
-            fids[:, j, t] = w[:, 0]
-            if t < cycles:
-                weights[:, j] = w
-    return fids
-
-
-def _clamped(weights: np.ndarray) -> np.ndarray:
-    """Diagonals with rounding negatives clamped to 0 and renormalized, as spectra from ``eigh``."""
-    weights = np.clip(weights, 0.0, None)
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def _dense_cycles(psi0: np.ndarray, channel, ells: tuple, cycles: int) -> np.ndarray:
-    """(P, L, cycles + 1) fidelities of a target whose states are d x d matrices."""
-    rho = density_from_pure(psi0)
-    # one noisy state per p: every cell of a p starts from it, so one
-    # decomposition per p serves all rounds values in the first cycle
-    noisy = channel(rho).reshape((-1,) + rho.shape)
-    fids = np.empty((len(noisy), len(ells), cycles + 1))
-    fids[..., 0] = fidelity(rho, psi0)
-    vecs, weights = purified_spectra(noisy, ells)
-    # the (P, L) states of the next cycle; a one-cycle run reads every
-    # fidelity off the spectra and builds no state
-    rho = np.repeat(noisy[:, None], len(ells), axis=1) if cycles > 1 else None
-    populations = None
-    for t in range(1, cycles + 1):
-        if t > 1:
-            rho = channel(rho)
-        for j, ell in enumerate(ells):
-            if t > 1:
-                # each rounds value now has states of its own to decompose
-                vecs, weights = purified_spectra(rho[:, j], (ell,))
-            w = next(weights)
-            if w is None:
-                fids[:, j, t] = fidelity(noisy if t == 1 else rho[:, j], psi0)
-                continue
-            # the first cycle's weights share one eigenbasis, later ones have one each
-            if t > 1 or populations is None:
-                amplitudes = psi0.conj() @ vecs
-                populations = amplitudes.real ** 2 + amplitudes.imag ** 2
-            fids[:, j, t] = (w * populations).sum(axis=-1)
-            if t < cycles:
-                rho[:, j] = from_spectrum(w, vecs)
-    return fids
 
 
 def steady_state_fidelity_analytic(dim: int, p: float) -> float:
@@ -378,8 +383,8 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     and no block holds more than ``BLOCK_BYTES`` of states, or one state
     where that is larger: one per p at one cycle, one per cell otherwise,
     so a longer sweep splits its blocks along the rounds values too. A
-    state's bytes and work per cycle are ``cell_cost``'s: 16 d**2 and d**3
-    dense, 8 d and no worker work on a diagonal, whose grid therefore runs
+    state's bytes and work per cycle are its ``representation``'s: 16 d**2
+    and d**3 dense, 8 d and no worker work on a diagonal, whose grid therefore runs
     on the calling thread at any ``jobs``. At ``jobs`` = 1 that is the whole grid
     where it fits; ``jobs`` > 1 splits the p values into one block per
     worker, over a pool of at most ``jobs`` threads in this process, and no
@@ -402,11 +407,11 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
         raise ValidationError("sweep grid must be nonempty")
     check_rounds(min(rounds_list))
     qubits = num_qubits(psi0.size)
-    cell_bytes, cell_work = cell_cost(psi0)
-    work = p_values.size * len(rounds_list) * cycles * cell_work
+    rep = representation(psi0)
+    work = p_values.size * len(rounds_list) * cycles * rep.cell_work
     workers = max(1, min(jobs, available_cpus(), work // MIN_WORKER_WORK))
     # states a block may hold; one cycle holds one per p whatever the rounds
-    states = max(1, BLOCK_BYTES // cell_bytes)
+    states = max(1, BLOCK_BYTES // rep.cell_bytes)
     r_step = len(rounds_list) if cycles == 1 else min(len(rounds_list), states)
     p_step = min(max(1, states // (1 if cycles == 1 else r_step)),
                  math.ceil(p_values.size / workers))

@@ -442,8 +442,8 @@ def test_branch_draw_is_generator_choice(weights):
     k = len(weights)
     p = np.array(weights) / np.sum(weights)
     last = SpectralTree(np.eye(k), p, (-1) ** np.arange(k))
-    tree = SamplingTree(1, np.eye(k), np.eye(k), np.arange(k, dtype=float), np.arange(k - 1),
-                        last, *branch_cdf(p))
+    tree = SamplingTree(1, np.diag(p), np.diag(np.arange(k, dtype=float)), np.eye(k), np.eye(k),
+                        np.arange(k, dtype=float), np.arange(k - 1), last, *branch_cdf(p))
     ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
     records = np.empty((5000, 2), order="F")
     pqec.montecarlo._draw_from_tree(tree, records, ours)
@@ -484,6 +484,52 @@ def test_tree_of_other_rounds_is_rejected():
     for built, asked in ((2, 3), (3, 2), (4, 5), (5, 4), (6, 5)):
         with pytest.raises(ValidationError, match=f"built for {built} rounds, not {asked}"):
             simulate_shots(DIAG, Z, asked, 10, rng, sampling_tree(DIAG, Z, built))
+
+
+def test_tree_of_another_state_or_observable_is_rejected():
+    # a tree built for Z read as X's would estimate 0.0025 where X's own gives 0.998
+    rho = make_channel(LOCAL, 1)(density_from_pure(plus_state(1)))
+    x = pauli_matrix("X")
+    rng = np.random.default_rng(0)
+    for tree in (sampling_tree(rho, Z, 2), sampling_tree(DIAG, x, 2)):
+        with pytest.raises(ValidationError, match="another state or observable"):
+            simulate_shots(rho, x, 2, 20000, rng, tree)
+    own = ratio_estimate(simulate_shots(rho, x, 2, 20000, rng, sampling_tree(rho, x, 2)))
+    assert own.estimate == pytest.approx(0.998, abs=0.01)
+    # the tree keeps copies: an argument changed in place after the build is caught
+    tree, moved = sampling_tree(rho, x, 2), rho.copy()
+    moved[0, 1] = 0.0
+    with pytest.raises(ValidationError, match="another state or observable"):
+        simulate_shots(moved, x, 2, 10, rng, tree)
+
+
+@pytest.mark.parametrize("obs", [pauli_matrix("ZZX"), None], ids=["ZZX", "random"])
+def test_branches_measured_in_chunks_draw_as_unchunked(monkeypatch, obs):
+    # drawn branches are merged and measured a few rows at a time, with the bits and the
+    # generator state of one chunk and of the frozen oracle
+    rng = np.random.default_rng(21)
+    if obs is None:
+        obs = random_density_matrix(3, rng)
+    rho = make_channel(NoiseModel("local-depol", 0.3), 3)(density_from_pure(zero_state(3)))
+    tree = sampling_tree(rho, obs, 4)
+    rng = np.random.default_rng(5)
+    whole, after = simulate_shots(rho, obs, 4, 5000, rng, tree), rng.random()
+    oracle_rng = np.random.default_rng(5)
+    want, _ = frozen_shot_records(rho, obs, 4, 5000, oracle_rng)
+    assert np.array_equal(whole, want) and oracle_rng.random() == after
+    chunks = []
+    measure = pqec.montecarlo._outcome_cdf
+
+    def counting(spectra, *args):
+        chunks.append(len(spectra))
+        return measure(spectra, *args)
+
+    monkeypatch.setattr(pqec.montecarlo, "_outcome_cdf", counting)
+    monkeypatch.setattr(pqec.purify, "CHUNK_BYTES", 3 * 8 * 8)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(simulate_shots(rho, obs, 4, 5000, rng, tree), whole)
+    assert rng.random() == after
+    assert len(chunks) > 1 and max(chunks) == 3
 
 
 def test_draw_outside_the_top_branch_matches_frozen_oracle():

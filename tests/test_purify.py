@@ -13,7 +13,6 @@ from pqec import (
     make_channel,
     pauli_matrix,
     plus_state,
-    purified_spectra,
     purified_state,
     purified_weights,
     purity,
@@ -21,8 +20,9 @@ from pqec import (
     werner_fidelity_update,
     zero_state,
 )
+from pqec import purify
 from pqec.purify import merge_spectra, spectra_overlap
-from pqec.states import ValidationError
+from pqec.states import ValidationError, spectral_decomposition
 from oracles import anisotropic_qubit_purify_fidelity, bloch_compose, bloch_purify, \
     conditional_state, conditional_state_two_rounds, enumerate_outcomes, fidelity_bounds, \
     maximally_mixed, parity_weighted_sum, plain_sum_check, random_density_matrix, \
@@ -315,24 +315,23 @@ def spectral_fidelity(weights, vecs, psi):
 
 
 @pytest.mark.parametrize("qubits", range(1, 6))
-def test_spectral_fidelity_matches_purified_matrix(qubits):
+def test_spectral_fidelity_matches_purified_matrix(monkeypatch, qubits):
     rng = np.random.default_rng(40 + qubits)
     psi = random_pure_state(qubits, rng)
     noisy = make_channel(NoiseModel("local-depol", 0.2), qubits)(density_from_pure(psi))
     stack = np.stack([noisy] + [random_density_matrix(qubits, rng) for _ in range(3)])
-    rounds = (1, 2, 5, 64, 1100)
-    vecs, weights = purified_spectra(stack, rounds)
-    for r, w in zip(rounds, weights):
-        spectral = spectral_fidelity(w, vecs, psi)
+    vals, vecs = spectral_decomposition(stack)
+    for r in (1, 2, 5, 64, 1100):
+        spectral = spectral_fidelity(purified_weights(vals, r), vecs, psi)
         assert spectral.shape == (len(stack),)
         for b, rho in enumerate(stack):
             assert abs(spectral[b] - fidelity(purified_state(rho, r), psi)) < SPECTRAL_FIDELITY_TOL
             # one matrix alone gives the bits of its row of the stack
-            alone_vecs, (alone,) = purified_spectra(rho, (r,))
-            assert spectral_fidelity(alone, alone_vecs, psi) == spectral[b]
+            alone, alone_vecs = spectral_decomposition(rho)
+            assert spectral_fidelity(purified_weights(alone, r), alone_vecs, psi) == spectral[b]
     # zero rounds leave the input unpurified: nothing is decomposed
-    vecs, weights = purified_spectra(stack, (0, 0))
-    assert vecs is None and list(weights) == [None, None]
+    monkeypatch.setattr(purify, "spectral_decomposition", None)
+    assert purified_state(stack, 0) is stack
 
 
 def test_purity_monotone():

@@ -13,7 +13,7 @@ from pqec import (
     find_threshold,
     make_channel,
     plus_state,
-    purified_spectra,
+    purified_weights,
     run_cycles,
     steady_state_fidelity_analytic,
     sweep,
@@ -22,7 +22,7 @@ from pqec import (
 from pqec import channels, purify, states, threshold
 from pqec.channels import _seeded_damping_shares
 from pqec.cli import main
-from pqec.states import ValidationError, from_spectrum, num_qubits
+from pqec.states import ValidationError, from_spectrum, num_qubits, spectral_decomposition
 from oracles import logical_error_rate, plus_cycle_fidelities, werner_cycle_fidelities
 from test_channels import STACKED_KINDS
 from test_purify import spectral_fidelity
@@ -39,12 +39,13 @@ def cell_oracle(psi, model, rounds, cycles):
     fids = [fidelity(rho, psi)]
     for _ in range(cycles):
         rho = channel(rho)
-        vecs, (w,) = purified_spectra(rho, (rounds,))
-        if w is None:
+        if not rounds:
             fids.append(fidelity(rho, psi))
-        else:
-            fids.append(spectral_fidelity(w, vecs, psi))
-            rho = from_spectrum(w, vecs)
+            continue
+        vals, vecs = spectral_decomposition(rho)
+        w = purified_weights(vals, rounds)
+        fids.append(spectral_fidelity(w, vecs, psi))
+        rho = from_spectrum(w, vecs)
     return np.array(fids)
 
 
@@ -121,12 +122,14 @@ def test_real_targets_stay_float64_through_the_cycle(monkeypatch, qubits, target
     # zero^M themselves run on diagonals, so the dense engine gets a tilted target
     dtypes = []
 
-    def spectra(rho, rounds):
-        vecs, weights = purified_spectra(rho, rounds)
+    def decomposed(rho):
+        vals, vecs = spectral_decomposition(rho)
+        dtypes.extend([("noisy", rho.dtype), ("vecs", vecs.dtype)])
+        return vals, vecs
+
+    def unpurified(rho, psi):
         dtypes.append(("noisy", rho.dtype))
-        if vecs is not None:
-            dtypes.append(("vecs", vecs.dtype))
-        return vecs, weights
+        return fidelity(rho, psi)
 
     def rebuilt(weights, vecs):
         state = from_spectrum(weights, vecs)
@@ -138,7 +141,8 @@ def test_real_targets_stay_float64_through_the_cycle(monkeypatch, qubits, target
     for kind, fraction in STACKED_KINDS:
         model = NoiseModel(kind, (0.05, 0.37, 0.9), fraction)
         with monkeypatch.context() as patch:
-            patch.setattr(threshold, "purified_spectra", spectra)
+            patch.setattr(threshold, "spectral_decomposition", decomposed)
+            patch.setattr(threshold, "fidelity", unpurified)
             patch.setattr(threshold, "from_spectrum", rebuilt)
             real = run_cycles(psi, model, (0, 1, 3), 3).fidelities
         assert {what for what, _ in dtypes} == {"noisy", "vecs", "state"}
@@ -158,7 +162,7 @@ def test_stabilizer_targets_match_the_dense_oracle(qubits, target):
     # up to six cycles, before rounding steers the dense trace of plus^M under
     # dephasing (test_long_plus_traces_follow_the_walsh_recursion)
     psi = target(qubits)
-    assert threshold.stabilizer_letters(psi) == ("IX" if target is plus_state else "IZ")
+    assert threshold.representation(psi).letters == ("IX" if target is plus_state else "IZ")
     p_values, rounds = (0.0, 0.05, 0.37, 0.75, 1.0), (0, 1, 3, 5)
     for kind, fraction in STACKED_KINDS:
         traces = run_cycles(psi, NoiseModel(kind, p_values, fraction), rounds, 6).fidelities
@@ -170,11 +174,11 @@ def test_stabilizer_targets_match_the_dense_oracle(qubits, target):
 
 def test_only_the_exact_stabilizer_targets_take_the_diagonal():
     # bloch:pi/2,0 is plus up to one ulp and stays dense; bloch:0,0 is zero exactly
-    assert threshold.stabilizer_letters(plus_state(3).astype(complex)) == "IX"
-    assert threshold.stabilizer_letters(bloch_state(0.0, 0.0, 3)) == "IZ"
+    assert threshold.representation(plus_state(3).astype(complex)).letters == "IX"
+    assert threshold.representation(bloch_state(0.0, 0.0, 3)).letters == "IZ"
     for psi in (bloch_state(np.pi / 2, 0.0, 3), bloch_state(0.7, 0.3, 3),
                 bloch_state(np.pi, 0.0, 3), plus_state(3)[::-1] * np.repeat([1, -1], 4)):
-        assert threshold.stabilizer_letters(psi) == "IXYZ"
+        assert threshold.representation(psi).letters == "IXYZ"
 
 
 @pytest.mark.parametrize("target", [plus_state, zero_state])
@@ -182,7 +186,7 @@ def test_stabilizer_bits_do_not_depend_on_stacks_blocks_or_jobs(monkeypatch, tar
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
     monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
     psi, p_values, rounds = target(3), np.linspace(0, 1, 7), (0, 1, 3)
-    cell_bytes = threshold.cell_cost(psi)[0]
+    cell_bytes = threshold.representation(psi).cell_bytes
     for kind, fraction in STACKED_KINDS:
         model = NoiseModel(kind, 0.0, fraction)
         cells = np.array([[run_cycles(psi, replace(model, p=float(p)), r, 5).fidelities
@@ -234,7 +238,8 @@ def test_stabilizer_targets_decompose_and_build_no_matrix(monkeypatch, tmp_path,
         raise AssertionError("a dense step ran on a stabilizer target")
 
     for owner, name in ((states, "spectral_decomposition"), (purify, "spectral_decomposition"),
-                        (channels, "apply_pauli_diagonal"), (threshold, "purified_spectra"),
+                        (channels, "apply_pauli_diagonal"),
+                        (threshold, "spectral_decomposition"), (threshold, "from_spectrum"),
                         (threshold, "density_from_pure"), (threshold, "fidelity")):
         monkeypatch.setattr(owner, name, refuse)
     for target in (plus_state, zero_state):
@@ -261,8 +266,9 @@ def test_sweep_blocks_and_workers_follow_the_representation(monkeypatch):
     blocks = []
     monkeypatch.setattr(threshold, "run_cycles", _recording_blocks(blocks))
     model, grid, rounds = NoiseModel("local-depol", 0.0), np.linspace(0, 1, 41), (0, 1, 2, 3, 5)
-    assert threshold.cell_cost(plus_state(5)) == (256, 0)
-    assert threshold.cell_cost(bloch_state(0.7, 0.3, 5)) == (16384, 32768)
+    for psi, cost in ((plus_state(5), (256, 0)), (bloch_state(0.7, 0.3, 5), (16384, 32768))):
+        rep = threshold.representation(psi)
+        assert (rep.cell_bytes, rep.cell_work) == cost
     # the default threshold grid at M = 5: one block on a diagonal, three dense
     sweep(plus_state(5), model, grid, rounds, cycles=1, jobs=1)
     assert blocks == [(41, 5)]
@@ -292,7 +298,7 @@ def test_sweep_blocks_split_along_rounds(monkeypatch):
         return run_cycles(psi0, model, rounds, cycles)
 
     monkeypatch.setattr(threshold, "run_cycles", recording_run_cycles)
-    monkeypatch.setattr(threshold, "BLOCK_BYTES", 2 * threshold.cell_cost(psi)[0])
+    monkeypatch.setattr(threshold, "BLOCK_BYTES", 2 * threshold.representation(psi).cell_bytes)
     split = sweep(psi, model, p_values, rounds, cycles=4)
     assert blocks == [(1, 2), (1, 2), (1, 1)] * 3
     assert np.array_equal(whole.traces, split.traces)
@@ -453,7 +459,8 @@ def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
         assert np.array_equal(whole.traces, np.concatenate(halves))
         # a byte budget of two p values per block splits the grid into four blocks
         with monkeypatch.context() as patch:
-            patch.setattr(threshold, "BLOCK_BYTES", 2 * threshold.cell_cost(psi)[0] * 3)
+            patch.setattr(threshold, "BLOCK_BYTES",
+                          2 * threshold.representation(psi).cell_bytes * 3)
             for jobs in (1, 2):
                 split = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=jobs)
                 assert np.array_equal(whole.traces, split.traces), (psi.size, jobs)
@@ -527,9 +534,9 @@ def test_parallel_sweep_pins_blas_to_one_thread(monkeypatch, two_blas_threads):
     # under the work floor a jobs=2 sweep runs every block on the calling
     # thread, still on one BLAS thread, and restores the count after it,
     # also when a block raises; a byte budget of one p value makes four blocks
-    cell_bytes, cell_work = threshold.cell_cost(psi)
-    assert len(p_values) * 2 * 2 * cell_work < threshold.MIN_WORKER_WORK
-    monkeypatch.setattr(threshold, "BLOCK_BYTES", cell_bytes * 2)
+    rep = threshold.representation(psi)
+    assert len(p_values) * 2 * 2 * rep.cell_work < threshold.MIN_WORKER_WORK
+    monkeypatch.setattr(threshold, "BLOCK_BYTES", rep.cell_bytes * 2)
     calls = []
 
     def calling_thread_run_cycles(*args):
