@@ -60,11 +60,24 @@ class NoiseModel:
         if self.kind not in CHANNEL_KINDS:
             raise ValidationError(f"unknown channel kind {self.kind!r}")
         values = self.p if isinstance(self.p, tuple) else (self.p,)
-        if not values or any(np.ndim(p) != 0 for p in values):
-            raise ValidationError(
-                f"error probability {self.p!r} is neither a number nor a flat nonempty tuple")
+        try:
+            grid = np.asarray(values)
+        except ValueError:  # entries of unequal shapes
+            grid = None
+        if grid is None or not values or grid.shape != (len(values),):
+            raise self._not_flat()
+        if grid.dtype.kind in "biuf":
+            # one comparison over the whole tuple; only its first entry outside is named
+            within = (grid >= 0.0) & (grid <= 1.0)
+            values = () if within.all() else (values[within.argmin()],)
+        # what numpy holds in no real dtype (None, strings, complex numbers,
+        # Fractions, ints past 64 bits) is compared entry by entry, in order
         for p in values:
-            if not 0.0 <= p <= 1.0:
+            try:
+                inside = 0.0 <= p <= 1.0
+            except TypeError:
+                raise self._not_flat() from None
+            if not inside:
                 raise ValidationError(f"error probability {p} outside [0, 1]")
         if not 0.0 < self.twirl_fraction <= 1.0:
             raise ValidationError(
@@ -73,6 +86,10 @@ class NoiseModel:
         if not hasattr(type(seed), "__index__") or operator.index(seed) < 0:
             raise ValidationError(f"twirl seed {seed!r} is not an integer >= 0")
         return self
+
+    def _not_flat(self) -> ValidationError:
+        return ValidationError(
+            f"error probability {self.p!r} is neither a number nor a flat nonempty tuple")
 
     def transfer_eigenvalues(self, qubits: int, letters: str = PAULI_LABELS) -> np.ndarray:
         """Tensor lam: the channel maps Tr(rho P) to lam[P] Tr(rho P).
@@ -93,9 +110,15 @@ class NoiseModel:
             return lam
         if self.kind == "twirled-dephasing":
             shares = _seeded_damping_shares(qubits, self.twirl_fraction, self.twirl_seed, letters)
-            k = np.arange(qubits + 1)
-            # one matrix-vector product per p: a stacked product sums in another order
-            return np.stack([shares @ (1.0 - 2.0 * q) ** k for q in p.ravel()]).reshape(lam_shape)
+            # Horner in x = 1 - 2p: one elementwise pass per power over the
+            # whole block, so each row has the bits of a call with its p alone
+            x = (1.0 - 2.0 * p).reshape(p.shape + (1,) * qubits)
+            lam = np.empty(lam_shape)
+            lam[...] = shares[..., qubits]
+            for k in range(qubits - 1, -1, -1):
+                lam *= x
+                lam += shares[..., k]
+            return lam
         local = self.kind == "local-depol"
         eta = 1.0 - 4.0 * p / 3.0 if local else 1.0 - 2.0 * p
         one = np.ones_like(eta)

@@ -445,17 +445,20 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
 def _pair_crossing(p_values: np.ndarray, widths: np.ndarray, diff: np.ndarray):
     """Smallest p where the higher-rounds curve stops being strictly better.
 
-    Scans for a sign change of (gamma_high - gamma_low) from negative to
-    nonnegative and refines it by linear interpolation between the
-    bracketing grid points. Returns p and the bracket width, or two Nones.
+    Finds the first sign change of (gamma_high - gamma_low) from negative
+    to nonnegative in one pass over the grid, and refines it by linear
+    interpolation between the bracketing grid points, on Python floats.
+    Returns p and the bracket width, or two Nones.
     """
-    for i in range(1, diff.size):
-        if diff[i - 1] < -ZERO_TOL and diff[i] >= -ZERO_TOL:
-            d0, d1 = diff[i - 1], diff[i]
-            frac = -d0 / (d1 - d0)
-            p = p_values[i - 1] + frac * (p_values[i] - p_values[i - 1])
-            return float(min(max(p, p_values[i - 1]), p_values[i])), float(widths[i - 1])
-    return None, None
+    rises = np.flatnonzero((diff[:-1] < -ZERO_TOL) & (diff[1:] >= -ZERO_TOL))
+    if not rises.size:
+        return None, None
+    i = int(rises[0]) + 1
+    d0, d1 = float(diff[i - 1]), float(diff[i])
+    p0, p1 = float(p_values[i - 1]), float(p_values[i])
+    frac = -d0 / (d1 - d0)
+    p = p0 + frac * (p1 - p0)
+    return min(max(p, p0), p1), float(widths[i - 1])
 
 
 def check_threshold_grid(p_values, rounds) -> None:
@@ -490,7 +493,8 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
     order = {r: i for i, r in enumerate(result.rounds)}
     # an evenly spaced grid is even only up to rounding: report its step exactly
     widths = np.diff(result.p_values)
-    widths = np.where(np.isclose(widths, widths[:1], rtol=1e-9, atol=0.0), widths[:1], widths)
+    step = widths[0]
+    widths = np.where(np.abs(widths - step) <= 1e-9 * abs(step), step, widths)
     pairs = []
     for low, high in zip(rounds_sorted, rounds_sorted[1:]):
         diff = result.gamma[:, order[high]] - result.gamma[:, order[low]]
@@ -501,9 +505,14 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
             direction = "always-below" if np.all(diff <= ZERO_TOL) else "always-above"
         pairs.append(CrossingPair(rounds_low=low, rounds_high=high, p_cross=p_cross,
                                   direction=direction, bracket=bracket))
-    crossings = [pair.p_cross for pair in pairs if pair.p_cross is not None]
+    crossings = sorted(pair.p_cross for pair in pairs if pair.p_cross is not None)
     brackets = [pair.bracket for pair in pairs if pair.bracket is not None]
-    return ThresholdEstimate(p_threshold=float(np.median(crossings)) if crossings else None,
+    # the median: the middle crossing, or the mean of the middle two
+    half, median = len(crossings) // 2, None
+    if crossings:
+        median = (crossings[half] if len(crossings) % 2
+                  else (crossings[half - 1] + crossings[half]) / 2)
+    return ThresholdEstimate(p_threshold=median,
                              crossing_pairs=tuple(pairs),
-                             grid_step=max(brackets, default=float(widths.max(initial=0.0))),
+                             grid_step=max(brackets, default=float(widths.max())),
                              status="ok" if crossings else "no-crossing")

@@ -9,6 +9,7 @@ sampler's node-by-node tree walk, the shot records as 0.13.0 drew them
 (``frozen_shot_records``: ``Generator.choice`` over every branch, one CDF
 column at a time, no label table), the Pauli expansion computed densely,
 the complex IXYZ basis change, the twirl's frame subsets as label tuples,
+the threshold scan point by point on numpy scalars (``numpy_find_threshold``),
 and the state constructors and validation the tests build their inputs
 with. Each oracle is computed apart from the fast path it
 checks: ``pauli_expand`` takes one trace per Pauli string, never
@@ -33,7 +34,8 @@ from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, check_rounds, chunk_
 from pqec.states import MAX_PAULI_QUBITS, NORM_TOL, PAULI_I, PAULI_LABELS, PAULI_X, PAULI_Y, \
     PAULI_Z, ResourceLimitError, ValidationError, check_pure_state, density_from_pure, fidelity, \
     from_spectrum, num_qubits, pauli_matrix, purity, real_or_complex, spectral_decomposition
-from pqec.threshold import CycleTrace
+from pqec.threshold import ZERO_TOL, CrossingPair, CycleTrace, ThresholdEstimate, \
+    check_threshold_grid
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -337,6 +339,48 @@ def plus_cycle_fidelities(qubits: int, kind: str, p: float, rounds: int, cycles:
 def logical_error_rate(trace: CycleTrace) -> float:
     """First-cycle fidelity drop F(0) - F(1)."""
     return float(trace.fidelities[0] - trace.fidelities[1])
+
+
+def _numpy_pair_crossing(p_values: np.ndarray, widths: np.ndarray, diff: np.ndarray):
+    for i in range(1, diff.size):
+        if diff[i - 1] < -ZERO_TOL and diff[i] >= -ZERO_TOL:
+            d0, d1 = diff[i - 1], diff[i]
+            frac = -d0 / (d1 - d0)
+            p = p_values[i - 1] + frac * (p_values[i] - p_values[i - 1])
+            return float(min(max(p, p_values[i - 1]), p_values[i])), float(widths[i - 1])
+    return None, None
+
+
+def numpy_find_threshold(result) -> ThresholdEstimate:
+    """``find_threshold`` as pqec 0.14.0 computed it, one grid point at a time.
+
+    The same rules: the first negative-to-nonnegative sign change of each
+    consecutive rounds pair's gamma difference, read against ``ZERO_TOL``
+    and interpolated linearly; an interval within rtol 1e-9 of the first
+    one is reported as the first one's width (``np.isclose``); the
+    threshold is the ``np.median`` of the crossings.
+    """
+    check_threshold_grid(result.p_values, result.rounds)
+    rounds_sorted = sorted(result.rounds)
+    order = {r: i for i, r in enumerate(result.rounds)}
+    widths = np.diff(result.p_values)
+    widths = np.where(np.isclose(widths, widths[:1], rtol=1e-9, atol=0.0), widths[:1], widths)
+    pairs = []
+    for low, high in zip(rounds_sorted, rounds_sorted[1:]):
+        diff = result.gamma[:, order[high]] - result.gamma[:, order[low]]
+        p_cross, bracket = _numpy_pair_crossing(result.p_values, widths, diff)
+        if p_cross is not None:
+            direction = "crossed"
+        else:
+            direction = "always-below" if np.all(diff <= ZERO_TOL) else "always-above"
+        pairs.append(CrossingPair(rounds_low=low, rounds_high=high, p_cross=p_cross,
+                                  direction=direction, bracket=bracket))
+    crossings = [pair.p_cross for pair in pairs if pair.p_cross is not None]
+    brackets = [pair.bracket for pair in pairs if pair.bracket is not None]
+    return ThresholdEstimate(p_threshold=float(np.median(crossings)) if crossings else None,
+                             crossing_pairs=tuple(pairs),
+                             grid_step=max(brackets, default=float(widths.max(initial=0.0))),
+                             status="ok" if crossings else "no-crossing")
 
 
 # ----------------------------------------------------------------------

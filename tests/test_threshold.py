@@ -23,7 +23,8 @@ from pqec import channels, purify, states, threshold
 from pqec.channels import _seeded_damping_shares
 from pqec.cli import main
 from pqec.states import ValidationError, from_spectrum, num_qubits, spectral_decomposition
-from oracles import logical_error_rate, plus_cycle_fidelities, werner_cycle_fidelities
+from oracles import logical_error_rate, numpy_find_threshold, plus_cycle_fidelities, \
+    werner_cycle_fidelities
 from test_channels import STACKED_KINDS
 from test_purify import spectral_fidelity
 
@@ -836,3 +837,85 @@ def test_threshold_no_crossing_status():
     assert estimate.status == "no-crossing"
     assert estimate.p_threshold is None
     assert estimate.crossing_pairs[0].direction == "always-below"
+
+
+# gamma differences that lie within ZERO_TOL of 0, the edges included
+TOUCHING = (-threshold.ZERO_TOL, -threshold.ZERO_TOL / 2, 0.0, threshold.ZERO_TOL / 2,
+            threshold.ZERO_TOL)
+
+
+def seeded_p_grid(rng, n_p):
+    """Strictly increasing p: even, even but for one interval near the 1e-9 width rule, or uneven."""
+    shape = rng.integers(3)
+    if shape == 0:
+        low = rng.uniform(0.0, 0.5)
+        return np.linspace(low, rng.uniform(low + 0.1, 1.0), n_p), "even"
+    if shape == 1:
+        p = np.linspace(0.0, 1.0, n_p)
+        if n_p > 2:
+            p[rng.integers(1, n_p - 1)] += p[1] * rng.choice([-2e-9, -5e-10, 5e-10, 2e-9])
+        return p, "nearly-even"
+    p = np.cumsum(rng.uniform(0.1, 1.0, n_p))
+    return (p - p[0]) / (p[-1] - p[0]), "uneven"
+
+
+def seeded_difference(rng, p):
+    """One rounds pair's gamma difference: a step, a line, a touch or a random walk of signs."""
+    n_p, size = p.size, rng.uniform(1e-6, 1e-2)
+    shape = rng.integers(4)
+    if shape == 0:
+        # negative before index k, positive from it: k = 0 and n_p never cross
+        k = rng.choice([0, 1, n_p - 1, n_p, rng.integers(0, n_p + 1)])
+        return np.where(np.arange(n_p) < k, -size, size)
+    if shape == 1:
+        return size * (p - rng.uniform(-0.1, 1.1))
+    if shape == 2:
+        # touching within ZERO_TOL, after a negative run or from the start
+        diff = rng.choice(TOUCHING, n_p)
+        diff[:rng.integers(0, n_p) if rng.integers(2) else 0] = -size
+        return diff
+    levels = np.concatenate([[-size, size], TOUCHING])
+    return levels[np.repeat(rng.integers(0, levels.size, n_p), rng.integers(1, 4))[:n_p]]
+
+
+def seeded_threshold_result(rng, n_p, n_rounds):
+    p, grid = seeded_p_grid(rng, n_p)
+    # columns in increasing rounds order, from a zero or a random first curve
+    columns = [np.zeros(n_p) if rng.integers(2) else rng.uniform(0.0, 0.5, n_p)]
+    for _ in range(n_rounds - 1):
+        columns.append(columns[-1] + seeded_difference(rng, p))
+    order = rng.permutation(n_rounds)
+    rounds = np.sort(rng.choice(10, n_rounds, replace=False))[order]
+    gamma = np.stack(columns, axis=1)[:, order]
+    result = threshold.SweepResult(p_values=p, rounds=tuple(rounds.tolist()), gamma=gamma,
+                                   steady_fidelity=gamma, traces=gamma[..., None],
+                                   channel=NoiseModel("dephasing", 0.0), qubits=1, cycles=1)
+    return result, grid
+
+
+def test_threshold_scan_matches_the_numpy_reference():
+    # the one-pass search reads every field with the bits of the point-by-point scan
+    rng = np.random.default_rng(34)
+    seen = set()
+    for case in range(400):
+        n_p = 10 ** 4 if case % 40 == 0 else (2, 3, int(rng.integers(4, 80)))[case % 3]
+        n_rounds = int(rng.integers(2, 7))
+        result, grid = seeded_threshold_result(rng, n_p, n_rounds)
+        expected = numpy_find_threshold(result)
+        assert find_threshold(result) == expected, case
+        crossed = [pair.p_cross for pair in expected.crossing_pairs if pair.p_cross is not None]
+        seen |= {f"p={n_p}", f"rounds={n_rounds}", grid,
+                 "crossings " + ("odd" if len(crossed) % 2 else "even" if crossed else "none")}
+        seen |= {"first" for c in crossed if c <= result.p_values[1]}
+        seen |= {"last" for c in crossed if c >= result.p_values[-2]}
+        widths = np.diff(result.p_values)
+        if grid == "nearly-even" and expected.grid_step != widths[0]:
+            seen.add("nearly-even, a width off the step reported")
+        columns = dict(zip(result.rounds, result.gamma.T))
+        for pair in expected.crossing_pairs:
+            diff = columns[pair.rounds_high] - columns[pair.rounds_low]
+            if pair.p_cross is None and np.any(np.abs(diff) <= threshold.ZERO_TOL):
+                seen.add("touching, no crossing")
+    assert seen >= {"p=2", "p=3", "p=10000", "even", "nearly-even", "uneven", "first", "last",
+                    "crossings odd", "crossings even", "crossings none",
+                    "touching, no crossing", "nearly-even, a width off the step reported"} | {f"rounds={n}" for n in range(2, 7)}, seen
