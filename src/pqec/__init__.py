@@ -51,4 +51,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.15.1"

@@ -185,6 +185,19 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+def _prints_apart(values: np.ndarray) -> bool:
+    """Whether each value prints as itself at the CSV's resolution: nonzero, apart from the rest.
+
+    A nonzero value that prints as 0.0 prints as zero does, so zero joins
+    the values. ``_fmt_value`` is nondecreasing, so two values print alike
+    only if two unequal neighbours among the sorted values do, and those lie
+    within 1e-13 of each other: only neighbours within 2e-13 are printed.
+    """
+    ordered = sorted(values.tolist() + [0.0])
+    return not any(_fmt_value(a) == _fmt_value(b) for a, b in zip(ordered, ordered[1:])
+                   if 0.0 < b - a <= 2e-13)
+
+
 class ResultTable:
     """Ordered columns plus rows, serialized with a ``#`` provenance header."""
 
@@ -325,12 +338,9 @@ def _flag_values(args, flag: str):
         raise ValidationError(f"--{flag}: {exc}") from exc
     if flag == "p" and not np.all((values >= 0.0) & (values <= 1.0)):
         raise ValidationError(f"--p: values must lie in [0, 1], got {text}")
-    if flag == "p":
-        # each p must print as itself at the CSV's resolution: nonzero, and apart from the others
-        printed = {_fmt_value(float(p)): p for p in values}
-        if len(printed) < len(set(values)) or printed.get("0.0", 0.0):
-            raise ValidationError(f"--p: {text} holds a nonzero value that prints as 0.0, or two "
-                                  "that print alike, at the 1e-13 resolution of the CSV")
+    if flag == "p" and not _prints_apart(values):
+        raise ValidationError(f"--p: {text} holds a nonzero value that prints as 0.0, or two "
+                              "that print alike, at the 1e-13 resolution of the CSV")
     if flag == "ell" and any(e < 0 for e in values):
         raise ValidationError("--ell: rounds must be >= 0")
     if flag in _COMMANDS[args.command].single and len(values) != 1:

@@ -12,13 +12,15 @@ whose delta-method standard error is sqrt(Var(parity (outcome - estimate)))
 a bounded observable scales as 1 / (eps Tr(rho**N))**2.
 
 A run builds what its batches share once (``sampling_tree``): the
-decompositions of rho and of the observable, and the outcome tree on
+observable's weights in rho's eigenbasis and the outcome tree on
 eigenvalue vectors. Up to ``MAX_TREE_ROUNDS`` a batch draws its shots'
 branches from the tree's last level and measures them in place, block by
 block, so it builds no shots-long array but its records. Beyond, its shots
 walk the tree, looking the lowest ``LABEL_LEVELS`` levels up as labels and
-merging spectra above them. The estimator sums the records in blocks, in
-numpy's own order.
+merging spectra above them, with no branch probability carried: a shot
+records only its parity and its observable. Every observable is drawn by
+one rule, the count of its branch's CDF entries at or below its uniform.
+The estimator sums the records in blocks, in numpy's own order.
 """
 
 from __future__ import annotations
@@ -195,35 +197,25 @@ def _outcome_cdf(spectra: np.ndarray, tree: SamplingTree, out: np.ndarray | None
     with no d x d state built. The CDF is what ``Generator.choice(p=...)``
     builds from these probabilities: their cumulative sum over their total,
     divided by its last entry. Only its entries at ``tree.steps`` are kept,
-    padded with 1.0 to a power-of-two width, which ``_outcome_index``
-    searches. They are written into ``out``, whose padding must hold 1.0
-    already, or into a new array.
+    written into ``out`` or into a new array.
     """
     q = spectra @ tree.weights
     cdf = np.cumsum(q / q.sum(axis=1, keepdims=True), axis=1)
-    if out is None:
-        out = np.ones((len(q), 1 << len(tree.steps).bit_length()))
-    np.divide(cdf[:, tree.steps], cdf[:, -1:], out=out[:, :len(tree.steps)])
-    return out
+    return np.divide(cdf[:, tree.steps], cdf[:, -1:], out=out)
 
 
-def _outcome_index(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each k, how many entries of ``_outcome_cdf`` row ``rows[k]`` lie at or below ``u[k]``.
+def _outcome_count(columns, u: np.ndarray) -> np.ndarray:
+    """For each shot, how many of the CDF entries ``columns`` lie at or below its uniform ``u``.
 
-    The row is nondecreasing and its padding, 1.0, lies above every
-    uniform, so this is ``searchsorted(side="right")`` on the row: each
-    record binary-searches its own row, one probe per bit of the width.
+    Each item of ``columns`` is one step of ``_outcome_cdf`` rows: one row's
+    entry for every shot, or an array of each shot's own row's. The rows are
+    nondecreasing, so the count is ``searchsorted(side="right")`` on a
+    shot's row, the index of its eigenvalue in ``values``.
     """
-    width = cdf.shape[1]
-    flat = cdf.ravel()
-    start = rows * width
-    position = start.copy()
-    step = width // 2
-    while step:
-        position += step * (flat[position + (step - 1)] <= u)
-        step //= 2
-    position -= start
-    return position
+    count = np.zeros(len(u), dtype=np.intp)
+    for column in columns:
+        count += column <= u
+    return count
 
 
 @functools.cache
@@ -251,13 +243,11 @@ class LabelLevel:
     A node whose children carry labels a and b of the level below draws
     sign +1 iff its uniform lies below ``threshold[a, b]``, which is
     (1 + overlap) / 2, and then carries ``label[a, b, minus]``, -1 where
-    that merge is unreachable. ``spectra`` and ``probability`` hold each
-    label's eigenvalues and the probability of its sign string. The leaf
-    level has one label, rho, and no tables.
+    that merge is unreachable. ``spectra`` holds each label's eigenvalues.
+    The leaf level has one label, rho, and no tables.
     """
 
     spectra: np.ndarray
-    probability: np.ndarray
     threshold: np.ndarray | None = None
     label: np.ndarray | None = None
 
@@ -269,7 +259,7 @@ def _look_up(level: LabelLevel, below: LabelLevel, left, right, u):
     unreachable merge raises ``DegenerateOutcomeError`` as ``merge_spectra``
     does on it.
     """
-    pair = left * len(below.probability) + right
+    pair = left * len(below.spectra) + right
     minus = u >= level.threshold.ravel()[pair]
     labels = level.label.ravel()[2 * pair + minus]
     sign = 1 - 2 * minus.astype(np.int8)
@@ -279,17 +269,16 @@ def _look_up(level: LabelLevel, below: LabelLevel, left, right, u):
     return labels, sign
 
 
-def _merge_nodes(left, right, prob_l, prob_r, u):
+def _merge_nodes(left, right, u):
     """Draw each node's sign from its uniform ``u``, then merge its two child spectra.
 
     Every argument is a stack over the nodes of a level, or one node, and
     each node draws and merges as it would alone. Returns the merged
-    spectra, the branch probabilities and the signs.
+    spectra and the signs.
     """
     overlap = spectra_overlap(left, right)
     sign = np.where(u < 0.5 * (1.0 + overlap), 1, -1)
-    spectrum, prob = merge_spectra(left, right, sign, overlap)
-    return spectrum, prob_l * prob_r * prob, sign
+    return merge_spectra(left, right, sign, overlap)[0], sign
 
 
 def _walk(tables, rounds: int, height: int, rng: np.random.Generator, signs: np.ndarray,
@@ -297,12 +286,11 @@ def _walk(tables, rounds: int, height: int, rng: np.random.Generator, signs: np.
     """The root of a ``rounds``-level subtree; its signs go to ``signs``.
 
     The root is a label of ``tables[rounds]`` up to ``LABEL_LEVELS``,
-    otherwise a pair of (shots, d) spectra and probabilities. ``first`` is
-    the post-order index of the subtree's first node. Up to ``height``
-    levels the subtree is stacked: one ``rng.random`` call for the uniforms
-    of all its nodes, one lookup or merge per level. A taller one walks its
-    left subtree, its right subtree, then its root, so the uniforms come in
-    post-order either way.
+    otherwise (shots, d) spectra. ``first`` is the post-order index of the
+    subtree's first node. Up to ``height`` levels the subtree is stacked:
+    one ``rng.random`` call for the uniforms of all its nodes, one lookup
+    or merge per level. A taller one walks its left subtree, its right
+    subtree, then its root, so the uniforms come in post-order either way.
     """
     shots = signs.shape[1]
     if rounds > height:
@@ -312,10 +300,9 @@ def _walk(tables, rounds: int, height: int, rng: np.random.Generator, signs: np.
         if rounds <= LABEL_LEVELS:
             labels, signs[root] = _look_up(tables[rounds], tables[rounds - 1], left, right, u)
             return labels
-        (left, prob_l), (right, prob_r) = (_spectra(tables, rounds - 1, left),
-                                           _spectra(tables, rounds - 1, right))
-        spectrum, prob, signs[root] = _merge_nodes(left, right, prob_l, prob_r, u)
-        return spectrum, prob
+        spectrum, signs[root] = _merge_nodes(_spectra(tables, rounds - 1, left),
+                                             _spectra(tables, rounds - 1, right), u)
+        return spectrum
     u = rng.random((2 ** rounds - 1, shots))
     rows = _level_rows(rounds)
     labels = np.zeros((2 ** rounds, shots), dtype=np.intp)
@@ -324,30 +311,27 @@ def _walk(tables, rounds: int, height: int, rng: np.random.Generator, signs: np.
             tables[level], tables[level - 1], labels[0::2], labels[1::2], u[rows[level - 1]])
     if rounds <= LABEL_LEVELS:
         return labels[0]
-    spectrum, prob = _spectra(tables, LABEL_LEVELS, labels)
+    spectrum = _spectra(tables, LABEL_LEVELS, labels)
     for level in range(LABEL_LEVELS + 1, rounds + 1):
-        spectrum, prob, signs[first + rows[level - 1]] = _merge_nodes(
-            spectrum[0::2], spectrum[1::2], prob[0::2], prob[1::2], u[rows[level - 1]])
-    return spectrum[0], prob[0]
+        spectrum, signs[first + rows[level - 1]] = _merge_nodes(
+            spectrum[0::2], spectrum[1::2], u[rows[level - 1]])
+    return spectrum[0]
 
 
 def _spectra(tables, level: int, root):
-    """``root`` of a ``level``-level subtree as spectra and probabilities, labels looked up."""
-    if level > LABEL_LEVELS:
-        return root
-    return tables[level].spectra[root], tables[level].probability[root]
+    """``root`` of a ``level``-level subtree as spectra, labels looked up."""
+    return root if level > LABEL_LEVELS else tables[level].spectra[root]
 
 
 def _walk_shots(tables, rounds: int, rng: np.random.Generator, shots: int):
-    """Root spectra (shots, d), probabilities and signs (2**rounds - 1, shots) of a walk."""
+    """Root spectra (shots, d) and signs (2**rounds - 1, shots) of a walk."""
     # merging a level of n nodes builds nine (n, shots, d) arrays and about
     # sixteen (n, shots) ones, so the widest level, of 2**(height - 1) nodes,
     # builds at most CHUNK_BYTES
     d = tables[0].spectra.shape[1]
     height = min(rounds, chunk_rows(8 * max(shots, 1) * (9 * d + 16)).bit_length())
     signs = np.empty((2 ** rounds - 1, shots), dtype=np.int8)
-    spectrum, prob = _spectra(tables, rounds, _walk(tables, rounds, height, rng, signs, 0))
-    return spectrum, prob, signs
+    return _spectra(tables, rounds, _walk(tables, rounds, height, rng, signs, 0)), signs
 
 
 @dataclass(frozen=True)
@@ -441,12 +425,13 @@ class SamplingTree:
 
     ``rho`` and ``obs`` are copies of the state and the checked observable
     it was built for, which ``simulate_shots`` compares with its own.
-    ``weights[j, i]`` = |<u_i|v_j>|^2 pairs rho's eigenvectors v_j with the
-    observable's eigenvectors u_i. Its eigenvalues come ascending, in runs
-    of equal values; ``values`` holds one per run and ``steps`` the index
-    of the last eigenvalue of each run but the last, so a draw's eigenvalue
-    is ``values[k]``, k counting the steps at or below its uniform. A Pauli
-    string has one step, at d/2 - 1.
+    ``weights[j, i]`` = |<u_i|v_j>|^2 pairs rho's eigenvectors v_j, which
+    no draw reads, with the observable's eigenvectors u_i. Its eigenvalues
+    come ascending, in runs of equal values; ``values`` holds one per run
+    and ``steps`` the index of the last eigenvalue of each run but the
+    last, so a draw's eigenvalue is ``values[k]``, k counting the CDF
+    entries at the steps that lie at or below its uniform. A Pauli string
+    has one step, at d/2 - 1.
 
     Up to ``MAX_TREE_ROUNDS`` rounds ``last`` is the tree's last level,
     which shots draw their branches from by the inverse of its CDF
@@ -458,7 +443,6 @@ class SamplingTree:
     rounds: int
     rho: np.ndarray
     obs: np.ndarray
-    vecs: np.ndarray
     weights: np.ndarray
     values: np.ndarray
     steps: np.ndarray
@@ -471,15 +455,14 @@ class SamplingTree:
 def label_levels(vals: np.ndarray) -> tuple[LabelLevel, ...]:
     """The leaves, of eigenvalues ``vals``, and the ``LABEL_LEVELS`` levels above as lookups."""
     tree = SpectralTree(vals[None], np.ones(1), np.ones(1, dtype=np.int8))
-    levels = [LabelLevel(tree.level, tree.probability)]
+    levels = [LabelLevel(tree.level)]
     for _ in range(LABEL_LEVELS):
         tree = tree.above(levels[-1].spectra)
         # label b is branch b
         branches = np.arange(len(tree))
         label = np.full(tree.overlap.shape + (2,), -1, dtype=np.intp)
         label.ravel()[tree.merge_index(branches)] = branches
-        levels.append(LabelLevel(tree.spectra(branches), tree.probability,
-                                 0.5 * (1.0 + tree.overlap), label))
+        levels.append(LabelLevel(tree.spectra(branches), 0.5 * (1.0 + tree.overlap), label))
     return tuple(levels)
 
 
@@ -509,9 +492,9 @@ def sampling_tree(rho: np.ndarray, obs: np.ndarray, rounds: int) -> SamplingTree
     # after the tree, whose overlaps are the largest arrays of a run
     obs_vals, obs_vecs = np.linalg.eigh(obs)
     steps = np.flatnonzero(obs_vals[1:] != obs_vals[:-1])
-    return SamplingTree(rounds, np.array(rho), np.array(obs), vecs,
-                        np.abs(vecs.conj().T @ obs_vecs) ** 2, obs_vals[np.r_[0, steps + 1]],
-                        steps, **draw)
+    weights = np.abs(vecs.conj().T @ obs_vecs) ** 2
+    return SamplingTree(rounds, np.array(rho), np.array(obs), weights,
+                        obs_vals[np.r_[0, steps + 1]], steps, **draw)
 
 
 def branch_cdf(probability: np.ndarray):
@@ -539,9 +522,9 @@ def _draw_from_tree(tree: SamplingTree, records: np.ndarray, rng: np.random.Gene
     uniform; only the marked branches are merged and measured, in chunks
     of ``chunk_rows(8 d)`` branches, each writing its rows of one outcome
     CDF. A second pass gives every shot the most probable branch's parity
-    and observable, from comparisons against that branch's CDF row, then
-    the searched shots their own. Both passes run in blocks of
-    ``SHOT_BLOCK`` shots.
+    and the searched shots their own, and every shot its observable by
+    ``_outcome_count`` on its branch's CDF row. Both passes run in blocks
+    of ``SHOT_BLOCK`` shots.
     """
     last, cdf, top = tree.last, tree.branch_cdf, tree.top
     uniforms, outcomes = records.T
@@ -560,24 +543,20 @@ def _draw_from_tree(tree: SamplingTree, records: np.ndarray, rng: np.random.Gene
     row = np.cumsum(drawn, dtype=np.int32)
     row -= 1
     parity = last.parity[which].astype(float)
-    outcome_cdf = np.ones((len(which), 1 << len(tree.steps).bit_length()))
+    # every row is written by one chunk
+    outcome_cdf = np.empty((len(which), len(tree.steps)))
     step = chunk_rows(8 * len(tree.weights))
     for lo in range(0, len(which), step):
         _outcome_cdf(last.spectra(which[lo:lo + step]), tree, outcome_cdf[lo:lo + step])
-    top_parity, top_row = parity[row[top]], outcome_cdf[row[top], :len(tree.steps)]
-    counts = np.empty(min(len(records), SHOT_BLOCK), dtype=np.intp)
+    top_parity, top_row = parity[row[top]], outcome_cdf[row[top]]
     for lo in range(0, len(records), SHOT_BLOCK):
         u, v = uniforms[lo:lo + SHOT_BLOCK], outcomes[lo:lo + SHOT_BLOCK]
         rest = np.flatnonzero(u < 0.0)
-        searched = v[rest]
         rows = row[(-1.0 - u[rest]).astype(np.intp)]
-        count = counts[:len(v)]
-        count.fill(0)
-        for entry in top_row:
-            count += entry <= v
+        count = _outcome_count(top_row, v)
+        count[rest] = _outcome_count(outcome_cdf[rows].T, v[rest])
         tree.values.take(count, out=v)
         u.fill(top_parity)
-        v[rest] = tree.values[_outcome_index(outcome_cdf, rows, searched)]
         u[rest] = parity[rows]
 
 
@@ -613,11 +592,10 @@ def simulate_shots(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: int,
     step = chunk_rows(16 * len(tree.weights) ** 2)
     for lo in range(0, n_shots, step):
         parities, outcomes = records[lo:lo + step].T
-        spectrum, _, signs = _walk_shots(tree.labels, rounds, rng, len(parities))
+        spectrum, signs = _walk_shots(tree.labels, rounds, rng, len(parities))
         np.prod(signs, axis=0, out=parities)
         rng.random(len(outcomes), out=outcomes)
-        outcomes[:] = tree.values[_outcome_index(_outcome_cdf(spectrum, tree),
-                                                 np.arange(len(outcomes)), outcomes)]
+        tree.values.take(_outcome_count(_outcome_cdf(spectrum, tree).T, outcomes), out=outcomes)
     return records
 
 

@@ -10,8 +10,9 @@ sampler's node-by-node tree walk, the shot records as 0.13.0 drew them
 column at a time, no label table), the Pauli expansion computed densely,
 the complex IXYZ basis change, the twirl's frame subsets as label tuples,
 the threshold scan point by point on numpy scalars (``numpy_find_threshold``),
-and the state constructors and validation the tests build their inputs
-with. Each oracle is computed apart from the fast path it
+the ``--p`` print-resolution check with every value printed
+(``p_prints_apart``), and the state constructors and validation the tests
+build their inputs with. Each oracle is computed apart from the fast path it
 checks: ``pauli_expand`` takes one trace per Pauli string, never
 ``to_pauli_basis``, and ``to_pauli_basis`` pairs qubit axes with the complex
 Pauli matrices, not with the channel kernel's real {I, X, XZ, Z} pair; and
@@ -29,6 +30,7 @@ import numpy as np
 
 from pqec import montecarlo
 from pqec.channels import DEFAULT_SEED
+from pqec.cli import _fmt_value
 from pqec.purify import PROB_FLOOR, DegenerateOutcomeError, check_rounds, chunk_rows, \
     merge_spectra, swap_gadget, werner_fidelity_update
 from pqec.states import MAX_PAULI_QUBITS, NORM_TOL, PAULI_I, PAULI_LABELS, PAULI_X, PAULI_Y, \
@@ -519,12 +521,13 @@ def conditional_state(rho: np.ndarray, outcomes) -> OutcomeBranches:
                            outcomes=outcomes)
 
 
-def _per_node_walk(vals: np.ndarray, rounds: int, rng: np.random.Generator, shots: int):
+def _per_node_walk(vals: np.ndarray, rounds: int, shots: int, draw):
     """Root spectra (shots, d), probabilities and sign strings (shots, 2**rounds - 1) of a walk.
 
     The shots walk the tree together as (shots, d) eigenvalue vectors, and
-    each node takes its own ``rng.random(shots)`` call, in post-order, and
-    its own ``merge_spectra`` call.
+    each node, in post-order, takes its signs from its own ``draw(overlap)``
+    call and makes its own ``merge_spectra`` call. A branch's probability
+    is the product of its per-node probabilities.
     """
     leaf = np.broadcast_to(vals, (shots, vals.size))
     signs = []
@@ -535,13 +538,18 @@ def _per_node_walk(vals: np.ndarray, rounds: int, rng: np.random.Generator, shot
         left, prob_l = walk(level - 1)
         right, prob_r = walk(level - 1)
         overlap = (left * right).sum(axis=-1)
-        sign = np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
+        sign = draw(overlap)
         signs.append(sign)
         spectrum, prob = merge_spectra(left, right, sign, overlap)
         return spectrum, prob_l * prob_r * prob
 
     spectrum, prob = walk(rounds)
     return spectrum, prob, np.array(signs, dtype=np.int8).reshape(len(signs), shots).T
+
+
+def _drawn_signs(rng: np.random.Generator, shots: int):
+    """``_per_node_walk``'s ``draw``: its own ``rng.random(shots)``, +1 below (1 + overlap) / 2."""
+    return lambda overlap: np.where(rng.random(shots) < 0.5 * (1.0 + overlap), 1, -1)
 
 
 def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
@@ -552,7 +560,7 @@ def per_node_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator
     ``_per_node_walk`` in rho's eigenbasis.
     """
     vals, vecs = spectral_decomposition(rho)
-    spectrum, prob, outcomes = _per_node_walk(vals, rounds, rng, shots)
+    spectrum, prob, outcomes = _per_node_walk(vals, rounds, shots, _drawn_signs(rng, shots))
     return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),
                            outcomes=outcomes)
@@ -626,7 +634,8 @@ def frozen_shot_records(rho: np.ndarray, obs: np.ndarray, rounds: int, n_shots: 
     step = chunk_rows(16 * obs_vals.size ** 2)
     for lo in range(0, n_shots, step):
         block = records[lo:lo + step]
-        spectrum, _, outcomes = _per_node_walk(vals, rounds, rng, len(block))
+        spectrum, _, outcomes = _per_node_walk(vals, rounds, len(block),
+                                               _drawn_signs(rng, len(block)))
         _measure_by_columns(block, np.arange(len(block)), np.prod(outcomes, axis=1), spectrum,
                             weights, obs_vals, rng)
     return records, None
@@ -641,11 +650,14 @@ def sample_outcome_tree(rho: np.ndarray, rounds: int, rng: np.random.Generator,
     tree together as eigenvalue vectors, each node drawing every shot's
     sign with its conditional probability. The root spectra are built into
     states (``from_spectrum``) so that they compare with the dense oracles.
+    The walk carries no probabilities, so each drawn string's probability
+    is its replay on rho's eigenvalues (``_per_node_walk``), node by node.
     """
     check_rounds(rounds)
     vals, vecs = spectral_decomposition(rho)
-    spectrum, prob, signs = montecarlo._walk_shots(montecarlo.label_levels(vals), rounds, rng,
-                                                   shots)
+    spectrum, signs = montecarlo._walk_shots(montecarlo.label_levels(vals), rounds, rng, shots)
+    columns = iter(signs)
+    _, prob, _ = _per_node_walk(vals, rounds, shots, lambda overlap: next(columns))
     outcomes = signs.T
     return OutcomeBranches(state=from_spectrum(spectrum, vecs),
                            probability=prob, parity=np.prod(outcomes, axis=1),
@@ -693,3 +705,14 @@ def conditional_state_two_rounds(rho: np.ndarray, outcomes) -> OutcomeBranches:
     return OutcomeBranches(state=state[None], probability=np.array([p1 * p2 * p3]),
                            parity=np.array([s1 * s2 * s3]),
                            outcomes=np.array([[s1, s2, s3]], dtype=np.int8))
+
+
+def p_prints_apart(values) -> bool:
+    """Whether every p prints as itself at the CSV's resolution, one ``_fmt_value`` per value.
+
+    No nonzero value prints as 0.0 and no two distinct values print alike:
+    the dict of printed values is as long as the set of values, and its
+    entry for "0.0", if any, is zero.
+    """
+    printed = {_fmt_value(float(p)): p for p in values}
+    return not (len(printed) < len(set(values)) or printed.get("0.0", 0.0))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import pqec
+from pqec import cli
 from pqec.cli import (
     EXIT_ERROR,
     EXIT_NO_CROSSING,
@@ -19,6 +21,7 @@ from pqec.cli import (
 )
 from pqec.states import ResourceLimitError, ValidationError, bloch_state, plus_state, \
     zero_state
+from oracles import p_prints_apart
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +92,54 @@ def test_angle_accepts_only_arithmetic(tmp_path, capsys):
 ])
 def test_fmt_value(value, text):
     assert _fmt_value(value) == text
+
+
+def _print_resolution_grids():
+    """Seeded p grids at the CSV's resolution: near +-5e-14, pairs 1e-13 +- ulp apart, repeats."""
+    rng = np.random.default_rng(35)
+
+    def ulps(x):
+        return [np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)]
+
+    gaps = ulps(1e-13) + ulps(5e-14) + ulps(1.5e-13) + ulps(2e-13)
+    edges = ulps(5e-14) + ulps(-5e-14) + ulps(1e-13) + ulps(1.5e-13) + [0.0, -0.0, 1e-14]
+    # points on and half a step off the 13-decimal lattice, where rounding turns
+    pool = edges + [k * 1e-13 + off for k in rng.integers(0, 10 ** 13, 20)
+                    for off in ulps(0.0) + ulps(5e-14)]
+    pool += [x + gap for x in pool[:30] for gap in gaps]
+    pool += list(rng.random(10))
+    grids = [[v] for v in pool] + [[0.0, -0.0], [-0.0, 1e-14], [0.3, 0.3], [0.0, 0.0, 0.5]]
+    for _ in range(400):
+        grid = list(rng.choice(pool, size=rng.integers(2, 8)))
+        if rng.random() < 0.3:
+            grid += grid[:2]
+        if rng.random() < 0.3:
+            grid += list(np.linspace(0.0, 1.0, 41))
+        grids.append(grid)
+    base = np.linspace(0.0, 1.0, 10 ** 4)
+    lattice = 0.5 + 1e-13 * np.arange(10 ** 4)
+    grids += [base, np.sort(rng.random(10 ** 4)), lattice, lattice + 5e-14,
+              np.append(base, base[1234] + 1e-13), np.append(base[1:], 1e-14),
+              np.append(base, base[::1000])]
+    return [np.array(grid, dtype=float) for grid in grids]
+
+
+def test_p_resolution_check_accepts_as_every_value_printed():
+    # only values near zero or near a neighbour are printed, with the verdicts of printing
+    # every value, on grids at and one ulp either side of the rounding edges
+    verdicts = set()
+    for grid in _print_resolution_grids():
+        verdict = p_prints_apart(grid)
+        assert cli._prints_apart(grid) == verdict, grid
+        verdicts.add(verdict)
+        if np.all((grid >= 0.0) & (grid <= 1.0)):
+            args = argparse.Namespace(command="sweep", p=",".join(map(repr, grid.tolist())))
+            if verdict:
+                assert np.array_equal(cli._flag_values(args, "p"), grid)
+            else:
+                with pytest.raises(ValidationError, match="prints as 0.0, or two that print"):
+                    cli._flag_values(args, "p")
+    assert verdicts == {True, False}
 
 
 # ----------------------------------------------------------------------

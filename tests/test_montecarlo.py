@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -25,7 +26,8 @@ from pqec.montecarlo import MAX_BATCHES, MAX_RUN_SHOTS, MAX_SHOT_MERGES, MAX_SHO
     SamplingTree, SpectralTree, branch_cdf, check_sampling_budget, sampling_tree
 import pqec.purify
 from pqec.purify import DegenerateOutcomeError, check_observable, merge_spectra, swap_gadget
-from pqec.states import ResourceLimitError, ValidationError, from_spectrum, kron_all
+from pqec.states import ResourceLimitError, ValidationError, from_spectrum, kron_all, \
+    spectral_decomposition
 from oracles import conditional_state, enumerate_outcomes, frozen_shot_records, maximally_mixed, \
     per_node_outcome_tree, random_density_matrix, random_pure_state, sample_outcome_tree
 
@@ -438,11 +440,11 @@ def test_observable_draw_matches_per_branch_scan_at_three_qubits(p):
 ])
 def test_branch_draw_is_generator_choice(weights):
     # one-hot branch spectra measured in their own basis: a shot's outcome is its branch,
-    # and its parity the branch's; seven branches pad the CDF rows to eight entries
+    # and its parity the branch's; seven branches give CDF rows of six steps
     k = len(weights)
     p = np.array(weights) / np.sum(weights)
     last = SpectralTree(np.eye(k), p, (-1) ** np.arange(k))
-    tree = SamplingTree(1, np.diag(p), np.diag(np.arange(k, dtype=float)), np.eye(k), np.eye(k),
+    tree = SamplingTree(1, np.diag(p), np.diag(np.arange(k, dtype=float)), np.eye(k),
                         np.arange(k, dtype=float), np.arange(k - 1), last, *branch_cdf(p))
     ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
     records = np.empty((5000, 2), order="F")
@@ -461,9 +463,11 @@ FROZEN_CASES = [(m, ell) for m in (1, 2, 3) for ell in range(8)]
 @pytest.mark.parametrize("qubits, rounds", FROZEN_CASES)
 def test_simulate_shots_draws_as_frozen_oracle(qubits, rounds):
     # every record and the generator's state after them match the 0.13.0 draw, with the tree
-    # built per call or passed in
-    obs = pauli_matrix("Z" + "X" * (qubits - 1))
-    for p in (0.0, 0.01, 0.3):
+    # built per call or passed in; a Pauli string's CDF rows have one step, a random
+    # Hermitian observable's 2**M - 1
+    observables = (pauli_matrix("Z" + "X" * (qubits - 1)),
+                   random_density_matrix(qubits, np.random.default_rng(50 + rounds)))
+    for obs, p in itertools.product(observables, (0.0, 0.01, 0.3)):
         rho = make_channel(NoiseModel("local-depol", p), qubits)(
             density_from_pure(random_pure_state(qubits, np.random.default_rng(rounds))))
         tree = sampling_tree(rho, obs, rounds)
@@ -610,7 +614,8 @@ def test_sampling_tree_merges_lazily_as_enumerated(qubits, rounds, p):
     assert np.array_equal(tree.parity, whole.parity)
     assert np.max(np.abs(tree.probability / whole.probability - 1.0)) < 1e-12
     spectra = tree.spectra(np.arange(len(tree)))
-    assert np.max(np.abs(from_spectrum(spectra, sampler.vecs) - whole.state)) < 1e-13
+    vecs = spectral_decomposition(rho)[1]
+    assert np.max(np.abs(from_spectrum(spectra, vecs) - whole.state)) < 1e-13
     # a branch merges alone as it does among all the others
     rng = np.random.default_rng(qubits)
     drawn = np.unique(rng.choice(len(tree), size=300, p=tree.probability / tree.probability.sum()))
@@ -764,9 +769,20 @@ def test_real_targets_stay_float64_through_the_sampler(qubits, monkeypatch):
     # its cast; its spectra are float64 either way
     cast = noisy.astype(complex)
     obs = pauli_matrix("Z" * qubits)
+    bases = []
+    decompose = pqec.montecarlo.spectral_decomposition
+
+    def recorded(rho):
+        vals, vecs = decompose(rho)
+        bases.append(vecs.dtype)
+        return vals, vecs
+
     for rounds in range(7):
-        real, complex_ = sampling_tree(noisy, obs, rounds), sampling_tree(cast, obs, rounds)
-        assert (real.vecs.dtype, complex_.vecs.dtype) == (np.float64, np.complex128)
+        with monkeypatch.context() as patch:
+            patch.setattr(pqec.montecarlo, "spectral_decomposition", recorded)
+            real, complex_ = sampling_tree(noisy, obs, rounds), sampling_tree(cast, obs, rounds)
+        assert bases == [np.float64, np.complex128]
+        bases.clear()
         assert real.weights.dtype == complex_.weights.dtype == np.float64
         if rounds <= 4:
             drawn = np.arange(0, len(real.last), 7)
