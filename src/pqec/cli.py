@@ -28,16 +28,18 @@ from . import __version__
 from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, make_channel
 from .montecarlo import check_sampling_budget, ratio_estimate, sampling_tree, simulate_shots
 from .purify import extract_observable_exact
-from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ResourceLimitError, ValidationError, \
-    bloch_state, density_from_pure, pauli_matrix, plus_state, zero_state
+from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ProductState, ResourceLimitError, \
+    ValidationError, check_register, density_from_pure, pauli_matrix
 from .svgplot import line_chart
-from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, MIN_WORKER_WORK, \
-    available_cpus, check_threshold_grid, find_threshold, run_cycles, sweep
+from .threshold import DEFAULT_CYCLES, DEFAULT_P_COUNT, DEFAULT_ROUNDS, MAX_PRODUCT_QUBITS, \
+    MAX_TRACE_ROWS, MIN_WORKER_WORK, available_cpus, check_threshold_grid, find_threshold, \
+    run_cycles, sweep
 
 OUTPUT_DIR_ENV = "PQEC_OUTPUT_DIR"
 
-# Most values a ``min:max:count`` grid or an ``a..b`` range may expand to,
-# and most ``--cycles``, checked before anything is built.
+# Most values ``--p`` or ``--ell`` may hold, in any form, and most
+# ``--cycles``. A ``min:max:count`` grid or an ``a..b`` range is checked
+# before it is built, a list once it is parsed.
 MAX_GRID_POINTS = 10_000
 
 EXIT_OK = 0
@@ -142,8 +144,12 @@ def _parse_angle(text: str) -> float:
     return value
 
 
-def parse_state(spec: str) -> np.ndarray:
-    """Target-state spec: ``plus^M``, ``zero^M``, or ``bloch:theta,phi[^M]``."""
+def parse_state(spec: str) -> ProductState:
+    """Target-state spec ``plus^M``, ``zero^M`` or ``bloch:theta,phi[^M]``, as a ``ProductState``.
+
+    No vector is built; each run checks M against the limit of the form
+    it holds the register in.
+    """
     spec = spec.strip()
     reps = 1
     if "^" in spec:
@@ -151,19 +157,13 @@ def parse_state(spec: str) -> np.ndarray:
         reps = int(reps_text)
         if reps < 1:
             raise ValidationError("state repetition count must be >= 1")
-        if reps > MAX_DENSE_QUBITS:
-            raise ResourceLimitError(
-                f"{reps} qubits exceed the dense register limit of {MAX_DENSE_QUBITS}")
-    if spec == "plus":
-        return plus_state(reps)
-    if spec == "zero":
-        return zero_state(reps)
+    if spec in ("plus", "zero"):
+        return ProductState(spec, reps)
     if spec.startswith("bloch:"):
         angles = spec[len("bloch:"):].split(",")
         if len(angles) != 2:
             raise ValidationError("bloch state needs theta,phi")
-        theta, phi = _parse_angle(angles[0]), _parse_angle(angles[1])
-        return bloch_state(theta, phi, reps)
+        return ProductState("bloch", reps, (_parse_angle(angles[0]), _parse_angle(angles[1])))
     raise ValidationError(f"unknown state spec {spec!r}")
 
 
@@ -282,17 +282,21 @@ _FLAGS = {
     "config": dict(help="JSON file of flag values; explicit flags win"),
     "seed": dict(type=_seed, default=DEFAULT_SEED, help="RNG/twirl seed"),
     "out": dict(help="output CSV path"),
-    "M": dict(type=int, dest="m", help="number of register qubits"),
+    "M": dict(type=int, dest="m", help="number of register qubits, the target plus^M; at most "
+                                       f"{MAX_PRODUCT_QUBITS} where each cell runs on one qubit or "
+                                       f"a Werner state, {MAX_DENSE_QUBITS} for a twirl subset "
+                                       "and for sample"),
     "channel": dict(choices=CHANNEL_KINDS, help="noise channel kind"),
     "twirl": dict(type=float, help="twirl fraction in (0,1] for --channel dephasing"),
-    "state": dict(help="target state: plus^M, zero^M, bloch:theta,phi[^M]"),
+    "state": dict(help="target state: plus^M, zero^M, bloch:theta,phi[^M], M limited as --M"),
     "p": dict(help="error probability: value; list or min:max:count where a command runs several"),
     "ell": dict(help="purification rounds: value; list or a..b where a command runs several"),
     "cycles": dict(type=_cycles, default=DEFAULT_CYCLES,
                    help="channel-then-purify cycles; threshold reads only the first"),
     "jobs": dict(type=int, help="worker threads, capped at the CPUs available and at one per "
                                 f"{MIN_WORKER_WORK:,} of cells x cycles run x per-cell work "
-                                "(8^M; plus^M and zero^M run on one thread)"),
+                                "(d^3 for a d x d matrix; diagonals and Werner states run on "
+                                "one thread)"),
     "traces": dict(help="also write per-trace CSV (p, ell, t, F) here"),
     "shots": dict(type=int, default=100000, help="shots per batch"),
     "batches": dict(type=int, default=1, help="number of batches"),
@@ -334,6 +338,8 @@ def _flag_values(args, flag: str):
         raise ValidationError(f"--{flag} is required")
     try:
         values = parse_real_grid(text) if flag == "p" else parse_int_list(text)
+        # a list (from the command line or --config) is only counted once parsed
+        _check_grid_size(len(values))
     except ValueError as exc:
         raise ValidationError(f"--{flag}: {exc}") from exc
     if flag == "p" and not np.all((values >= 0.0) & (values <= 1.0)):
@@ -349,7 +355,7 @@ def _flag_values(args, flag: str):
 
 
 def _experiment(args):
-    """``(psi, model, p_values, ells)``, in the order ``sweep`` takes them.
+    """``(target, model, p_values, ells)``, in the order ``sweep`` takes them.
 
     Sets ``args.m`` from the target state. The model carries the first p value.
     """
@@ -357,13 +363,12 @@ def _experiment(args):
         raise ValidationError("need --state or --M")
     flag, spec = ("--M", f"plus^{args.m}") if args.state is None else ("--state", args.state)
     try:
-        psi = parse_state(spec)
+        target = parse_state(spec)
     except ValueError as exc:
         raise ValidationError(f"{flag}: {exc}") from exc
-    m = psi.size.bit_length() - 1
-    if args.m is not None and args.m != m:
-        raise ValidationError(f"--M {args.m} conflicts with state on {m} qubits")
-    args.m = m
+    if args.m is not None and args.m != target.qubits:
+        raise ValidationError(f"--M {args.m} conflicts with state on {target.qubits} qubits")
+    args.m = target.qubits
     p_values = _flag_values(args, "p")
     ells = _flag_values(args, "ell")
     kind = args.channel
@@ -377,7 +382,7 @@ def _experiment(args):
     model = NoiseModel(kind=kind, p=float(p_values[0]),
                        twirl_fraction=1.0 if args.twirl is None else args.twirl,
                        twirl_seed=args.seed).validate()
-    return psi, model, p_values, ells
+    return target, model, p_values, ells
 
 
 # Keys that do not influence the computed values: output locations and the
@@ -396,10 +401,10 @@ def _config_dict(args) -> dict:
 # ----------------------------------------------------------------------
 
 def _cmd_purify(args) -> int:
-    psi, model, _, ells = _experiment(args)
+    target, model, _, ells = _experiment(args)
     # the first cycle's fidelities: one decomposition serves every rounds
     # value, and no purified state is built
-    fids = run_cycles(psi, model, ells, 1).fidelities[:, 1]
+    fids = run_cycles(target, model, ells, 1).fidelities[:, 1]
     _write_table(args, ["ell", "fidelity"], list(zip(ells, fids)),
                  chart=dict(series=[("F", ells, fids)],
                             title="fidelity vs purification rounds",
@@ -408,8 +413,8 @@ def _cmd_purify(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
-    psi, model, _, (ell,) = _experiment(args)
-    trace = run_cycles(psi, model, ell, args.cycles)
+    target, model, _, (ell,) = _experiment(args)
+    trace = run_cycles(target, model, ell, args.cycles)
     _write_table(args, ["t", "fidelity"], list(enumerate(trace.fidelities)),
                  note=f" (final F = {trace.fidelities[-1]:.10f})",
                  chart=dict(series=[(f"ell={ell}", range(args.cycles + 1), trace.fidelities)],
@@ -426,7 +431,13 @@ def _gamma_chart(result) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    result = sweep(*_experiment(args), cycles=args.cycles, jobs=args.jobs)
+    experiment = _experiment(args)
+    cells = len(experiment[2]) * len(experiment[3])
+    rows = cells * (args.cycles + 1) if args.traces else cells
+    if rows > MAX_TRACE_ROWS:
+        raise ResourceLimitError(f"{rows} rows of {'--traces' if args.traces else 'CSV'} exceed"
+                                 f" the limit of {MAX_TRACE_ROWS}")
+    result = sweep(*experiment, cycles=args.cycles, jobs=args.jobs)
     rows = [(result.channel.kind, result.qubits, float(p), ell, result.cycles,
              float(result.gamma[i, j]), float(result.steady_fidelity[i, j]))
             for i, p in enumerate(result.p_values) for j, ell in enumerate(result.rounds)]
@@ -467,7 +478,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    psi, model, _, (ell,) = _experiment(args)
+    target, model, _, (ell,) = _experiment(args)
+    check_register(args.m, MAX_DENSE_QUBITS, "a dense matrix")
     if args.shots < 2 or args.batches < 1:
         raise ValidationError("--shots must be >= 2 and --batches >= 1")
     check_sampling_budget(ell, args.shots, args.batches, args.m)
@@ -481,7 +493,7 @@ def _cmd_sample(args) -> int:
     except ValidationError as exc:
         raise ValidationError(f"--observable: {exc}") from exc
     channel = make_channel(model, args.m)
-    noisy = channel(density_from_pure(psi))
+    noisy = channel(density_from_pure(target.vector()))
     exact = extract_observable_exact(obs, noisy, ell)
     rng = np.random.default_rng(args.seed)
     tree = sampling_tree(noisy, obs, ell)

@@ -151,17 +151,18 @@ def merge_spectra(spec_a: np.ndarray, spec_b: np.ndarray, sign: np.ndarray,
 MAX_SPECTRAL_ROUNDS = 64
 
 
-def purified_weights(vals: np.ndarray, rounds: int) -> np.ndarray:
+def purified_weights(vals: np.ndarray, rounds: int, counts: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of rho**N / Tr(rho**N), N = 2**rounds, from rho's eigenvalues ``vals``.
 
     ``vals`` may come in any order, as a diagonal does. They are divided by
     the largest before powering, so the weights stay finite where
     Tr(rho**N) underflows. A stack ``(..., d)`` is powered row by row, as
-    one call each.
+    one call each. ``counts`` gives each value's multiplicity, where one
+    value stands for several eigenvalues; by default each is one.
     """
     power = float(2 ** min(rounds, MAX_SPECTRAL_ROUNDS))
     scaled = (vals / vals.max(axis=-1, keepdims=True)) ** power
-    return scaled / scaled.sum(axis=-1, keepdims=True)
+    return scaled / (scaled if counts is None else scaled * counts).sum(axis=-1, keepdims=True)
 
 
 def purified_state(rho: np.ndarray, rounds: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,7 @@ PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 # Largest register on which ``twirl-check`` compares channels exhaustively;
 # channel application is not limited in M.
 MAX_PAULI_QUBITS = 6
-# Largest register the command line builds as a dense 2**M x 2**M matrix.
+# Largest register held as a 2**M diagonal or a dense 2**M x 2**M matrix.
 MAX_DENSE_QUBITS = 8
 
 NORM_TOL = 1e-12
@@ -45,6 +46,13 @@ class ValidationError(ValueError):
 
 class ResourceLimitError(ValueError):
     """An operation was requested beyond its guarded cost limit."""
+
+
+def check_register(qubits: int, limit: int, held_as: str) -> None:
+    """Raise ``ResourceLimitError`` if a register of ``qubits`` is past the ``limit`` of its form."""
+    if qubits > limit:
+        raise ResourceLimitError(
+            f"{qubits} qubits exceed the limit of {limit} for a register held as {held_as}")
 
 
 def num_qubits(dim: int) -> int:
@@ -132,6 +140,27 @@ def bloch_state(theta: float, phi: float, qubits: int = 1) -> np.ndarray:
     for _ in range(qubits):
         psi = np.kron(psi, single)
     return psi
+
+
+@dataclass(frozen=True)
+class ProductState:
+    """A target of ``qubits`` copies of one one-qubit pure state, as parsed: no vector.
+
+    ``name`` is ``plus``, ``zero`` or ``bloch``, with ``angles`` (theta,
+    phi) for ``bloch``. ``vector`` builds the amplitudes on request, by
+    ``plus_state``, ``zero_state`` or ``bloch_state``, so they have those
+    functions' bits: ``vector(1)`` is the one qubit's state.
+    """
+
+    name: str
+    qubits: int
+    angles: tuple = ()
+
+    def vector(self, qubits: int | None = None) -> np.ndarray:
+        qubits = self.qubits if qubits is None else qubits
+        if self.name == "bloch":
+            return bloch_state(*self.angles, qubits)
+        return {"plus": plus_state, "zero": zero_state}[self.name](qubits)
 
 
 # ----------------------------------------------------------------------

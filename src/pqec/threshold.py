@@ -11,29 +11,35 @@ The engine runs a whole (p, rounds) grid in lock-step. Its noise model
 holds the grid's p values as one tuple, so each cycle makes one call of
 one channel closure on the stack of (P, L) states, each p's channel on
 that p's L states. One loop runs the cycles over a representation of the
-states, which the target alone picks (``representation``). From ``plus^M``
-or ``zero^M`` every state is diagonal in the X or the Z product basis, so
-it is held as its 2**M diagonal, with the target at index 0: the channel
-acts on it through Walsh-Hadamard passes (``channels.apply_to_diagonal``)
-and it is its own spectrum, in O(M 2**M) per cell and cycle. Any other
-target is held as a d x d matrix, with one stacked eigendecomposition per
-rounds value. Every purified fidelity is sum_i w_i |<v_i|psi>|^2 over the
-eigenvectors v_i of the noisy state (the basis states on a diagonal) and
-its normalized powered eigenvalues w_i (``purify.purified_weights``), with
-the populations |<v_i|psi>|^2 taken once per decomposition. A purified
-matrix V diag(w) V^dagger (``states.from_spectrum``) is built only for a
-cycle that follows. The first cycle starts all rounds values of a p from
-the same noisy state, so it decomposes that state once; a one-cycle run,
-as every threshold is, holds one state per p and builds no purified
-matrix. Every step acts state by state, so a trace has the same bits as a
-run of its cell alone, however the grid is split into blocks. Parallel
-blocks of a dense grid run on threads of the calling process: the stacked
-``eigh`` and Pauli kernels release the interpreter lock, and no worker is
-forked. A diagonal grid runs on the calling thread (its ``cell_work`` is
-0). At ``jobs`` > 1, every OpenBLAS loaded in the process, numpy's among
-them, is pinned to one thread, so its own thread pool does not compete
-with the workers for the CPUs; its old thread count comes back when the
-sweep ends.
+states, which the target and the channel pick once per run
+(``representation``). Every target the command line parses is a product
+of one one-qubit state (``ProductState``). Global depolarizing keeps its
+state in span{|psi><psi|, I}: two eigenvalues, of multiplicities 1 and
+d - 1. A channel that acts on each qubit alone keeps it a product, so a
+cell runs on one qubit and its fidelities are raised to the M-th power.
+Only a twirl subset couples the qubits: from ``plus^M`` or ``zero^M``
+every state is then diagonal in the X or the Z product basis, and held as
+its 2**M diagonal, with the target at index 0; the channel acts on it
+through Walsh-Hadamard passes (``channels.apply_to_diagonal``) and it is
+its own spectrum. Any other such target, and a pure-state vector given
+directly, is held as a d x d matrix, with one stacked eigendecomposition
+per rounds value. Every purified fidelity is sum_i w_i |<v_i|psi>|^2 over
+the eigenvectors v_i of the noisy state (the basis states on a diagonal)
+and its normalized powered eigenvalues w_i (``purify.purified_weights``),
+with the populations |<v_i|psi>|^2 taken once per decomposition. A
+purified matrix V diag(w) V^dagger (``states.from_spectrum``) is built
+only for a cycle that follows. The first cycle starts all rounds values
+of a p from the same noisy state, so it decomposes that state once; a
+one-cycle run, as every threshold is, holds one state per p and builds no
+purified matrix. Every step acts state by state, so a trace has the same
+bits as a run of its cell alone, however the grid is split into blocks.
+Parallel blocks of a dense grid run on threads of the calling process:
+the stacked ``eigh`` and Pauli kernels release the interpreter lock, and
+no worker is forked. Diagonal and Werner grids run on the calling thread
+(their ``cell_work`` is 0). At ``jobs`` > 1, every OpenBLAS loaded in the
+process, numpy's among them, is pinned to one thread for a grid with
+worker work, so its own thread pool does not compete with the workers for
+the CPUs; its old thread count comes back when the sweep ends.
 """
 
 from __future__ import annotations
@@ -53,8 +59,9 @@ import numpy as np
 
 from .channels import NoiseModel, make_channel
 from .purify import CHUNK_BYTES, check_rounds, purified_weights
-from .states import PAULI_LABELS, ValidationError, check_pure_state, density_from_pure, \
-    fidelity, from_spectrum, num_qubits, plus_state, spectral_decomposition, zero_state
+from .states import MAX_DENSE_QUBITS, PAULI_LABELS, ProductState, ResourceLimitError, \
+    ValidationError, check_pure_state, check_register, density_from_pure, fidelity, \
+    from_spectrum, num_qubits, plus_state, spectral_decomposition, zero_state
 
 DEFAULT_P_COUNT = 41
 DEFAULT_ROUNDS = (0, 1, 2, 3, 5)
@@ -73,6 +80,20 @@ ZERO_TOL = 1e-12
 # and 1.5 MB higher with 512 KiB ones, while below 256 KiB they slow down
 # (measured in 0.4.1 on dense states, with a state per cell in every block).
 BLOCK_BYTES = CHUNK_BYTES // 16
+
+# Most bytes of traces a sweep holds, P x L x (cycles + 1) float64 (twice at
+# its peak: the blocks' and the joined grid), and most rows the sweep command
+# writes to its CSV (P x L) or --traces (P x L x (cycles + 1)); both are
+# checked before anything is built.
+MAX_TRACE_BYTES = 2 ** 28
+MAX_TRACE_ROWS = 10 ** 6
+
+# Largest register a product or a Werner cell stands for. Either holds the
+# same few values at any M, where M is only a power or a multiplicity.
+MAX_PRODUCT_QUBITS = 64
+
+# Letters of the one-qubit states whose copies stay diagonal in the X and Z bases.
+_ONE_QUBIT = (("IX", plus_state(1)), ("IZ", zero_state(1)))
 
 # Lock-step work (cells x cycles x the representation's ``cell_work``: d**3
 # on a dense state) per sweep worker thread. Smaller blocks pass the interpreter
@@ -103,7 +124,9 @@ class CycleTrace:
 
     ``fidelities`` is (cycles + 1,) for a scalar p and one rounds value,
     and gains a leading axis for a tuple p and then one for a sequence of
-    rounds values, as given to ``run_cycles``.
+    rounds values, as given to ``run_cycles``. Where a cell stands for
+    copies of one qubit, ``cell_gamma`` is that qubit's first-cycle
+    fidelity drop, shaped as ``fidelities`` without its last axis.
     """
 
     fidelities: np.ndarray
@@ -111,6 +134,7 @@ class CycleTrace:
     rounds: int | tuple[int, ...]
     qubits: int
     cycles: int
+    cell_gamma: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -125,6 +149,9 @@ class SweepResult:
     channel: NoiseModel        # template; p varies along the grid
     qubits: int
     cycles: int
+    # [i_p, i_rounds] gamma of one qubit, where a cell stands for copies of it:
+    # 1 - F1 orders the rounds values as 1 - F1**M does, without rounding to 1
+    cell_gamma: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -148,14 +175,47 @@ class ThresholdEstimate:
 # Cycles
 # ----------------------------------------------------------------------
 
-class _Dense:
+class _Cells:
+    """What every representation shares.
+
+    A cell's states stand for ``cell_qubits`` of the register's ``qubits``;
+    ``finish`` raises its fidelities to the power ``copies`` = qubits /
+    cell_qubits. ``counts`` holds the multiplicity of each value a state
+    holds, where a value stands for several eigenvalues (None: one each).
+    """
+
+    counts = None
+
+    def __init__(self, cell_qubits: int, copies: int):
+        self.cell_qubits, self.copies, self.qubits = cell_qubits, copies, cell_qubits * copies
+
+    def channel(self, model: NoiseModel):
+        return make_channel(model, self.cell_qubits, self.letters)
+
+    def finish(self, fids: np.ndarray) -> np.ndarray:
+        """``fids`` to the power ``copies``, by repeated squaring.
+
+        Its steps are elementwise products, so every entry has the same bits
+        however the array is laid out; ``np.power``'s do not.
+        """
+        result, n = None, self.copies
+        while n:
+            if n & 1:
+                result = fids if result is None else result * fids
+            n >>= 1
+            fids = fids * fids if n else fids
+        return result
+
+
+class _Dense(_Cells):
     """States as d x d matrices, purified through their eigendecomposition.
 
     A state holds 16 d**2 bytes and costs about d**3 per cycle, its
     ``eigh``, which runs outside the interpreter lock.
     """
 
-    def __init__(self, psi0: np.ndarray):
+    def __init__(self, psi0: np.ndarray, copies: int = 1):
+        super().__init__(num_qubits(psi0.size), copies)
         self.letters, self.psi0, self.target = PAULI_LABELS, psi0, density_from_pure(psi0)
         self.cell_bytes, self.cell_work = 16 * psi0.size ** 2, psi0.size ** 3
 
@@ -175,7 +235,7 @@ class _Dense:
         return from_spectrum(weights, vecs)
 
 
-class _Diagonal:
+class _Diagonal(_Cells):
     """States as 2**M diagonals in the X or Z product basis, the target at index 0.
 
     A state holds 8 d bytes and counts no worker work: its Walsh passes
@@ -188,15 +248,17 @@ class _Diagonal:
     and powering it purifies it.
     """
 
-    def __init__(self, size: int, letters: str):
-        self.letters, self.target = letters, np.zeros(size)
+    def __init__(self, qubits: int, letters: str, copies: int = 1):
+        super().__init__(qubits, copies)
+        self.letters, self.target = letters, np.zeros(2 ** qubits)
         self.target[0] = 1.0
-        self.cell_bytes, self.cell_work = 8 * size, 0
+        self.cell_bytes, self.cell_work = 8 * self.target.size, 0
 
     def settle(self, weights: np.ndarray) -> np.ndarray:
         """Rounding negatives clamped to 0 and renormalized, as spectra from ``eigh``."""
         weights = np.clip(weights, 0.0, None)
-        return weights / weights.sum(axis=-1, keepdims=True)
+        return weights / (weights if self.counts is None else weights * self.counts).sum(
+            axis=-1, keepdims=True)
 
     def fidelity(self, weights: np.ndarray) -> np.ndarray:
         return weights[..., 0]
@@ -209,26 +271,68 @@ class _Diagonal:
         return weights
 
 
-def representation(psi0: np.ndarray) -> _Dense | _Diagonal:
-    """How ``run_cycles`` holds the states of target ``psi0``.
+class _Werner(_Diagonal):
+    """States in span{|psi><psi|, I}, as the eigenvalue of the target and the one of the rest.
 
-    A 2**M diagonal in the X basis (``letters`` IX) where ``psi0`` equals
-    ``plus_state(M)`` exactly, in the Z basis (IZ) where it equals
-    ``zero_state(M)``; a d x d matrix (IXYZ) otherwise. Each gives its
-    ``target`` state, the ``cell_bytes`` and ``cell_work`` of one cell's
-    state and cycle, and the steps of a cycle: ``settle`` a channel's
-    output, the ``fidelity`` of an unpurified state, ``decompose`` and
-    ``rebuild``.
+    Global depolarizing and purification keep the state of any pure target
+    in that span, so a state is two values, of multiplicities 1 and
+    d - 1, whatever the target: 16 bytes and no worker work at any M.
     """
-    qubits = num_qubits(psi0.size)
-    if np.array_equal(psi0, plus_state(qubits)):
-        return _Diagonal(psi0.size, "IX")
-    if np.array_equal(psi0, zero_state(qubits)):
-        return _Diagonal(psi0.size, "IZ")
-    return _Dense(psi0)
+
+    def __init__(self, qubits: int):
+        super().__init__(1, None)  # two values, the target's first; no channel letters
+        self.qubits, self.counts = qubits, np.array([1.0, 2.0 ** qubits - 1.0])
+
+    def channel(self, model: NoiseModel):
+        """(1 - p) rho + p I / d on the two values; p's axes lead, as ``make_channel``'s do."""
+        p = np.asarray(model.validate().p, dtype=float)
+        keep, floor = 1.0 - p, p / 2.0 ** self.qubits
+
+        def apply(values: np.ndarray) -> np.ndarray:
+            shape = p.shape + (1,) * max(1, values.ndim - p.ndim)
+            return keep.reshape(shape) * values + floor.reshape(shape)
+        return apply
 
 
-def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> CycleTrace:
+def representation(target, model: NoiseModel) -> _Cells:
+    """How ``run_cycles`` holds the states of ``target`` under ``model``.
+
+    A pure-state vector runs on d x d matrices (IXYZ), unlimited in M. A
+    ``ProductState``, as the command line parses every target, runs on the
+    smallest exact form, within its register limit:
+    - global depolarizing: a Werner state (``MAX_PRODUCT_QUBITS``);
+    - a channel that acts on each qubit alone (local depolarizing,
+      dephasing, the full twirl): one qubit's cell, its fidelities raised to
+      the M-th power (``MAX_PRODUCT_QUBITS``);
+    - a twirl subset, which couples the qubits: the whole register
+      (``MAX_DENSE_QUBITS``).
+    A cell is a diagonal in the X basis (letters IX) where the one qubit's
+    state is exactly ``plus_state(1)``, in the Z basis (IZ) where it is
+    ``zero_state(1)``, and a matrix otherwise. A representation passes
+    through. Each gives its ``target`` state, the ``cell_bytes`` and
+    ``cell_work`` of one cell's state and cycle, and the steps of a
+    cycle: its ``channel``, ``settle`` a channel's output, the
+    ``fidelity`` of an unpurified state, ``decompose``, ``rebuild`` and
+    ``finish``.
+    """
+    if isinstance(target, _Cells):
+        return target
+    if not isinstance(target, ProductState):
+        return _Dense(check_pure_state(target))
+    qubits = target.qubits
+    if model.kind == "global-depol":
+        check_register(qubits, MAX_PRODUCT_QUBITS, "a Werner state")
+        return _Werner(qubits)
+    single = target.vector(1)
+    letters = next((key for key, state in _ONE_QUBIT if np.array_equal(single, state)), None)
+    if model.kind != "twirled-dephasing" or model.twirl_fraction == 1.0:
+        check_register(qubits, MAX_PRODUCT_QUBITS, "copies of one qubit")
+        return _Diagonal(1, letters, qubits) if letters else _Dense(single, qubits)
+    check_register(qubits, MAX_DENSE_QUBITS, "a 2**M diagonal" if letters else "a dense matrix")
+    return _Diagonal(qubits, letters) if letters else _Dense(target.vector())
+
+
+def run_cycles(target, model: NoiseModel, rounds, cycles: int) -> CycleTrace:
     """Iterate channel-then-purify from a pure target, recording fidelity.
 
     ``rounds`` = 0 applies the channel only. The purification uses the exact
@@ -237,19 +341,17 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
     arguments: a scalar p and one rounds value give fidelities of shape
     (cycles + 1,); a tuple of P values of p and a sequence of L rounds
     values give (P, L, cycles + 1), every cell run in lock-step under one
-    channel closure, called once per cycle. The target picks the state's
-    representation (``representation``): a 2**M diagonal for
-    ``plus_state(M)`` and ``zero_state(M)``, a dense matrix otherwise, which
-    keeps the dtype of ``psi0``: float64 for a real target.
+    channel closure, called once per cycle. ``target`` is a pure-state
+    vector, a ``ProductState`` or a representation, and picks the state's
+    representation (``representation``); a dense matrix keeps the dtype of
+    its target: float64 for a real one.
     """
     if cycles < 1:
         raise ValidationError("cycles must be >= 1")
-    psi0 = check_pure_state(psi0)
-    qubits = num_qubits(psi0.size)
     ells = tuple(int(r) for r in np.atleast_1d(rounds))
     check_rounds(min(ells, default=0))
-    rep = representation(psi0)
-    channel = make_channel(model, qubits, rep.letters)
+    rep = representation(target, model)
+    channel = rep.channel(model)
     # one noisy state per p: every cell of a p starts from it, so one
     # decomposition per p serves all rounds values in the first cycle
     noisy = rep.settle(channel(rep.target).reshape((-1,) + rep.target.shape))
@@ -272,14 +374,15 @@ def run_cycles(psi0: np.ndarray, model: NoiseModel, rounds, cycles: int) -> Cycl
             if t > 1 or spectrum is None:
                 spectrum = rep.decompose(state)
             vals, basis, populations = spectrum
-            weights = purified_weights(vals, ell)
+            weights = purified_weights(vals, ell, rep.counts)
             fids[:, j, t] = (weights * populations).sum(axis=-1)
             if t < cycles:
                 states[:, j] = rep.rebuild(weights, basis)
     # a scalar argument drops its axis, as in numpy broadcasting
-    scalar = [np.ndim(model.p) == 0, np.ndim(rounds) == 0]
-    return CycleTrace(fidelities=fids.squeeze(axis=tuple(np.flatnonzero(scalar))),
-                      channel=model, rounds=rounds, qubits=qubits, cycles=cycles)
+    scalar = tuple(axis for axis, arg in enumerate((model.p, rounds)) if np.ndim(arg) == 0)
+    cell_gamma = (fids[..., 0] - fids[..., 1]).squeeze(axis=scalar) if rep.copies > 1 else None
+    return CycleTrace(fidelities=rep.finish(fids).squeeze(axis=scalar), channel=model,
+                      rounds=rounds, qubits=rep.qubits, cycles=cycles, cell_gamma=cell_gamma)
 
 
 def steady_state_fidelity_analytic(dim: int, p: float) -> float:
@@ -373,41 +476,48 @@ def _one_blas_thread():
                 set_count(count)
 
 
-def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
+def sweep(target, model: NoiseModel, p_values, rounds_list,
           cycles: int = DEFAULT_CYCLES, jobs: int = 1) -> SweepResult:
     """One trace per (p, rounds) cell; cells are independent and deterministic.
 
-    ``model`` acts as a template whose ``p`` is replaced per block of
-    consecutive p values by the tuple of the block's values. The blocks run
-    in lock-step, one ``run_cycles`` call and one channel closure each,
-    and no block holds more than ``BLOCK_BYTES`` of states, or one state
-    where that is larger: one per p at one cycle, one per cell otherwise,
-    so a longer sweep splits its blocks along the rounds values too. A
-    state's bytes and work per cycle are its ``representation``'s: 16 d**2
-    and d**3 dense, 8 d and no worker work on a diagonal, whose grid therefore runs
-    on the calling thread at any ``jobs``. At ``jobs`` = 1 that is the whole grid
-    where it fits; ``jobs`` > 1 splits the p values into one block per
-    worker, over a pool of at most ``jobs`` threads in this process, and no
-    more than there are CPUs, blocks, or ``MIN_WORKER_WORK`` units in the
-    work, cells x cycles x per-cell work; a single worker runs on the
-    calling thread.
+    ``target`` is as ``run_cycles`` takes it; its representation is picked
+    once, after the traces' bytes are checked against
+    ``MAX_TRACE_BYTES``. ``model`` acts as a template whose ``p`` is
+    replaced per block of consecutive p values by the tuple of the block's
+    values. The blocks run in lock-step, one ``run_cycles`` call and one
+    channel closure each, and no block holds more than ``BLOCK_BYTES`` of
+    states, or one state where that is larger: one per p at one cycle, one
+    per cell otherwise, so a longer sweep splits its blocks along the
+    rounds values too. A state's bytes and work per cycle are its
+    representation's: 16 d**2 and d**3 for a d x d matrix, 8 d and no
+    worker work on a diagonal, 16 bytes and none for a Werner state; a grid
+    with no worker work runs on the calling thread at any ``jobs``. At
+    ``jobs`` = 1 that is the whole grid where it fits; ``jobs`` > 1 splits
+    the p values into one block per worker, over a pool of at most
+    ``jobs`` threads in this process, and no more than there are CPUs,
+    blocks, or ``MIN_WORKER_WORK`` units in the work, cells x cycles x
+    per-cell work; a single worker runs on the calling thread.
     The traces do not depend on the split, and ``p_values`` may come in any
     order. At ``jobs`` > 1, OpenBLAS is pinned to one thread, also for one
     worker, so each worker's ``eigh``, and each concurrent pqec run, keeps
     to its CPU; the old thread count is restored afterwards, also when a
-    block raises. Where no OpenBLAS thread control is found, the blocks
-    share the CPUs with BLAS's own threads.
+    block raises. A grid with no worker work makes no BLAS call large
+    enough to thread, and is not pinned. Where no OpenBLAS thread control
+    is found, the blocks share the CPUs with BLAS's own threads.
     """
     if jobs < 1 or cycles < 1:
         raise ValidationError(f"jobs ({jobs}) and cycles ({cycles}) must be >= 1")
-    psi0 = check_pure_state(psi0)
     p_values = np.asarray(p_values, dtype=float)
     rounds_list = tuple(int(r) for r in rounds_list)
     if p_values.size == 0 or len(rounds_list) == 0:
         raise ValidationError("sweep grid must be nonempty")
     check_rounds(min(rounds_list))
-    qubits = num_qubits(psi0.size)
-    rep = representation(psi0)
+    trace_bytes = 8 * p_values.size * len(rounds_list) * (cycles + 1)
+    if trace_bytes > MAX_TRACE_BYTES:
+        raise ResourceLimitError(
+            f"traces of {p_values.size} p x {len(rounds_list)} rounds values x {cycles + 1}"
+            f" times take {trace_bytes} bytes, past the limit of {MAX_TRACE_BYTES}")
+    rep = representation(target, model)
     work = p_values.size * len(rounds_list) * cycles * rep.cell_work
     workers = max(1, min(jobs, available_cpus(), work // MIN_WORKER_WORK))
     # states a block may hold; one cycle holds one per p whatever the rounds
@@ -420,22 +530,29 @@ def sweep(psi0: np.ndarray, model: NoiseModel, p_values, rounds_list,
     ells = [rounds_list[lo:lo + r_step] for lo in range(0, len(rounds_list), r_step)]
     blocks = [(block_model, block_ells) for block_model in models for block_ells in ells]
     workers = min(workers, len(blocks))
-    with _one_blas_thread() if jobs > 1 else nullcontext():
+    # a grid with no worker work makes no BLAS call large enough to thread
+    with _one_blas_thread() if jobs > 1 and rep.cell_work else nullcontext():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_cycles, repeat(psi0), *zip(*blocks),
+                results = list(pool.map(run_cycles, repeat(rep), *zip(*blocks),
                                         repeat(cycles)))
         else:
-            results = [run_cycles(psi0, *block, cycles) for block in blocks]
-    # blocks run p-major: each row of len(ells) blocks spans every rounds value
-    traces = np.concatenate([
-        np.concatenate([result.fidelities for result in results[lo:lo + len(ells)]], axis=1)
-        for lo in range(0, len(results), len(ells))])
-    gamma = traces[:, :, 0] - traces[:, :, 1]
-    steady = traces[:, :, -1]
-    return SweepResult(p_values=p_values, rounds=rounds_list, gamma=gamma,
-                       steady_fidelity=steady, traces=traces, channel=model,
-                       qubits=qubits, cycles=cycles)
+            results = [run_cycles(rep, *block, cycles) for block in blocks]
+    def joined(parts):
+        # blocks run p-major: each row of len(ells) blocks spans every rounds value
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate([np.concatenate(parts[lo:lo + len(ells)], axis=1)
+                               for lo in range(0, len(parts), len(ells))])
+
+    traces = joined([result.fidelities for result in results])
+    cell_gamma = None
+    if results[0].cell_gamma is not None:
+        cell_gamma = joined([result.cell_gamma for result in results])
+    return SweepResult(p_values=p_values, rounds=rounds_list,
+                       gamma=traces[:, :, 0] - traces[:, :, 1],
+                       steady_fidelity=traces[:, :, -1], traces=traces, channel=model,
+                       qubits=rep.qubits, cycles=cycles, cell_gamma=cell_gamma)
 
 
 # ----------------------------------------------------------------------
@@ -484,9 +601,9 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
     logical-error curves is located on the grid; the reported threshold is
     the median of the pairwise crossings. Each crossing carries the width
     of the grid interval that brackets it, and the widest of those is the
-    resolution reported with the threshold. Only ``gamma``, the first
-    cycle, is read, so a sweep of one cycle suffices. The grid must pass
-    ``check_threshold_grid``.
+    resolution reported with the threshold. Only the first cycle is read,
+    so a sweep of one cycle suffices: ``gamma``, or ``cell_gamma`` where
+    the sweep has it. The grid must pass ``check_threshold_grid``.
     """
     check_threshold_grid(result.p_values, result.rounds)
     rounds_sorted = sorted(result.rounds)
@@ -495,9 +612,10 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
     widths = np.diff(result.p_values)
     step = widths[0]
     widths = np.where(np.abs(widths - step) <= 1e-9 * abs(step), step, widths)
+    curves = result.gamma if result.cell_gamma is None else result.cell_gamma
     pairs = []
     for low, high in zip(rounds_sorted, rounds_sorted[1:]):
-        diff = result.gamma[:, order[high]] - result.gamma[:, order[low]]
+        diff = curves[:, order[high]] - curves[:, order[low]]
         p_cross, bracket = _pair_crossing(result.p_values, widths, diff)
         if p_cross is not None:
             direction = "crossed"

@@ -19,8 +19,8 @@ from pqec.cli import (
     parse_real_grid,
     parse_state,
 )
-from pqec.states import ResourceLimitError, ValidationError, bloch_state, plus_state, \
-    zero_state
+from pqec.states import ProductState, ResourceLimitError, ValidationError, bloch_state, \
+    plus_state, zero_state
 from oracles import p_prints_apart
 
 
@@ -53,18 +53,24 @@ def test_parse_int_list():
 
 
 def test_parse_state_specs():
-    assert np.allclose(parse_state("plus^3"), plus_state(3))
-    assert np.allclose(parse_state("zero^2"), zero_state(2))
-    assert np.allclose(parse_state("bloch:pi/3,pi/4"),
-                       bloch_state(math.pi / 3, math.pi / 4))
-    assert np.allclose(parse_state("bloch:pi/3,pi/4^3"),
-                       bloch_state(math.pi / 3, math.pi / 4, 3))
+    # a spec, not a vector: the vector is built on request, with its builder's bits
+    assert parse_state("plus^3") == ProductState("plus", 3)
+    assert np.array_equal(parse_state("plus^3").vector(), plus_state(3))
+    assert np.array_equal(parse_state("zero^2").vector(), zero_state(2))
+    assert np.array_equal(parse_state("bloch:pi/3,pi/4").vector(),
+                          bloch_state(math.pi / 3, math.pi / 4))
+    assert np.array_equal(parse_state("bloch:pi/3,pi/4^3").vector(),
+                          bloch_state(math.pi / 3, math.pi / 4, 3))
+    assert np.array_equal(parse_state("bloch:pi/3,pi/4^3").vector(1),
+                          bloch_state(math.pi / 3, math.pi / 4))
     with pytest.raises(ValidationError):
         parse_state("cat^2")
     with pytest.raises(ValidationError):
         parse_state("bloch:1.0")
-    assert np.allclose(parse_state("bloch:0.5pi,-(1+1)*pi/4"),
+    assert np.allclose(parse_state("bloch:0.5pi,-(1+1)*pi/4").vector(),
                        bloch_state(math.pi / 2, -math.pi / 2))
+    # no register limit at parse time: each run checks its own
+    assert parse_state("plus^1000").qubits == 1000
 
 
 def test_angle_accepts_only_arithmetic(tmp_path, capsys):
@@ -134,7 +140,11 @@ def test_p_resolution_check_accepts_as_every_value_printed():
         verdicts.add(verdict)
         if np.all((grid >= 0.0) & (grid <= 1.0)):
             args = argparse.Namespace(command="sweep", p=",".join(map(repr, grid.tolist())))
-            if verdict:
+            if grid.size > MAX_GRID_POINTS:
+                # counted before the print check, as a range is
+                with pytest.raises(ValidationError, match="exceed the limit"):
+                    cli._flag_values(args, "p")
+            elif verdict:
                 assert np.array_equal(cli._flag_values(args, "p"), grid)
             else:
                 with pytest.raises(ValidationError, match="prints as 0.0, or two that print"):
@@ -248,7 +258,9 @@ def test_threshold_checks_its_grid_before_sweeping(tmp_path, capsys, monkeypatch
 def test_threshold_runs_one_cycle_whatever_cycles_says(tmp_path, monkeypatch, channel):
     # the CSV is the same at any --cycles and --jobs, apart from the recorded
     # config; every run_cycles call runs the one cycle gamma reads. The target
-    # is dense, since a plus^M grid runs on the calling thread in one block
+    # is off plus^M: its one-qubit cell is a dense 2 x 2 state, with worker work
+    # to split at --jobs 2 (a twirl subset splits the 8 x 8 register); a Werner
+    # state runs in one block
     cycles = []
     run_cycles = pqec.threshold.run_cycles
 
@@ -274,7 +286,7 @@ def test_threshold_runs_one_cycle_whatever_cycles_says(tmp_path, monkeypatch, ch
     (code1, text1), (code30, text30) = outputs["--cycles 1"], outputs["--cycles 30"]
     assert code1 == code30 and without_config(text1) == without_config(text30)
     assert '"cycles":30' in text30
-    assert len(cycles) > 3 and set(cycles) == {1}
+    assert len(cycles) >= 3 and set(cycles) == {1}
 
 
 @pytest.mark.parametrize("channel, expected", [("local-depol", 0.75), ("dephasing", 0.50)])
@@ -420,7 +432,12 @@ def test_bad_config_entries_exit_one(tmp_path, capsys, entries):
     ["sample", "--ell", "1", "--shots", "2000000"],
     ["sample", "--ell", "1", "--M", "40"],
     ["sample", "--ell", "1", "--state", "bloch:1,0^40", "--shots", "10"],
-    ["purify", "--ell", "1", "--M", "40"],
+    ["purify", "--ell", "1", "--M", "65"],
+    # a twirl subset holds the whole register, as a diagonal or dense
+    ["purify", "--ell", "1", "--M", "9", "--channel", "dephasing", "--twirl", "0.2"],
+    ["purify", "--ell", "1", "--state", "bloch:1,0^9", "--channel", "dephasing", "--twirl", "0.2"],
+    ["sweep", "--state", "bloch:1,0^65"],
+    ["sweep", "--M", "65", "--channel", "global-depol"],
     ["sweep", "--jobs", "0"],
     ["threshold", "--jobs", "-3"],
     ["threshold", "--p", "1:0:5", "--ell", "0,1"],
@@ -456,6 +473,98 @@ def test_limits_exit_one_with_one_line(tmp_path, capsys, argv):
     assert _exit_code(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error" in err
+
+
+def _grid_text(count):
+    return ",".join(map(repr, np.linspace(0, 1, count).tolist()))
+
+
+N = MAX_GRID_POINTS
+TWIRL_SUBSET = {"channel": "dephasing", "twirl": 0.2}
+
+
+@pytest.mark.parametrize("form", ["flags", "config"])
+@pytest.mark.parametrize("command, flags, admitted", [
+    # --p and --ell count their values in every form: list, range, or one value
+    ("threshold", {"p": _grid_text(N)}, True),
+    ("threshold", {"p": _grid_text(N + 1)}, False),
+    ("threshold", {"p": f"0:1:{N}"}, True),
+    ("threshold", {"p": f"0:1:{N + 1}"}, False),
+    ("cycle", {"p": "0.5", "ell": "3"}, True),
+    ("threshold", {"ell": ",".join(map(str, range(N)))}, True),
+    ("threshold", {"ell": ",".join(map(str, range(N + 1)))}, False),
+    ("threshold", {"ell": f"0..{N - 1}"}, True),
+    ("threshold", {"ell": f"0..{N}"}, False),
+    ("cycle", {"cycles": N}, True),
+    ("cycle", {"cycles": N + 1}, False),
+    # each representation's register limit, by --M and by --state
+    ("threshold", {"M": 64}, True),
+    ("threshold", {"M": 65}, False),
+    ("threshold", {"state": "bloch:1,0.4^64", "channel": "global-depol"}, True),
+    ("threshold", {"state": "bloch:1,0.4^65", "channel": "global-depol"}, False),
+    ("threshold", {"M": 8, **TWIRL_SUBSET}, True),
+    ("threshold", {"M": 9, **TWIRL_SUBSET}, False),
+    ("threshold", {"state": "bloch:1,0.4^8", **TWIRL_SUBSET}, True),
+    ("threshold", {"state": "bloch:1,0.4^9", **TWIRL_SUBSET}, False),
+    ("sample", {"M": 8}, True),
+    ("sample", {"state": "plus^9"}, False),
+])
+def test_every_limit_holds_in_every_form(tmp_path, capsys, form, command, flags, admitted):
+    single = {"cycle": {"p": "0.5", "ell": "1"}, "sample": {"p": "0.2", "ell": "1", "shots": 10},
+              "threshold": {"p": "0:1:3", "ell": "0,1"}}[command]
+    entries = {"channel": "local-depol", **single, **flags}
+    if "state" not in entries:
+        entries.setdefault("M", 1)
+    out = tmp_path / "x.csv"
+    if form == "flags":
+        argv = [command] + [f"--{key}={value}" for key, value in entries.items()]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entries))
+        argv = [command, "--config", str(config)]
+    code = _exit_code(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if admitted:
+        assert code in (EXIT_OK, EXIT_NO_CROSSING) and out.exists(), err
+    else:
+        assert code == EXIT_ERROR and len(err.splitlines()) == 1 and "error" in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^4 x 10^3 x 11 trace values: 880 MB
+    ["--p", "0:1:10000", "--ell", "0..999", "--cycles", "10"],
+    # 1,010,000 rows of CSV, whose traces fit
+    ["--p", "0:1:10000", "--ell", "0..100", "--cycles", "1"],
+    # 3.1 x 10^6 rows of --traces
+    ["--p", "0:1:1000", "--ell", "0..99", "--cycles", "30", "--traces", "TRACES"],
+])
+def test_sweep_refuses_traces_past_their_limits(tmp_path, capsys, monkeypatch, argv):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(pqec.threshold, "run_cycles", no_sweep)
+    out, traces = tmp_path / "x.csv", tmp_path / "t.csv"
+    argv = [str(traces) if a == "TRACES" else a for a in argv]
+    assert main(["sweep", "--channel", "local-depol", "--M", "1", "--out", str(out)]
+                + argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "limit" in err
+    assert not out.exists() and not traces.exists()
+
+
+def test_sweep_trace_limits_are_inclusive(tmp_path, capsys, monkeypatch):
+    # 3 p x 2 rounds values x 5 times: 30 trace values, 6 CSV rows, 30 --traces rows
+    base = ["sweep", "--channel", "local-depol", "--M", "1", "--p", "0:1:3", "--ell", "0,1",
+            "--cycles", "4", "--out", str(tmp_path / "x.csv")]
+    with_traces = base + ["--traces", str(tmp_path / "t.csv")]
+    for limits, argv, code in (((240, 30), with_traces, EXIT_OK), ((239, 30), base, EXIT_ERROR),
+                               ((240, 29), with_traces, EXIT_ERROR), ((240, 6), base, EXIT_OK),
+                               ((240, 5), base, EXIT_ERROR)):
+        monkeypatch.setattr(pqec.threshold, "MAX_TRACE_BYTES", limits[0])
+        monkeypatch.setattr(cli, "MAX_TRACE_ROWS", limits[1])
+        assert main(argv) == code, (limits, argv)
+    assert len(capsys.readouterr().err.splitlines()) == 3
 
 
 @pytest.mark.parametrize("state", ["--M=6", "--M=7", "--state=plus^8", "--state=bloch:1,0.4^8"])

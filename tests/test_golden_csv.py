@@ -10,9 +10,11 @@ replaced by a walk on eigenvalue vectors; ``sample-zero-ell4`` by 0.4.9,
 which draws the observables of four rounds or fewer in shot order;
 ``sample-dephasing-M2-ell3`` by 0.6.0, whose ``# exact:`` line sums
 normalized purified weights; ``twirl-check-M3`` by 0.4.6; ``purify-bloch-M3``,
-both ``cycle`` files, the three ``sweep`` files with their traces and
-``threshold-twirled-M2`` by 0.4.10, which reads fidelities off the purified
-spectrum; the other two ``threshold`` files by 0.4.0. Every line must match
+both ``cycle`` files and the three ``sweep`` files with their traces by
+0.4.10, which reads fidelities off the purified spectrum; the other two
+``threshold`` files by 0.4.0. 0.16.0 rewrote ``threshold-twirled-M2``: a
+full twirl runs one qubit's copies, whose crossings are read off the one
+qubit's curves (0.7574130379213 -> 0.75). Every line must match
 apart from ``# pqec-version``. A change that alters these bytes on purpose
 bumps the version, says so in CHANGES.md, and rewrites the files it
 changes, named by stem, with

@@ -22,7 +22,8 @@ from pqec import (
 from pqec import channels, purify, states, threshold
 from pqec.channels import _seeded_damping_shares
 from pqec.cli import main
-from pqec.states import ValidationError, from_spectrum, num_qubits, spectral_decomposition
+from pqec.states import ProductState, ResourceLimitError, ValidationError, from_spectrum, \
+    num_qubits, spectral_decomposition
 from oracles import logical_error_rate, numpy_find_threshold, plus_cycle_fidelities, \
     werner_cycle_fidelities
 from test_channels import STACKED_KINDS
@@ -157,39 +158,109 @@ def test_real_targets_stay_float64_through_the_cycle(monkeypatch, qubits, target
 # stabilizer targets: plus^M and zero^M on a 2^M diagonal
 # ----------------------------------------------------------------------
 
+def spec(target, qubits):
+    """The parsed form of ``target(qubits)``, for plus_state or zero_state."""
+    return ProductState(target.__name__.removesuffix("_state"), qubits)
+
+
+def diagonal(target, qubits):
+    """The 2^M diagonal of ``target(qubits)``, reached directly whatever the channel."""
+    return threshold._Diagonal(qubits, "IX" if target is plus_state else "IZ")
+
+
 @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("target", [plus_state, zero_state])
 def test_stabilizer_targets_match_the_dense_oracle(qubits, target):
     # up to six cycles, before rounding steers the dense trace of plus^M under
-    # dephasing (test_long_plus_traces_follow_the_walsh_recursion)
+    # dephasing (test_long_plus_traces_follow_the_walsh_recursion); the diagonal
+    # runs every kind here, where a parsed target takes it for a twirl subset only
     psi = target(qubits)
-    assert threshold.representation(psi).letters == ("IX" if target is plus_state else "IZ")
     p_values, rounds = (0.0, 0.05, 0.37, 0.75, 1.0), (0, 1, 3, 5)
     for kind, fraction in STACKED_KINDS:
-        traces = run_cycles(psi, NoiseModel(kind, p_values, fraction), rounds, 6).fidelities
+        traces = run_cycles(diagonal(target, qubits), NoiseModel(kind, p_values, fraction),
+                            rounds, 6).fidelities
         for i, p in enumerate(p_values):
             for j, r in enumerate(rounds):
                 oracle = cell_oracle(psi, NoiseModel(kind, p, fraction), r, 6)
                 assert np.max(np.abs(traces[i, j] - oracle)) <= 1e-13, (kind, fraction, p, r)
 
 
+PARSED = [("plus", ()), ("zero", ()), ("bloch", (1.0, 0.4))]
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name, angles", PARSED)
+def test_product_and_werner_cells_match_the_dense_oracle(qubits, name, angles):
+    # every untwirled kind and the full twirl, against the vector's d x d engine
+    target = ProductState(name, qubits, angles)
+    p_values, rounds = (0.0, 0.05, 0.37, 0.75, 1.0), (0, 1, 3, 5)
+    for kind, fraction in STACKED_KINDS:
+        model = NoiseModel(kind, p_values, fraction)
+        rep = threshold.representation(target, model)
+        if fraction < 1.0:
+            assert rep.cell_qubits == qubits
+            continue
+        werner = kind == "global-depol"
+        assert isinstance(rep, threshold._Werner) == werner
+        assert (rep.qubits, rep.copies) == (qubits, 1 if werner else qubits)
+        cells = run_cycles(target, model, rounds, 6).fidelities
+        dense = run_cycles(target.vector(), model, rounds, 6).fidelities
+        assert np.max(np.abs(cells - dense)) <= 1e-13, (kind, fraction)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 6, 20, 64])
+@pytest.mark.parametrize("name, angles", PARSED)
+def test_werner_cells_follow_the_werner_recursion(qubits, name, angles):
+    target = ProductState(name, qubits, angles)
+    for p, rounds in ((0.1, 1), (0.3, 2), (0.6, 0), (0.5, 3), (1.0, 1)):
+        trace = run_cycles(target, NoiseModel("global-depol", p), rounds, 300).fidelities
+        scalar = werner_cycle_fidelities(2 ** qubits, p, rounds, 300)
+        assert np.max(np.abs(trace - scalar)) < 1e-12, (p, rounds)
+
+
+def test_registers_past_their_representation_limit_are_refused():
+    # one qubit's copies and Werner states up to MAX_PRODUCT_QUBITS; the twirl subset
+    # holds the whole register, up to MAX_DENSE_QUBITS
+    big, over = threshold.MAX_PRODUCT_QUBITS, threshold.MAX_PRODUCT_QUBITS + 1
+    for kind, fraction in STACKED_KINDS:
+        limit = big if fraction == 1.0 else states.MAX_DENSE_QUBITS
+        for name, angles in PARSED:
+            model = NoiseModel(kind, 0.1, fraction)
+            assert threshold.representation(ProductState(name, limit, angles), model).qubits == limit
+            with pytest.raises(ResourceLimitError, match=f"limit of {limit}"):
+                run_cycles(ProductState(name, limit + 1, angles), model, 1, 1)
+    with pytest.raises(ResourceLimitError, match=f"limit of {big}"):
+        sweep(ProductState("plus", over), NoiseModel("dephasing", 0.0), [0.1, 0.2], (0, 1))
+
+
 def test_only_the_exact_stabilizer_targets_take_the_diagonal():
-    # bloch:pi/2,0 is plus up to one ulp and stays dense; bloch:0,0 is zero exactly
-    assert threshold.representation(plus_state(3).astype(complex)).letters == "IX"
-    assert threshold.representation(bloch_state(0.0, 0.0, 3)).letters == "IZ"
-    for psi in (bloch_state(np.pi / 2, 0.0, 3), bloch_state(0.7, 0.3, 3),
-                bloch_state(np.pi, 0.0, 3), plus_state(3)[::-1] * np.repeat([1, -1], 4)):
-        assert threshold.representation(psi).letters == "IXYZ"
+    # bloch:pi/2,0 is plus up to one ulp and stays dense; bloch:0,0 is zero exactly.
+    # A twirl subset holds the register, any other channel one qubit of it
+    subset, local = NoiseModel("twirled-dephasing", 0.0, 0.2), NoiseModel("dephasing", 0.0)
+    for target, letters in ((ProductState("plus", 3), "IX"), (ProductState("zero", 3), "IZ"),
+                            (ProductState("bloch", 3, (0.0, 0.0)), "IZ"),
+                            (ProductState("bloch", 3, (np.pi / 2, 0.0)), "IXYZ"),
+                            (ProductState("bloch", 3, (0.7, 0.3)), "IXYZ"),
+                            (ProductState("bloch", 3, (np.pi, 0.0)), "IXYZ")):
+        whole, cell = threshold.representation(target, subset), threshold.representation(target, local)
+        assert whole.letters == cell.letters == letters
+        assert (whole.cell_qubits, whole.copies, cell.cell_qubits, cell.copies) == (3, 1, 1, 3)
+        assert whole.qubits == cell.qubits == 3
+    # a vector runs on the dense engine, whatever it holds
+    for psi in (plus_state(3), zero_state(3), plus_state(3)[::-1] * np.repeat([1, -1], 4)):
+        for model in (subset, local, NoiseModel("global-depol", 0.0)):
+            assert threshold.representation(psi, model).letters == "IXYZ"
 
 
 @pytest.mark.parametrize("target", [plus_state, zero_state])
 def test_stabilizer_bits_do_not_depend_on_stacks_blocks_or_jobs(monkeypatch, target):
+    # every representation a parsed target takes: Werner, one qubit's copies, the diagonal
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
     monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
-    psi, p_values, rounds = target(3), np.linspace(0, 1, 7), (0, 1, 3)
-    cell_bytes = threshold.representation(psi).cell_bytes
+    psi, p_values, rounds = spec(target, 3), np.linspace(0, 1, 7), (0, 1, 3)
     for kind, fraction in STACKED_KINDS:
         model = NoiseModel(kind, 0.0, fraction)
+        cell_bytes = threshold.representation(psi, model).cell_bytes
         cells = np.array([[run_cycles(psi, replace(model, p=float(p)), r, 5).fidelities
                            for r in rounds] for p in p_values])
         stacked = run_cycles(psi, replace(model, p=tuple(p_values.tolist())), rounds, 5)
@@ -207,19 +278,22 @@ def test_stabilizer_bits_do_not_depend_on_stacks_blocks_or_jobs(monkeypatch, tar
 def test_stabilizer_global_depol_follows_the_werner_recursion(target):
     for qubits in (1, 2, 3, 4):
         for p, rounds in ((0.1, 1), (0.3, 2), (0.6, 0), (0.5, 3)):
-            trace = run_cycles(target(qubits), NoiseModel("global-depol", p), rounds, 300)
-            scalar = werner_cycle_fidelities(2 ** qubits, p, rounds, 300)
-            assert np.max(np.abs(trace.fidelities - scalar)) < 1e-12, (qubits, p, rounds)
+            for target_form in (diagonal(target, qubits), spec(target, qubits)):
+                trace = run_cycles(target_form, NoiseModel("global-depol", p), rounds, 300)
+                scalar = werner_cycle_fidelities(2 ** qubits, p, rounds, 300)
+                assert np.max(np.abs(trace.fidelities - scalar)) < 1e-12, (qubits, p, rounds)
 
 
 @pytest.mark.parametrize("kind", ["local-depol", "dephasing"])
 @pytest.mark.parametrize("target", [plus_state, zero_state])
 def test_stabilizer_product_traces_factorize_up_to_16_qubits(kind, target):
+    # one qubit's copies against the 2^M diagonal, which runs all M qubits
     model = NoiseModel(kind, (0.05, 0.3, 0.6))
-    single = run_cycles(target(1), model, (0, 1, 3), 6).fidelities
     for qubits in (2, 5, 9, 16):
-        traces = run_cycles(target(qubits), model, (0, 1, 3), 6).fidelities
-        assert np.max(np.abs(traces - single ** qubits)) < 1e-13, qubits
+        product = run_cycles(spec(target, qubits), model, (0, 1, 3), 6)
+        assert threshold.representation(spec(target, qubits), model).cell_qubits == 1
+        traces = run_cycles(diagonal(target, qubits), model, (0, 1, 3), 6).fidelities
+        assert np.max(np.abs(product.fidelities - traces)) < 1e-13, qubits
 
 
 @pytest.mark.parametrize("qubits, kind, fraction", [(3, "dephasing", 1.0),
@@ -228,7 +302,8 @@ def test_long_plus_traces_follow_the_walsh_recursion(qubits, kind, fraction):
     # a dense state of plus^M let rounding seed the I/Z strings, which these
     # channels leave undamped and purification amplifies: 0.1250051 and
     # 0.9994675 at t = 30 in 0.11.2. The diagonal cannot leave the X basis.
-    trace = run_cycles(plus_state(qubits), NoiseModel(kind, 0.4, fraction), 5, 30).fidelities
+    trace = run_cycles(spec(plus_state, qubits), NoiseModel(kind, 0.4, fraction), 5,
+                       30).fidelities
     oracle = plus_cycle_fidelities(qubits, kind, 0.4, 5, 30, fraction)
     assert np.max(np.abs(trace - oracle)) < 1e-9
     assert oracle[-1] == pytest.approx(0.99999304614 if qubits == 3 else 0.9999954, abs=1e-7)
@@ -245,10 +320,37 @@ def test_stabilizer_targets_decompose_and_build_no_matrix(monkeypatch, tmp_path,
         monkeypatch.setattr(owner, name, refuse)
     for target in (plus_state, zero_state):
         for kind, fraction in STACKED_KINDS:
-            sweep(target(4), NoiseModel(kind, 0.0, fraction), np.linspace(0, 1, 5), (0, 1, 3),
-                  cycles=3)
+            sweep(spec(target, 4), NoiseModel(kind, 0.0, fraction), np.linspace(0, 1, 5),
+                  (0, 1, 3), cycles=3)
     argv = ["threshold", "--channel", "dephasing", "--M", "5", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("channel, expected", [("local-depol", "0.75"), ("dephasing", "0.5"),
+                                               ("global-depol", "1.0"),
+                                               ("dephasing --twirl 1", "0.75")])
+@pytest.mark.parametrize("state", ["plus", "zero", "bloch:1,0.4"])
+def test_large_registers_build_no_vector(monkeypatch, tmp_path, capsys, channel, expected, state):
+    # one qubit's copies and Werner states hold a few values at any M: no vector of more
+    # than one qubit is built, nor a channel on more than one
+    def refusing(build, qubits_at=-1):
+        def build_small(*args):
+            assert args[qubits_at] == 1, f"{build.__name__} ran on more than one qubit"
+            return build(*args)
+        return build_small
+
+    for name in ("plus_state", "zero_state", "bloch_state"):
+        monkeypatch.setattr(states, name, refusing(getattr(states, name)))
+    monkeypatch.setattr(channels, "pauli_weight_tensor", refusing(channels.pauli_weight_tensor, 0))
+    out = tmp_path / "t.csv"
+    argv = ["threshold", "--channel", *channel.split(), "--out", str(out),
+            "--state", f"{state}^{threshold.MAX_PRODUCT_QUBITS}"]
+    # zero^M has no crossing under dephasing, which leaves it as it is
+    assert main(argv) == (2 if (state, channel) == ("zero", "dephasing") else 0)
+    header = dict(line[2:].split(": ", 1) for line in out.read_text().splitlines()
+                  if line.startswith("# "))
+    if state == "plus":
+        assert header["p-threshold"] == expected
 
 
 def _recording_blocks(blocks):
@@ -260,18 +362,24 @@ def _recording_blocks(blocks):
 
 
 def test_sweep_blocks_and_workers_follow_the_representation(monkeypatch):
-    # a diagonal holds 8 d bytes and counts no worker work, a dense state 16 d^2 and d^3
+    # a diagonal holds 8 d bytes and counts no worker work, a dense state 16 d^2 and d^3;
+    # one qubit's copies hold that qubit's cell, a Werner state two values
     monkeypatch.setattr(threshold, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(threshold.os, "sched_getaffinity", _cpus(16))
     blocks = []
     monkeypatch.setattr(threshold, "run_cycles", _recording_blocks(blocks))
     model, grid, rounds = NoiseModel("local-depol", 0.0), np.linspace(0, 1, 41), (0, 1, 2, 3, 5)
-    for psi, cost in ((plus_state(5), (256, 0)), (bloch_state(0.7, 0.3, 5), (16384, 32768))):
-        rep = threshold.representation(psi)
+    subset, werner = NoiseModel("twirled-dephasing", 0.0, 0.2), NoiseModel("global-depol", 0.0)
+    bloch5 = ProductState("bloch", 5, (0.7, 0.3))
+    for psi, kind, cost in ((ProductState("plus", 5), subset, (256, 0)),
+                            (bloch_state(0.7, 0.3, 5), model, (16384, 32768)),
+                            (bloch5, subset, (16384, 32768)), (ProductState("plus", 5), model, (16, 0)),
+                            (bloch5, model, (64, 8)), (bloch5, werner, (16, 0))):
+        rep = threshold.representation(psi, kind)
         assert (rep.cell_bytes, rep.cell_work) == cost
     # the default threshold grid at M = 5: one block on a diagonal, three dense
-    sweep(plus_state(5), model, grid, rounds, cycles=1, jobs=1)
+    sweep(ProductState("plus", 5), subset, grid, rounds, cycles=1, jobs=1)
     assert blocks == [(41, 5)]
     blocks.clear()
     sweep(bloch_state(0.7, 0.3, 5), model, grid, rounds, cycles=1, jobs=1)
@@ -281,7 +389,7 @@ def test_sweep_blocks_and_workers_follow_the_representation(monkeypatch):
     monkeypatch.setattr(threshold, "MIN_WORKER_WORK", 1)
     for cycles in (30, 1000):
         blocks.clear()
-        sweep(plus_state(8), model, grid, rounds, cycles=cycles, jobs=64)
+        sweep(ProductState("plus", 8), subset, grid, rounds, cycles=cycles, jobs=64)
         assert blocks == [(25, 5), (16, 5)]
     assert _RecordingPool.sizes == []
 
@@ -299,7 +407,8 @@ def test_sweep_blocks_split_along_rounds(monkeypatch):
         return run_cycles(psi0, model, rounds, cycles)
 
     monkeypatch.setattr(threshold, "run_cycles", recording_run_cycles)
-    monkeypatch.setattr(threshold, "BLOCK_BYTES", 2 * threshold.representation(psi).cell_bytes)
+    monkeypatch.setattr(threshold, "BLOCK_BYTES",
+                        2 * threshold.representation(psi, model).cell_bytes)
     split = sweep(psi, model, p_values, rounds, cycles=4)
     assert blocks == [(1, 2), (1, 2), (1, 1)] * 3
     assert np.array_equal(whole.traces, split.traces)
@@ -391,7 +500,8 @@ def test_a_block_applies_its_channel_once_per_cycle(monkeypatch):
 
     monkeypatch.setattr(threshold, "make_channel", counting_make_channel)
     p_values = np.linspace(0, 1, 5)
-    for psi, shape in ((bloch_state(0.7, 0.0, 2).real, (4, 4)), (plus_state(2), (4,))):
+    # a dense state, and the 2-entry diagonal of one qubit of plus^2
+    for psi, shape in ((bloch_state(0.7, 0.0, 2).real, (4, 4)), (ProductState("plus", 2), (2,))):
         builds.clear()
         applications.clear()
         sweep(psi, NoiseModel("local-depol", 0.0), p_values, (0, 1, 3), cycles=3)
@@ -453,7 +563,8 @@ def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
     monkeypatch.setattr(threshold, "available_cpus", lambda: 2)
     model = NoiseModel("local-depol", 0.0)
     p_values = np.linspace(0, 1, 7)
-    for psi in (bloch_state(0.7, 0.3, 3), plus_state(6), tilted(plus_state, 6)):
+    for psi in (bloch_state(0.7, 0.3, 3), ProductState("bloch", 6, (0.7, 0.3)),
+                tilted(plus_state, 6)):
         whole = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=1)
         halves = [run_cycles(psi, NoiseModel("local-depol", tuple(part.tolist())),
                              (0, 1, 3), 4).fidelities for part in (p_values[:3], p_values[3:])]
@@ -461,7 +572,7 @@ def test_sweep_traces_do_not_depend_on_blocks(monkeypatch, two_blas_threads):
         # a byte budget of two p values per block splits the grid into four blocks
         with monkeypatch.context() as patch:
             patch.setattr(threshold, "BLOCK_BYTES",
-                          2 * threshold.representation(psi).cell_bytes * 3)
+                          2 * threshold.representation(psi, model).cell_bytes * 3)
             for jobs in (1, 2):
                 split = sweep(psi, model, p_values, (0, 1, 3), cycles=4, jobs=jobs)
                 assert np.array_equal(whole.traces, split.traces), (psi.size, jobs)
@@ -535,7 +646,7 @@ def test_parallel_sweep_pins_blas_to_one_thread(monkeypatch, two_blas_threads):
     # under the work floor a jobs=2 sweep runs every block on the calling
     # thread, still on one BLAS thread, and restores the count after it,
     # also when a block raises; a byte budget of one p value makes four blocks
-    rep = threshold.representation(psi)
+    rep = threshold.representation(psi, model)
     assert len(p_values) * 2 * 2 * rep.cell_work < threshold.MIN_WORKER_WORK
     monkeypatch.setattr(threshold, "BLOCK_BYTES", rep.cell_bytes * 2)
     calls = []
@@ -553,6 +664,19 @@ def test_parallel_sweep_pins_blas_to_one_thread(monkeypatch, two_blas_threads):
         sweep(psi, model, p_values, (0, 1), cycles=2, jobs=2)
     assert blas_counts() == two_blas_threads
     assert not threshold._BLAS_PIN_LOCK.locked()
+
+
+@needs_openblas
+def test_grids_without_worker_work_stay_unpinned(monkeypatch, two_blas_threads):
+    # diagonals and Werner states make no BLAS call large enough to thread
+    counts = []
+    monkeypatch.setattr(threshold, "run_cycles", _counting_run_cycles(counts))
+    for kind, fraction in STACKED_KINDS:
+        model = NoiseModel(kind, 0.0, fraction)
+        assert threshold.representation(ProductState("plus", 3), model).cell_work == 0
+        sweep(ProductState("plus", 3), model, np.linspace(0, 1, 4), (0, 1), cycles=2, jobs=2)
+    assert len(counts) == len(STACKED_KINDS)
+    assert all(seen == two_blas_threads for seen in counts)
 
 
 def test_sweep_without_blas_control_runs_unpinned(monkeypatch, two_blas_threads):
@@ -647,7 +771,7 @@ def _zero_run_cycles(psi0, model, rounds, cycles):
     """``run_cycles`` stand-in that returns zero traces of the right shape."""
     return threshold.CycleTrace(fidelities=np.zeros((len(model.p), len(rounds), cycles + 1)),
                                 channel=model, rounds=tuple(rounds),
-                                qubits=num_qubits(psi0.size), cycles=cycles)
+                                qubits=psi0.qubits, cycles=cycles)
 
 
 def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
