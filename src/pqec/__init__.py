@@ -51,4 +51,4 @@ from .threshold import (
     sweep,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.16.1"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purify import chunk_rows
-from .states import PAULI_LABELS, ValidationError, num_qubits, pauli_matrix, pauli_weight_tensor
+from .states import PAULI_LABELS, ValidationError, num_qubits, pauli_matrix
 
 # Fixed default seed for subset twirling; documented in the README. Chosen so
 # the seeded single-gate subset at M=1 rotates the dephasing axis to one that
@@ -99,7 +99,10 @@ class NoiseModel:
         state diagonal in the X or Z product basis has. A subset is built on
         its letters, never sliced out of the 4**M tensor. A tuple ``p``
         gives one row per entry, each with the bits of a call with that
-        entry alone.
+        entry alone. Local depolarizing, dephasing and the full twirl act on
+        each qubit alone: the outer product of one qubit's factor row, the
+        full twirl's [1, t, t, t] with t = 2/3 (1 - 2p) + 1/3. A twirl
+        subset sums its seeded damping table.
         """
         self.validate()
         p = np.asarray(self.p, dtype=float)
@@ -108,7 +111,7 @@ class NoiseModel:
             lam = np.repeat(1.0 - p, len(letters) ** qubits).reshape(lam_shape)
             lam[(...,) + (0,) * qubits] = 1.0
             return lam
-        if self.kind == "twirled-dephasing":
+        if self.kind == "twirled-dephasing" and self.twirl_fraction < 1.0:
             shares = _seeded_damping_shares(qubits, self.twirl_fraction, self.twirl_seed, letters)
             # Horner in x = 1 - 2p: one elementwise pass per power over the
             # whole block, so each row has the bits of a call with its p alone
@@ -119,10 +122,16 @@ class NoiseModel:
                 lam *= x
                 lam += shares[..., k]
             return lam
-        local = self.kind == "local-depol"
-        eta = 1.0 - 4.0 * p / 3.0 if local else 1.0 - 2.0 * p
-        one = np.ones_like(eta)
-        factors = np.stack([one, eta, eta, eta if local else one], axis=-1)[..., _columns(letters)]
+        x = 1.0 - 2.0 * p
+        one = np.ones_like(x)
+        if self.kind == "dephasing":
+            row = [one, x, x, one]
+        else:
+            # the full twirl: two of a qubit's three frames damp each of X, Y
+            # and Z, so 2/3 x + 1/3, the bits of Horner's rule on one qubit
+            eta = 1.0 - 4.0 * p / 3.0 if self.kind == "local-depol" else 2 / 3 * x + 1 / 3
+            row = [one, eta, eta, eta]
+        factors = np.stack(row, axis=-1)[..., _columns(letters)]
         # outer products folded from the left, qubit 0 outermost, per p
         lam = factors
         for q in range(1, qubits):
@@ -242,31 +251,14 @@ def _seeded_damping_shares(qubits: int, fraction: float, seed: int,
     of ``default_rng(seed).permutation(3**M)``; each entry's base-3 digits,
     qubit 0 most significant, are its frames. The counts are exact
     integers, divided once at the end. P runs over the strings of
-    ``letters``, as in ``NoiseModel.transfer_eigenvalues``.
+    ``letters``, as in ``NoiseModel.transfer_eigenvalues``, which reads
+    it for fraction < 1 only; at 1 it enumerates all 3**M sequences.
     """
     total = 3 ** qubits
-    if fraction == 1.0:
-        counts = _full_damping_counts(qubits, letters)
-    else:
-        index = np.random.default_rng(seed).permutation(total)[:math.ceil(fraction * total)]
-        counts, total = _subset_damping_counts(qubits, index, letters), len(index)
-    shares = counts / total
+    index = np.random.default_rng(seed).permutation(total)[:math.ceil(fraction * total)]
+    shares = _subset_damping_counts(qubits, index, letters) / len(index)
     shares.flags.writeable = False
     return shares
-
-
-def _full_damping_counts(qubits: int, letters: str) -> np.ndarray:
-    """Damping counts of all 3**M sequences, in O(M len(letters)**M).
-
-    The set is a product over qubits: no frame damps I, and two of the three
-    damp each of X, Y and Z. So a string of weight w is damped on k qubits
-    by comb(w, k) 2**k 3**(M - w) sequences, the x**k coefficient of the
-    per-qubit product 3**(M - w) (1 + 2x)**w.
-    """
-    weight = pauli_weight_tensor(qubits, letters)[..., None]
-    k = np.arange(qubits + 1)
-    comb = np.array([[math.comb(n, j) for j in k] for n in k])
-    return comb[weight, k] * 2 ** k * 3 ** (qubits - weight)
 
 
 def _subset_damping_counts(qubits: int, index: np.ndarray, letters: str) -> np.ndarray:
@@ -302,7 +294,8 @@ def make_channel(model: NoiseModel, qubits: int, letters: str = PAULI_LABELS):
     ``(..., d)`` for ``(..., d, d)`` (``apply_to_diagonal``). A twirled
     model's seeded subset and damping table are cached per (qubits,
     fraction, seed, letters), so a sweep draws one subset and each p costs
-    O(M len(letters)**M).
+    O(M len(letters)**M); the full twirl, a per-qubit product, needs no
+    table.
     """
     if letters not in (PAULI_LABELS, "IX", "IZ"):
         raise ValidationError(f"letters {letters!r}: IXYZ for matrices, IX or IZ for diagonals")

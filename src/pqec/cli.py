@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .channels import CHANNEL_KINDS, DEFAULT_SEED, NoiseModel, make_channel
 from .montecarlo import check_sampling_budget, ratio_estimate, sampling_tree, simulate_shots
-from .purify import extract_observable_exact
+from .purify import MAX_SPECTRAL_ROUNDS, extract_observable_exact
 from .states import MAX_DENSE_QUBITS, MAX_PAULI_QUBITS, ProductState, ResourceLimitError, \
     ValidationError, check_register, density_from_pure, pauli_matrix
 from .svgplot import line_chart
@@ -290,7 +290,9 @@ _FLAGS = {
     "twirl": dict(type=float, help="twirl fraction in (0,1] for --channel dephasing"),
     "state": dict(help="target state: plus^M, zero^M, bloch:theta,phi[^M], M limited as --M"),
     "p": dict(help="error probability: value; list or min:max:count where a command runs several"),
-    "ell": dict(help="purification rounds: value; list or a..b where a command runs several"),
+    "ell": dict(help="purification rounds: value; list or a..b where a command runs several; "
+                     f"values above {MAX_SPECTRAL_ROUNDS} give the state of {MAX_SPECTRAL_ROUNDS}, "
+                     "yet each still costs a cell"),
     "cycles": dict(type=_cycles, default=DEFAULT_CYCLES,
                    help="channel-then-purify cycles; threshold reads only the first"),
     "jobs": dict(type=int, help="worker threads, capped at the CPUs available and at one per "

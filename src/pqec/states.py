@@ -13,7 +13,6 @@ matrix back on the PSD manifold.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -237,13 +236,3 @@ def project_to_density(mat: np.ndarray) -> np.ndarray:
     scaled = vecs * vals[..., None, :]
     # ``from_spectrum``, but conjugating V in place to spare a copy of the stack
     return scaled @ np.conj(vecs, out=vecs).swapaxes(-1, -2)
-
-
-# ----------------------------------------------------------------------
-# Pauli basis
-# ----------------------------------------------------------------------
-
-def pauli_weight_tensor(qubits: int, letters: str = PAULI_LABELS) -> np.ndarray:
-    """Weights of the Pauli strings over ``letters``, shape (len(letters),)*qubits: non-I counts."""
-    weights = np.array([c != "I" for c in letters], dtype=int)
-    return functools.reduce(np.add.outer, [weights] * qubits)

@@ -124,9 +124,10 @@ class CycleTrace:
 
     ``fidelities`` is (cycles + 1,) for a scalar p and one rounds value,
     and gains a leading axis for a tuple p and then one for a sequence of
-    rounds values, as given to ``run_cycles``. Where a cell stands for
-    copies of one qubit, ``cell_gamma`` is that qubit's first-cycle
-    fidelity drop, shaped as ``fidelities`` without its last axis.
+    rounds values, as given to ``run_cycles``. ``cell_gamma`` is the
+    cells' first-cycle fidelity drop, shaped as ``fidelities`` without its
+    last axis: one qubit's where a cell stands for copies of it, else the
+    register's, with the bits of ``fidelities[..., 0] - fidelities[..., 1]``.
     """
 
     fidelities: np.ndarray
@@ -134,7 +135,7 @@ class CycleTrace:
     rounds: int | tuple[int, ...]
     qubits: int
     cycles: int
-    cell_gamma: np.ndarray | None = None
+    cell_gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,9 @@ class SweepResult:
     channel: NoiseModel        # template; p varies along the grid
     qubits: int
     cycles: int
-    # [i_p, i_rounds] gamma of one qubit, where a cell stands for copies of it:
-    # 1 - F1 orders the rounds values as 1 - F1**M does, without rounding to 1
-    cell_gamma: np.ndarray | None = None
+    # [i_p, i_rounds] the cells' gamma, one qubit's where a cell stands for copies
+    # of it: 1 - F1 orders the rounds values as 1 - F1**M does, without rounding to 1
+    cell_gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -380,7 +381,7 @@ def run_cycles(target, model: NoiseModel, rounds, cycles: int) -> CycleTrace:
                 states[:, j] = rep.rebuild(weights, basis)
     # a scalar argument drops its axis, as in numpy broadcasting
     scalar = tuple(axis for axis, arg in enumerate((model.p, rounds)) if np.ndim(arg) == 0)
-    cell_gamma = (fids[..., 0] - fids[..., 1]).squeeze(axis=scalar) if rep.copies > 1 else None
+    cell_gamma = (fids[..., 0] - fids[..., 1]).squeeze(axis=scalar)
     return CycleTrace(fidelities=rep.finish(fids).squeeze(axis=scalar), channel=model,
                       rounds=rounds, qubits=rep.qubits, cycles=cycles, cell_gamma=cell_gamma)
 
@@ -546,13 +547,11 @@ def sweep(target, model: NoiseModel, p_values, rounds_list,
                                for lo in range(0, len(parts), len(ells))])
 
     traces = joined([result.fidelities for result in results])
-    cell_gamma = None
-    if results[0].cell_gamma is not None:
-        cell_gamma = joined([result.cell_gamma for result in results])
     return SweepResult(p_values=p_values, rounds=rounds_list,
                        gamma=traces[:, :, 0] - traces[:, :, 1],
                        steady_fidelity=traces[:, :, -1], traces=traces, channel=model,
-                       qubits=rep.qubits, cycles=cycles, cell_gamma=cell_gamma)
+                       qubits=rep.qubits, cycles=cycles,
+                       cell_gamma=joined([result.cell_gamma for result in results]))
 
 
 # ----------------------------------------------------------------------
@@ -602,8 +601,8 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
     the median of the pairwise crossings. Each crossing carries the width
     of the grid interval that brackets it, and the widest of those is the
     resolution reported with the threshold. Only the first cycle is read,
-    so a sweep of one cycle suffices: ``gamma``, or ``cell_gamma`` where
-    the sweep has it. The grid must pass ``check_threshold_grid``.
+    so a sweep of one cycle suffices: its ``cell_gamma``. The grid must
+    pass ``check_threshold_grid``.
     """
     check_threshold_grid(result.p_values, result.rounds)
     rounds_sorted = sorted(result.rounds)
@@ -612,10 +611,9 @@ def find_threshold(result: SweepResult) -> ThresholdEstimate:
     widths = np.diff(result.p_values)
     step = widths[0]
     widths = np.where(np.abs(widths - step) <= 1e-9 * abs(step), step, widths)
-    curves = result.gamma if result.cell_gamma is None else result.cell_gamma
     pairs = []
     for low, high in zip(rounds_sorted, rounds_sorted[1:]):
-        diff = curves[:, order[high]] - curves[:, order[low]]
+        diff = result.cell_gamma[:, order[high]] - result.cell_gamma[:, order[low]]
         p_cross, bracket = _pair_crossing(result.p_values, widths, diff)
         if p_cross is not None:
             direction = "crossed"

@@ -309,9 +309,10 @@ def scalar_eigenvalues_reference(kind, p, qubits, fraction):
     return functools.reduce(np.multiply.outer, [factors] * qubits)
 
 
-# The twirl's eigenvalues are a polynomial in 1 - 2p, summed by Horner's rule
-# where the reference takes a BLAS matrix-vector product of its powers: the
-# two round differently, by a few units in the last place of values in [-1, 1].
+# The twirl's eigenvalues are a polynomial in 1 - 2p: a subset's summed by
+# Horner's rule, the full set's as a product of per-qubit factors, where the
+# reference takes a BLAS matrix-vector product of its powers. They round
+# differently, by a few units in the last place of values in [-1, 1].
 HORNER_TOL = 4 * np.finfo(float).eps
 
 
@@ -328,6 +329,20 @@ def test_stacked_transfer_eigenvalues_match_scalar_bits(qubits):
                 assert np.max(np.abs(scalar - reference)) <= HORNER_TOL, (fraction, p)
             else:
                 assert np.array_equal(scalar, reference), (kind, p)
+
+
+@pytest.mark.parametrize("letters", ["IXYZ", "IX", "IZ"])
+def test_full_twirl_factor_has_the_bits_of_horner_on_one_qubit(letters):
+    # one qubit's factor 2/3 x + 1/3 is Horner's rule over the enumerated
+    # shares, so every run on one qubit's copies keeps its bits
+    p = np.linspace(0, 1, 10001)
+    lam = NoiseModel("twirled-dephasing", tuple(p)).transfer_eigenvalues(1, letters)
+    shares = _seeded_damping_shares(1, 1.0, DEFAULT_SEED, letters)
+    horner = np.empty(lam.shape)
+    horner[...] = shares[..., 1]
+    horner *= (1.0 - 2.0 * p)[:, None]
+    horner += shares[..., 0]
+    assert np.array_equal(lam, horner)
 
 
 def test_stacked_channel_matches_per_p_calls():

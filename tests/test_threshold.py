@@ -341,7 +341,8 @@ def test_large_registers_build_no_vector(monkeypatch, tmp_path, capsys, channel,
 
     for name in ("plus_state", "zero_state", "bloch_state"):
         monkeypatch.setattr(states, name, refusing(getattr(states, name)))
-    monkeypatch.setattr(channels, "pauli_weight_tensor", refusing(channels.pauli_weight_tensor, 0))
+    monkeypatch.setattr(NoiseModel, "transfer_eigenvalues",
+                        refusing(NoiseModel.transfer_eigenvalues, 1))
     out = tmp_path / "t.csv"
     argv = ["threshold", "--channel", *channel.split(), "--out", str(out),
             "--state", f"{state}^{threshold.MAX_PRODUCT_QUBITS}"]
@@ -771,7 +772,8 @@ def _zero_run_cycles(psi0, model, rounds, cycles):
     """``run_cycles`` stand-in that returns zero traces of the right shape."""
     return threshold.CycleTrace(fidelities=np.zeros((len(model.p), len(rounds), cycles + 1)),
                                 channel=model, rounds=tuple(rounds),
-                                qubits=psi0.qubits, cycles=cycles)
+                                qubits=psi0.qubits, cycles=cycles,
+                                cell_gamma=np.zeros((len(model.p), len(rounds))))
 
 
 def test_sweep_caps_workers_at_cpus_and_cells(monkeypatch):
@@ -1013,7 +1015,8 @@ def seeded_threshold_result(rng, n_p, n_rounds):
     gamma = np.stack(columns, axis=1)[:, order]
     result = threshold.SweepResult(p_values=p, rounds=tuple(rounds.tolist()), gamma=gamma,
                                    steady_fidelity=gamma, traces=gamma[..., None],
-                                   channel=NoiseModel("dephasing", 0.0), qubits=1, cycles=1)
+                                   channel=NoiseModel("dephasing", 0.0), qubits=1, cycles=1,
+                                   cell_gamma=gamma)
     return result, grid
 
 
